@@ -17,7 +17,6 @@ from .measure import (
     Filtration,
     MeasureSpace,
     Partition,
-    filtration_limit,
     make_space,
     partition_join,
     partition_meet,
@@ -48,12 +47,10 @@ from .operators import (
 )
 from .averages import (
     BesicovitchWeights,
-    MultiParamSpec,
     besicovitch_defect,
     composite_cond_expect,
     ergodic_average,
     ergodic_limit,
-    multi_average,
     weighted_average,
 )
 from .processes import (
@@ -77,7 +74,6 @@ from .inequalities import (
     dominant_check,
     dominant_constant,
     epsilon_sweep,
-    maximal_check,
     maximal_constant,
     orlicz_class_report,
     shrink_box,

@@ -1,5 +1,5 @@
-"""Cesaro averages, orbit limits, cosine weight sequences, and their
-multiparameter combinations.
+"""Cesaro averages, orbit limits, cosine weight sequences, and composite
+conditional expectations.
 
 Weight sequences are real cosine polynomials a_i = sum_k amp_k *
 cos(2 pi freq_k i + phase_k). When a frequency is recognized as rational
@@ -22,12 +22,10 @@ from .operators import Endomorphism, cond_expect, cycles
 
 __all__ = [
     "BesicovitchWeights",
-    "MultiParamSpec",
     "ergodic_average",
     "ergodic_limit",
     "besicovitch_defect",
     "weighted_average",
-    "multi_average",
     "composite_cond_expect",
 ]
 
@@ -54,6 +52,8 @@ class BesicovitchWeights:
         terms = tuple((float(a), float(fq), float(ph)) for a, fq, ph in self.terms)
         if not terms:
             raise ValueError("at least one (amplitude, frequency, phase) term is required")
+        if not all(math.isfinite(v) for term in terms for v in term):
+            raise ValueError("amplitudes, frequencies and phases must be finite")
         for _, fq, _ in terms:
             if not 0.0 <= fq < 1.0:
                 raise ValueError("frequencies must lie in [0, 1)")
@@ -119,41 +119,6 @@ class BesicovitchWeights:
 
     def __repr__(self):
         return f"BesicovitchWeights(terms={len(self.terms)}, bound={self.amplitude_bound:g})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class MultiParamSpec:
-    """Bundle of d maps, their weight sequences, and m filtrations on one space."""
-
-    maps: tuple[Endomorphism, ...]
-    weight_seqs: tuple[BesicovitchWeights | None, ...]
-    filtrations: tuple[Filtration, ...]
-
-    def __post_init__(self):
-        maps = tuple(self.maps)
-        filts = tuple(self.filtrations)
-        if not maps or not filts:
-            raise ValueError("need at least one map and one filtration")
-        weights = tuple(self.weight_seqs) if self.weight_seqs is not None else (None,) * len(maps)
-        if len(weights) != len(maps):
-            raise ValueError("one weight sequence (or None) per map")
-        space = maps[0].space
-        for t in maps:
-            if t.space != space:
-                raise ValueError("all maps must share one space")
-        for fl in filts:
-            if fl.space != space:
-                raise ValueError("all filtrations must share the maps' space")
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "weight_seqs", weights)
-        object.__setattr__(self, "filtrations", filts)
-
-    @property
-    def space(self):
-        return self.maps[0].space
-
-    def __repr__(self):
-        return f"MultiParamSpec(maps={len(self.maps)}, filtrations={len(self.filtrations)})"
 
 
 def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
@@ -230,31 +195,6 @@ def weighted_average(f: VectorObservable, t: Endomorphism, w: BesicovitchWeights
     if n < 1:
         raise ValueError("n must be positive")
     return VectorObservable(f.space, _cesaro(f.values, t, w.values(n), n))
-
-
-def multi_average(f: VectorObservable, spec: MultiParamSpec,
-                  n_vec: Sequence[int]) -> VectorObservable:
-    """Multiparameter weighted average over the product index box.
-
-    The written operator order T_1^{k_1} ... T_d^{k_d} applies T_d first; by
-    linearity the box sum factors into nested one-parameter averages, which
-    is what is computed (O(sum n_j) instead of O(prod n_j) operator steps).
-    """
-    if f.space != spec.space:
-        raise ValueError("observable and spec live on different spaces")
-    n_vec = tuple(int(n) for n in n_vec)
-    if len(n_vec) != len(spec.maps):
-        raise ValueError("n_vec must supply one count per map")
-    if any(n < 1 for n in n_vec):
-        raise ValueError("all counts must be positive")
-    out = f
-    for j in reversed(range(len(spec.maps))):
-        w = spec.weight_seqs[j]
-        if w is None:
-            out = ergodic_average(out, spec.maps[j], n_vec[j])
-        else:
-            out = weighted_average(out, spec.maps[j], w, n_vec[j])
-    return out
 
 
 def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration],

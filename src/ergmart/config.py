@@ -8,6 +8,7 @@ seed pins the whole experiment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,6 +21,7 @@ from .generators import (
     random_permutation,
     random_weights,
 )
+from .inequalities import broken_rule
 from .measure import DECREASING, INCREASING, Filtration, MeasureSpace, Partition
 from .observables import NormSpec, VectorObservable
 from .operators import Endomorphism, cycle_map, identity_map, orbit_lcm, power
@@ -65,6 +67,12 @@ def _need(cfg: dict, key: str, path: str) -> Any:
     if key not in cfg:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return cfg[key]
+
+
+def _is_finite_number(value) -> bool:
+    # the bound rejects NaN, infinities and integers too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _as_positive_int(value, path: str) -> int:
@@ -194,9 +202,13 @@ def _build_weights(cfg, path: str, rng) -> BesicovitchWeights | None:
                 raise ConfigError(f"{path}.terms[{k}]",
                                   "frequency pair must be [numer, denom]")
             num, den = freq
-            if not isinstance(den, int) or den < 1:
-                raise ConfigError(f"{path}.terms[{k}]", "denominator must be >= 1")
+            if not (isinstance(num, int) and isinstance(den, int) and 0 <= num < den):
+                raise ConfigError(f"{path}.terms[{k}]",
+                                  "frequency pair needs integers 0 <= numer < denom")
             freq = num / den
+        if not all(_is_finite_number(v) for v in (amp, freq, phase)):
+            raise ConfigError(f"{path}.terms[{k}]",
+                              "amplitude, frequency and phase must be finite numbers")
         terms.append((float(amp), float(freq), float(phase)))
     try:
         return BesicovitchWeights(tuple(terms))
@@ -220,20 +232,20 @@ def _build_checks(cfg, path: str) -> tuple[CheckSpec, ...]:
             raise ConfigError(f"{cpath}.box_factor", "must be a positive integer")
         if ctype in ("dominant", "maximal"):
             p = _need(chk, "p", cpath)
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not p > 1:
-                raise ConfigError(f"{cpath}.p", "must be > 1")
+            if not _is_finite_number(p) or not p > 1:
+                raise ConfigError(f"{cpath}.p", "must be a finite number > 1")
             eps = None
             if ctype == "maximal":
                 eps = chk.get("epsilons", "auto8")
                 if isinstance(eps, str):
-                    if not (eps.startswith("auto") and eps[4:].isdigit()):
-                        raise ConfigError(f"{cpath}.epsilons",
-                                          "must be 'auto<count>' or an ascending list")
+                    if not (eps.startswith("auto") and eps[4:].isdigit()
+                            and int(eps[4:]) >= 1):
+                        raise ConfigError(f"{cpath}.epsilons", "must be 'auto<count>' "
+                                          "with count >= 1 or an ascending list")
                 elif isinstance(eps, list):
-                    if not eps or any(not isinstance(e, (int, float)) or e <= 0
-                                      for e in eps):
+                    if not eps or any(not _is_finite_number(e) or e <= 0 for e in eps):
                         raise ConfigError(f"{cpath}.epsilons",
-                                          "must be positive numbers")
+                                          "must be finite positive numbers")
                     if any(b <= a for a, b in zip(eps, eps[1:])):
                         raise ConfigError(f"{cpath}.epsilons", "must be ascending")
                     eps = tuple(float(e) for e in eps)
@@ -287,11 +299,8 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
         if not isinstance(weights_cfg, list) or len(weights_cfg) != len(maps):
             raise ConfigError("weight_seqs",
                               "must be null or one entry (object or null) per map")
-        built = [_build_weights(wc, f"weight_seqs[{k}]", rng)
-                 for k, wc in enumerate(weights_cfg)]
-        if any(w is not None for w in built):
-            weights = tuple(w if w is not None else BesicovitchWeights.constant(1.0)
-                            for w in built)
+        weights = tuple(_build_weights(wc, f"weight_seqs[{k}]", rng)
+                        for k, wc in enumerate(weights_cfg))
 
     kind = config.get("process", MARTINGALE_ERGODIC)
     if kind not in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
@@ -318,8 +327,8 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
                                   "has an exact stabilization period")
 
     trace_p = config.get("trace_p", 2.0)
-    if not isinstance(trace_p, (int, float)) or not trace_p >= 1:
-        raise ConfigError("trace_p", "must be a number >= 1")
+    if not _is_finite_number(trace_p) or not trace_p >= 1:
+        raise ConfigError("trace_p", "must be a finite number >= 1")
 
     grids = config.get("grids", {})
     if not isinstance(grids, dict):
@@ -353,20 +362,9 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     checks = _build_checks(config.get("checks"), "checks")
     for k, chk in enumerate(checks):
         if chk.type in ("dominant", "maximal"):
-            if spec.kind == MARTINGALE_ERGODIC and any(
-                    fl.direction != DECREASING for fl in spec.filtrations):
-                raise ConfigError(f"checks[{k}]",
-                                  "martingale-ergodic bounds require decreasing "
-                                  "filtrations")
-            multi = spec.d_maps > 1 or spec.m_filtrations > 1
-            if multi and chk.p != int(chk.p):
-                raise ConfigError(f"checks[{k}].p",
-                                  "multiparameter bounds require integer p")
-            if (chk.type == "maximal" and multi
-                    and spec.kind == ERGODIC_MARTINGALE):
-                raise ConfigError(f"checks[{k}].type",
-                                  "no maximal bound is available for the "
-                                  "multiparameter ergodic-martingale process")
+            broken = broken_rule(spec, chk.type, chk.p)
+            if broken is not None:
+                raise ConfigError(f"checks[{k}]{broken[0]}", broken[1])
 
     echo = dict(config)
     echo["seed"] = seed

@@ -11,6 +11,8 @@ import numpy as np
 
 from .generators import FAMILIES, random_process_instance
 from .inequalities import (
+    auto_epsilons,
+    broken_rule,
     default_box,
     dominant_check,
     epsilon_sweep,
@@ -99,14 +101,12 @@ def _check_instance(inst, stats: FamilyStats, eps_count: int):
         if small.lhs > full.lhs + _TOL:
             stats.failures.append((inst.seed, "sup-box truncation raised the lhs"))
 
-    multi = spec.d_maps > 1 or spec.m_filtrations > 1
-    if multi and spec.kind != "martingale_ergodic":
-        return  # no maximal bound for the multiparameter condition-last process
+    if broken_rule(spec, "maximal", p) is not None:
+        return
     top = linf_norm(sup_field(spec, box), spec.norm)
     if top <= 0.0:
         return
-    eps_grid = np.geomspace(0.05 * top, 1.2 * top, eps_count)
-    reports = epsilon_sweep(spec, p, eps_grid, box)
+    reports = epsilon_sweep(spec, p, auto_epsilons(top, eps_count), box)
     stats.maximal_checks += len(reports)
     prev_lhs = None
     for rep in reports:

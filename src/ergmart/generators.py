@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .averages import BesicovitchWeights, MultiParamSpec
+from .averages import BesicovitchWeights
 from .measure import DECREASING, INCREASING, Filtration, MeasureSpace, Partition
 from .observables import NormSpec, VectorObservable
 from .operators import Endomorphism, power
@@ -218,8 +218,7 @@ def random_process_instance(seed: int, family: str, n_max: int = 64,
         filts = tuple(random_filtration(rng, space, n_stages=2, direction=direction)
                       for _ in range(m))
         seqs = tuple(random_weights(rng, envelope=_MULTI_ENVELOPE) for _ in range(d))
-        spec = ProcessSpec.multi(kind, f, MultiParamSpec(tuple(maps), seqs, filts),
-                                 norm=norm)
+        spec = ProcessSpec(kind, f, tuple(maps), filts, seqs, norm)
     else:
         filt = random_filtration(rng, space, n_stages=int(rng.integers(2, 5)),
                                  direction=direction)

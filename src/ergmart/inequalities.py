@@ -24,7 +24,7 @@ import numpy as np
 
 from .averages import running_weighted_averages
 from .measure import DECREASING
-from .observables import VectorObservable, llog_norm, lp_norm
+from .observables import VectorObservable, llog_norm, lp_norm, row_norms
 from .operators import averaging_matrix
 from .processes import MARTINGALE_ERGODIC, ProcessSpec
 
@@ -34,10 +34,12 @@ __all__ = [
     "shrink_box",
     "InequalityReport",
     "OrliczReport",
+    "APPLICABILITY_RULES",
+    "broken_rule",
     "sup_field",
     "dominant_check",
-    "maximal_check",
     "epsilon_sweep",
+    "auto_epsilons",
     "dominant_constant",
     "maximal_constant",
     "effective_weight_bound",
@@ -141,28 +143,15 @@ def _norm_table(spec: ProcessSpec, box: SupBox) -> np.ndarray:
         tabs = []
         for mat in mats:
             vals = np.matmul(mat, flat)
-            tabs.append(_batch_norms(vals, spec.norm.q).reshape(k_shape + (n,)))
+            tabs.append(row_norms(vals, spec.norm.q).reshape(k_shape + (n,)))
         return np.stack(tabs)
     # ergodic-martingale: condition first, then average the whole stack
     stack = np.stack([mat @ spec.f.values for mat in mats])  # (S, N, dim)
     arr = stack
     for j in reversed(range(spec.d_maps)):
         arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
-    tab = _batch_norms(arr, spec.norm.q)  # (K_1, ..., K_d, S, N)
+    tab = row_norms(arr, spec.norm.q)  # (K_1, ..., K_d, S, N)
     return np.moveaxis(tab, -2, 0)
-
-
-def _batch_norms(values: np.ndarray, q: float) -> np.ndarray:
-    if values.shape[-1] == 1:
-        return np.abs(values[..., 0])
-    a = np.abs(values)
-    if math.isinf(q):
-        return a.max(axis=-1)
-    if q == 1.0:
-        return a.sum(axis=-1)
-    if q == 2.0:
-        return np.sqrt((values * values).sum(axis=-1))
-    return (a**q).sum(axis=-1) ** (1.0 / q)
 
 
 def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
@@ -186,8 +175,29 @@ def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float
     return observed, envelope
 
 
-def _is_multi(spec: ProcessSpec) -> bool:
-    return spec.d_maps > 1 or spec.m_filtrations > 1
+# when a dominant or maximal bound applies, as (config field blamed below
+# checks[k], message, test of (spec, check type, p) that breaks the rule);
+# config validation, the checks and the fuzz all read this table
+APPLICABILITY_RULES = (
+    ("", "martingale-ergodic bounds require decreasing filtrations",
+     lambda spec, check, p: spec.kind == MARTINGALE_ERGODIC
+     and any(fl.direction != DECREASING for fl in spec.filtrations)),
+    (".p", "multiparameter bounds require integer p",
+     lambda spec, check, p: spec.is_multi and not float(p).is_integer()),
+    (".type", "no maximal bound is available for the multiparameter "
+     "ergodic-martingale process",
+     lambda spec, check, p: check == "maximal" and spec.is_multi
+     and spec.kind != MARTINGALE_ERGODIC),
+)
+
+
+def broken_rule(spec: ProcessSpec, check: str, p: float) -> tuple[str, str] | None:
+    """(field, message) of the first rule that a `check` ("dominant" or
+    "maximal") at exponent p breaks on this spec; None when the bound applies."""
+    for field, message, breaks in APPLICABILITY_RULES:
+        if breaks(spec, check, p):
+            return field, message
+    return None
 
 
 def dominant_constant(p: float, *, weighted: bool = False, multi: bool = False,
@@ -238,7 +248,7 @@ class InequalityReport:
 
 def _theorem_tag(spec: ProcessSpec, flavor: str) -> str:
     me = spec.kind == MARTINGALE_ERGODIC
-    if _is_multi(spec):
+    if spec.is_multi:
         tag = "Thm4.3" if me else "Thm4.4"
     elif spec.is_weighted:
         tag = "Thm4.1" if me else "Thm4.2"
@@ -249,31 +259,24 @@ def _theorem_tag(spec: ProcessSpec, flavor: str) -> str:
     return tag if flavor == "dominant" else f"{tag}-maximal"
 
 
-def _require_direction(spec: ProcessSpec):
-    if spec.kind == MARTINGALE_ERGODIC:
-        bad = [k for k, fl in enumerate(spec.filtrations) if fl.direction != DECREASING]
-        if bad:
-            raise ValueError(
-                "the martingale-ergodic bounds require decreasing filtrations "
-                f"(filtration {bad[0]} is increasing)")
-
-
-def _alpha_for_constants(spec: ProcessSpec, box: SupBox) -> float:
-    observed, envelope = effective_weight_bound(spec, box)
-    return max(observed, envelope)
+def _check_setup(spec: ProcessSpec, check: str, p: float,
+                 box: SupBox | None) -> tuple[SupBox, float]:
+    """Validates a dominant or maximal check (sup_field validates the box);
+    returns the box and the weight bound alpha that goes into the constants."""
+    if not p > 1.0:
+        raise ValueError("p must be > 1")
+    broken = broken_rule(spec, check, p)
+    if broken is not None:
+        raise ValueError(broken[1])
+    if box is None:
+        box = default_box(spec)
+    return box, max(effective_weight_bound(spec, box))
 
 
 def dominant_check(spec: ProcessSpec, p: float, box: SupBox | None = None) -> InequalityReport:
     """|  sup-of-process-norms  |_p <= C(p, variant) |f|_p over the box."""
-    if not p > 1.0:
-        raise ValueError("p must be > 1")
-    _require_direction(spec)
-    if box is None:
-        box = default_box(spec)
-    else:
-        _validate_box(spec, box)
-    alpha = _alpha_for_constants(spec, box)
-    const = dominant_constant(p, weighted=spec.is_weighted, multi=_is_multi(spec),
+    box, alpha = _check_setup(spec, "dominant", p, box)
+    const = dominant_constant(p, weighted=spec.is_weighted, multi=spec.is_multi,
                               alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box)
     lhs = lp_norm(field, p, spec.norm)
@@ -286,34 +289,17 @@ def dominant_check(spec: ProcessSpec, p: float, box: SupBox | None = None) -> In
     )
 
 
-def maximal_check(spec: ProcessSpec, p: float, epsilon: float,
-                  box: SupBox | None = None) -> InequalityReport:
-    """mu{ sup >= epsilon } <= C(p, variant) |f|_p^p / epsilon^p over the box."""
-    reports = epsilon_sweep(spec, p, [epsilon], box)
-    return reports[0]
-
-
 def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
                   box: SupBox | None = None) -> list[InequalityReport]:
-    """One maximal report per epsilon (ascending grid); the sup field is
-    computed once and the level-set masses nest."""
-    if not p > 1.0:
-        raise ValueError("p must be > 1")
-    _require_direction(spec)
+    """mu{ sup >= eps } <= C(p, variant) |f|_p^p / eps^p over the box, one report
+    per eps of the ascending grid; the sup field is computed once."""
+    box, alpha = _check_setup(spec, "maximal", p, box)
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("epsilon grid must be nonempty and positive")
     if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("epsilon grid must be ascending")
-    if spec.kind != MARTINGALE_ERGODIC and _is_multi(spec):
-        raise ValueError("no maximal bound is available for the multiparameter "
-                         "ergodic-martingale process")
-    if box is None:
-        box = default_box(spec)
-    else:
-        _validate_box(spec, box)
-    alpha = _alpha_for_constants(spec, box)
-    const = maximal_constant(p, weighted=spec.is_weighted, multi=_is_multi(spec),
+    const = maximal_constant(p, weighted=spec.is_weighted, multi=spec.is_multi,
                              alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box).values[:, 0]
     mu = spec.space.weights
@@ -329,6 +315,14 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
             truncation=box, alpha=alpha,
         ))
     return out
+
+
+def auto_epsilons(top: float, count: int) -> tuple[float, ...]:
+    """Ascending grid of `count` levels from 5% to 120% of the sup-field
+    maximum `top`; a fixed grid on [1e-6, 1] when the sup field vanishes."""
+    if top <= 0.0:
+        return tuple(float(v) for v in np.geomspace(1e-6, 1.0, count))
+    return tuple(float(v) for v in np.geomspace(0.05 * top, 1.2 * top, count))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,8 @@ import numpy as np
 from . import inequalities
 from .averages import (
     BesicovitchWeights,
-    MultiParamSpec,
     ergodic_average,
     ergodic_limit,
-    multi_average,
     weighted_average,
 )
 from .generators import (
@@ -188,16 +186,14 @@ def averaging_laws(seed: int, budget: int) -> list[CheckLine]:
         # small commuting multiparameter instance against the direct sum
         maps = (tau, power(tau, 2))
         seqs = (random_weights(rng), random_weights(rng))
-        filts = (random_filtration(rng, space, 2),)
-        mp = MultiParamSpec(maps, seqs, filts)
+        random_filtration(rng, space, 2)  # keeps the seeded draw sequence
+        sing = Filtration(space, DECREASING, (Partition.singletons(space),))
+        spec = ProcessSpec(MARTINGALE_ERGODIC, f, maps, (sing,), seqs)
         n_vec = (int(rng.integers(1, 2 * order + 1)), int(rng.integers(1, order + 1)))
-        got = multi_average(f, mp, n_vec)
+        got = evaluate(spec, n_vec, 0)
         direct = np.zeros_like(f.values)
         alph = [s.values(n) for s, n in zip(seqs, n_vec)]
         for k1 in range(n_vec[0]):
-            inner = f.values
-            for _ in range(k1):
-                inner = inner[maps[0].map]
             # T_1^{k1} applied after T_2^{k2}: iterate T_2 on top of T_1^{k1} f
             for k2 in range(n_vec[1]):
                 term = f.values
@@ -347,9 +343,8 @@ def _canonical_specs():
     w = BesicovitchWeights.single_cosine(0.5, 1, 2)
     wme = ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt, weights=w)
     filt2 = Filtration(space, DECREASING, (cross, Partition.whole(space)))
-    mp = MultiParamSpec((tau, power(tau, 2)), (w, BesicovitchWeights.constant(0.25)),
-                        (filt, filt2, filt2))
-    multi = ProcessSpec.multi(MARTINGALE_ERGODIC, f, mp)
+    multi = ProcessSpec(MARTINGALE_ERGODIC, f, (tau, power(tau, 2)), (filt, filt2, filt2),
+                        (w, BesicovitchWeights.constant(0.25)))
     return [("single-me", me, 2.0, 4.0), ("single-em", em, 2.0, 1.75),
             ("weighted-me", wme, 2.0, 1.75), ("multi-me", multi, 2.0, 0.4)]
 
@@ -375,7 +370,7 @@ def canonical_regression(seed: int = 0, budget: int = 0) -> list[CheckLine]:
     for name, spec, p, eps in _canonical_specs():
         box = inequalities.default_box(spec, n_factor=2)
         dom = inequalities.dominant_check(spec, p, box)
-        mx = inequalities.maximal_check(spec, p, eps, box)
+        mx = inequalities.epsilon_sweep(spec, p, [eps], box)[0]
         exp_dom, exp_max = _CANONICAL_EXPECTED[name]
         ok = (math.isclose(dom.lhs, exp_dom[0], rel_tol=1e-9, abs_tol=1e-12)
               and math.isclose(dom.rhs, exp_dom[1], rel_tol=1e-9, abs_tol=1e-12)

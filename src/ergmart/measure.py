@@ -26,7 +26,6 @@ __all__ = [
     "refines",
     "partition_join",
     "partition_meet",
-    "filtration_limit",
 ]
 
 
@@ -227,6 +226,7 @@ class Filtration:
 
     @property
     def limit(self) -> Partition:
+        """Stabilized endpoint of the finite chain."""
         return self.stages[-1]
 
     def __len__(self) -> int:
@@ -234,8 +234,3 @@ class Filtration:
 
     def __repr__(self):
         return f"Filtration({self.direction}, stages={len(self.stages)})"
-
-
-def filtration_limit(f: Filtration) -> Partition:
-    """Stabilized endpoint of the finite chain."""
-    return f.limit

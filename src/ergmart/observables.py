@@ -17,6 +17,7 @@ from .measure import MeasureSpace
 __all__ = [
     "NormSpec",
     "VectorObservable",
+    "row_norms",
     "point_norm_field",
     "lp_norm",
     "linf_norm",
@@ -82,42 +83,43 @@ class VectorObservable:
         return f"VectorObservable(size={self.space.size}, dim={self.dim})"
 
 
-def _row_norms(values: np.ndarray, q: float) -> np.ndarray:
-    if values.shape[1] == 1:
-        return np.abs(values[:, 0])
+def row_norms(values: np.ndarray, q: float) -> np.ndarray:
+    """l^q norms over the last axis of an array of point values."""
+    if values.shape[-1] == 1:
+        return np.abs(values[..., 0])
     a = np.abs(values)
     if math.isinf(q):
-        return a.max(axis=1)
+        return a.max(axis=-1)
     if q == 1.0:
-        return a.sum(axis=1)
+        return a.sum(axis=-1)
     if q == 2.0:
-        return np.sqrt((values * values).sum(axis=1))
-    return (a**q).sum(axis=1) ** (1.0 / q)
+        return np.sqrt((values * values).sum(axis=-1))
+    return (a**q).sum(axis=-1) ** (1.0 / q)
 
 
 def point_norm_field(f: VectorObservable, ns: NormSpec = NormSpec()) -> VectorObservable:
     """Scalar field of pointwise l^q norms of f."""
-    return VectorObservable(f.space, _row_norms(f.values, ns.q))
+    return VectorObservable(f.space, row_norms(f.values, ns.q))
 
 
 def lp_norm(f: VectorObservable, p: float, ns: NormSpec = NormSpec()) -> float:
     """(sum_w mu_w |f(w)|_q^p)^(1/p) for finite p >= 1."""
     if not p >= 1.0 or math.isinf(p):
         raise ValueError("p must be a finite real >= 1")
-    norms = _row_norms(f.values, ns.q)
+    norms = row_norms(f.values, ns.q)
     return float(np.sum(f.space.weights * norms**p) ** (1.0 / p))
 
 
 def linf_norm(f: VectorObservable, ns: NormSpec = NormSpec()) -> float:
     """Essential sup of the point norms; equals the max since all masses are positive."""
-    return float(_row_norms(f.values, ns.q).max())
+    return float(row_norms(f.values, ns.q).max())
 
 
 def llog_norm(f: VectorObservable, m: int, ns: NormSpec = NormSpec()) -> float:
     """Integral of |f|_q * (ln max(1, |f|_q))^m; the L log^+ L type functional."""
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    norms = _row_norms(f.values, ns.q)
+    norms = row_norms(f.values, ns.q)
     if m == 0:
         return float(np.sum(f.space.weights * norms))
     logs = np.log(np.maximum(1.0, norms))

@@ -55,7 +55,8 @@ class Endomorphism:
                              "map on a fully supported finite space must be one")
         mu = self.space.weights
         preimage_mass = np.bincount(arr, weights=mu, minlength=n)
-        gap = np.max(np.abs(preimage_mass - mu) / np.maximum(np.abs(mu), 1.0))
+        # relative to each mass, so that masses far below 1 are compared too
+        gap = np.max(np.abs(preimage_mass - mu) / mu)
         if gap > _TOL:
             raise ValueError(f"map does not preserve the measure (mass gap {gap:.3e})")
         arr.setflags(write=False)
@@ -76,12 +77,16 @@ def cycle_map(space: MeasureSpace) -> Endomorphism:
 
 
 def power(t: Endomorphism, k: int) -> Endomorphism:
-    """tau composed with itself k times (k >= 0)."""
+    """tau composed with itself k times (k >= 0), by repeated squaring."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     out = np.arange(t.space.size)
-    for _ in range(k):
-        out = t.map[out]
+    base = t.map
+    while k:
+        if k & 1:
+            out = base[out]
+        base = base[base]
+        k >>= 1
     return Endomorphism(t.space, out)
 
 

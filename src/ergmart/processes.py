@@ -18,7 +18,6 @@ import numpy as np
 
 from .averages import (
     BesicovitchWeights,
-    MultiParamSpec,
     composite_cond_expect,
     ergodic_average,
     ergodic_limit,
@@ -53,13 +52,15 @@ _TOL = 1e-12
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ProcessSpec:
-    """One process instance: observable, maps, filtrations, optional weights."""
+    """One process instance: observable, maps, filtrations, optional weights
+    (one weight sequence or None per map; None entries become the constant
+    sequence 1 unless all are None, which leaves the spec unweighted)."""
 
     kind: str
     f: VectorObservable
     maps: tuple[Endomorphism, ...]
     filtrations: tuple[Filtration, ...]
-    weights: tuple[BesicovitchWeights, ...] | None = None
+    weights: tuple[BesicovitchWeights | None, ...] | None = None
     norm: NormSpec = NormSpec()
 
     def __post_init__(self):
@@ -79,7 +80,12 @@ class ProcessSpec:
         if self.weights is not None:
             weights = tuple(self.weights)
             if len(weights) != len(maps):
-                raise ValueError("one weight sequence per map")
+                raise ValueError("one weight sequence (or None) per map")
+            if all(w is None for w in weights):
+                weights = None
+            else:
+                weights = tuple(BesicovitchWeights.constant(1.0) if w is None else w
+                                for w in weights)
             object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "filtrations", filts)
@@ -88,19 +94,7 @@ class ProcessSpec:
     def single(cls, kind: str, f: VectorObservable, t: Endomorphism, fl: Filtration,
                weights: BesicovitchWeights | None = None,
                norm: NormSpec = NormSpec()) -> "ProcessSpec":
-        w = (weights,) if weights is not None else None
-        return cls(kind, f, (t,), (fl,), w, norm)
-
-    @classmethod
-    def multi(cls, kind: str, f: VectorObservable, mp: MultiParamSpec,
-              norm: NormSpec = NormSpec()) -> "ProcessSpec":
-        ws = mp.weight_seqs
-        if all(w is None for w in ws):
-            weights = None
-        else:
-            weights = tuple(w if w is not None else BesicovitchWeights.constant(1.0)
-                            for w in ws)
-        return cls(kind, f, mp.maps, mp.filtrations, weights, norm)
+        return cls(kind, f, (t,), (fl,), (weights,), norm)
 
     @property
     def space(self):
@@ -118,6 +112,15 @@ class ProcessSpec:
     def is_weighted(self) -> bool:
         return self.weights is not None
 
+    @property
+    def is_multi(self) -> bool:
+        return self.d_maps > 1 or self.m_filtrations > 1
+
+    @property
+    def last_stages(self) -> tuple[int, ...]:
+        """Index of the stabilized (last) stage of every filtration."""
+        return tuple(len(fl.stages) - 1 for fl in self.filtrations)
+
     def orbit_lcms(self) -> tuple[int, ...]:
         return tuple(orbit_lcm(t) for t in self.maps)
 
@@ -126,33 +129,24 @@ class ProcessSpec:
                 f"filtrations={self.m_filtrations}, weighted={self.is_weighted})")
 
 
-def _normalize_counts(spec: ProcessSpec, n1) -> tuple[int, ...]:
-    if isinstance(n1, (int, np.integer)):
-        n_vec = (int(n1),) * spec.d_maps
-    else:
-        n_vec = tuple(int(v) for v in n1)
-    if len(n_vec) != spec.d_maps:
-        raise ValueError("n1 must give one count per map")
-    if any(v < 1 for v in n_vec):
-        raise ValueError("averaging lengths must be positive")
-    return n_vec
-
-
-def _normalize_stages(spec: ProcessSpec, n2) -> tuple[int, ...]:
-    if isinstance(n2, (int, np.integer)):
-        s_vec = (int(n2),) * spec.m_filtrations
-    else:
-        s_vec = tuple(int(v) for v in n2)
-    if len(s_vec) != spec.m_filtrations:
-        raise ValueError("n2 must give one stage index per filtration")
-    for k, (fl, s) in enumerate(zip(spec.filtrations, s_vec)):
-        if not 0 <= s < len(fl.stages):
-            raise ValueError(f"stage index {s} out of range for filtration {k}")
-    return s_vec
+def _per_axis(value, count: int, message: str) -> tuple[int, ...]:
+    """An integer broadcast to `count` axes, or a sequence of `count` entries."""
+    if isinstance(value, (int, np.integer)):
+        return (int(value),) * count
+    out = tuple(int(v) for v in value)
+    if len(out) != count:
+        raise ValueError(message)
+    return out
 
 
 def _apply_averages(spec: ProcessSpec, g: VectorObservable,
                     n_vec: tuple[int, ...]) -> VectorObservable:
+    """Multiparameter weighted average over the product index box.
+
+    The written operator order T_1^{k_1} ... T_d^{k_d} applies T_d first; by
+    linearity the box sum factors into nested one-parameter averages, which
+    is what is computed (O(sum n_j) instead of O(prod n_j) operator steps).
+    """
     out = g
     for j in reversed(range(spec.d_maps)):
         if spec.weights is None:
@@ -168,8 +162,9 @@ def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
     Integers broadcast across all maps / filtrations; sequences address the
     axes individually.
     """
-    n_vec = _normalize_counts(spec, n1)
-    s_vec = _normalize_stages(spec, n2)
+    n_vec = _per_axis(n1, spec.d_maps, "n1 must give one count per map")
+    s_vec = _per_axis(n2, spec.m_filtrations,
+                      "n2 must give one stage index per filtration")
     if spec.kind == MARTINGALE_ERGODIC:
         avg = _apply_averages(spec, spec.f, n_vec)
         return composite_cond_expect(avg, spec.filtrations, s_vec)
@@ -194,14 +189,13 @@ def limit_target(spec: ProcessSpec) -> VectorObservable:
             if not w.is_constant:
                 raise ValueError("no closed-form target; use trace stabilization")
             scale *= w.constant_value
-    last = tuple(len(fl.stages) - 1 for fl in spec.filtrations)
     if spec.kind == MARTINGALE_ERGODIC:
         g = spec.f
         for t in reversed(spec.maps):
             g = ergodic_limit(g, t)
-        out = composite_cond_expect(g, spec.filtrations, last)
+        out = composite_cond_expect(g, spec.filtrations, spec.last_stages)
     else:
-        g = composite_cond_expect(spec.f, spec.filtrations, last)
+        g = composite_cond_expect(spec.f, spec.filtrations, spec.last_stages)
         for t in reversed(spec.maps):
             g = ergodic_limit(g, t)
         out = g
@@ -323,8 +317,7 @@ def stabilized_reference(spec: ProcessSpec) -> VectorObservable:
     """Exact limit for rational-frequency weights: one full period of the
     weighted average (evaluated at the last stage of every filtration)."""
     periods = stabilization_periods(spec)
-    last = tuple(len(fl.stages) - 1 for fl in spec.filtrations)
-    return evaluate(spec, periods, last)
+    return evaluate(spec, periods, spec.last_stages)
 
 
 def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
@@ -335,7 +328,7 @@ def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
         raise ValueError("need at least 4 periods to form a tail")
     periods = stabilization_periods(spec)
     if n2 is None:
-        n2 = tuple(len(fl.stages) - 1 for fl in spec.filtrations)
+        n2 = spec.last_stages
     tail_start = n_periods - max(1, n_periods // 4) + 1
     evals = []
     for k in range(tail_start, n_periods + 1):

@@ -12,12 +12,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ExperimentPlan
 from .inequalities import (
     InequalityReport,
+    auto_epsilons,
     default_box,
     dominant_check,
     epsilon_sweep,
@@ -25,7 +24,7 @@ from .inequalities import (
     sup_field,
 )
 from .observables import linf_norm
-from .processes import convergence_trace, limit_target, stabilized_reference
+from .processes import convergence_trace, stabilized_reference
 
 __all__ = ["RunResult", "execute_plan", "render_trace_csv"]
 
@@ -72,12 +71,8 @@ def _run_checks(plan: ExperimentPlan) -> list[dict]:
         elif chk.type == "maximal":
             eps = chk.epsilons
             if isinstance(eps, str):
-                count = int(eps[4:])
                 top = linf_norm(sup_field(plan.spec, box), plan.spec.norm)
-                if top <= 0.0:
-                    grid = tuple(float(v) for v in np.geomspace(1e-6, 1.0, count))
-                else:
-                    grid = tuple(float(v) for v in np.geomspace(0.05 * top, 1.2 * top, count))
+                grid = auto_epsilons(top, int(eps[4:]))
             else:
                 grid = eps
             out.extend(_report_dict(r) for r in epsilon_sweep(plan.spec, chk.p, grid, box))
@@ -98,15 +93,13 @@ def _run_checks(plan: ExperimentPlan) -> list[dict]:
 def execute_plan(plan: ExperimentPlan, out_dir: str | Path) -> RunResult:
     """Computes the trace and all checks, then writes the three artifacts."""
     spec = plan.spec
+    # unweighted traces compute the closed-form limit themselves
+    reference = stabilized_reference(spec) if spec.is_weighted else None
+    trace = convergence_trace(spec, plan.n1_grid, plan.n2_grid, plan.trace_p,
+                              reference=reference)
     if spec.is_weighted:
-        reference = stabilized_reference(spec)
         desc = "stabilized reference (one exact weight/orbit period)"
     else:
-        reference = limit_target(spec)
-        desc = None
-    trace = convergence_trace(spec, plan.n1_grid, plan.n2_grid, plan.trace_p,
-                              reference=reference if spec.is_weighted else None)
-    if desc is None:
         desc = trace.target_description
     reports = _run_checks(plan)
     manifest = {

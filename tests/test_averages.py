@@ -3,17 +3,16 @@ import pytest
 
 from ergmart.averages import (
     BesicovitchWeights,
-    MultiParamSpec,
     besicovitch_defect,
     composite_cond_expect,
     ergodic_average,
     ergodic_limit,
-    multi_average,
     weighted_average,
 )
 from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, point_norm_field
 from ergmart.operators import Endomorphism, cycle_map, identity_map, koopman, orbit_lcm, power
+from ergmart.processes import MARTINGALE_ERGODIC, ProcessSpec, evaluate
 from oracles import (
     oracle_composite,
     oracle_ergodic_average,
@@ -119,6 +118,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             BesicovitchWeights(((1.0, 1.5, 0.0),))
 
+    @pytest.mark.parametrize("term", [(float("nan"), 0.5, 0.0), (float("inf"), 0.5, 0.0),
+                                      (1.0, 0.5, float("nan")), (1.0, 0.5, float("-inf"))])
+    def test_non_finite_terms_rejected(self, term):
+        with pytest.raises(ValueError, match="finite"):
+            BesicovitchWeights((term,))
+
     def test_exact_periodicity_of_rational_terms(self):
         w = BesicovitchWeights(((0.7, 1 / 3, 0.4), (0.3, 2 / 5, 0.0)))
         assert w.period == 15
@@ -198,25 +203,29 @@ class TestWeightedAverage:
 
 
 class TestMultiAverage:
-    def filt(self, sp):
-        return Filtration(sp, DECREASING, (Partition.singletons(sp),))
+    """The multiparameter average is `evaluate` on a spec whose only
+    filtration is the singletons, where conditioning is the identity."""
+
+    def spec(self, maps, weights, f=F1357):
+        singletons = Filtration(f.space, DECREASING, (Partition.singletons(f.space),))
+        return ProcessSpec(MARTINGALE_ERGODIC, f, maps, (singletons,), weights)
 
     def test_d1_reduces_to_weighted(self):
         w = BesicovitchWeights(((0.9, 1 / 3, 0.1),))
-        mp = MultiParamSpec((CYC,), (w,), (self.filt(SP4),))
+        spec = self.spec((CYC,), (w,))
         for n in (1, 3, 5):
-            assert multi_average(F1357, mp, [n]).values == pytest.approx(
+            assert evaluate(spec, [n], 0).values == pytest.approx(
                 weighted_average(F1357, CYC, w, n).values)
 
     def test_identity_maps_fix_f(self):
         ident = identity_map(SP4)
-        mp = MultiParamSpec((ident, ident), (None, None), (self.filt(SP4),))
+        spec = self.spec((ident, ident), (None, None))
         for n_vec in ((1, 1), (3, 2), (5, 5)):
-            assert multi_average(F1357, mp, n_vec).values == pytest.approx(F1357.values)
+            assert evaluate(spec, n_vec, 0).values == pytest.approx(F1357.values)
 
     def test_commuting_cycles_full_box(self):
-        mp = MultiParamSpec((CYC, power(CYC, 2)), (None, None), (self.filt(SP4),))
-        got = multi_average(F1357, mp, (4, 4))
+        spec = self.spec((CYC, power(CYC, 2)), (None, None))
+        got = evaluate(spec, (4, 4), 0)
         assert got.values[:, 0] == pytest.approx([4, 4, 4, 4])
 
     def test_matches_direct_box_sum(self):
@@ -229,20 +238,20 @@ class TestMultiAverage:
             f = VectorObservable(sp, rng.normal(0, 1, (n_pts, 2)))
             w1 = BesicovitchWeights(((0.6, 1 / 2, 0.0),))
             w2 = BesicovitchWeights(((0.4, 1 / 3, 0.2),))
-            mp = MultiParamSpec((t1, t2), (w1, w2), (self.filt(sp),))
+            spec = self.spec((t1, t2), (w1, w2), f=f)
             n_vec = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
             want = oracle_multi_average(
                 f.values.tolist(),
                 [[int(i) for i in t1.map], [int(i) for i in t2.map]],
                 [w1.values(n_vec[0]).tolist(), w2.values(n_vec[1]).tolist()],
                 list(n_vec))
-            assert multi_average(f, mp, n_vec).values == pytest.approx(
+            assert evaluate(spec, n_vec, 0).values == pytest.approx(
                 np.asarray(want), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        mp = MultiParamSpec((CYC,), (None,), (self.filt(SP4),))
+        spec = self.spec((CYC,), (None,))
         with pytest.raises(ValueError):
-            multi_average(F1357, mp, (2, 2))
+            evaluate(spec, (2, 2), 0)
 
 
 class TestCompositeCondExpect:

@@ -8,6 +8,7 @@ import pytest
 
 from ergmart.cli import main
 from ergmart.config import ConfigError, build_experiment
+from ergmart.inequalities import APPLICABILITY_RULES, dominant_check, epsilon_sweep
 from ergmart.runner import execute_plan
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -82,6 +83,83 @@ class TestValidation:
         plan = build_experiment(demo_config(), seed_override=99)
         assert plan.seed == 99
         assert plan.config_echo["seed"] == 99
+
+
+def _multi_config(process, check):
+    cfg = demo_config()
+    cfg["maps"].append({"kind": "power", "of": 0, "exponent": 2})
+    cfg["process"] = process
+    cfg["checks"] = [check]
+    return cfg
+
+
+def _increasing_config():
+    cfg = demo_config()
+    cfg["filtrations"][0]["direction"] = "increasing"
+    cfg["filtrations"][0]["stages"] = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]
+    cfg["checks"] = [{"type": "dominant", "p": 2.0}]
+    return cfg
+
+
+# one case per applicability rule, in table order: a config that breaks it and
+# the library call that must refuse the same spec
+RULE_CASES = [
+    (_increasing_config(), lambda spec: dominant_check(spec, 2.0)),
+    (_multi_config("martingale_ergodic", {"type": "dominant", "p": 2.5}),
+     lambda spec: dominant_check(spec, 2.5)),
+    (_multi_config("ergodic_martingale", {"type": "maximal", "p": 2.0}),
+     lambda spec: epsilon_sweep(spec, 2.0, [1.0])),
+]
+
+
+def test_rule_cases_cover_the_table():
+    assert len(RULE_CASES) == len(APPLICABILITY_RULES)
+
+
+@pytest.mark.parametrize("index", range(len(RULE_CASES)))
+def test_applicability_rule_config_and_library_agree(index):
+    field, message, _ = APPLICABILITY_RULES[index]
+    cfg, library_call = RULE_CASES[index]
+    with pytest.raises(ConfigError) as cfg_err:
+        build_experiment(cfg)
+    assert cfg_err.value.path == f"checks[0]{field}"
+    assert str(cfg_err.value) == f"checks[0]{field}: {message}"
+    spec = build_experiment(dict(cfg, checks=[])).spec
+    with pytest.raises(ValueError) as lib_err:
+        library_call(spec)
+    assert str(lib_err.value) == message
+
+
+def _weight_term(term):
+    return lambda cfg: cfg.update(weight_seqs=[{"terms": [term]}])
+
+
+# config edits that used to end in a raw traceback, with the path each error names
+BAD_VALUES = {
+    "auto0": (lambda cfg: cfg["checks"][1].update(epsilons="auto0"), "checks[1].epsilons"),
+    "trace_p_inf": (lambda cfg: cfg.update(trace_p=math.inf), "trace_p"),
+    "p_inf": (lambda cfg: cfg["checks"][0].update(p=math.inf), "checks[0].p"),
+    "epsilon_nan": (lambda cfg: cfg["checks"][1].update(epsilons=[math.nan]),
+                    "checks[1].epsilons"),
+    "amplitude_nan": (_weight_term([math.nan, [1, 3], 0.0]), "weight_seqs[0].terms[0]"),
+    "amplitude_inf": (_weight_term([math.inf, [1, 3], 0.0]), "weight_seqs[0].terms[0]"),
+    "phase_nan": (_weight_term([0.5, [1, 3], math.nan]), "weight_seqs[0].terms[0]"),
+    "phase_inf": (_weight_term([0.5, [1, 3], -math.inf]), "weight_seqs[0].terms[0]"),
+    "amplitude_string": (_weight_term(["x", [1, 3], 0.0]), "weight_seqs[0].terms[0]"),
+    "numerator_string": (_weight_term([0.5, ["a", 3], 0.0]), "weight_seqs[0].terms[0]"),
+}
+
+
+@pytest.mark.parametrize("mutate,path", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_values_exit_1_with_path(tmp_path, capsys, mutate, path):
+    cfg = demo_config()
+    mutate(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))  # NaN and Infinity are written as JSON extensions
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestRunner:

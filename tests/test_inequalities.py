@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ergmart.averages import BesicovitchWeights, MultiParamSpec
+from ergmart.averages import BesicovitchWeights
 from ergmart.fuzz import run_inequality_fuzz
 from ergmart.inequalities import (
     SupBox,
@@ -11,7 +11,6 @@ from ergmart.inequalities import (
     dominant_check,
     dominant_constant,
     epsilon_sweep,
-    maximal_check,
     maximal_constant,
     orlicz_class_report,
     shrink_box,
@@ -98,9 +97,8 @@ class TestSupField:
         cross = Partition.from_blocks(SP4, [[0, 2], [1, 3]])
         f2 = Filtration(SP4, DECREASING, (cross, Partition.whole(SP4)))
         w = BesicovitchWeights.single_cosine(0.5, 1, 2)
-        mp = MultiParamSpec((CYC, power(CYC, 2)), (w, None), (FILT3, f2))
         for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
-            spec = ProcessSpec.multi(kind, F1357, mp)
+            spec = ProcessSpec(kind, F1357, (CYC, power(CYC, 2)), (FILT3, f2), (w, None))
             box = SupBox((3, 2), ((0, 2), (0, 1)))
             want = np.zeros(4)
             for n_vec in itertools.product(range(1, 4), range(1, 3)):
@@ -169,11 +167,11 @@ class TestMaximalCheck:
     def test_epsilon_beyond_sup_gives_zero(self):
         spec = me_spec()
         top = linf_norm(sup_field(spec))
-        rep = maximal_check(spec, 2.0, top * 1.01)
+        rep = epsilon_sweep(spec, 2.0, [top * 1.01])[0]
         assert rep.lhs == 0.0 and rep.satisfied
 
     def test_tiny_epsilon_bounded_by_total_mass(self):
-        rep = maximal_check(me_spec(), 2.0, 1e-9)
+        rep = epsilon_sweep(me_spec(), 2.0, [1e-9])[0]
         assert rep.lhs <= SP4.total_mass
 
     def test_sweep_monotone(self):
@@ -186,16 +184,16 @@ class TestMaximalCheck:
     def test_scaling_covariance(self):
         c = 2.0
         eps = 3.0
-        base = maximal_check(me_spec(), 2.0, eps)
-        scaled = maximal_check(me_spec(f=c * F1357), 2.0, eps * c)
+        base = epsilon_sweep(me_spec(), 2.0, [eps])[0]
+        scaled = epsilon_sweep(me_spec(f=c * F1357), 2.0, [eps * c])[0]
         assert scaled.lhs == pytest.approx(base.lhs)
         assert scaled.rhs == pytest.approx(c**2 * base.rhs / c**2)
 
     def test_multi_em_has_no_maximal_bound(self):
-        mp = MultiParamSpec((CYC, power(CYC, 2)), (None, None), (FILT3,))
-        spec = ProcessSpec.multi(ERGODIC_MARTINGALE, F1357, mp)
+        spec = ProcessSpec(ERGODIC_MARTINGALE, F1357, (CYC, power(CYC, 2)), (FILT3,),
+                           (None, None))
         with pytest.raises(ValueError, match="maximal"):
-            maximal_check(spec, 2.0, 1.0)
+            epsilon_sweep(spec, 2.0, [1.0])
 
     def test_grid_must_ascend_and_be_positive(self):
         with pytest.raises(ValueError):

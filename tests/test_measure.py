@@ -7,7 +7,6 @@ from ergmart.measure import (
     INCREASING,
     Filtration,
     Partition,
-    filtration_limit,
     make_space,
     partition_join,
     partition_meet,
@@ -162,15 +161,15 @@ class TestFiltration:
 
     def test_increasing_limit(self):
         f = Filtration(self.sp, INCREASING, (self.whole, self.pairs, self.fine))
-        assert filtration_limit(f) == self.fine
+        assert f.limit == self.fine
 
     def test_decreasing_limit(self):
         f = Filtration(self.sp, DECREASING, (self.fine, self.pairs, self.whole))
-        assert filtration_limit(f) == self.whole
+        assert f.limit == self.whole
 
     def test_single_stage(self):
         f = Filtration(self.sp, INCREASING, (self.pairs,))
-        assert filtration_limit(f) == self.pairs
+        assert f.limit == self.pairs
 
     def test_monotonicity_violation_names_index(self):
         with pytest.raises(ValueError, match="index 2"):

@@ -35,6 +35,12 @@ class TestEndomorphism:
         with pytest.raises(ValueError, match="preserve"):
             Endomorphism(sp, [1, 0, 2, 3])  # swaps unequal masses
 
+    def test_rejects_swap_of_tiny_unequal_masses(self):
+        # the mass tolerance is relative, so masses far below 1 are compared too
+        sp = make_space([1e-13, 3e-13])
+        with pytest.raises(ValueError, match="preserve"):
+            Endomorphism(sp, [1, 0])
+
     def test_accepts_orbit_constant_masses(self):
         sp = make_space([0.2, 0.2, 0.3, 0.3])
         t = Endomorphism(sp, [1, 0, 3, 2])
@@ -44,6 +50,24 @@ class TestEndomorphism:
         t = cycle_map(SP4)
         assert list(power(t, 2).map) == [2, 3, 0, 1]
         assert list(power(t, 0).map) == [0, 1, 2, 3]
+
+    def test_power_matches_k_fold_composition(self):
+        rng = np.random.default_rng(5)
+        sp = uniform_space(9)
+        t = Endomorphism(sp, rng.permutation(9))
+        loop = np.arange(9)
+        for k in range(20):
+            assert np.array_equal(power(t, k).map, loop)
+            loop = t.map[loop]
+
+    def test_power_large_exponent_is_fast(self):
+        import time
+        t = Endomorphism(uniform_space(7), [1, 2, 0, 4, 3, 6, 5])
+        start = time.perf_counter()
+        got = power(t, 10**8)
+        assert time.perf_counter() - start < 1.0
+        # orders 3 and 2: 10**8 = 1 mod 3 and 0 mod 2
+        assert list(got.map) == [1, 2, 0, 3, 4, 5, 6]
 
 
 class TestKoopman:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergmart.averages import BesicovitchWeights, MultiParamSpec
+from ergmart.averages import BesicovitchWeights
 from ergmart.generators import random_cycle_system, random_filtration, random_observable
 from ergmart.measure import DECREASING, INCREASING, Filtration, Partition, uniform_space
 from ergmart.observables import VectorObservable, linf_norm
@@ -239,13 +239,31 @@ class TestWeightedStabilization:
             stabilization_periods(spec)
 
 
+class TestWeightNormalization:
+    def test_none_entry_becomes_constant_one(self):
+        w = BesicovitchWeights.single_cosine(0.5, 1, 2)
+        spec = ProcessSpec(MARTINGALE_ERGODIC, F1357, (CYC, power(CYC, 2)), (FILT3,),
+                           (w, None))
+        assert spec.is_weighted and spec.weights[0] is w
+        assert spec.weights[1].terms == BesicovitchWeights.constant(1.0).terms
+
+    def test_all_none_is_unweighted(self):
+        spec = ProcessSpec(MARTINGALE_ERGODIC, F1357, (CYC, power(CYC, 2)), (FILT3,),
+                           (None, None))
+        assert spec.weights is None and not spec.is_weighted
+        assert not ProcessSpec.single(MARTINGALE_ERGODIC, F1357, CYC, FILT3).is_weighted
+
+    def test_one_entry_per_map(self):
+        with pytest.raises(ValueError, match="per map"):
+            ProcessSpec(MARTINGALE_ERGODIC, F1357, (CYC,), (FILT3,), (None, None))
+
+
 class TestMultiparameterProcess:
     def build(self, kind):
         cross = Partition.from_blocks(SP4, [[0, 2], [1, 3]])
         f1 = Filtration(SP4, DECREASING, (PAIRS, Partition.whole(SP4)))
         f2 = Filtration(SP4, DECREASING, (cross, Partition.whole(SP4)))
-        mp = MultiParamSpec((CYC, power(CYC, 2)), (None, None), (f1, f2))
-        return ProcessSpec.multi(kind, F1357, mp)
+        return ProcessSpec(kind, F1357, (CYC, power(CYC, 2)), (f1, f2), (None, None))
 
     def test_exact_limit_both_kinds(self):
         for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
