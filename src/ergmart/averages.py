@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .measure import Filtration
+from .measure import Filtration, Partition
 from .observables import VectorObservable
-from .operators import Endomorphism, cond_expect, cycles
+from .operators import Endomorphism, block_means, cycles
 
 __all__ = [
     "BesicovitchWeights",
@@ -26,6 +26,7 @@ __all__ = [
     "ergodic_limit",
     "besicovitch_defect",
     "weighted_average",
+    "composite_block_means",
     "composite_cond_expect",
 ]
 
@@ -54,6 +55,8 @@ class BesicovitchWeights:
             raise ValueError("at least one (amplitude, frequency, phase) term is required")
         if not all(math.isfinite(v) for term in terms for v in term):
             raise ValueError("amplitudes, frequencies and phases must be finite")
+        if all(a == 0.0 for a, _, _ in terms):
+            raise ValueError("at least one amplitude must be nonzero")
         for _, fq, _ in terms:
             if not 0.0 <= fq < 1.0:
                 raise ValueError("frequencies must lie in [0, 1)")
@@ -197,14 +200,32 @@ def weighted_average(f: VectorObservable, t: Endomorphism, w: BesicovitchWeights
     return VectorObservable(f.space, _cesaro(f.values, t, w.values(n), n))
 
 
-def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration],
-                          s_vec: Sequence[int]) -> VectorObservable:
-    """Composition of one conditional expectation per filtration.
+def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],
+                          stage_sets: Sequence[Sequence[int]],
+                          ) -> Iterator[tuple[Partition, np.ndarray]]:
+    """Composed conditional expectations of point values (..., N, dim) at
+    every combination of the given stages, one stage set per filtration.
 
     The first filtration is the outermost factor, so the last one is applied
     first; conditional expectations for different filtrations do not commute
     in general, so the order is fixed here and relied on everywhere else.
+    Each inner filtration conditions the whole stack once per stage and adds
+    a leading stage axis. Yields, per stage of the first filtration, its
+    partition and the block means, shape (S_2, ..., S_m, ..., blocks, dim)
+    with S_k the size of the k-th stage set.
     """
+    for fl, ss in zip(filtrations[:0:-1], stage_sets[:0:-1]):
+        values = np.stack([np.take(block_means(values, fl.stages[s]), fl.stages[s].block_of,
+                                   axis=-2) for s in ss])
+    for s in stage_sets[0]:
+        part = filtrations[0].stages[s]
+        yield part, block_means(values, part)
+
+
+def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration],
+                          s_vec: Sequence[int]) -> VectorObservable:
+    """Composition of one conditional expectation per filtration, the first
+    filtration outermost (see composite_block_means)."""
     filtrations = tuple(filtrations)
     s_vec = tuple(int(s) for s in s_vec)
     if len(s_vec) != len(filtrations):
@@ -212,7 +233,7 @@ def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration]
     for k, (fl, s) in enumerate(zip(filtrations, s_vec)):
         if not 0 <= s < len(fl.stages):
             raise ValueError(f"stage index {s} out of range for filtration {k}")
-    out = f
-    for k in reversed(range(len(filtrations))):
-        out = cond_expect(out, filtrations[k].stages[s_vec[k]])
-    return out
+    if not filtrations:
+        return f
+    [(part, means)] = composite_block_means(f.values, filtrations, [(s,) for s in s_vec])
+    return VectorObservable(f.space, means.reshape(means.shape[-2:])[part.block_of])

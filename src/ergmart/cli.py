@@ -29,10 +29,10 @@ def _cmd_run(args) -> int:
         return 1
     try:
         plan = build_experiment(config, seed_override=args.seed)
+        result = execute_plan(plan, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = execute_plan(plan, args.out)
     print(f"wrote {', '.join(result.files)} to {args.out}")
     if result.any_check_failed:
         print("error: at least one inequality check failed", file=sys.stderr)

@@ -186,7 +186,10 @@ def _build_weights(cfg, path: str, rng) -> BesicovitchWeights | None:
     if not isinstance(cfg, dict):
         raise ConfigError(path, "must be null or an object")
     if cfg.get("kind") == "random":
-        return random_weights(rng, envelope=float(cfg.get("envelope", 1.0)))
+        envelope = cfg.get("envelope", 1.0)
+        if not _is_finite_number(envelope) or not envelope > 0:
+            raise ConfigError(f"{path}.envelope", "must be a finite number > 0")
+        return random_weights(rng, envelope=float(envelope))
     terms_cfg = _need(cfg, "terms", path)
     if not isinstance(terms_cfg, list) or not terms_cfg:
         raise ConfigError(f"{path}.terms", "must be a nonempty list of "

@@ -15,17 +15,15 @@ Constant catalog (see the README table):
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .averages import running_weighted_averages
+from .averages import composite_block_means, running_weighted_averages
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, row_norms
-from .operators import averaging_matrix
 from .processes import MARTINGALE_ERGODIC, ProcessSpec
 
 __all__ = [
@@ -101,57 +99,10 @@ def _validate_box(spec: ProcessSpec, box: SupBox):
             raise ValueError(f"stage index {ss[-1]} out of range for filtration {k}")
 
 
-def _composed_matrices(spec: ProcessSpec, box: SupBox) -> list[np.ndarray]:
-    """One composed conditional-expectation matrix per stage combination,
-    ordered by itertools.product over the box's stage sets; the first
-    filtration is the outermost factor."""
-    per_filtration = []
-    for fl, ss in zip(spec.filtrations, box.stage_sets):
-        per_filtration.append({s: averaging_matrix(fl.stages[s]) for s in ss})
-    out = []
-    for combo in itertools.product(*box.stage_sets):
-        mat = None
-        for k, s in enumerate(combo):
-            m = per_filtration[k][s]
-            mat = m if mat is None else mat @ m
-        out.append(mat)
-    return out
-
-
 def _alphas(spec: ProcessSpec, box: SupBox) -> list[np.ndarray | None]:
     if spec.weights is None:
         return [None] * spec.d_maps
     return [w.values(k) for w, k in zip(spec.weights, box.n_max)]
-
-
-def _norm_table(spec: ProcessSpec, box: SupBox) -> np.ndarray:
-    """Pointwise process norms over the whole box.
-
-    Shape (S, K_1, ..., K_d, N) where S runs over stage combinations in
-    itertools.product order and K_j over averaging lengths 1..n_max[j].
-    """
-    _validate_box(spec, box)
-    n = spec.space.size
-    alphas = _alphas(spec, box)
-    mats = _composed_matrices(spec, box)
-    if spec.kind == MARTINGALE_ERGODIC:
-        arr = spec.f.values
-        for j in reversed(range(spec.d_maps)):
-            arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
-        k_shape = arr.shape[:-2]
-        flat = arr.reshape(-1, n, spec.f.dim)
-        tabs = []
-        for mat in mats:
-            vals = np.matmul(mat, flat)
-            tabs.append(row_norms(vals, spec.norm.q).reshape(k_shape + (n,)))
-        return np.stack(tabs)
-    # ergodic-martingale: condition first, then average the whole stack
-    stack = np.stack([mat @ spec.f.values for mat in mats])  # (S, N, dim)
-    arr = stack
-    for j in reversed(range(spec.d_maps)):
-        arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
-    tab = row_norms(arr, spec.norm.q)  # (K_1, ..., K_d, S, N)
-    return np.moveaxis(tab, -2, 0)
 
 
 def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
@@ -159,8 +110,26 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
     untruncated sup, monotone under box enlargement."""
     if box is None:
         box = default_box(spec)
-    tab = _norm_table(spec, box)
-    field = tab.max(axis=tuple(range(tab.ndim - 1)))
+    _validate_box(spec, box)
+    alphas = _alphas(spec, box)
+    q = spec.norm.q
+    if spec.kind == MARTINGALE_ERGODIC:
+        arr = spec.f.values
+        for j in reversed(range(spec.d_maps)):
+            arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
+        # the outermost conditioning is constant on its blocks, so its max
+        # is taken per block and only then spread to the points
+        field = np.zeros(spec.space.size)
+        for part, means in composite_block_means(arr, spec.filtrations, box.stage_sets):
+            block_max = row_norms(means, q).reshape(-1, part.block_count).max(axis=0)
+            np.maximum(field, block_max[part.block_of], out=field)
+        return VectorObservable(spec.space, field)
+    # ergodic-martingale: condition first, then average the whole stack
+    arr = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
+                    composite_block_means(spec.f.values, spec.filtrations, box.stage_sets)])
+    for j in reversed(range(spec.d_maps)):
+        arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
+    field = row_norms(arr, q).reshape(-1, spec.space.size).max(axis=0)
     return VectorObservable(spec.space, field)
 
 

@@ -25,8 +25,8 @@ __all__ = [
     "cycles",
     "orbit_lcm",
     "koopman",
+    "block_means",
     "cond_expect",
-    "averaging_matrix",
     "DominationReport",
     "ContractionReport",
     "check_positive_domination",
@@ -121,27 +121,30 @@ def koopman(f: VectorObservable, t: Endomorphism) -> VectorObservable:
     return VectorObservable(f.space, f.values[t.map])
 
 
+def block_means(values: np.ndarray, part: Partition) -> np.ndarray:
+    """Mass-weighted block means of point values: shape (..., N, dim) in,
+    (..., block_count, dim) out, leading axes kept.
+
+    One bincount pass over the whole stack; each bin adds its values in
+    point order, so every column of every slice comes out bit for bit as
+    its own one-column bincount would.
+    """
+    vals = np.asarray(values, dtype=float)
+    *lead, n, dim = vals.shape
+    rows = math.prod(lead)
+    width = part.block_count * dim
+    point_bins = (part.block_of * dim)[:, None] + np.arange(dim)
+    bins = np.add.outer(np.arange(0, rows * width, width), point_bins).reshape(-1)
+    weighted = vals.reshape(rows, n * dim) * np.repeat(part.space.weights, dim)
+    sums = np.bincount(bins, weights=weighted.reshape(-1), minlength=rows * width)
+    return sums.reshape(*lead, part.block_count, dim) / part.block_masses[:, None]
+
+
 def cond_expect(f: VectorObservable, part: Partition) -> VectorObservable:
     """Blockwise weighted average; constant on each block of the partition."""
     if f.space != part.space:
         raise ValueError("observable and partition live on different spaces")
-    mu = f.space.weights
-    lbl = part.block_of
-    mass = np.bincount(lbl, weights=mu, minlength=part.block_count)
-    out = np.empty_like(f.values)
-    for k in range(f.dim):
-        sums = np.bincount(lbl, weights=mu * f.values[:, k], minlength=part.block_count)
-        out[:, k] = (sums / mass)[lbl]
-    return VectorObservable(f.space, out)
-
-
-def averaging_matrix(part: Partition) -> np.ndarray:
-    """Dense N x N matrix M with (M g)(i) = block average of g at i."""
-    mu = part.space.weights
-    lbl = part.block_of
-    mass = np.bincount(lbl, weights=mu, minlength=part.block_count)
-    same = lbl[:, None] == lbl[None, :]
-    return same * (mu[None, :] / mass[lbl][:, None])
+    return VectorObservable(f.space, block_means(f.values, part)[part.block_of])
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ partial files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentPlan
+from .config import CheckSpec, ConfigError, ExperimentPlan
 from .inequalities import (
     InequalityReport,
     auto_epsilons,
@@ -62,36 +63,51 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _run_checks(plan: ExperimentPlan) -> list[dict]:
-    out: list[dict] = []
-    for chk in plan.checks:
-        box = default_box(plan.spec, n_factor=chk.box_factor)
-        if chk.type == "dominant":
-            out.append(_report_dict(dominant_check(plan.spec, chk.p, box)))
-        elif chk.type == "maximal":
-            eps = chk.epsilons
-            if isinstance(eps, str):
-                top = linf_norm(sup_field(plan.spec, box), plan.spec.norm)
-                grid = auto_epsilons(top, int(eps[4:]))
-            else:
-                grid = eps
-            out.extend(_report_dict(r) for r in epsilon_sweep(plan.spec, chk.p, grid, box))
+def _check_reports(plan: ExperimentPlan, chk: CheckSpec) -> list[dict]:
+    box = default_box(plan.spec, n_factor=chk.box_factor)
+    if chk.type == "dominant":
+        return [_report_dict(dominant_check(plan.spec, chk.p, box))]
+    if chk.type == "maximal":
+        eps = chk.epsilons
+        if isinstance(eps, str):
+            top = linf_norm(sup_field(plan.spec, box), plan.spec.norm)
+            grid = auto_epsilons(top, int(eps[4:]))
         else:
-            rep = orlicz_class_report(plan.spec, chk.m, box)
-            out.append({
-                "theorem": "orlicz-class",
-                "m": rep.m,
-                "input_functional": rep.input_functional,
-                "sup_functional": rep.sup_functional,
-                "both_finite": rep.both_finite,
-                "satisfied": rep.both_finite,
-                "truncation": rep.truncation.describe(),
-            })
+            grid = eps
+        return [_report_dict(r) for r in epsilon_sweep(plan.spec, chk.p, grid, box)]
+    rep = orlicz_class_report(plan.spec, chk.m, box)
+    return [{
+        "theorem": "orlicz-class",
+        "m": rep.m,
+        "input_functional": rep.input_functional,
+        "sup_functional": rep.sup_functional,
+        "both_finite": rep.both_finite,
+        "satisfied": rep.both_finite,
+        "truncation": rep.truncation.describe(),
+    }]
+
+
+def _run_checks(plan: ExperimentPlan) -> list[dict]:
+    """Every check's reports; a bound that leaves the float range (a huge p,
+    a tiny epsilon) is a ConfigError naming the check."""
+    out: list[dict] = []
+    for k, chk in enumerate(plan.checks):
+        try:
+            reports = _check_reports(plan, chk)
+            finite = all(math.isfinite(v) for rep in reports
+                         for v in rep.values() if isinstance(v, float))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"checks[{k}]", "the bound is not a finite float; "
+                              "use a smaller p or larger epsilons")
+        out.extend(reports)
     return out
 
 
 def execute_plan(plan: ExperimentPlan, out_dir: str | Path) -> RunResult:
-    """Computes the trace and all checks, then writes the three artifacts."""
+    """Computes the trace and all checks, then writes the three artifacts;
+    raises ConfigError, before writing anything, when a bound overflows."""
     spec = plan.spec
     # unweighted traces compute the closed-form limit themselves
     reference = stabilized_reference(spec) if spec.is_weighted else None

@@ -134,6 +134,10 @@ def _weight_term(term):
     return lambda cfg: cfg.update(weight_seqs=[{"terms": [term]}])
 
 
+def _envelope(value):
+    return lambda cfg: cfg.update(weight_seqs=[{"kind": "random", "envelope": value}])
+
+
 # config edits that used to end in a raw traceback, with the path each error names
 BAD_VALUES = {
     "auto0": (lambda cfg: cfg["checks"][1].update(epsilons="auto0"), "checks[1].epsilons"),
@@ -147,6 +151,19 @@ BAD_VALUES = {
     "phase_inf": (_weight_term([0.5, [1, 3], -math.inf]), "weight_seqs[0].terms[0]"),
     "amplitude_string": (_weight_term(["x", [1, 3], 0.0]), "weight_seqs[0].terms[0]"),
     "numerator_string": (_weight_term([0.5, ["a", 3], 0.0]), "weight_seqs[0].terms[0]"),
+    "envelope_string": (_envelope("x"), "weight_seqs[0].envelope"),
+    "envelope_nan": (_envelope(math.nan), "weight_seqs[0].envelope"),
+    "envelope_inf": (_envelope(math.inf), "weight_seqs[0].envelope"),
+    "envelope_zero": (_envelope(0), "weight_seqs[0].envelope"),
+    "amplitudes_zero": (_weight_term([0, 0, 0]), "weight_seqs[0].terms"),
+    "amplitudes_zero_rational": (_weight_term([0, [1, 4], 0]), "weight_seqs[0].terms"),
+    "dominant_p_400": (lambda cfg: cfg["checks"][0].update(p=400), "checks[0]"),
+    "maximal_p_500_auto": (lambda cfg: cfg["checks"][1].update(p=500), "checks[1]"),
+    "epsilon_underflow": (lambda cfg: cfg["checks"][1].update(epsilons=[1e-200]),
+                          "checks[1]"),
+    "dominant_p_1e308": (lambda cfg: cfg["checks"][0].update(p=1e308), "checks[0]"),
+    "maximal_p_1e308": (lambda cfg: cfg["checks"][1].update(p=1e308, epsilons=[0.5]),
+                        "checks[1]"),
 }
 
 

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ergmart.averages import BesicovitchWeights
 from ergmart.fuzz import run_inequality_fuzz
+from ergmart.generators import FAMILIES, random_process_instance
 from ergmart.inequalities import (
     SupBox,
     default_box,
@@ -106,6 +108,39 @@ class TestSupField:
                     vals = point_norm_field(evaluate(spec, n_vec, s_vec)).values[:, 0]
                     want = np.maximum(want, vals)
             assert sup_field(spec, box).values[:, 0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_matches_evaluate_over_the_box(self, family):
+        # non-uniform masses, several filtrations, dim up to 4, q in {1, 2, inf}
+        for seed in range(20):
+            spec = random_process_instance(seed, family).spec
+            full = default_box(spec)
+            box = SupBox(tuple(min(n, 6) for n in full.n_max), full.stage_sets)
+            want = np.zeros(spec.space.size)
+            for n_vec in itertools.product(*(range(1, n + 1) for n in box.n_max)):
+                for s_vec in itertools.product(*box.stage_sets):
+                    field = point_norm_field(evaluate(spec, n_vec, s_vec), spec.norm)
+                    want = np.maximum(want, field.values[:, 0])
+            got = sup_field(spec, box).values[:, 0]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    def test_memory_is_linear_in_the_space(self, kind):
+        # a dense N x N matrix alone would take 128 MiB here
+        n = 4096
+        space = uniform_space(n)
+        f = VectorObservable(space, np.random.default_rng(3).normal(size=(n, 2)))
+        blocks = Partition(space, np.arange(n) // 64)
+        filt = Filtration(space, DECREASING,
+                          (Partition.singletons(space), blocks, Partition.whole(space)))
+        spec = ProcessSpec.single(kind, f, cycle_map(space), filt)
+        tracemalloc.start()
+        try:
+            sup_field(spec, SupBox((8,), ((0, 1, 2),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDominantCheck:

@@ -5,6 +5,7 @@ from ergmart.measure import Partition, make_space, uniform_space
 from ergmart.observables import NormSpec, VectorObservable, linf_norm, lp_norm, mean, point_norm_field
 from ergmart.operators import (
     Endomorphism,
+    block_means,
     check_L1_Linf_contraction,
     check_positive_domination,
     cond_expect,
@@ -119,6 +120,20 @@ class TestCondExpect:
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
             cond_expect(F1357, Partition.singletons(uniform_space(5)))
+
+    def test_stacked_block_means_equal_slice_by_slice(self):
+        rng = np.random.default_rng(11)
+        sp = make_space(rng.uniform(0.1, 2.0, 40))
+        part = Partition(sp, rng.integers(0, 7, 40))
+        stack = rng.normal(0, 3, (5, 40, 3))
+        got = np.take(block_means(stack, part), part.block_of, axis=-2)
+        for k in range(5):
+            f = VectorObservable(sp, stack[k])
+            want = cond_expect(f, part).values
+            assert np.array_equal(got[k], want)
+            # block sums accumulate in point order, as the sequential oracle does
+            assert want.tolist() == oracle_cond_expect(sp.weights, part.block_of,
+                                                       f.values.tolist())
 
 
 class TestAlgebraicInvariants:
