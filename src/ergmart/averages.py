@@ -2,10 +2,14 @@
 conditional expectations.
 
 Weight sequences are real cosine polynomials a_i = sum_k amp_k *
-cos(2 pi freq_k i + phase_k). When a frequency is recognized as rational
-a/b the term is evaluated through the reduced index i mod b, which makes the
-sequence exactly periodic in floating point as well; the stabilization
-criteria downstream rely on that.
+cos(2 pi freq_k i + phase_k). When a frequency is rational a/b (given as a
+Fraction, or recognized from a float) the term is evaluated through the
+reduced index i mod b, which makes the sequence exactly periodic in floating
+point as well; the stabilization criteria downstream rely on that.
+
+Every Cesaro average and its limit comes from one cycle kernel (`_cesaro`):
+a map is a permutation, so the average at any length n is exact arithmetic
+on its cycles, at a cost that does not grow with n.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .measure import Filtration, Partition
 from .observables import VectorObservable
-from .operators import Endomorphism, block_means, cycles
+from .operators import Endomorphism, block_means
 
 __all__ = [
     "BesicovitchWeights",
@@ -32,10 +36,15 @@ __all__ = [
 
 _RATIONAL_TOL = 1e-12
 _MAX_DENOM = 4096
+# keeps num * (m mod den) below 2**62, so the exact phase reduction stays in int64
+_MAX_EXACT_DENOM = 2**31
 
 
-def _reduce_frequency(freq: float) -> tuple[int, int] | None:
-    """(numerator, denominator) when freq is recognizably rational, else None."""
+def _reduce_frequency(freq: float | Fraction) -> tuple[int, int] | None:
+    """(numerator, denominator) of a Fraction, or of a float that is
+    recognizably rational; None for any other float."""
+    if isinstance(freq, Fraction):
+        return freq.numerator, freq.denominator
     fr = Fraction(freq).limit_denominator(_MAX_DENOM)
     if abs(float(fr) - freq) <= _RATIONAL_TOL:
         return fr.numerator % fr.denominator if fr.denominator > 1 else 0, fr.denominator
@@ -44,25 +53,40 @@ def _reduce_frequency(freq: float) -> tuple[int, int] | None:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BesicovitchWeights:
-    """Bounded weight sequence generated by a cosine polynomial."""
+    """Bounded weight sequence generated by a cosine polynomial.
+
+    A frequency given as a `fractions.Fraction` is kept exact; a float one is
+    read as rational when a denominator up to 4096 matches it.
+    """
 
     terms: tuple[tuple[float, float, float], ...]
     amplitude_bound: float = field(init=False)
 
     def __post_init__(self):
-        terms = tuple((float(a), float(fq), float(ph)) for a, fq, ph in self.terms)
+        raw = tuple(self.terms)
+        terms = tuple((float(a), float(fq), float(ph)) for a, fq, ph in raw)
         if not terms:
             raise ValueError("at least one (amplitude, frequency, phase) term is required")
         if not all(math.isfinite(v) for term in terms for v in term):
             raise ValueError("amplitudes, frequencies and phases must be finite")
         if all(a == 0.0 for a, _, _ in terms):
             raise ValueError("at least one amplitude must be nonzero")
-        for _, fq, _ in terms:
-            if not 0.0 <= fq < 1.0:
+        for _, fq, _ in raw:
+            if not 0 <= fq < 1:
                 raise ValueError("frequencies must lie in [0, 1)")
+        reduced = tuple(_reduce_frequency(fq) for _, fq, _ in raw)
+        if any(red is not None and red[1] > _MAX_EXACT_DENOM for red in reduced):
+            raise ValueError("frequency denominators must be at most 2**31")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "amplitude_bound", float(sum(abs(a) for a, _, _ in terms)))
-        object.__setattr__(self, "_reduced", tuple(_reduce_frequency(fq) for _, fq, _ in terms))
+        object.__setattr__(self, "_reduced", reduced)
+        # the kernel's view: a_i = Re sum_k coef_k * exp(i * angle_k(i))
+        object.__setattr__(self, "_coef", np.array([a * complex(math.cos(ph), math.sin(ph))
+                                                    for a, _, ph in terms]))
+        object.__setattr__(self, "_exact", np.array([[red is not None] for red in reduced]))
+        object.__setattr__(self, "_num", np.array([[red[0] if red else 0] for red in reduced]))
+        object.__setattr__(self, "_den", np.array([[red[1] if red else 1] for red in reduced]))
+        object.__setattr__(self, "_freq", np.array([[fq] for _, fq, _ in terms]))
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "BesicovitchWeights":
@@ -74,7 +98,16 @@ class BesicovitchWeights:
         """One cosine term with exactly rational frequency numer/denom."""
         if denom < 1 or not 0 <= numer < denom:
             raise ValueError("need 0 <= numer < denom")
-        return cls(((amplitude, numer / denom, phase),))
+        return cls(((amplitude, Fraction(numer, denom), phase),))
+
+    def _angles(self, m: np.ndarray) -> np.ndarray:
+        """2 pi (freq_k m mod 1) reduced to [-pi, pi], shape (terms, len(m)),
+        for integer steps m. Rational frequencies use integer arithmetic, so
+        the angle depends on m mod den only and is 0 exactly when den | m."""
+        k = self._num * (m % self._den) % self._den
+        exact = (k - self._den * (2 * k >= self._den)) / self._den
+        x = self._freq * m
+        return 2.0 * math.pi * np.where(self._exact, exact, x - np.rint(x))
 
     def values(self, n: int, term_subset: Sequence[int] | None = None) -> np.ndarray:
         """First n weights; `term_subset` restricts to the chosen terms."""
@@ -146,35 +179,75 @@ def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
     return out
 
 
-def _cesaro(values: np.ndarray, t: Endomorphism, alphas: np.ndarray | None,
-            n: int) -> np.ndarray:
-    acc = values * alphas[0] if alphas is not None else values.copy()
-    cur = values
-    for i in range(1, n):
-        cur = cur[t.map]
-        acc = acc + (cur * alphas[i] if alphas is not None else cur)
-    return acc / n
+def _prefix_sum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along the point axis (-2), with a leading zero row."""
+    out = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]), dtype=x.dtype)
+    np.cumsum(x, axis=-2, out=out[..., 1:, :])
+    return out
+
+
+def _cesaro(values: np.ndarray, t: Endomorphism, w: BesicovitchWeights | None,
+            n: int | None) -> np.ndarray:
+    """(1/n) sum_{i<n} a_i values[tau^i], or its limit for n None, computed
+    exactly on the cycles of tau at a cost that does not grow with n.
+
+    On a cycle of length L, n = qL + r steps are q full cycles plus a window
+    of r steps; both are differences of one prefix sum over the doubled
+    cycles (operators.CycleLayout). Weighted, each term amp cos(2 pi freq i
+    + phase) is Re(coef omega^i): the prefix sum runs over omega^u values at
+    step u of the doubled cycle, omega^-j moves it back to a point at position
+    j, and the q full cycles add up to the geometric sum sum_{m<q} omega^(mL),
+    which is q exactly when den | L and otherwise the Dirichlet ratio
+    exp(i(q-1)theta/2) sin(q theta/2) / sin(theta/2) of the reduced angle
+    theta of omega^L. In the limit only the terms with theta = 0 survive
+    (Wiener-Wintner on a finite cycle), each with its one-cycle mean.
+    """
+    if n is not None and n < 1:
+        raise ValueError("n must be positive")
+    lay = t.cycle_layout
+    length, slot = lay.length, lay.slot
+    doubled = values[lay.flat]
+    if w is None:
+        csum = _prefix_sum(doubled)
+        start = slot - lay.position  # one sum per cycle: the limit is exactly orbit-constant
+        cycle = csum[start + length] - csum[start]
+        if n is None:
+            return cycle / length[:, None]
+        q, r = np.divmod(n, length)
+        return (q[:, None] * cycle + (csum[slot + r] - csum[slot])) / n
+    csum = _prefix_sum(np.exp(1j * w._angles(lay.step))[..., None] * doubled)
+    back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
+    cycle = back[..., None] * (csum[:, slot + length] - csum[:, slot])
+    theta = w._angles(length)
+    whole = theta == 0.0
+    if n is None:
+        return np.where(whole[..., None], cycle.real, 0.0).sum(axis=0) / length[:, None]
+    q, r = np.divmod(n, length)
+    half = theta / 2
+    dirichlet = np.exp(1j * (q - 1) * half) * np.sin(q * half) / np.where(whole, 1.0, np.sin(half))
+    geometric = np.where(whole, q, dirichlet)
+    window = (back * np.exp(1j * q * theta))[..., None] * (csum[:, slot + r] - csum[:, slot])
+    return (geometric[..., None] * cycle + window).real.sum(axis=0) / n
 
 
 def ergodic_average(f: VectorObservable, t: Endomorphism, n: int) -> VectorObservable:
-    """(1/n) sum_{i<n} f o tau^i, computed by iterating the orbit."""
+    """(1/n) sum_{i<n} f o tau^i, exact on the cycles of tau."""
     if f.space != t.space:
         raise ValueError("observable and map live on different spaces")
-    if n < 1:
-        raise ValueError("n must be positive")
     return VectorObservable(f.space, _cesaro(f.values, t, None, n))
 
 
-def ergodic_limit(f: VectorObservable, t: Endomorphism) -> VectorObservable:
-    """Exact Cesaro limit: the mass-weighted mean on each orbit of tau."""
+def ergodic_limit(f: VectorObservable, t: Endomorphism,
+                  w: BesicovitchWeights | None = None) -> VectorObservable:
+    """Exact limit of the Cesaro averages: the mean over each orbit of tau.
+
+    With weights, a term survives on a cycle of length L only when freq L is
+    an integer (den | L; never for an irrational frequency), and adds the
+    one-cycle weighted mean Re(coef sum_{i<L} omega^i f o tau^i) / L.
+    """
     if f.space != t.space:
         raise ValueError("observable and map live on different spaces")
-    mu = f.space.weights
-    out = np.empty_like(f.values)
-    for cyc in cycles(t):
-        m = mu[cyc]
-        out[cyc] = (m[:, None] * f.values[cyc]).sum(axis=0) / m.sum()
-    return VectorObservable(f.space, out)
+    return VectorObservable(f.space, _cesaro(f.values, t, w, None))
 
 
 def besicovitch_defect(w: BesicovitchWeights, poly_terms: Sequence[int], n: int) -> float:
@@ -192,12 +265,10 @@ def besicovitch_defect(w: BesicovitchWeights, poly_terms: Sequence[int], n: int)
 
 def weighted_average(f: VectorObservable, t: Endomorphism, w: BesicovitchWeights,
                      n: int) -> VectorObservable:
-    """(1/n) sum_{i<n} a_i * (f o tau^i)."""
+    """(1/n) sum_{i<n} a_i * (f o tau^i), exact on the cycles of tau."""
     if f.space != t.space:
         raise ValueError("observable and map live on different spaces")
-    if n < 1:
-        raise ValueError("n must be positive")
-    return VectorObservable(f.space, _cesaro(f.values, t, w.values(n), n))
+    return VectorObservable(f.space, _cesaro(f.values, t, w, n))
 
 
 def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],

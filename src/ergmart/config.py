@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -33,6 +34,9 @@ from .processes import (
 )
 
 __all__ = ["ConfigError", "ExperimentPlan", "CheckSpec", "build_experiment"]
+
+# averaging lengths are int64 in the cycle kernel
+_MAX_LENGTH = 2**62
 
 
 class ConfigError(ValueError):
@@ -208,11 +212,12 @@ def _build_weights(cfg, path: str, rng) -> BesicovitchWeights | None:
             if not (isinstance(num, int) and isinstance(den, int) and 0 <= num < den):
                 raise ConfigError(f"{path}.terms[{k}]",
                                   "frequency pair needs integers 0 <= numer < denom")
-            freq = num / den
-        if not all(_is_finite_number(v) for v in (amp, freq, phase)):
+            freq = Fraction(num, den)  # kept exact, whatever the denominator
+        if not all(isinstance(v, Fraction) or _is_finite_number(v)
+                   for v in (amp, freq, phase)):
             raise ConfigError(f"{path}.terms[{k}]",
                               "amplitude, frequency and phase must be finite numbers")
-        terms.append((float(amp), float(freq), float(phase)))
+        terms.append((float(amp), freq, float(phase)))
     try:
         return BesicovitchWeights(tuple(terms))
     except ValueError as exc:
@@ -328,6 +333,10 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
                 raise ConfigError(f"weight_seqs[{k}]",
                                   "frequencies must be rational so the trace "
                                   "has an exact stabilization period")
+            if math.lcm(orbit_lcm(spec.maps[k]), w.period) >= _MAX_LENGTH:
+                raise ConfigError(f"weight_seqs[{k}]",
+                                  "the stabilization period (lcm of the map order "
+                                  "and the frequency denominators) must be below 2**62")
 
     trace_p = config.get("trace_p", 2.0)
     if not _is_finite_number(trace_p) or not trace_p >= 1:
@@ -349,6 +358,9 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
         raise ConfigError("grids.n1",
                           "must be 'auto' or a strictly ascending list of "
                           "positive integers")
+    if n1_grid[-1] >= _MAX_LENGTH:
+        raise ConfigError("grids.n1", "averaging lengths (up to 4 times the map "
+                          "order for 'auto') must be below 2**62")
     n_stages = min(len(fl.stages) for fl in spec.filtrations)
     n2_cfg = grids.get("n2", "all")
     if n2_cfg == "all":

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 
 from .averages import BesicovitchWeights
@@ -162,7 +164,7 @@ def random_weights(rng: np.random.Generator, envelope: float = 1.0,
         den = int(rng.integers(1, max_denom + 1))
         num = int(rng.integers(0, den)) if den > 1 else 0
         phase = float(rng.choice((0.0, 0.25, 0.5, 1.0)) * math.pi)
-        terms.append((float(amp), num / den, phase))
+        terms.append((float(amp), Fraction(num, den), phase))
     return BesicovitchWeights(tuple(terms))
 
 

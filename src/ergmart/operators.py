@@ -5,9 +5,13 @@ be a permutation whose preimage masses match exactly; the constructor checks
 mu(preimage of y) = mu(y) directly and rejects anything else. Conditional
 expectation with respect to a partition is block averaging, which is exact up
 to float rounding.
+
+A map's cycle structure (its order and the doubled-cycle layout the Cesaro
+kernel reads) is built once, on first use, and kept on the map.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -18,6 +22,7 @@ from .measure import MeasureSpace, Partition
 from .observables import NormSpec, VectorObservable, lp_norm, linf_norm, point_norm_field
 
 __all__ = [
+    "CycleLayout",
     "Endomorphism",
     "identity_map",
     "cycle_map",
@@ -34,6 +39,51 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CycleLayout:
+    """Cycle structure of a permutation, laid out for prefix sums.
+
+    Every cycle, starting at its smallest point, is written out twice, back
+    to back, in one flat array, so the first L images of any point on a cycle
+    of length L are consecutive slots.
+    """
+
+    order: int            # lcm of the cycle lengths
+    flat: np.ndarray      # (2N,) point at each slot
+    step: np.ndarray      # (2N,) index of each slot along its doubled cycle
+    length: np.ndarray    # (N,) cycle length L of each point
+    position: np.ndarray  # (N,) position j of each point on its cycle
+    slot: np.ndarray      # (N,) slot of each point's first copy
+
+
+def _cycle_layout(perm: list[int]) -> CycleLayout:
+    n = len(perm)
+    seen = [False] * n
+    flat: list[int] = []
+    step: list[int] = []
+    length, position, slot = [0] * n, [0] * n, [0] * n
+    sizes = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = perm[x]
+        size, base = len(cyc), len(flat)
+        for j, x in enumerate(cyc):
+            length[x], position[x], slot[x] = size, j, base + j
+        flat += cyc + cyc
+        step += range(2 * size)
+        sizes.append(size)
+    arrays = [np.array(a, dtype=np.int64) for a in (flat, step, length, position, slot)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return CycleLayout(math.lcm(*sizes), *arrays)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -61,6 +111,11 @@ class Endomorphism:
             raise ValueError(f"map does not preserve the measure (mass gap {gap:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "map", arr)
+
+    @functools.cached_property
+    def cycle_layout(self) -> CycleLayout:
+        """Order and prefix-sum layout of the cycles, built on first use."""
+        return _cycle_layout(self.map.tolist())
 
     def __repr__(self):
         return f"Endomorphism(size={self.space.size})"
@@ -91,27 +146,15 @@ def power(t: Endomorphism, k: int) -> Endomorphism:
 
 
 def cycles(t: Endomorphism) -> list[np.ndarray]:
-    """Orbit decomposition of the permutation."""
-    n = t.space.size
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = int(t.map[start])
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = int(t.map[nxt])
-        out.append(np.array(cyc, dtype=np.int64))
-    return out
+    """Orbit decomposition of the permutation, each orbit starting at its
+    smallest point."""
+    lay = t.cycle_layout
+    return [lay.flat[s:s + lay.length[lay.flat[s]]] for s in np.flatnonzero(lay.step == 0)]
 
 
 def orbit_lcm(t: Endomorphism) -> int:
     """Least common multiple of the cycle lengths (the order of tau)."""
-    return math.lcm(*(len(c) for c in cycles(t)))
+    return t.cycle_layout.order
 
 
 def koopman(f: VectorObservable, t: Endomorphism) -> VectorObservable:

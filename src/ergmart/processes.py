@@ -140,20 +140,33 @@ def _per_axis(value, count: int, message: str) -> tuple[int, ...]:
 
 
 def _apply_averages(spec: ProcessSpec, g: VectorObservable,
-                    n_vec: tuple[int, ...]) -> VectorObservable:
-    """Multiparameter weighted average over the product index box.
+                    n_vec: tuple[int, ...] | None) -> VectorObservable:
+    """Multiparameter weighted average over the product index box, or its
+    limit for n_vec None.
 
     The written operator order T_1^{k_1} ... T_d^{k_d} applies T_d first; by
     linearity the box sum factors into nested one-parameter averages, which
-    is what is computed (O(sum n_j) instead of O(prod n_j) operator steps).
+    is what is computed (one cycle kernel call per map).
     """
-    out = g
+    weights = spec.weights or (None,) * spec.d_maps
     for j in reversed(range(spec.d_maps)):
-        if spec.weights is None:
-            out = ergodic_average(out, spec.maps[j], n_vec[j])
+        t, w = spec.maps[j], weights[j]
+        if n_vec is None:
+            g = ergodic_limit(g, t, w)
+        elif w is None:
+            g = ergodic_average(g, t, n_vec[j])
         else:
-            out = weighted_average(out, spec.maps[j], spec.weights[j], n_vec[j])
-    return out
+            g = weighted_average(g, t, w, n_vec[j])
+    return g
+
+
+def _process(spec: ProcessSpec, n_vec: tuple[int, ...] | None,
+             s_vec: tuple[int, ...]) -> VectorObservable:
+    if spec.kind == MARTINGALE_ERGODIC:
+        avg = _apply_averages(spec, spec.f, n_vec)
+        return composite_cond_expect(avg, spec.filtrations, s_vec)
+    g = composite_cond_expect(spec.f, spec.filtrations, s_vec)
+    return _apply_averages(spec, g, n_vec)
 
 
 def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
@@ -165,43 +178,20 @@ def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
     n_vec = _per_axis(n1, spec.d_maps, "n1 must give one count per map")
     s_vec = _per_axis(n2, spec.m_filtrations,
                       "n2 must give one stage index per filtration")
-    if spec.kind == MARTINGALE_ERGODIC:
-        avg = _apply_averages(spec, spec.f, n_vec)
-        return composite_cond_expect(avg, spec.filtrations, s_vec)
-    g = composite_cond_expect(spec.f, spec.filtrations, s_vec)
-    return _apply_averages(spec, g, n_vec)
+    return _process(spec, n_vec, s_vec)
 
 
 def limit_target(spec: ProcessSpec) -> VectorObservable:
-    """Closed-form limit for unweighted (or constant-weight) specs.
+    """Closed-form limit of the process, weighted or not.
 
     The two kinds genuinely have different limits whenever orbit averaging and
     conditioning fail to commute: averaging first and conditioning last
     converges to the conditioned orbit average, while conditioning first
     converges to the orbit average of the conditioned observable. The target
-    composes the two exact operators in the same order as the process. For
-    nonconstant weights no closed form is available and the
-    trace-stabilization route applies instead.
+    composes the exact limit of each map's average (averages.ergodic_limit)
+    with the last stage of every filtration, in the same order as the process.
     """
-    scale = 1.0
-    if spec.weights is not None:
-        for w in spec.weights:
-            if not w.is_constant:
-                raise ValueError("no closed-form target; use trace stabilization")
-            scale *= w.constant_value
-    if spec.kind == MARTINGALE_ERGODIC:
-        g = spec.f
-        for t in reversed(spec.maps):
-            g = ergodic_limit(g, t)
-        out = composite_cond_expect(g, spec.filtrations, spec.last_stages)
-    else:
-        g = composite_cond_expect(spec.f, spec.filtrations, spec.last_stages)
-        for t in reversed(spec.maps):
-            g = ergodic_limit(g, t)
-        out = g
-    if scale != 1.0:
-        out = scale * out
-    return out
+    return _process(spec, None, spec.last_stages)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,24 @@ from ergmart.averages import (
 )
 from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, point_norm_field
-from ergmart.operators import Endomorphism, cycle_map, identity_map, koopman, orbit_lcm, power
-from ergmart.processes import MARTINGALE_ERGODIC, ProcessSpec, evaluate
+from ergmart.operators import (
+    Endomorphism,
+    cycle_map,
+    cycles,
+    identity_map,
+    koopman,
+    orbit_lcm,
+    power,
+)
+from ergmart.processes import (
+    ERGODIC_MARTINGALE,
+    MARTINGALE_ERGODIC,
+    ProcessSpec,
+    evaluate,
+    limit_target,
+    stabilization_periods,
+    stabilized_reference,
+)
 from oracles import (
     oracle_composite,
     oracle_ergodic_average,
@@ -312,3 +330,97 @@ def test_average_linearity():
         lhs = ergodic_average(a * f + b * g, t, m)
         rhs = a * ergodic_average(f, t, m) + b * ergodic_average(g, t, m)
         assert linf_norm(lhs - rhs) <= 1e-12 * max(1.0, abs(a) + abs(b)) * 10
+
+
+def _orbit_constant_system(rng, n_max=16):
+    """Random permutation on masses that are constant on each orbit only."""
+    n = int(rng.integers(2, n_max + 1))
+    perm = rng.permutation(n)
+    masses = np.empty(n)
+    for cyc in cycles(Endomorphism(uniform_space(n), perm)):
+        masses[cyc] = rng.uniform(0.2, 2.0)
+    space = make_space(masses / masses.sum())
+    return space, Endomorphism(space, perm)
+
+
+def _kernel_weight_cases(rng, lengths):
+    """(weights, relative tolerance): den dividing a cycle length, dens
+    dividing none of it, frequency 0 with a phase, and an irrational
+    frequency with freq * L within 1e-9 of an integer."""
+    L = int(rng.choice(lengths))
+    top = max(lengths)
+    near = (int(rng.integers(1, top)) + float(rng.uniform(1e-10, 9e-10))) / top
+    return [
+        (BesicovitchWeights(((0.8, Fraction(1, L), 0.3),)), 1e-12),
+        (BesicovitchWeights(((0.6, Fraction(1, L + 1), 0.3), (0.4, Fraction(2, 7), 1.0))), 1e-12),
+        (BesicovitchWeights(((0.6, 0.0, 1.2),)), 1e-12),
+        (BesicovitchWeights(((0.7, near, 0.4), (0.3, Fraction(1, top), 2.0))), 1e-9),
+    ]
+
+
+class TestCycleKernel:
+    def test_against_step_by_step_oracles(self):
+        rng = np.random.default_rng(83)
+        for _ in range(12):
+            sp, t = _orbit_constant_system(rng)
+            f = VectorObservable(sp, rng.normal(0, 2, (sp.size, int(rng.integers(1, 5)))))
+            vals, perm = f.values.tolist(), t.map.tolist()
+            scale = np.abs(f.values).max()
+            lengths = sorted({len(c) for c in cycles(t)})
+            ns = sorted({17} | {m for L in lengths for m in (1, L - 1, L, 3 * L + 2) if m >= 1})
+            cases = _kernel_weight_cases(rng, [L for L in lengths if L > 1] or [2])
+            for n in ns:
+                want = np.asarray(oracle_ergodic_average(vals, perm, n))
+                assert np.abs(ergodic_average(f, t, n).values - want).max() <= 1e-12 * scale
+                for w, rel in cases:
+                    want = np.asarray(oracle_weighted_average(vals, perm, w.values(n).tolist(), n))
+                    got = weighted_average(f, t, w, n).values
+                    assert np.abs(got - want).max() <= rel * scale * w.amplitude_bound
+
+    def test_any_length_costs_one_period(self):
+        import time
+        rng = np.random.default_rng(89)
+        lengths = (8, 7, 5, 3) * 2 + (8, 7, 3)
+        points = rng.permutation(64)
+        perm = np.empty(64, dtype=np.int64)
+        begin = 0
+        for L in lengths:
+            cyc = points[begin:begin + L]
+            perm[cyc] = np.roll(cyc, -1)
+            begin += L
+        sp = uniform_space(64)
+        t = Endomorphism(sp, perm)
+        assert orbit_lcm(t) == 840
+        f = VectorObservable(sp, rng.normal(0, 1, (64, 2)))
+        w = BesicovitchWeights(((0.6, Fraction(3, 8), 0.4), (0.4, Fraction(2, 35), 2.0)))
+        filt = Filtration(sp, DECREASING, (Partition.singletons(sp),
+                                           Partition(sp, np.arange(64) % 4)))
+        n = 10**7 + 13
+        for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
+            spec = ProcessSpec.single(kind, f, t, filt, weights=w)
+            (period,) = stabilization_periods(spec)
+            q, r = divmod(n, period)
+            start = time.perf_counter()
+            got = evaluate(spec, n, 1).values
+            assert time.perf_counter() - start < 0.5
+            want = (q * period * evaluate(spec, period, 1).values
+                    + r * evaluate(spec, r, 1).values) / n
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_layout_is_built_once_per_map(self, monkeypatch):
+        import ergmart.operators as ops
+        builds, calls = [], []
+        build, orbits = ops._cycle_layout, ops.cycles
+        monkeypatch.setattr(ops, "_cycle_layout", lambda perm: builds.append(1) or build(perm))
+        monkeypatch.setattr(ops, "cycles", lambda t: calls.append(1) or orbits(t))
+        t = Endomorphism(SP4, [1, 0, 3, 2])
+        filt = Filtration(SP4, DECREASING, (Partition.singletons(SP4), Partition.whole(SP4)))
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, F1357, t, filt,
+                                  weights=BesicovitchWeights.single_cosine(0.5, 1, 3))
+        evaluate(spec, 5, 0)
+        assert len(builds) == 1
+        evaluate(spec, 7, 1)
+        limit_target(spec)
+        stabilized_reference(spec)
+        orbit_lcm(t)
+        assert len(builds) == 1 and not calls

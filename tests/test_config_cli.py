@@ -9,6 +9,8 @@ import pytest
 from ergmart.cli import main
 from ergmart.config import ConfigError, build_experiment
 from ergmart.inequalities import APPLICABILITY_RULES, dominant_check, epsilon_sweep
+from ergmart.observables import linf_norm, lp_norm
+from ergmart.processes import evaluate, stabilization_periods, stabilized_reference
 from ergmart.runner import execute_plan
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -138,7 +140,8 @@ def _envelope(value):
     return lambda cfg: cfg.update(weight_seqs=[{"kind": "random", "envelope": value}])
 
 
-# config edits that used to end in a raw traceback, with the path each error names
+# config edits that must exit 1 with the path each error names (most used to
+# end in a raw traceback; the last three guard the int64 averaging lengths)
 BAD_VALUES = {
     "auto0": (lambda cfg: cfg["checks"][1].update(epsilons="auto0"), "checks[1].epsilons"),
     "trace_p_inf": (lambda cfg: cfg.update(trace_p=math.inf), "trace_p"),
@@ -164,6 +167,10 @@ BAD_VALUES = {
     "dominant_p_1e308": (lambda cfg: cfg["checks"][0].update(p=1e308), "checks[0]"),
     "maximal_p_1e308": (lambda cfg: cfg["checks"][1].update(p=1e308, epsilons=[0.5]),
                         "checks[1]"),
+    "denominator_above_2_31": (_weight_term([0.5, [1, 2**31 + 1], 0.0]), "weight_seqs[0].terms"),
+    "period_above_2_62": (lambda cfg: cfg.update(weight_seqs=[{"terms": [
+        [0.5, [1, 2**31 - 1], 0.0], [0.5, [1, 2**31 - 3], 0.0]]}]), "weight_seqs[0]"),
+    "n1_above_2_62": (lambda cfg: cfg.update(grids={"n1": [2**62], "n2": "all"}), "grids.n1"),
 }
 
 
@@ -223,6 +230,18 @@ class TestRunner:
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         last = lines[-1].split(",")
         assert float(last[2]) <= 1e-12  # period multiples hit the reference exactly
+
+    def test_exact_pair_frequency_runs(self, tmp_path):
+        cfg = demo_config()
+        cfg["weight_seqs"] = [{"terms": [[1.0, [1, 5000], 0.0]]}]
+        path = tmp_path / "exact.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        spec = build_experiment(cfg).spec
+        (period,) = stabilization_periods(spec)
+        assert period == math.lcm(4, 5000)
+        gap = evaluate(spec, 2 * period, spec.last_stages) - stabilized_reference(spec)
+        assert lp_norm(gap, 2.0) <= 1e-9 and linf_norm(gap) <= 1e-9
 
     def test_failing_check_flags_run(self, tmp_path, monkeypatch):
         import ergmart.inequalities as ineq

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from ergmart.averages import BesicovitchWeights
-from ergmart.generators import random_cycle_system, random_filtration, random_observable
+from ergmart.generators import (
+    random_cycle_system,
+    random_filtration,
+    random_observable,
+    random_permutation,
+    random_weights,
+)
 from ergmart.measure import DECREASING, INCREASING, Filtration, Partition, uniform_space
 from ergmart.observables import VectorObservable, linf_norm
 from ergmart.operators import Endomorphism, cond_expect, cycle_map, identity_map, power
@@ -100,10 +106,19 @@ class TestLimitTarget:
         assert me_target.values[:, 0] == pytest.approx([3.5, 4.5, 3.5, 4.5])
         assert em_target.values[:, 0] == pytest.approx([4, 4, 3, 5])
 
-    def test_weighted_nonconstant_has_no_closed_form(self):
-        w = BesicovitchWeights.single_cosine(1.0, 1, 2)
-        with pytest.raises(ValueError, match="stabilization"):
-            limit_target(me_spec(weights=w))
+    def test_weighted_closed_form_equals_stabilized_reference(self):
+        rng = np.random.default_rng(79)
+        for k in range(100):
+            space, tau, _ = random_cycle_system(rng, n_max=16, uniform=True)
+            f = random_observable(rng, space, int(rng.integers(1, 4)))
+            maps = (tau,) if k % 2 else (tau, random_permutation(rng, space))
+            filts = tuple(random_filtration(rng, space, 2, DECREASING)
+                          for _ in range(int(rng.integers(1, 3))))
+            weights = tuple(random_weights(rng) for _ in maps)
+            for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
+                spec = ProcessSpec(kind, f, maps, filts, weights)
+                gap = linf_norm(limit_target(spec) - stabilized_reference(spec))
+                assert gap <= 1e-12
 
     def test_constant_weights_scale_target(self):
         w = BesicovitchWeights.constant(0.5)
