@@ -158,23 +158,35 @@ class BesicovitchWeights:
 
 
 def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
-                              alphas: np.ndarray | None, n: int) -> np.ndarray:
-    """Stack of the first n weighted Cesaro averages along a new leading axis.
+                              alphas: np.ndarray | None, n: int, start: int = 0,
+                              carry: list | None = None) -> np.ndarray:
+    """Rows start..n-1 of the stack of weighted Cesaro averages along a new
+    leading axis.
 
-    `arr` has shape (..., N, dim); output[k] = (1/(k+1)) sum_{i<=k} a_i T^i arr.
-    With alphas None the weights are identically one.
+    `arr` has shape (..., N, dim); row k is (1/(k+1)) sum_{i<=k} a_i T^i arr.
+    With alphas None the weights are identically one. A stack built in
+    pieces passes the same list `carry` to every call: it holds T^k arr and
+    the running sum at the last row k built, so the next call continues the
+    step recurrence where this one stopped, with the same floats.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out = np.empty((n,) + arr.shape)
-    cur = np.asarray(arr, dtype=float)
-    acc = cur * alphas[0] if alphas is not None else cur.copy()
-    out[0] = acc
-    for i in range(1, n):
+    if not 0 <= start < n:
+        raise ValueError("need 0 <= start < n")
+    out = np.empty((n - start,) + arr.shape)
+    if start == 0:
+        cur = np.asarray(arr, dtype=float)
+        acc = cur * alphas[0] if alphas is not None else cur.copy()
+        out[0] = acc
+    else:
+        cur, acc = carry
+    for i in range(max(start, 1), n):
         cur = np.take(cur, t.map, axis=-2)
         acc = acc + (cur * alphas[i] if alphas is not None else cur)
-        out[i] = acc
-    counts = np.arange(1, n + 1, dtype=float).reshape((n,) + (1,) * arr.ndim)
+        out[i - start] = acc
+    if carry is not None:
+        carry[:] = [cur, acc]
+    counts = np.arange(start + 1, n + 1, dtype=float).reshape((n - start,) + (1,) * arr.ndim)
     out /= counts
     return out
 

@@ -37,6 +37,9 @@ __all__ = ["ConfigError", "ExperimentPlan", "CheckSpec", "build_experiment"]
 
 # averaging lengths are int64 in the cycle kernel
 _MAX_LENGTH = 2**62
+# below this bound on the weight amplitude sums times max |f|, a weighted sum
+# of up to _MAX_LENGTH terms stays finite
+_MAX_WEIGHTED_SCALE = sys.float_info.max / 2**63
 
 
 class ConfigError(ValueError):
@@ -328,7 +331,16 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
         raise ConfigError("config", str(exc)) from None
 
     if spec.is_weighted:
+        scale = float(np.abs(f.values).max())
         for k, w in enumerate(spec.weights):
+            # nested averages multiply the amplitude sums of all maps
+            scale *= w.amplitude_bound
+            if not scale < _MAX_WEIGHTED_SCALE:
+                field = "envelope" if (weights_cfg[k] or {}).get("kind") == "random" else "terms"
+                raise ConfigError(f"weight_seqs[{k}].{field}",
+                                  "the amplitude sums up to this map times the largest "
+                                  "absolute observable entry must be below "
+                                  "sys.float_info.max / 2**63")
             if w.period is None:
                 raise ConfigError(f"weight_seqs[{k}]",
                                   "frequencies must be rational so the trace "

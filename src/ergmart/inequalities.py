@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .averages import composite_block_means, running_weighted_averages
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, row_norms
+from .operators import Endomorphism
 from .processes import MARTINGALE_ERGODIC, ProcessSpec
 
 __all__ = [
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# floats per chunk of the outermost averaging axis in a sup pass, so its
+# memory does not grow with the averaging length
+_CHUNK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -107,29 +111,56 @@ def _alphas(spec: ProcessSpec, box: SupBox) -> list[np.ndarray | None]:
 
 def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
     """Pointwise max of the process norms over the box; a lower bound for the
-    untruncated sup, monotone under box enlargement."""
+    untruncated sup, monotone under box enlargement. Built once per box and
+    kept by the spec, so every check of a run reads the same field."""
     if box is None:
         box = default_box(spec)
     _validate_box(spec, box)
+    if box not in spec.sup_fields:
+        spec.sup_fields[box] = _build_sup_field(spec, box)
+    return spec.sup_fields[box]
+
+
+def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
+                  n: int, copies: int) -> Iterator[np.ndarray]:
+    """The running averages of `inner` under the outermost map t up to n, in
+    consecutive chunks along the averaging axis of about _CHUNK_FLOATS
+    floats, counting each float `copies` times for the stacks built from a
+    chunk."""
+    rows = max(1, _CHUNK_FLOATS // (inner.size * copies))
+    carry: list = []
+    for start in range(0, n, rows):
+        yield running_weighted_averages(inner, t, alpha, min(n, start + rows), start, carry)
+
+
+def _build_sup_field(spec: ProcessSpec, box: SupBox) -> VectorObservable:
+    """One streamed pass over the box: the inner maps' averaging axes are
+    built whole, the outermost one chunk by chunk, and each chunk is folded
+    into the running pointwise max."""
     alphas = _alphas(spec, box)
     q = spec.norm.q
+    field = np.zeros(spec.space.size)
     if spec.kind == MARTINGALE_ERGODIC:
-        arr = spec.f.values
-        for j in reversed(range(spec.d_maps)):
-            arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
-        # the outermost conditioning is constant on its blocks, so its max
-        # is taken per block and only then spread to the points
-        field = np.zeros(spec.space.size)
-        for part, means in composite_block_means(arr, spec.filtrations, box.stage_sets):
-            block_max = row_norms(means, q).reshape(-1, part.block_count).max(axis=0)
-            np.maximum(field, block_max[part.block_of], out=field)
+        inner = spec.f.values
+        for j in reversed(range(1, spec.d_maps)):
+            inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
+        # each inner filtration stacks one conditioned copy of a chunk per stage
+        copies = math.prod(len(ss) for ss in box.stage_sets[1:])
+        for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], copies):
+            # the outermost conditioning is constant on its blocks, so its max
+            # is taken per block and only then spread to the points
+            for part, means in composite_block_means(chunk, spec.filtrations, box.stage_sets):
+                block_max = row_norms(means, q).reshape(-1, part.block_count).max(axis=0)
+                np.maximum(field, block_max[part.block_of], out=field)
         return VectorObservable(spec.space, field)
     # ergodic-martingale: condition first, then average the whole stack
-    arr = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
-                    composite_block_means(spec.f.values, spec.filtrations, box.stage_sets)])
-    for j in reversed(range(spec.d_maps)):
-        arr = running_weighted_averages(arr, spec.maps[j], alphas[j], box.n_max[j])
-    field = row_norms(arr, q).reshape(-1, spec.space.size).max(axis=0)
+    inner = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
+                      composite_block_means(spec.f.values, spec.filtrations, box.stage_sets)])
+    for j in reversed(range(1, spec.d_maps)):
+        inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
+    for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], 1):
+        chunk_max = row_norms(chunk, q).reshape(-1, spec.space.size).max(axis=0)
+        np.maximum(field, chunk_max, out=field)
     return VectorObservable(spec.space, field)
 
 

@@ -293,8 +293,10 @@ def weighted_stabilization(seed: int, budget: int) -> list[CheckLine]:
         worst = max(worst, tv)
         if tv > 1e-9:
             ok = False
+    # the passing figure is rounding residue, which moves with summation order
+    worst_text = "below 1e-9" if ok else f"{worst:.2e}"
     return [_line("weighted traces stabilize over the final period", ok,
-                  f"{n_checks} instances, worst tail variation {worst:.2e}")]
+                  f"{n_checks} instances, worst tail variation {worst_text}")]
 
 
 # frozen catalog values; an independent copy of the constant formulas so a

@@ -10,6 +10,7 @@ claims and the L_p column the norm claims.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -123,6 +124,12 @@ class ProcessSpec:
 
     def orbit_lcms(self) -> tuple[int, ...]:
         return tuple(orbit_lcm(t) for t in self.maps)
+
+    @functools.cached_property
+    def sup_fields(self) -> dict:
+        """Sup fields of this spec by box, filled by inequalities.sup_field;
+        they live as long as the spec."""
+        return {}
 
     def __repr__(self):
         return (f"ProcessSpec({self.kind}, maps={self.d_maps}, "

@@ -141,7 +141,8 @@ def _envelope(value):
 
 
 # config edits that must exit 1 with the path each error names (most used to
-# end in a raw traceback; the last three guard the int64 averaging lengths)
+# end in a raw traceback; the three *_above_* cases guard the int64 averaging
+# lengths, the two 1e308 cases the float range of weighted sums)
 BAD_VALUES = {
     "auto0": (lambda cfg: cfg["checks"][1].update(epsilons="auto0"), "checks[1].epsilons"),
     "trace_p_inf": (lambda cfg: cfg.update(trace_p=math.inf), "trace_p"),
@@ -171,6 +172,9 @@ BAD_VALUES = {
     "period_above_2_62": (lambda cfg: cfg.update(weight_seqs=[{"terms": [
         [0.5, [1, 2**31 - 1], 0.0], [0.5, [1, 2**31 - 3], 0.0]]}]), "weight_seqs[0]"),
     "n1_above_2_62": (lambda cfg: cfg.update(grids={"n1": [2**62], "n2": "all"}), "grids.n1"),
+    "amplitude_1e308": (_weight_term([1e308, [1, 3], 0.0]), "weight_seqs[0].terms"),
+    "amplitudes_1e308_twice": (lambda cfg: cfg.update(weight_seqs=[{"terms": [
+        [1e308, [1, 3], 0.0], [1e308, [1, 4], 0.0]]}]), "weight_seqs[0].terms"),
 }
 
 
@@ -251,6 +255,46 @@ class TestRunner:
         plan = build_experiment(demo_config())
         result = execute_plan(plan, tmp_path)
         assert result.any_check_failed
+
+    def test_one_sup_build_per_spec_and_box(self, tmp_path, monkeypatch):
+        import ergmart.inequalities as ineq
+        builds = []
+        real_build = ineq._build_sup_field
+        monkeypatch.setattr(ineq, "_build_sup_field",
+                            lambda spec, box: builds.append(box) or real_build(spec, box))
+        # dominant, maximal with an auto grid and Orlicz, all on one box
+        execute_plan(build_experiment(demo_config()), tmp_path / "demo")
+        assert len(builds) == 1
+        cfg = demo_config()
+        cfg["checks"] = [{"type": "dominant", "p": 2.0},
+                         {"type": "dominant", "p": 2.0, "box_factor": 2}]
+        builds.clear()
+        execute_plan(build_experiment(cfg), tmp_path / "two_boxes")
+        assert len(builds) == 2 and builds[0] != builds[1]
+
+    def test_patched_sup_field_reaches_every_check(self, tmp_path, monkeypatch):
+        import ergmart.inequalities as ineq
+
+        def reports(out):
+            execute_plan(build_experiment(demo_config()), out)
+            return json.loads((out / "reports.json").read_text())
+
+        real = reports(tmp_path / "real")
+        orig_sup = ineq.sup_field
+        monkeypatch.setattr(ineq, "sup_field",
+                            lambda spec, box=None: 1.1 * orig_sup(spec, box))
+        patched = reports(tmp_path / "patched")
+        spec = build_experiment(demo_config()).spec
+        field = 1.1 * orig_sup(spec).values[:, 0]
+        dominant, *maximal, orlicz = zip(real, patched)
+        assert dominant[1]["lhs"] == pytest.approx(1.1 * dominant[0]["lhs"], rel=1e-12)
+        assert orlicz[1]["sup_functional"] != orlicz[0]["sup_functional"]
+        # the auto grid comes from the real field, so a level's mass moves only
+        # where a point's sup lies in [eps / 1.1, eps); every mass must be the
+        # patched field's
+        for _, rep in maximal:
+            assert rep["lhs"] == pytest.approx(spec.space.weights[field >= rep["epsilon"]].sum())
+        assert any(a["lhs"] != b["lhs"] for a, b in maximal)
 
 
 class TestCli:

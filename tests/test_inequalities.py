@@ -1,9 +1,11 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ergmart.inequalities as ineq
 from ergmart.averages import BesicovitchWeights
 from ergmart.fuzz import run_inequality_fuzz
 from ergmart.generators import FAMILIES, random_process_instance
@@ -20,7 +22,7 @@ from ergmart.inequalities import (
 )
 from ergmart.measure import DECREASING, INCREASING, Filtration, Partition, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, llog_norm, point_norm_field
-from ergmart.operators import cycle_map, power
+from ergmart.operators import Endomorphism, cycle_map, power
 from ergmart.processes import (
     ERGODIC_MARTINGALE,
     MARTINGALE_ERGODIC,
@@ -73,6 +75,26 @@ class TestConstants:
             maximal_constant(0.5)
 
 
+def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
+    """The streamed sup field built with `chunk_floats` floats per chunk, the
+    lengths of its chunks along the outermost averaging axis, and the floats
+    each row of that axis counts for."""
+    real_chunks = ineq._outer_chunks
+    lengths, row_floats = [], []
+
+    def spy(inner, t, alpha, n, copies):
+        row_floats.append(inner.size * copies)
+        for chunk in real_chunks(inner, t, alpha, n, copies):
+            lengths.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(ineq, "_outer_chunks", spy)
+    monkeypatch.setattr(ineq, "_CHUNK_FLOATS", chunk_floats)
+    field = ineq._build_sup_field(spec, box).values
+    monkeypatch.undo()
+    return field, lengths, row_floats[0]
+
+
 class TestSupField:
     def test_singleton_box_is_single_evaluation(self):
         box = SupBox((1,), ((1,),))
@@ -110,8 +132,10 @@ class TestSupField:
             assert sup_field(spec, box).values[:, 0] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_every_family_matches_evaluate_over_the_box(self, family):
-        # non-uniform masses, several filtrations, dim up to 4, q in {1, 2, inf}
+    def test_every_family_matches_evaluate_over_the_box(self, family, monkeypatch):
+        # non-uniform masses, several filtrations, dim up to 4, q in {1, 2, inf};
+        # the streamed pass cut into chunks of one row, and of all rows but one
+        # plus one, must give the one-chunk field bit for bit
         for seed in range(20):
             spec = random_process_instance(seed, family).spec
             full = default_box(spec)
@@ -121,8 +145,14 @@ class TestSupField:
                 for s_vec in itertools.product(*box.stage_sets):
                     field = point_norm_field(evaluate(spec, n_vec, s_vec), spec.norm)
                     want = np.maximum(want, field.values[:, 0])
-            got = sup_field(spec, box).values[:, 0]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            whole, lengths, row_floats = _build_in_chunks(monkeypatch, spec, box, 2**62)
+            assert lengths == [box.n_max[0]]
+            for rows in (1, box.n_max[0] - 1):
+                got, lengths, _ = _build_in_chunks(monkeypatch, spec, box, rows * row_floats)
+                assert len(lengths) > 1 and max(lengths) == rows and lengths[-1] == 1
+                assert np.array_equal(got, whole)
+            assert np.array_equal(sup_field(spec, box).values, whole)
+            np.testing.assert_allclose(whole[:, 0], want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
     def test_memory_is_linear_in_the_space(self, kind):
@@ -141,6 +171,30 @@ class TestSupField:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    def test_memory_does_not_grow_with_the_averaging_length(self, kind):
+        # N = 64 with a map of order 840: the default box averages up to n = 3360
+        space = uniform_space(64)
+        perm, start = np.arange(64), 0
+        for length in (8, 7, 5, 3) * 2 + (8, 7, 3):
+            perm[start:start + length] = np.roll(np.arange(start, start + length), -1)
+            start += length
+        tau = Endomorphism(space, perm)
+        f = VectorObservable(space, np.random.default_rng(5).normal(size=(64, 2)))
+        stages = tuple(Partition(space, np.arange(64) // size) for size in (1, 4, 16, 64))
+        filt = Filtration(space, DECREASING, stages)
+        w = BesicovitchWeights(((0.4, Fraction(1, 8), 0.3), (0.6, Fraction(2, 35), 1.0)))
+        spec = ProcessSpec.single(kind, f, tau, filt, weights=w)
+        box = default_box(spec)
+        assert box.n_max == (3360,) and box.stage_sets == ((0, 1, 2, 3),)
+        tracemalloc.start()
+        try:
+            sup_field(spec, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDominantCheck:
