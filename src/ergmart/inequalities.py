@@ -2,8 +2,14 @@
 
 Every bound compares the L_p norm (or a level-set mass) of the pointwise sup
 of a process over a finite index box against an explicit constant times
-|f|_p. Truncating the sup only lowers the left side, so each report is a
-sound necessary-condition check of the corresponding infinite-index bound.
+|f|_p. Truncating the sup never raises the left side, and a box with n_max_j
+>= P_j on every averaging axis (P_j the stabilization period of map j) gives
+the exact untruncated sup: with n = qP + r the weighted sum of the first n
+terms is q times that of the first P plus that of the first r, so at a fixed
+stage the process value A_n = lam A_P + (1 - lam) A_r, lam = qP/n, lies on a
+segment whose norm is largest at an end. Each report is therefore a sound
+check of the corresponding infinite-index bound, and an exact one once the
+box reaches the periods.
 
 Constant catalog (see the README table):
   Thm2.4 / Thm3.4   dominant, single parameter       (p/(p-1))^2
@@ -103,6 +109,16 @@ def _validate_box(spec: ProcessSpec, box: SupBox):
             raise ValueError(f"stage index {ss[-1]} out of range for filtration {k}")
 
 
+def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
+    """The box with each averaging axis cut to min(n_max_j, P_j): no n past
+    the period P_j raises the sup (see the module docstring), and the weights
+    repeat with a period that divides P_j. A map without a period keeps its
+    axis."""
+    n_max = tuple(n if period is None else min(n, period)
+                  for n, period in zip(box.n_max, spec.periods()))
+    return SupBox(n_max, box.stage_sets)
+
+
 def _alphas(spec: ProcessSpec, box: SupBox) -> list[np.ndarray | None]:
     if spec.weights is None:
         return [None] * spec.d_maps
@@ -110,12 +126,15 @@ def _alphas(spec: ProcessSpec, box: SupBox) -> list[np.ndarray | None]:
 
 
 def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
-    """Pointwise max of the process norms over the box; a lower bound for the
-    untruncated sup, monotone under box enlargement. Built once per box and
-    kept by the spec, so every check of a run reads the same field."""
+    """Pointwise max of the process norms over the box, monotone under box
+    enlargement; the exact untruncated sup once n_max_j >= P_j on every
+    averaging axis. Built over the box cut to the periods and kept by the spec
+    under that box, so every check of a run, and every box that differs from
+    another only past the periods, reads the same field."""
     if box is None:
         box = default_box(spec)
     _validate_box(spec, box)
+    box = _period_box(spec, box)
     if box not in spec.sup_fields:
         spec.sup_fields[box] = _build_sup_field(spec, box)
     return spec.sup_fields[box]
@@ -134,9 +153,10 @@ def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
 
 
 def _build_sup_field(spec: ProcessSpec, box: SupBox) -> VectorObservable:
-    """One streamed pass over the box: the inner maps' averaging axes are
-    built whole, the outermost one chunk by chunk, and each chunk is folded
-    into the running pointwise max."""
+    """One streamed pass over the box as given (sup_field hands it the box
+    cut to the periods): the inner maps' averaging axes are built whole, the
+    outermost one chunk by chunk, and each chunk is folded into the running
+    pointwise max."""
     alphas = _alphas(spec, box)
     q = spec.norm.q
     field = np.zeros(spec.space.size)
@@ -166,11 +186,12 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox) -> VectorObservable:
 
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:
     """(observed, envelope) weight bound: observed sup |a_i| over the box
-    horizon and the analytic envelope sum |amp|; the larger goes into the
-    constants so a bound is never understated."""
+    horizon (read within one period, where the weights already repeat) and
+    the analytic envelope sum |amp|; the larger goes into the constants so a
+    bound is never understated."""
     if spec.weights is None:
         return 1.0, 1.0
-    observed = max(w.sup_abs(k) for w, k in zip(spec.weights, box.n_max))
+    observed = max(w.sup_abs(k) for w, k in zip(spec.weights, _period_box(spec, box).n_max))
     envelope = max(w.amplitude_bound for w in spec.weights)
     return observed, envelope
 

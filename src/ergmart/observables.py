@@ -103,11 +103,20 @@ def point_norm_field(f: VectorObservable, ns: NormSpec = NormSpec()) -> VectorOb
 
 
 def lp_norm(f: VectorObservable, p: float, ns: NormSpec = NormSpec()) -> float:
-    """(sum_w mu_w |f(w)|_q^p)^(1/p) for finite p >= 1."""
+    """(sum_w mu_w |f(w)|_q^p)^(1/p) for finite p >= 1. When the sum of
+    powers leaves the float range (large p), the point norms are divided by
+    the largest one first, so the result is finite whenever the norm is."""
     if not p >= 1.0 or math.isinf(p):
         raise ValueError("p must be a finite real >= 1")
     norms = row_norms(f.values, ns.q)
-    return float(np.sum(f.space.weights * norms**p) ** (1.0 / p))
+    mu = f.space.weights
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(mu * norms**p)
+        if not np.isfinite(total) or total == 0.0:
+            top = norms.max()
+            if 0.0 < top < math.inf:
+                return float(top * np.sum(mu * (norms / top) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def linf_norm(f: VectorObservable, ns: NormSpec = NormSpec()) -> float:

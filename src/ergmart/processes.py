@@ -125,6 +125,18 @@ class ProcessSpec:
     def orbit_lcms(self) -> tuple[int, ...]:
         return tuple(orbit_lcm(t) for t in self.maps)
 
+    def periods(self) -> tuple[int | None, ...]:
+        """Per-map period P_j after which the weighted Cesaro sum repeats
+        exactly: lcm of the orbit order and the weight period; None for a map
+        whose weights have an irrational frequency."""
+        if self.weights is None:
+            return self.orbit_lcms()
+        periods = []
+        for base, w in zip(self.orbit_lcms(), self.weights):
+            wp = w.period
+            periods.append(None if wp is None else math.lcm(base, wp))
+        return tuple(periods)
+
     @functools.cached_property
     def sup_fields(self) -> dict:
         """Sup fields of this spec by box, filled by inequalities.sup_field;
@@ -296,18 +308,11 @@ def stabilization_periods(spec: ProcessSpec) -> tuple[int, ...]:
 
     Raises when some weight frequency is not recognizably rational.
     """
-    periods = []
-    for j, t in enumerate(spec.maps):
-        base = orbit_lcm(t)
-        if spec.weights is None:
-            periods.append(base)
-            continue
-        wp = spec.weights[j].period
-        if wp is None:
-            raise ValueError("weight sequence has an irrational frequency; "
-                             "no exact period is available")
-        periods.append(math.lcm(base, wp))
-    return tuple(periods)
+    periods = spec.periods()
+    if None in periods:
+        raise ValueError("weight sequence has an irrational frequency; "
+                         "no exact period is available")
+    return periods
 
 
 def stabilized_reference(spec: ProcessSpec) -> VectorObservable:

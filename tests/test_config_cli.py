@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,11 +162,9 @@ BAD_VALUES = {
     "envelope_zero": (_envelope(0), "weight_seqs[0].envelope"),
     "amplitudes_zero": (_weight_term([0, 0, 0]), "weight_seqs[0].terms"),
     "amplitudes_zero_rational": (_weight_term([0, [1, 4], 0]), "weight_seqs[0].terms"),
-    "dominant_p_400": (lambda cfg: cfg["checks"][0].update(p=400), "checks[0]"),
     "maximal_p_500_auto": (lambda cfg: cfg["checks"][1].update(p=500), "checks[1]"),
     "epsilon_underflow": (lambda cfg: cfg["checks"][1].update(epsilons=[1e-200]),
                           "checks[1]"),
-    "dominant_p_1e308": (lambda cfg: cfg["checks"][0].update(p=1e308), "checks[0]"),
     "maximal_p_1e308": (lambda cfg: cfg["checks"][1].update(p=1e308, epsilons=[0.5]),
                         "checks[1]"),
     "denominator_above_2_31": (_weight_term([0.5, [1, 2**31 + 1], 0.0]), "weight_seqs[0].terms"),
@@ -188,6 +187,68 @@ def test_bad_values_exit_1_with_path(tmp_path, capsys, mutate, path):
     assert code == 1
     assert f"error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("p", [400, 1e308], ids=["dominant_p_400", "dominant_p_1e308"])
+def test_large_p_dominant_runs(tmp_path, p):
+    # |f|_p^p leaves the float range at these p, while |f|_p is 7 (mass 1/4)^(1/p)
+    # up to the other points' share, (5/7)^p < 1e-58
+    rhs = (p / (p - 1)) ** 2 * 7 * 0.25 ** (1 / p)
+    cfg = demo_config()
+    cfg["checks"][0]["p"] = p
+    path = tmp_path / "large_p.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    dominant = json.loads((tmp_path / "o" / "reports.json").read_text())[0]
+    assert dominant["rhs"] == pytest.approx(rhs, rel=1e-12)
+    assert dominant["satisfied"] and 6.9 < dominant["lhs"] <= dominant["rhs"]
+
+
+def _long_orbit_config():
+    """N = 64 with a map of order 840 and weights of period 72, so the period is
+    lcm(840, 72) = 2520: below the 3360 of box_factor 4."""
+    perm, start = list(range(64)), 0
+    for length in (8, 7, 5, 3) * 2 + (8, 7, 3):
+        perm[start:start + length] = perm[start + 1:start + length] + [start]
+        start += length
+    values = [[math.sin(3 * i + 1), math.cos(5 * i)] for i in range(64)]
+    cfg = demo_config()
+    cfg.update(
+        space={"size": 64, "weights": "uniform"},
+        maps=[{"kind": "explicit", "perm": perm}],
+        filtrations=[{"kind": "explicit", "direction": "decreasing",
+                      "stages": [[i // size for i in range(64)] for size in (1, 4, 16, 64)]}],
+        observable={"kind": "explicit", "values": values},
+        weight_seqs=[{"terms": [[0.4, [1, 8], 0.3], [0.6, [2, 9], 1.0]]}],
+    )
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [demo_config, _long_orbit_config],
+                         ids=["demo", "long_orbit"])
+def test_huge_box_factor_costs_one_period(tmp_path, make_config):
+    # the sup over n <= 10**7 * order is built over n <= P, so the run is as
+    # fast as at box_factor 4, reports the same lhs and keeps the box as given
+    def run(factor):
+        cfg = make_config()
+        for chk in cfg["checks"]:
+            chk["box_factor"] = factor
+        path, out = tmp_path / f"{factor}.json", tmp_path / f"out{factor}"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        res = subprocess.run([sys.executable, "-m", "ergmart.cli", "run", "--config",
+                              str(path), "--out", str(out)],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        return time.perf_counter() - start, json.loads((out / "reports.json").read_text())
+
+    elapsed, huge = run(10**7)
+    _, default = run(4)
+    assert elapsed < 1.0
+    (order,) = build_experiment(make_config()).spec.orbit_lcms()
+    assert all(r["truncation"]["n_max"] == [10**7 * order] for r in huge)
+    assert [r.get("lhs", r.get("sup_functional")) for r in huge] == \
+           [r.get("lhs", r.get("sup_functional")) for r in default]
 
 
 class TestRunner:
@@ -265,12 +326,14 @@ class TestRunner:
         # dominant, maximal with an auto grid and Orlicz, all on one box
         execute_plan(build_experiment(demo_config()), tmp_path / "demo")
         assert len(builds) == 1
+        # period lcm(4, 3) = 12: boxes that differ below it are built apart,
+        # boxes that differ only past it share the build over n <= 12
         cfg = demo_config()
-        cfg["checks"] = [{"type": "dominant", "p": 2.0},
-                         {"type": "dominant", "p": 2.0, "box_factor": 2}]
+        cfg["weight_seqs"] = [{"terms": [[0.8, [1, 3], 0.0]]}]
+        cfg["checks"] = [{"type": "dominant", "p": 2.0, "box_factor": k} for k in (1, 2, 4, 8)]
         builds.clear()
-        execute_plan(build_experiment(cfg), tmp_path / "two_boxes")
-        assert len(builds) == 2 and builds[0] != builds[1]
+        execute_plan(build_experiment(cfg), tmp_path / "boxes")
+        assert [box.n_max for box in builds] == [(4,), (8,), (12,)]
 
     def test_patched_sup_field_reaches_every_check(self, tmp_path, monkeypatch):
         import ergmart.inequalities as ineq

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from ergmart.processes import (
     MARTINGALE_ERGODIC,
     ProcessSpec,
     evaluate,
+    stabilization_periods,
 )
 
 SP4 = uniform_space(4)
@@ -134,8 +136,9 @@ class TestSupField:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_matches_evaluate_over_the_box(self, family, monkeypatch):
         # non-uniform masses, several filtrations, dim up to 4, q in {1, 2, inf};
-        # the streamed pass cut into chunks of one row, and of all rows but one
-        # plus one, must give the one-chunk field bit for bit
+        # sup_field builds the box cut to the periods, and the streamed pass
+        # over it cut into chunks of one row, and of all rows but one plus
+        # one, must give the one-chunk field bit for bit
         for seed in range(20):
             spec = random_process_instance(seed, family).spec
             full = default_box(spec)
@@ -145,10 +148,12 @@ class TestSupField:
                 for s_vec in itertools.product(*box.stage_sets):
                     field = point_norm_field(evaluate(spec, n_vec, s_vec), spec.norm)
                     want = np.maximum(want, field.values[:, 0])
-            whole, lengths, row_floats = _build_in_chunks(monkeypatch, spec, box, 2**62)
-            assert lengths == [box.n_max[0]]
-            for rows in (1, box.n_max[0] - 1):
-                got, lengths, _ = _build_in_chunks(monkeypatch, spec, box, rows * row_floats)
+            built = SupBox(tuple(map(min, box.n_max, stabilization_periods(spec))),
+                           box.stage_sets)
+            whole, lengths, row_floats = _build_in_chunks(monkeypatch, spec, built, 2**62)
+            assert lengths == [built.n_max[0]]
+            for rows in (1, built.n_max[0] - 1) if built.n_max[0] > 1 else ():
+                got, lengths, _ = _build_in_chunks(monkeypatch, spec, built, rows * row_floats)
                 assert len(lengths) > 1 and max(lengths) == rows and lengths[-1] == 1
                 assert np.array_equal(got, whole)
             assert np.array_equal(sup_field(spec, box).values, whole)
@@ -195,6 +200,53 @@ class TestSupField:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestPeriodClamp:
+    """Past the stabilization period P no averaging length raises the sup, so
+    the field over n <= P is the sup over every n."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_field_at_the_period_is_the_untruncated_sup(self, family):
+        rng = np.random.default_rng(11)
+        past_the_order = 0
+        for seed in range(20):
+            spec = random_process_instance(seed, family).spec
+            periods = stabilization_periods(spec)
+            past_the_order += any(p > o for p, o in zip(periods, spec.orbit_lcms()))
+            stage_sets = default_box(spec).stage_sets
+            field = sup_field(spec, SupBox(periods, stage_sets)).values[:, 0]
+            tol = 1e-15 * field.max()
+            for k in (2, 3):
+                box = SupBox(tuple(k * p for p in periods), stage_sets)
+                longer = ineq._build_sup_field(spec, box).values[:, 0]
+                np.testing.assert_allclose(longer, field, rtol=1e-15, atol=tol)
+            for _ in range(3):
+                n_vec = tuple(int(rng.integers(1, 10 * p + 1)) for p in periods)
+                for s_vec in itertools.product(*stage_sets):
+                    value = point_norm_field(evaluate(spec, n_vec, s_vec), spec.norm)
+                    assert np.all(value.values[:, 0] <= field * (1 + 1e-15) + tol)
+        # weighted families reach the part of P that the weight period adds
+        assert past_the_order > 0 or family.startswith("single")
+
+    def test_irrational_frequency_keeps_its_axis(self):
+        # 1/pi is read as irrational, so map 0 has no period and keeps n <= 12,
+        # while map 1 (order 2, constant weights) is cut to n <= 2
+        w = BesicovitchWeights(((0.7, 1 / math.pi, 0.3),))
+        box = SupBox((12, 6), ((0, 1, 2),))
+        for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
+            spec = ProcessSpec(kind, F1357, (CYC, power(CYC, 2)), (FILT3,), (w, None))
+            assert spec.periods() == (None, 2)
+            with pytest.raises(ValueError, match="irrational"):
+                stabilization_periods(spec)
+            field = sup_field(spec, box).values[:, 0]
+            assert list(spec.sup_fields) == [SupBox((12, 2), ((0, 1, 2),))]
+            want = np.zeros(4)
+            for n_vec in itertools.product(range(1, 13), range(1, 7)):
+                for s in (0, 1, 2):
+                    vals = point_norm_field(evaluate(spec, n_vec, s)).values[:, 0]
+                    want = np.maximum(want, vals)
+            np.testing.assert_allclose(field, want, rtol=1e-12, atol=1e-12)
 
 
 class TestDominantCheck:
