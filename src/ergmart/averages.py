@@ -7,9 +7,12 @@ Fraction, or recognized from a float) the term is evaluated through the
 reduced index i mod b, which makes the sequence exactly periodic in floating
 point as well; the stabilization criteria downstream rely on that.
 
-Every Cesaro average and its limit comes from one cycle kernel (`_cesaro`):
-a map is a permutation, so the average at any length n is exact arithmetic
-on its cycles, at a cost that does not grow with n.
+Every Cesaro average and its limit comes from one cycle kernel
+(`CesaroKernel`): a map is a permutation, so the average at any length n is
+exact arithmetic on its cycles. The kernel is built once per stack of values,
+map and weights (the gather onto the doubled cycles, the prefix sum and the
+per-cycle sums do not depend on n) and is then read at any n, or at the
+limit, at a cost that does not grow with n.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .operators import Endomorphism, block_means
 
 __all__ = [
     "BesicovitchWeights",
+    "CesaroKernel",
     "ergodic_average",
     "ergodic_limit",
     "besicovitch_defect",
@@ -198,55 +202,83 @@ def _prefix_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cesaro(values: np.ndarray, t: Endomorphism, w: BesicovitchWeights | None,
-            n: int | None) -> np.ndarray:
-    """(1/n) sum_{i<n} a_i values[tau^i], or its limit for n None, computed
-    exactly on the cycles of tau at a cost that does not grow with n.
+def _per_term(a: np.ndarray, lead: int) -> np.ndarray:
+    """(terms, N) per-term factors shaped to broadcast against a
+    (terms, ..., N, dim) stack with `lead` stack axes."""
+    return a.reshape(a.shape[:1] + (1,) * lead + a.shape[1:] + (1,))
+
+
+class CesaroKernel:
+    """(1/n) sum_{i<n} a_i values[tau^i] of a stack of point values, at any
+    n, or its limit for n None, computed exactly on the cycles of tau.
+
+    The constructor does every part that does not depend on n once, over the
+    whole `values` stack of shape (..., N, dim): the gather onto the doubled
+    cycles (operators.CycleLayout), one prefix sum, the per-cycle sums and,
+    weighted, the phase factors. `average(n)` then costs O(N dim) per stack
+    entry at any n.
 
     On a cycle of length L, n = qL + r steps are q full cycles plus a window
-    of r steps; both are differences of one prefix sum over the doubled
-    cycles (operators.CycleLayout). Weighted, each term amp cos(2 pi freq i
-    + phase) is Re(coef omega^i): the prefix sum runs over omega^u values at
-    step u of the doubled cycle, omega^-j moves it back to a point at position
-    j, and the q full cycles add up to the geometric sum sum_{m<q} omega^(mL),
-    which is q exactly when den | L and otherwise the Dirichlet ratio
-    exp(i(q-1)theta/2) sin(q theta/2) / sin(theta/2) of the reduced angle
-    theta of omega^L. In the limit only the terms with theta = 0 survive
-    (Wiener-Wintner on a finite cycle), each with its one-cycle mean.
+    of r steps; both are differences of the one prefix sum. Weighted, each
+    term amp cos(2 pi freq i + phase) is Re(coef omega^i): the prefix sum runs
+    over omega^u values at step u of the doubled cycle, omega^-j moves it
+    back to a point at position j, and the q full cycles add up to the
+    geometric sum sum_{m<q} omega^(mL), which is q exactly when den | L and
+    otherwise the Dirichlet ratio exp(i(q-1)theta/2) sin(q theta/2) /
+    sin(theta/2) of the reduced angle theta of omega^L. In the limit only the
+    terms with theta = 0 survive (Wiener-Wintner on a finite cycle), each
+    with its one-cycle mean.
     """
-    if n is not None and n < 1:
-        raise ValueError("n must be positive")
-    lay = t.cycle_layout
-    length, slot = lay.length, lay.slot
-    doubled = values[lay.flat]
-    if w is None:
-        csum = _prefix_sum(doubled)
-        start = slot - lay.position  # one sum per cycle: the limit is exactly orbit-constant
-        cycle = csum[start + length] - csum[start]
+
+    def __init__(self, values: np.ndarray, t: Endomorphism,
+                 w: BesicovitchWeights | None = None):
+        lay = t.cycle_layout
+        self.length, self.slot, self.w = lay.length, lay.slot, w
+        doubled = np.take(values, lay.flat, axis=-2)
+        if w is None:
+            self.csum = _prefix_sum(doubled)
+            # one sum per cycle: the limit is exactly orbit-constant
+            start = lay.slot - lay.position
+            self.cycle = self.csum[..., start + lay.length, :] - self.csum[..., start, :]
+            self.base = self.csum[..., lay.slot, :]
+            return
+        self.lead = doubled.ndim - 2
+        self.csum = _prefix_sum(_per_term(np.exp(1j * w._angles(lay.step)), self.lead) * doubled)
+        self.base = self.csum[..., lay.slot, :]
+        self.back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
+        self.cycle = _per_term(self.back, self.lead) * (self.csum[..., lay.slot + lay.length, :]
+                                                        - self.base)
+        self.theta = w._angles(lay.length)
+        self.whole = self.theta == 0.0
+
+    def average(self, n: int | None) -> np.ndarray:
+        """The average at length n, shape of the stack; the limit for n None."""
+        if n is not None and n < 1:
+            raise ValueError("n must be positive")
+        length, slot = self.length, self.slot
+        if self.w is None:
+            if n is None:
+                return self.cycle / length[:, None]
+            q, r = np.divmod(n, length)
+            return (q[:, None] * self.cycle + (self.csum[..., slot + r, :] - self.base)) / n
         if n is None:
-            return cycle / length[:, None]
+            whole = _per_term(self.whole, self.lead)
+            return np.where(whole, self.cycle.real, 0.0).sum(axis=0) / length[:, None]
         q, r = np.divmod(n, length)
-        return (q[:, None] * cycle + (csum[slot + r] - csum[slot])) / n
-    csum = _prefix_sum(np.exp(1j * w._angles(lay.step))[..., None] * doubled)
-    back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
-    cycle = back[..., None] * (csum[:, slot + length] - csum[:, slot])
-    theta = w._angles(length)
-    whole = theta == 0.0
-    if n is None:
-        return np.where(whole[..., None], cycle.real, 0.0).sum(axis=0) / length[:, None]
-    q, r = np.divmod(n, length)
-    half = theta / 2
-    dirichlet = np.exp(1j * (q - 1) * half) * np.sin(q * half) / np.where(whole, 1.0, np.sin(half))
-    geometric = np.where(whole, q, dirichlet)
-    window = (back * np.exp(1j * q * theta))[..., None] * (csum[:, slot + r] - csum[:, slot])
-    return (geometric[..., None] * cycle + window).real.sum(axis=0) / n
+        half, whole = self.theta / 2, self.whole
+        dirichlet = (np.exp(1j * (q - 1) * half) * np.sin(q * half)
+                     / np.where(whole, 1.0, np.sin(half)))
+        geometric = _per_term(np.where(whole, q, dirichlet), self.lead)
+        window = (_per_term(self.back * np.exp(1j * q * self.theta), self.lead)
+                  * (self.csum[..., slot + r, :] - self.base))
+        return (geometric * self.cycle + window).real.sum(axis=0) / n
 
 
 def ergodic_average(f: VectorObservable, t: Endomorphism, n: int) -> VectorObservable:
     """(1/n) sum_{i<n} f o tau^i, exact on the cycles of tau."""
     if f.space != t.space:
         raise ValueError("observable and map live on different spaces")
-    return VectorObservable(f.space, _cesaro(f.values, t, None, n))
+    return VectorObservable(f.space, CesaroKernel(f.values, t).average(n))
 
 
 def ergodic_limit(f: VectorObservable, t: Endomorphism,
@@ -259,7 +291,7 @@ def ergodic_limit(f: VectorObservable, t: Endomorphism,
     """
     if f.space != t.space:
         raise ValueError("observable and map live on different spaces")
-    return VectorObservable(f.space, _cesaro(f.values, t, w, None))
+    return VectorObservable(f.space, CesaroKernel(f.values, t, w).average(None))
 
 
 def besicovitch_defect(w: BesicovitchWeights, poly_terms: Sequence[int], n: int) -> float:
@@ -280,7 +312,7 @@ def weighted_average(f: VectorObservable, t: Endomorphism, w: BesicovitchWeights
     """(1/n) sum_{i<n} a_i * (f o tau^i), exact on the cycles of tau."""
     if f.space != t.space:
         raise ValueError("observable and map live on different spaces")
-    return VectorObservable(f.space, _cesaro(f.values, t, w, n))
+    return VectorObservable(f.space, CesaroKernel(f.values, t, w).average(n))
 
 
 def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],
@@ -305,17 +337,24 @@ def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],
         yield part, block_means(values, part)
 
 
-def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration],
-                          s_vec: Sequence[int]) -> VectorObservable:
-    """Composition of one conditional expectation per filtration, the first
-    filtration outermost (see composite_block_means)."""
-    filtrations = tuple(filtrations)
+def check_stages(filtrations: Sequence[Filtration], s_vec: Sequence[int]) -> tuple[int, ...]:
+    """The stage vector as a tuple of ints; raises unless it gives one valid
+    stage index per filtration."""
     s_vec = tuple(int(s) for s in s_vec)
     if len(s_vec) != len(filtrations):
         raise ValueError("s_vec must supply one stage index per filtration")
     for k, (fl, s) in enumerate(zip(filtrations, s_vec)):
         if not 0 <= s < len(fl.stages):
             raise ValueError(f"stage index {s} out of range for filtration {k}")
+    return s_vec
+
+
+def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration],
+                          s_vec: Sequence[int]) -> VectorObservable:
+    """Composition of one conditional expectation per filtration, the first
+    filtration outermost (see composite_block_means)."""
+    filtrations = tuple(filtrations)
+    s_vec = check_stages(filtrations, s_vec)
     if not filtrations:
         return f
     [(part, means)] = composite_block_means(f.values, filtrations, [(s,) for s in s_vec])

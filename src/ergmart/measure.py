@@ -53,6 +53,8 @@ class MeasureSpace:
         return int(self.weights.size)
 
     def __eq__(self, other):
+        if self is other:  # weights are finite, so a space always equals itself
+            return True
         if not isinstance(other, MeasureSpace):
             return NotImplemented
         return np.array_equal(self.weights, other.weights)

@@ -11,19 +11,14 @@ claims and the L_p column the norm claims.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .averages import (
-    BesicovitchWeights,
-    composite_cond_expect,
-    ergodic_average,
-    ergodic_limit,
-    weighted_average,
-)
+from .averages import BesicovitchWeights, CesaroKernel, check_stages, composite_cond_expect
 from .measure import Filtration
 from .observables import NormSpec, VectorObservable, linf_norm, lp_norm, mean
 from .operators import Endomorphism, orbit_lcm
@@ -158,46 +153,63 @@ def _per_axis(value, count: int, message: str) -> tuple[int, ...]:
     return out
 
 
-def _apply_averages(spec: ProcessSpec, g: VectorObservable,
-                    n_vec: tuple[int, ...] | None) -> VectorObservable:
-    """Multiparameter weighted average over the product index box, or its
-    limit for n_vec None.
+def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
+           s_vecs: Sequence[tuple[int, ...]]) -> Iterator[VectorObservable]:
+    """Process values at every cell (n_vec, s_vec) of the grid, n-major; an
+    n_vec of None gives the limit of the averages.
 
-    The written operator order T_1^{k_1} ... T_d^{k_d} applies T_d first; by
-    linearity the box sum factors into nested one-parameter averages, which
-    is what is computed (one cycle kernel call per map).
+    Every index is checked here, before any kernel is built; the values are
+    computed as they are read. The written operator order T_1^{k_1} ...
+    T_d^{k_d} applies T_d first, and by linearity the box sum factors into
+    nested one-parameter averages. The innermost map's kernel does not depend
+    on n, so it is built once per grid: martingale-ergodic over f, averaged
+    once per n_vec and conditioned at each s_vec; ergodic-martingale over the
+    stack of f conditioned at every s_vec, averaged for all stages at once.
+    The outer maps' inputs depend on n, so their kernels are built per n_vec.
     """
+    for n_vec in n_vecs:
+        if n_vec is not None and min(n_vec) < 1:
+            raise ValueError("n must be positive")
+    s_vecs = [check_stages(spec.filtrations, s_vec) for s_vec in s_vecs]
+    return _grid_values(spec, n_vecs, s_vecs)
+
+
+def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[VectorObservable]:
+    """The values of `_cells`, on indices it has checked."""
     weights = spec.weights or (None,) * spec.d_maps
-    for j in reversed(range(spec.d_maps)):
-        t, w = spec.maps[j], weights[j]
-        if n_vec is None:
-            g = ergodic_limit(g, t, w)
-        elif w is None:
-            g = ergodic_average(g, t, n_vec[j])
-        else:
-            g = weighted_average(g, t, w, n_vec[j])
-    return g
 
+    def averaged(kernel: CesaroKernel, n_vec) -> np.ndarray:
+        values = kernel.average(None if n_vec is None else n_vec[-1])
+        for j in reversed(range(spec.d_maps - 1)):
+            values = CesaroKernel(values, spec.maps[j], weights[j]).average(
+                None if n_vec is None else n_vec[j])
+        return values
 
-def _process(spec: ProcessSpec, n_vec: tuple[int, ...] | None,
-             s_vec: tuple[int, ...]) -> VectorObservable:
     if spec.kind == MARTINGALE_ERGODIC:
-        avg = _apply_averages(spec, spec.f, n_vec)
-        return composite_cond_expect(avg, spec.filtrations, s_vec)
-    g = composite_cond_expect(spec.f, spec.filtrations, s_vec)
-    return _apply_averages(spec, g, n_vec)
+        kernel = CesaroKernel(spec.f.values, spec.maps[-1], weights[-1])
+        for n_vec in n_vecs:
+            avg = VectorObservable(spec.space, averaged(kernel, n_vec))
+            for s_vec in s_vecs:
+                yield composite_cond_expect(avg, spec.filtrations, s_vec)
+        return
+    kernel = CesaroKernel(np.stack([composite_cond_expect(spec.f, spec.filtrations, s_vec).values
+                                    for s_vec in s_vecs]), spec.maps[-1], weights[-1])
+    for n_vec in n_vecs:
+        for values in averaged(kernel, n_vec):
+            yield VectorObservable(spec.space, values)
 
 
 def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
     """Process value at averaging length(s) n1 and filtration stage(s) n2.
 
     Integers broadcast across all maps / filtrations; sequences address the
-    axes individually.
+    axes individually. This is the one-cell case of the grid evaluation.
     """
     n_vec = _per_axis(n1, spec.d_maps, "n1 must give one count per map")
     s_vec = _per_axis(n2, spec.m_filtrations,
                       "n2 must give one stage index per filtration")
-    return _process(spec, n_vec, s_vec)
+    [value] = _cells(spec, [n_vec], [s_vec])
+    return value
 
 
 def limit_target(spec: ProcessSpec) -> VectorObservable:
@@ -207,10 +219,12 @@ def limit_target(spec: ProcessSpec) -> VectorObservable:
     conditioning fail to commute: averaging first and conditioning last
     converges to the conditioned orbit average, while conditioning first
     converges to the orbit average of the conditioned observable. The target
-    composes the exact limit of each map's average (averages.ergodic_limit)
-    with the last stage of every filtration, in the same order as the process.
+    composes the exact limit of each map's average (averages.CesaroKernel at
+    n None) with the last stage of every filtration, in the same order as the
+    process.
     """
-    return _process(spec, None, spec.last_stages)
+    [value] = _cells(spec, [None], [spec.last_stages])
+    return value
 
 
 @dataclass(frozen=True)
@@ -232,9 +246,7 @@ class ConvergenceTrace:
     target_description: str
 
     def __post_init__(self):
-        for name, grid in (("n1_grid", self.n1_grid), ("n2_grid", self.n2_grid)):
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
+        _check_increasing(self.n1_grid, self.n2_grid)
         for row in self.rows:
             if row.lp_error < 0 or row.sup_error < 0:
                 raise ValueError("errors must be nonnegative")
@@ -246,13 +258,23 @@ class ConvergenceTrace:
         return f"ConvergenceTrace(rows={len(self.rows)}, target={self.target_description!r})"
 
 
+def _check_increasing(n1_grid: Sequence[int], n2_grid: Sequence[int]):
+    for name, grid in (("n1_grid", n1_grid), ("n2_grid", n2_grid)):
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"{name} must be strictly increasing")
+
+
 def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequence[int],
                       p: float = 2.0, reference: VectorObservable | None = None,
                       ) -> ConvergenceTrace:
     """Errors of evaluate(spec, n1, n2) against the limit (or a supplied
-    reference) over the rectangular grid; n1-major row order."""
+    reference) over the rectangular grid; n1-major row order. Both grids
+    are checked before any evaluation."""
     n1_grid = tuple(int(v) for v in n1_grid)
     n2_grid = tuple(int(v) for v in n2_grid)
+    _check_increasing(n1_grid, n2_grid)
+    cells = _cells(spec, [(n1,) * spec.d_maps for n1 in n1_grid],
+                   [(n2,) * spec.m_filtrations for n2 in n2_grid])
     if reference is None:
         target = limit_target(spec)
         desc = "closed-form limit (conditioned orbit average)"
@@ -260,14 +282,13 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
         target = reference
         desc = "caller-supplied reference"
     rows = []
-    for n1 in n1_grid:
-        for n2 in n2_grid:
-            diff = evaluate(spec, n1, n2) - target
-            rows.append(TraceRow(
-                n1=n1, n2=n2,
-                lp_error=lp_norm(diff, p, spec.norm),
-                sup_error=linf_norm(diff, spec.norm),
-            ))
+    for (n1, n2), value in zip(itertools.product(n1_grid, n2_grid), cells):
+        diff = value - target
+        rows.append(TraceRow(
+            n1=n1, n2=n2,
+            lp_error=lp_norm(diff, p, spec.norm),
+            sup_error=linf_norm(diff, spec.norm),
+        ))
     return ConvergenceTrace(tuple(rows), n1_grid, n2_grid, p, desc)
 
 
@@ -331,11 +352,10 @@ def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
     periods = stabilization_periods(spec)
     if n2 is None:
         n2 = spec.last_stages
+    s_vec = _per_axis(n2, spec.m_filtrations, "n2 must give one stage index per filtration")
     tail_start = n_periods - max(1, n_periods // 4) + 1
-    evals = []
-    for k in range(tail_start, n_periods + 1):
-        n_vec = tuple(k * pj for pj in periods)
-        evals.append(evaluate(spec, n_vec, n2))
+    n_vecs = [tuple(k * pj for pj in periods) for k in range(tail_start, n_periods + 1)]
+    evals = list(_cells(spec, n_vecs, [s_vec]))
     worst = 0.0
     for a in range(len(evals)):
         for b in range(a + 1, len(evals)):

@@ -5,12 +5,14 @@ import pytest
 
 from ergmart.averages import (
     BesicovitchWeights,
+    CesaroKernel,
     besicovitch_defect,
     composite_cond_expect,
     ergodic_average,
     ergodic_limit,
     weighted_average,
 )
+from ergmart.generators import random_cycle_system
 from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, point_norm_field
 from ergmart.operators import (
@@ -424,3 +426,32 @@ class TestCycleKernel:
         stabilized_reference(spec)
         orbit_lcm(t)
         assert len(builds) == 1 and not calls
+
+    def test_stack_kernel_matches_each_entry_bit_for_bit(self):
+        """One kernel over a (S, K, N, dim) stack reads, at every n and at the
+        limit, the very floats of a kernel built on each (N, dim) entry,
+        weighted (up to 11 terms, rational and irrational) or not."""
+        rng = np.random.default_rng(97)
+        for _ in range(60):
+            space, t, order = random_cycle_system(rng, n_max=40)
+            terms = tuple((float(rng.uniform(-1, 1)),
+                           Fraction(int(rng.integers(0, 7)), 7) if rng.random() < 0.7
+                           else float(rng.uniform(0, 1)),
+                           float(rng.uniform(0, 6)))
+                          for _ in range(int(rng.integers(1, 12))))
+            stack = rng.normal(size=(int(rng.integers(1, 4)), 2, space.size,
+                                     int(rng.integers(1, 4))))
+            for w in (None, BesicovitchWeights(terms)):
+                kernel = CesaroKernel(stack, t, w)
+                for n in (None, 1, 5, order, 3 * order + 1):
+                    got = kernel.average(n)
+                    assert got.shape == stack.shape
+                    for idx in np.ndindex(stack.shape[:2]):
+                        want = CesaroKernel(stack[idx], t, w).average(n)
+                        assert got[idx].tobytes() == want.tobytes()
+
+    def test_kernel_rejects_nonpositive_length(self):
+        kernel = CesaroKernel(F1357.values, CYC)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                kernel.average(n)

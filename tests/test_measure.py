@@ -45,6 +45,19 @@ def test_make_space_rejects(bad):
         make_space(bad)
 
 
+def test_space_equality(monkeypatch):
+    sp = make_space([0.5, 0.25, 0.25])
+    assert sp == make_space([0.5, 0.25, 0.25])
+    assert sp != make_space([0.25, 0.5, 0.25]) and sp != uniform_space(4)
+    assert sp != "space"
+    compared = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or real(a, b))
+    assert sp == sp and not sp != sp
+    assert compared == []  # an object equals itself without an array comparison
+    assert sp == make_space([0.5, 0.25, 0.25]) and compared == [1]
+
+
 def test_space_weights_immutable():
     sp = make_space([1.0, 2.0])
     with pytest.raises(ValueError):

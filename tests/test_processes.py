@@ -3,16 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from ergmart.averages import BesicovitchWeights
+import ergmart.averages as averages_module
+from ergmart.averages import (
+    BesicovitchWeights,
+    composite_cond_expect,
+    ergodic_average,
+    weighted_average,
+)
 from ergmart.generators import (
+    FAMILIES,
     random_cycle_system,
     random_filtration,
     random_observable,
     random_permutation,
+    random_process_instance,
     random_weights,
 )
 from ergmart.measure import DECREASING, INCREASING, Filtration, Partition, uniform_space
-from ergmart.observables import VectorObservable, linf_norm
+from ergmart.observables import VectorObservable, linf_norm, lp_norm
 from ergmart.operators import Endomorphism, cond_expect, cycle_map, identity_map, power
 from ergmart.processes import (
     ERGODIC_MARTINGALE,
@@ -298,3 +306,117 @@ def test_default_grid_contains_period_multiples():
     assert grid[0] == 1
     assert {6, 12, 18, 24}.issubset(set(grid))
     assert grid[-1] == 24
+
+
+def _cell_by_public_averages(spec, n_vec, s_vec):
+    """One process value composed from the public one-map averages, each on
+    its own (N, dim) input: the computation the grid path shares."""
+    weights = spec.weights or (None,) * spec.d_maps
+
+    def averages(g):
+        for j in reversed(range(spec.d_maps)):
+            if weights[j] is None:
+                g = ergodic_average(g, spec.maps[j], n_vec[j])
+            else:
+                g = weighted_average(g, spec.maps[j], weights[j], n_vec[j])
+        return g
+
+    if spec.kind == MARTINGALE_ERGODIC:
+        return composite_cond_expect(averages(spec.f), spec.filtrations, s_vec)
+    return averages(composite_cond_expect(spec.f, spec.filtrations, s_vec))
+
+
+def _count_prefix_sums(monkeypatch):
+    calls = []
+    real = averages_module._prefix_sum
+    monkeypatch.setattr(averages_module, "_prefix_sum",
+                        lambda x: calls.append(x.shape) or real(x))
+    return calls
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_trace_matches_per_cell_evaluate_bit_for_bit(self, family):
+        increasing_em = two_maps = 0
+        for seed in range(12):
+            inst = random_process_instance(seed, family)
+            spec = inst.spec
+            rng = np.random.default_rng(seed)
+            period = max(spec.periods())
+            # n1 crosses the period; n2 is a random subset of the common stages
+            n1_grid = sorted({1, period, period + 1, 2 * period + 3}
+                             | set(rng.integers(1, 3 * period + 2, 4).tolist()))
+            stages = min(len(fl.stages) for fl in spec.filtrations)
+            n2_grid = sorted(rng.choice(stages, int(rng.integers(1, stages + 1)),
+                                        replace=False).tolist())
+            reference = None
+            if seed % 2:
+                reference = VectorObservable(spec.space,
+                                             rng.normal(size=spec.f.values.shape))
+            target = limit_target(spec) if reference is None else reference
+            trace = convergence_trace(spec, n1_grid, n2_grid, inst.p, reference)
+            assert [(r.n1, r.n2) for r in trace.rows] == [
+                (n1, n2) for n1 in n1_grid for n2 in n2_grid]
+            for row in trace.rows:
+                value = evaluate(spec, row.n1, row.n2)
+                n_vec, s_vec = (row.n1,) * spec.d_maps, (row.n2,) * spec.m_filtrations
+                assert value.values.tobytes() == _cell_by_public_averages(
+                    spec, n_vec, s_vec).values.tobytes()
+                diff = value - target
+                assert row.lp_error == lp_norm(diff, inst.p, spec.norm)
+                assert row.sup_error == linf_norm(diff, spec.norm)
+            increasing_em += (spec.kind == ERGODIC_MARTINGALE
+                              and spec.filtrations[0].direction == INCREASING)
+            two_maps += spec.d_maps == 2
+            if family.startswith("multi"):
+                assert spec.m_filtrations >= 3
+        if family.endswith("_em"):
+            assert increasing_em > 0
+        if family.startswith("multi"):
+            assert two_maps > 0
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    @pytest.mark.parametrize("weights", (None, BesicovitchWeights.single_cosine(0.8, 1, 3)))
+    def test_single_map_trace_builds_one_prefix_sum(self, monkeypatch, kind, weights):
+        spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
+        ref = VectorObservable(SP4, [0, 1, 2, 3])
+        calls = _count_prefix_sums(monkeypatch)
+        for n1_grid, n2_grid in (((5,), (1,)), ((1, 2, 3, 7, 12, 40), (0, 1, 2))):
+            calls.clear()
+            convergence_trace(spec, n1_grid, n2_grid, reference=ref)
+            # martingale-ergodic: one sum over f; ergodic-martingale: one over the
+            # stage stack; weighted, with a leading axis of the one cosine term
+            terms = () if weights is None else (1,)
+            stack = () if kind == MARTINGALE_ERGODIC else (len(n2_grid),)
+            assert calls == [terms + stack + (2 * SP4.size, 1)]
+            calls.clear()
+            convergence_trace(spec, n1_grid, n2_grid)
+            assert len(calls) == 2  # plus the limit target
+
+    @pytest.mark.parametrize("n1_grid, n2_grid, message", [
+        ((4, 2), (0, 1), "n1_grid must be strictly increasing"),
+        ((1, 2), (1, 1), "n2_grid must be strictly increasing"),
+        ((0, 2), (0, 1), "n must be positive"),
+        ((1, 2), (0, 3), "stage index 3 out of range for filtration 0"),
+        ((1, 2), (-1, 0), "stage index -1 out of range for filtration 0"),
+    ])
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    def test_bad_grid_is_refused_before_any_kernel(self, monkeypatch, n1_grid, n2_grid,
+                                                   message, kind):
+        spec = ProcessSpec.single(kind, F1357, CYC, FILT3)
+        calls = _count_prefix_sums(monkeypatch)
+        for reference in (None, F1357):
+            with pytest.raises(ValueError, match=message):
+                convergence_trace(spec, n1_grid, n2_grid, reference=reference)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    def test_tail_variation_builds_one_kernel(self, monkeypatch, kind):
+        w = BesicovitchWeights.single_cosine(0.8, 1, 3)
+        spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=w)
+        (period,) = stabilization_periods(spec)
+        evals = [evaluate(spec, k * period, 1) for k in (7, 8)]  # the final quarter
+        want = lp_norm(evals[0] - evals[1], 2.0, spec.norm)
+        calls = _count_prefix_sums(monkeypatch)
+        assert tail_variation(spec, p=2.0, n_periods=8, n2=1) == want
+        assert len(calls) == 1
