@@ -241,15 +241,20 @@ class CesaroKernel:
             start = lay.slot - lay.position
             self.cycle = self.csum[..., start + lay.length, :] - self.csum[..., start, :]
             self.base = self.csum[..., lay.slot, :]
-            return
-        self.lead = doubled.ndim - 2
-        self.csum = _prefix_sum(_per_term(np.exp(1j * w._angles(lay.step)), self.lead) * doubled)
-        self.base = self.csum[..., lay.slot, :]
-        self.back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
-        self.cycle = _per_term(self.back, self.lead) * (self.csum[..., lay.slot + lay.length, :]
-                                                        - self.base)
-        self.theta = w._angles(lay.length)
-        self.whole = self.theta == 0.0
+        else:
+            self.lead = doubled.ndim - 2
+            self.csum = _prefix_sum(_per_term(np.exp(1j * w._angles(lay.step)), self.lead)
+                                    * doubled)
+            self.base = self.csum[..., lay.slot, :]
+            self.back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
+            self.cycle = _per_term(self.back, self.lead) * (
+                self.csum[..., lay.slot + lay.length, :] - self.base)
+            self.theta = w._angles(lay.length)
+            self.whole = self.theta == 0.0
+        # a kernel may be kept and shared (ProcessSpec.kernels), so its tables are read-only
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     def average(self, n: int | None) -> np.ndarray:
         """The average at length n, shape of the stack; the limit for n None."""

@@ -40,6 +40,13 @@ __all__ = [
 
 # cycle lengths with small pairwise lcm keep averaging horizons short
 _CYCLE_LENGTHS = (1, 2, 3, 4, 6)
+_SIGNS = np.array((-1.0, 1.0))
+
+
+def _pick(rng: np.random.Generator, options: tuple):
+    """One uniform entry of `options`: the same draw as rng.choice(options),
+    without turning the tuple into an array."""
+    return options[rng.integers(0, len(options))]
 
 
 def random_cycle_system(rng: np.random.Generator, n_max: int = 64,
@@ -54,7 +61,7 @@ def random_cycle_system(rng: np.random.Generator, n_max: int = 64,
     total = 0
     order = 1
     while True:
-        ln = int(rng.choice(_CYCLE_LENGTHS))
+        ln = _pick(rng, _CYCLE_LENGTHS)
         if total + ln > n_max:
             if total >= 2:
                 break
@@ -68,15 +75,17 @@ def random_cycle_system(rng: np.random.Generator, n_max: int = 64,
             break
     n = total
     perm_points = rng.permutation(n)
+    # the cycles are consecutive runs of perm_points; each point maps to the
+    # next one of its run, the last one back to the first
+    sizes = np.array(lengths)
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, n + 1)
+    nxt[ends - 1] = ends - sizes
     mapping = np.empty(n, dtype=np.int64)
+    mapping[perm_points] = perm_points[nxt]
+    masses = np.full(len(lengths), 1.0) if uniform else rng.uniform(0.2, 2.0, len(lengths))
     weights = np.empty(n)
-    pos = 0
-    for ln in lengths:
-        pts = perm_points[pos:pos + ln]
-        mapping[pts] = np.roll(pts, -1)
-        w = 1.0 / n if uniform else float(rng.uniform(0.2, 2.0)) / n
-        weights[pts] = w
-        pos += ln
+    weights[perm_points] = np.repeat(masses / n, sizes)
     space = MeasureSpace(weights)
     return space, Endomorphism(space, mapping), order
 
@@ -111,22 +120,26 @@ def random_filtration(rng: np.random.Generator, space: MeasureSpace,
     while len(counts) < n_stages:
         counts.add(int(rng.integers(1, n + 1)))
     targets = sorted(counts, reverse=True)  # fine -> coarse
-    labels = np.arange(n)
+    # each of the n - 1 merge steps draws a pair of live blocks, whether or
+    # not a snapshot is left to take, so one call makes all the draws
+    highs = [h for blocks in range(n, 1, -1) for h in (blocks, blocks - 1)]
+    draws = rng.integers(0, highs).tolist()
+    labels = list(range(n))
+    members = [[x] for x in range(n)]
     live = list(range(n))
     stages: list[Partition] = []
-    ti = 0
-    for blocks in range(n, 0, -1):
-        if ti < len(targets) and targets[ti] == blocks:
+    for k, blocks in enumerate(range(n, 0, -1)):
+        if blocks == targets[len(stages)]:
             stages.append(Partition(space, labels))
-            ti += 1
-        if blocks == 1:
-            break
-        i = int(rng.integers(0, len(live)))
-        j = int(rng.integers(0, len(live) - 1))
+            if len(stages) == len(targets):
+                break
+        i, j = draws[2 * k], draws[2 * k + 1]
         if j >= i:
             j += 1
         a, b = live[i], live[j]
-        labels = np.where(labels == b, a, labels)
+        for x in members[b]:
+            labels[x] = a
+        members[a] += members[b]
         live[j] = live[-1]
         live.pop()
     if direction == DECREASING:
@@ -156,14 +169,14 @@ def random_weights(rng: np.random.Generator, envelope: float = 1.0,
                    max_terms: int = 3, max_denom: int = 6) -> BesicovitchWeights:
     """Cosine polynomial with rational frequencies and sum |amp| <= envelope."""
     k = int(rng.integers(1, max_terms + 1))
-    raw = rng.uniform(0.2, 1.0, k) * rng.choice((-1.0, 1.0), k)
+    raw = rng.uniform(0.2, 1.0, k) * _SIGNS[rng.integers(0, 2, k)]
     target = envelope * float(rng.uniform(0.3, 1.0))
     amps = raw * (target / np.abs(raw).sum())
     terms = []
     for amp in amps:
         den = int(rng.integers(1, max_denom + 1))
         num = int(rng.integers(0, den)) if den > 1 else 0
-        phase = float(rng.choice((0.0, 0.25, 0.5, 1.0)) * math.pi)
+        phase = _pick(rng, (0.0, 0.25, 0.5, 1.0)) * math.pi
         terms.append((float(amp), Fraction(num, den), phase))
     return BesicovitchWeights(tuple(terms))
 
@@ -186,8 +199,8 @@ class ProcessInstance:
 
 def _pick_p(rng: np.random.Generator, integer_only: bool) -> float:
     if integer_only:
-        return float(rng.choice((2.0, 3.0, 4.0)))
-    return float(rng.choice((1.25, 1.5, 2.0, 3.0, 4.0)))
+        return _pick(rng, (2.0, 3.0, 4.0))
+    return _pick(rng, (1.25, 1.5, 2.0, 3.0, 4.0))
 
 
 def random_process_instance(seed: int, family: str, n_max: int = 64,
@@ -206,7 +219,7 @@ def random_process_instance(seed: int, family: str, n_max: int = 64,
     dim = int(rng.integers(1, dim_max + 1))
     style = "spiky" if rng.random() < 0.25 else ("mixed" if rng.random() < 0.3 else "normal")
     f = random_observable(rng, space, dim, style=style)
-    q = float(rng.choice((1.0, 2.0, math.inf)))
+    q = _pick(rng, (1.0, 2.0, math.inf))
     norm = NormSpec(q)
     p = _pick_p(rng, integer_only=multi)
     # martingale-ergodic bounds require decreasing chains

@@ -193,15 +193,16 @@ def averaging_laws(seed: int, budget: int) -> list[CheckLine]:
         got = evaluate(spec, n_vec, 0)
         direct = np.zeros_like(f.values)
         alph = [s.values(n) for s, n in zip(seqs, n_vec)]
+        # T_1^{k1} applied after T_2^{k2}: the term at x is f(tau_2^{k2}(tau_1^{k1}(x))),
+        # one gather through the powers inner[k2] of tau_2 and outer of tau_1
+        inner = [np.arange(space.size)]
+        for _ in range(1, n_vec[1]):
+            inner.append(maps[1].map[inner[-1]])
+        outer = np.arange(space.size)
         for k1 in range(n_vec[0]):
-            # T_1^{k1} applied after T_2^{k2}: iterate T_2 on top of T_1^{k1} f
             for k2 in range(n_vec[1]):
-                term = f.values
-                for _ in range(k2):
-                    term = term[maps[1].map]
-                for _ in range(k1):
-                    term = term[maps[0].map]
-                direct += alph[0][k1] * alph[1][k2] * term
+                direct += alph[0][k1] * alph[1][k2] * f.values[inner[k2][outer]]
+            outer = maps[0].map[outer]
         direct /= n_vec[0] * n_vec[1]
         if np.max(np.abs(got.values - direct)) > 1e-10:
             oks[names[4]] = False

@@ -7,6 +7,7 @@ steps, which makes the limit stage an exact, computable object.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -132,9 +133,29 @@ class Partition:
     def blocks(self) -> list[np.ndarray]:
         return [np.flatnonzero(self.block_of == b) for b in range(self.block_count)]
 
-    @property
+    @functools.cached_property
     def block_masses(self) -> np.ndarray:
-        return np.bincount(self.block_of, weights=self.space.weights, minlength=self.block_count)
+        masses = np.bincount(self.block_of, weights=self.space.weights, minlength=self.block_count)
+        masses.setflags(write=False)
+        return masses
+
+    @functools.cached_property
+    def _bin_layouts(self) -> dict:
+        return {}
+
+    def bin_layout(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(bins, masses), each of shape (N * dim,): the bincount bin
+        block * dim + component of every (point, component) slot of an
+        (N, dim) array, and the point's mass repeated dim times. Built once
+        per dim and kept by the partition."""
+        layout = self._bin_layouts.get(dim)
+        if layout is None:
+            bins = ((self.block_of * dim)[:, None] + np.arange(dim)).reshape(-1)
+            masses = np.repeat(self.space.weights, dim)
+            for arr in (bins, masses):
+                arr.setflags(write=False)
+            layout = self._bin_layouts[dim] = (bins, masses)
+        return layout
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

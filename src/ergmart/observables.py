@@ -20,6 +20,7 @@ __all__ = [
     "row_norms",
     "point_norm_field",
     "lp_norm",
+    "lp_of_norms",
     "linf_norm",
     "llog_norm",
     "mean",
@@ -103,13 +104,17 @@ def point_norm_field(f: VectorObservable, ns: NormSpec = NormSpec()) -> VectorOb
 
 
 def lp_norm(f: VectorObservable, p: float, ns: NormSpec = NormSpec()) -> float:
-    """(sum_w mu_w |f(w)|_q^p)^(1/p) for finite p >= 1. When the sum of
-    powers leaves the float range (large p), the point norms are divided by
-    the largest one first, so the result is finite whenever the norm is."""
+    """(sum_w mu_w |f(w)|_q^p)^(1/p) for finite p >= 1."""
+    return lp_of_norms(row_norms(f.values, ns.q), f.space.weights, p)
+
+
+def lp_of_norms(norms: np.ndarray, mu: np.ndarray, p: float) -> float:
+    """(sum_w mu_w norms_w^p)^(1/p) of point norms already taken, for finite
+    p >= 1. When the sum of powers leaves the float range (large p), the
+    norms are divided by the largest one first, so the result is finite
+    whenever the norm is."""
     if not p >= 1.0 or math.isinf(p):
         raise ValueError("p must be a finite real >= 1")
-    norms = row_norms(f.values, ns.q)
-    mu = f.space.weights
     with np.errstate(over="ignore", under="ignore"):
         total = np.sum(mu * norms**p)
         if not np.isfinite(total) or total == 0.0:

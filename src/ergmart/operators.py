@@ -7,7 +7,8 @@ expectation with respect to a partition is block averaging, which is exact up
 to float rounding.
 
 A map's cycle structure (its order and the doubled-cycle layout the Cesaro
-kernel reads) is built once, on first use, and kept on the map.
+kernel reads) is built once, on first use, and kept on the map; a partition
+keeps its block masses and bincount bins the same way.
 """
 from __future__ import annotations
 
@@ -170,15 +171,17 @@ def block_means(values: np.ndarray, part: Partition) -> np.ndarray:
 
     One bincount pass over the whole stack; each bin adds its values in
     point order, so every column of every slice comes out bit for bit as
-    its own one-column bincount would.
+    its own one-column bincount would. The bins and masses of one slice are
+    the partition's (Partition.bin_layout), built once per dim.
     """
     vals = np.asarray(values, dtype=float)
     *lead, n, dim = vals.shape
     rows = math.prod(lead)
     width = part.block_count * dim
-    point_bins = (part.block_of * dim)[:, None] + np.arange(dim)
-    bins = np.add.outer(np.arange(0, rows * width, width), point_bins).reshape(-1)
-    weighted = vals.reshape(rows, n * dim) * np.repeat(part.space.weights, dim)
+    bins, masses = part.bin_layout(dim)
+    if rows > 1:
+        bins = np.add.outer(np.arange(0, rows * width, width), bins).reshape(-1)
+    weighted = vals.reshape(rows, n * dim) * masses
     sums = np.bincount(bins, weights=weighted.reshape(-1), minlength=rows * width)
     return sums.reshape(*lead, part.block_count, dim) / part.block_masses[:, None]
 

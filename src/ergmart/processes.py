@@ -20,7 +20,7 @@ import numpy as np
 
 from .averages import BesicovitchWeights, CesaroKernel, check_stages, composite_cond_expect
 from .measure import Filtration
-from .observables import NormSpec, VectorObservable, linf_norm, lp_norm, mean
+from .observables import NormSpec, VectorObservable, lp_norm, lp_of_norms, mean, row_norms
 from .operators import Endomorphism, orbit_lcm
 
 __all__ = [
@@ -138,6 +138,20 @@ class ProcessSpec:
         they live as long as the spec."""
         return {}
 
+    @functools.cached_property
+    def kernels(self) -> dict:
+        """Innermost-map Cesaro kernels of this spec, filled by the grid
+        evaluation and kept as long as the spec: under None the kernel of f
+        (martingale-ergodic), under a tuple of stage vectors the kernel of f
+        conditioned at each of them (ergodic-martingale)."""
+        return {}
+
+    @functools.cached_property
+    def limit(self) -> VectorObservable:
+        """limit_target of this spec, computed on first use."""
+        [value] = _cells(self, [None], [self.last_stages])
+        return value
+
     def __repr__(self):
         return (f"ProcessSpec({self.kind}, maps={self.d_maps}, "
                 f"filtrations={self.m_filtrations}, weighted={self.is_weighted})")
@@ -162,10 +176,11 @@ def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
     computed as they are read. The written operator order T_1^{k_1} ...
     T_d^{k_d} applies T_d first, and by linearity the box sum factors into
     nested one-parameter averages. The innermost map's kernel does not depend
-    on n, so it is built once per grid: martingale-ergodic over f, averaged
-    once per n_vec and conditioned at each s_vec; ergodic-martingale over the
-    stack of f conditioned at every s_vec, averaged for all stages at once.
-    The outer maps' inputs depend on n, so their kernels are built per n_vec.
+    on n, so it is built once and kept by the spec (ProcessSpec.kernels):
+    martingale-ergodic over f, averaged once per n_vec and conditioned at each
+    s_vec; ergodic-martingale over the stack of f conditioned at every s_vec,
+    averaged for all stages at once, once per list of s_vecs. The outer maps'
+    inputs depend on n, so their kernels are built per n_vec.
     """
     for n_vec in n_vecs:
         if n_vec is not None and min(n_vec) < 1:
@@ -177,6 +192,8 @@ def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
 def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[VectorObservable]:
     """The values of `_cells`, on indices it has checked."""
     weights = spec.weights or (None,) * spec.d_maps
+    me = spec.kind == MARTINGALE_ERGODIC
+    key = None if me else tuple(s_vecs)
 
     def averaged(kernel: CesaroKernel, n_vec) -> np.ndarray:
         values = kernel.average(None if n_vec is None else n_vec[-1])
@@ -185,15 +202,17 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[VectorObservable
                 None if n_vec is None else n_vec[j])
         return values
 
-    if spec.kind == MARTINGALE_ERGODIC:
-        kernel = CesaroKernel(spec.f.values, spec.maps[-1], weights[-1])
+    kernel = spec.kernels.get(key)
+    if kernel is None:
+        values = spec.f.values if me else np.stack(
+            [composite_cond_expect(spec.f, spec.filtrations, s_vec).values for s_vec in s_vecs])
+        kernel = spec.kernels[key] = CesaroKernel(values, spec.maps[-1], weights[-1])
+    if me:
         for n_vec in n_vecs:
             avg = VectorObservable(spec.space, averaged(kernel, n_vec))
             for s_vec in s_vecs:
                 yield composite_cond_expect(avg, spec.filtrations, s_vec)
         return
-    kernel = CesaroKernel(np.stack([composite_cond_expect(spec.f, spec.filtrations, s_vec).values
-                                    for s_vec in s_vecs]), spec.maps[-1], weights[-1])
     for n_vec in n_vecs:
         for values in averaged(kernel, n_vec):
             yield VectorObservable(spec.space, values)
@@ -221,10 +240,9 @@ def limit_target(spec: ProcessSpec) -> VectorObservable:
     converges to the orbit average of the conditioned observable. The target
     composes the exact limit of each map's average (averages.CesaroKernel at
     n None) with the last stage of every filtration, in the same order as the
-    process.
+    process. It is computed once per spec and kept by it (ProcessSpec.limit).
     """
-    [value] = _cells(spec, [None], [spec.last_stages])
-    return value
+    return spec.limit
 
 
 @dataclass(frozen=True)
@@ -283,11 +301,11 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
         desc = "caller-supplied reference"
     rows = []
     for (n1, n2), value in zip(itertools.product(n1_grid, n2_grid), cells):
-        diff = value - target
+        norms = row_norms((value - target).values, spec.norm.q)
         rows.append(TraceRow(
             n1=n1, n2=n2,
-            lp_error=lp_norm(diff, p, spec.norm),
-            sup_error=linf_norm(diff, spec.norm),
+            lp_error=lp_of_norms(norms, spec.space.weights, p),
+            sup_error=float(norms.max()),
         ))
     return ConvergenceTrace(tuple(rows), n1_grid, n2_grid, p, desc)
 

@@ -89,6 +89,21 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(sp, [0, 1])
 
+    def test_kept_tables_are_built_once_and_read_only(self):
+        sp = make_space([1.0, 2.0, 3.0, 4.0])
+        p = Partition(sp, [5, 5, 1, 5])
+        assert p.block_masses is p.block_masses
+        assert p.block_masses.tolist() == [7.0, 3.0]
+        bins, masses = p.bin_layout(2)
+        assert p.bin_layout(2) == (bins, masses)
+        assert p.bin_layout(2)[0] is bins
+        assert bins.tolist() == [0, 1, 0, 1, 2, 3, 0, 1]
+        assert masses.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
+        assert p.bin_layout(1)[0].tolist() == [0, 0, 1, 0]
+        for table in (p.block_masses, bins, masses):
+            with pytest.raises(ValueError):
+                table[0] = 9
+
 
 class TestRefines:
     def test_singletons_refine_everything(self):

@@ -19,6 +19,7 @@ from ergmart.generators import (
     random_process_instance,
     random_weights,
 )
+from ergmart.inequalities import sup_field
 from ergmart.measure import DECREASING, INCREASING, Filtration, Partition, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, lp_norm
 from ergmart.operators import Endomorphism, cond_expect, cycle_map, identity_map, power
@@ -378,20 +379,31 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
     @pytest.mark.parametrize("weights", (None, BesicovitchWeights.single_cosine(0.8, 1, 3)))
     def test_single_map_trace_builds_one_prefix_sum(self, monkeypatch, kind, weights):
-        spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
         ref = VectorObservable(SP4, [0, 1, 2, 3])
         calls = _count_prefix_sums(monkeypatch)
+        # weighted, every sum has a leading axis of the one cosine term
+        terms = () if weights is None else (1,)
         for n1_grid, n2_grid in (((5,), (1,)), ((1, 2, 3, 7, 12, 40), (0, 1, 2))):
+            spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
             calls.clear()
             convergence_trace(spec, n1_grid, n2_grid, reference=ref)
             # martingale-ergodic: one sum over f; ergodic-martingale: one over the
-            # stage stack; weighted, with a leading axis of the one cosine term
-            terms = () if weights is None else (1,)
+            # stage stack
             stack = () if kind == MARTINGALE_ERGODIC else (len(n2_grid),)
             assert calls == [terms + stack + (2 * SP4.size, 1)]
             calls.clear()
             convergence_trace(spec, n1_grid, n2_grid)
-            assert len(calls) == 2  # plus the limit target
+            # the limit target: martingale-ergodic reads the kept kernel of f,
+            # ergodic-martingale builds the one of its last stage
+            limit = [] if kind == MARTINGALE_ERGODIC else [terms + (1, 2 * SP4.size, 1)]
+            assert calls == limit
+            calls.clear()
+            convergence_trace(spec, n1_grid, n2_grid)
+            convergence_trace(spec, n1_grid, n2_grid, reference=ref)
+            assert calls == []  # a repeat call builds none
+            fresh = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
+            convergence_trace(fresh, n1_grid, n2_grid)
+            assert len(calls) == 1 + len(limit)  # trace plus limit
 
     @pytest.mark.parametrize("n1_grid, n2_grid, message", [
         ((4, 2), (0, 1), "n1_grid must be strictly increasing"),
@@ -418,5 +430,70 @@ class TestGridEvaluation:
         evals = [evaluate(spec, k * period, 1) for k in (7, 8)]  # the final quarter
         want = lp_norm(evals[0] - evals[1], 2.0, spec.norm)
         calls = _count_prefix_sums(monkeypatch)
+        fresh = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=w)
+        assert tail_variation(fresh, p=2.0, n_periods=8, n2=1) == want
+        assert len(calls) == 1
+        # a repeat call, like the evaluations at stage 1 above, reads the kept kernel
+        assert tail_variation(fresh, p=2.0, n_periods=8, n2=1) == want
         assert tail_variation(spec, p=2.0, n_periods=8, n2=1) == want
         assert len(calls) == 1
+
+
+def _spec_arrays(spec):
+    """Every array a spec keeps: its kernels' tables, its limit, its sup
+    fields, and the tables of its maps and partitions."""
+    for kernel in spec.kernels.values():
+        yield from (v for v in vars(kernel).values() if isinstance(v, np.ndarray))
+    yield spec.limit.values
+    for field in spec.sup_fields.values():
+        yield field.values
+    for t in spec.maps:
+        yield from (v for v in vars(t.cycle_layout).values() if isinstance(v, np.ndarray))
+    for fl in spec.filtrations:
+        for part in fl.stages:
+            yield part.block_masses
+            yield from part.bin_layout(spec.f.dim)
+
+
+class TestKeptTables:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_filled_cache_gives_the_fresh_values_bit_for_bit(self, family):
+        for seed in range(8):
+            filled = random_process_instance(seed, family).spec
+            period = max(filled.periods())
+            n1_grid = sorted({1, 2, period, period + 1})
+            n2_grid = list(range(min(len(fl.stages) for fl in filled.filtrations)))
+
+            def results(spec):
+                trace = convergence_trace(spec, n1_grid, n2_grid, 3.0)
+                return ([limit_target(spec).values]
+                        + [evaluate(spec, n1, n2).values for n1 in n1_grid for n2 in n2_grid]
+                        + [np.array([(r.lp_error, r.sup_error) for r in trace.rows])])
+
+            first = results(filled)
+            again = results(filled)  # every table now comes from the caches
+            fresh = random_process_instance(seed, family).spec
+            # the fresh spec fills its caches in another order: per cell first
+            cells = [evaluate(fresh, n1, n2).values for n1 in n1_grid for n2 in n2_grid]
+            assert all(np.array_equal(a, b) for a, b in zip(cells, first[1:-1]))
+            for got in (again, results(fresh)):
+                assert len(got) == len(first)
+                assert all(np.array_equal(a, b) for a, b in zip(got, first))
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    @pytest.mark.parametrize("weights", (None, BesicovitchWeights.single_cosine(0.8, 1, 3)))
+    def test_kept_arrays_are_read_only(self, kind, weights):
+        spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
+        convergence_trace(spec, (1, 2, 5), (0, 1, 2))
+        evaluate(spec, 3, 1)
+        sup_field(spec)
+        arrays = list(_spec_arrays(spec))
+        assert len(spec.kernels) == (1 if kind == MARTINGALE_ERGODIC else 3)
+        assert len(arrays) > 10
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+    def test_limit_target_is_kept(self):
+        spec = em_spec()
+        assert limit_target(spec) is limit_target(spec)
