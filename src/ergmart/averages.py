@@ -42,6 +42,9 @@ _RATIONAL_TOL = 1e-12
 _MAX_DENOM = 4096
 # keeps num * (m mod den) below 2**62, so the exact phase reduction stays in int64
 _MAX_EXACT_DENOM = 2**31
+# rows of at least this many floats are summed with one add per row: numpy's
+# accumulate along the outer axis is faster on narrower rows, slower on wider
+_ROW_ADD_FLOATS = 256
 
 
 def _reduce_frequency(freq: float | Fraction) -> tuple[int, int] | None:
@@ -168,30 +171,47 @@ def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
     leading axis.
 
     `arr` has shape (..., N, dim); row k is (1/(k+1)) sum_{i<=k} a_i T^i arr.
-    With alphas None the weights are identically one. A stack built in
-    pieces passes the same list `carry` to every call: it holds T^k arr and
-    the running sum at the last row k built, so the next call continues the
-    step recurrence where this one stopped, with the same floats.
+    With alphas None the weights are identically one. The rows come from one
+    gather of every T^i arr through the doubled cycles (T^i x sits at slot
+    slot_x + (i mod L_x), see operators.CycleLayout), one multiply by the
+    weights and one running sum that adds the terms in row order, so every
+    float is the one of the step recurrence acc + a_i T^i arr. A stack built
+    in pieces passes the same list `carry` to every call: it holds the
+    running sum at the last row built, which the next call adds into its
+    first row.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= start < n:
         raise ValueError("need 0 <= start < n")
-    out = np.empty((n - start,) + arr.shape)
-    if start == 0:
-        cur = np.asarray(arr, dtype=float)
-        acc = cur * alphas[0] if alphas is not None else cur.copy()
-        out[0] = acc
+    arr = np.asarray(arr, dtype=float)
+    lay = t.cycle_layout
+    rows, size, dim = n - start, arr.shape[-2], arr.shape[-1]
+    # every entry of the stack gets its own copy of the doubled cycles
+    doubled = np.take(arr, lay.flat, axis=-2).reshape(-1, dim)
+    copies = doubled.shape[0] // (2 * size)
+    # i mod L once per distinct length, spread to the points by a gather:
+    # an integer division per point costs more than the whole gather
+    steps = np.arange(start, n)[:, None] % lay.distinct_lengths
+    index = np.empty((rows, copies, size), dtype=np.int64)
+    np.add(np.take(steps, lay.length_class, axis=1)[:, None, :],
+           lay.slot + (2 * size) * np.arange(copies)[:, None], out=index)
+    out = np.empty((rows,) + arr.shape)
+    # the indices are in range; any mode but "raise" writes out unbuffered
+    np.take(doubled, index, axis=0, out=out.reshape(rows, copies, size, dim), mode="clip")
+    del index
+    if alphas is not None:
+        out *= alphas[start:n].reshape((rows,) + (1,) * arr.ndim)
+    if start > 0:
+        out[0] += carry[0]
+    if out[0].size < _ROW_ADD_FLOATS:
+        np.cumsum(out, axis=0, out=out)
     else:
-        cur, acc = carry
-    for i in range(max(start, 1), n):
-        cur = np.take(cur, t.map, axis=-2)
-        acc = acc + (cur * alphas[i] if alphas is not None else cur)
-        out[i - start] = acc
+        for prev, row in zip(out, out[1:]):
+            row += prev
     if carry is not None:
-        carry[:] = [cur, acc]
-    counts = np.arange(start + 1, n + 1, dtype=float).reshape((n - start,) + (1,) * arr.ndim)
-    out /= counts
+        carry[:] = [out[-1].copy()]
+    out /= np.arange(start + 1, n + 1, dtype=float).reshape((rows,) + (1,) * arr.ndim)
     return out
 
 

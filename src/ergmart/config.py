@@ -37,8 +37,8 @@ __all__ = ["ConfigError", "ExperimentPlan", "CheckSpec", "build_experiment"]
 
 # averaging lengths are int64 in the cycle kernel
 _MAX_LENGTH = 2**62
-# below this bound on the weight amplitude sums times max |f|, a weighted sum
-# of up to _MAX_LENGTH terms stays finite
+# below this bound on max |f| times the weight amplitude sums (1 unweighted),
+# a weighted sum of up to _MAX_LENGTH terms stays finite
 _MAX_WEIGHTED_SCALE = sys.float_info.max / 2**63
 
 
@@ -131,7 +131,8 @@ def _build_map(cfg, path: str, space: MeasureSpace, built: list[Endomorphism],
             return Endomorphism(space, np.asarray(perm, dtype=np.int64))
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # a null, an infinite or a huge entry of an explicit perm
         raise ConfigError(path, str(exc)) from None
     raise ConfigError(f"{path}.kind", f"unknown map kind {kind!r}")
 
@@ -156,7 +157,7 @@ def _build_filtration(cfg, path: str, space: MeasureSpace, rng) -> Filtration:
     for k, labels in enumerate(stages_cfg):
         try:
             stages.append(Partition(space, np.asarray(labels, dtype=np.int64)))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}.stages[{k}]", str(exc)) from None
     try:
         return Filtration(space, direction, tuple(stages))
@@ -321,8 +322,9 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     norm_q = config.get("norm_q", 2)
     if norm_q == "inf":
         norm_q = math.inf
-    if not isinstance(norm_q, (int, float)) or not (norm_q >= 1 or math.isinf(norm_q)):
-        raise ConfigError("norm_q", "must be a number >= 1 or 'inf'")
+    elif not _is_finite_number(norm_q) or not norm_q >= 1:
+        # a JSON Infinity would not survive the manifest's strict JSON echo
+        raise ConfigError("norm_q", "must be a finite number >= 1 or 'inf'")
 
     try:
         spec = ProcessSpec(kind, f, tuple(maps), tuple(filts), weights,
@@ -330,8 +332,12 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     except ValueError as exc:
         raise ConfigError("config", str(exc)) from None
 
+    scale = float(np.abs(f.values).max())
+    if not scale < _MAX_WEIGHTED_SCALE:
+        field = "scale" if config["observable"].get("kind") == "random" else "values"
+        raise ConfigError(f"observable.{field}", "the largest absolute entry must be "
+                          "below sys.float_info.max / 2**63, so every average stays finite")
     if spec.is_weighted:
-        scale = float(np.abs(f.values).max())
         for k, w in enumerate(spec.weights):
             # nested averages multiply the amplitude sums of all maps
             scale *= w.amplitude_bound

@@ -145,8 +145,9 @@ def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
     """The running averages of `inner` under the outermost map t up to n, in
     consecutive chunks along the averaging axis of about _CHUNK_FLOATS
     floats, counting each float `copies` times for the stacks built from a
-    chunk."""
-    rows = max(1, _CHUNK_FLOATS // (inner.size * copies))
+    chunk, and each row's int64 gather index (one entry per point of every
+    stack entry) as floats too."""
+    rows = max(1, _CHUNK_FLOATS // (inner.size * copies + inner.size // inner.shape[-1]))
     carry: list = []
     for start in range(0, n, rows):
         yield running_weighted_averages(inner, t, alpha, min(n, start + rows), start, carry)

@@ -85,17 +85,30 @@ class VectorObservable:
 
 
 def row_norms(values: np.ndarray, q: float) -> np.ndarray:
-    """l^q norms over the last axis of an array of point values."""
-    if values.shape[-1] == 1:
+    """l^q norms over the last axis of an array of point values.
+
+    numpy sums fewer than 8 entries of an axis one after the other, so below 8
+    components the powers are added column by column, with the same floats
+    and without the per-element cost of a reduction over a short axis; from 8
+    on, the reduction (pairwise there) is kept.
+    """
+    dim = values.shape[-1]
+    if dim == 1:
         return np.abs(values[..., 0])
-    a = np.abs(values)
-    if math.isinf(q):
-        return a.max(axis=-1)
-    if q == 1.0:
-        return a.sum(axis=-1)
+    inf = math.isinf(q)
+    powers = values * values if q == 2.0 else np.abs(values)
+    if not (inf or q in (1.0, 2.0)):
+        powers = powers**q
+    if dim >= 8:
+        total = powers.max(axis=-1) if inf else powers.sum(axis=-1)
+    else:
+        combine = np.maximum if inf else np.add
+        total = combine(powers[..., 0], powers[..., 1])
+        for j in range(2, dim):
+            combine(total, powers[..., j], out=total)
     if q == 2.0:
-        return np.sqrt((values * values).sum(axis=-1))
-    return (a**q).sum(axis=-1) ** (1.0 / q)
+        return np.sqrt(total, out=total)
+    return total if inf or q == 1.0 else total ** (1.0 / q)
 
 
 def point_norm_field(f: VectorObservable, ns: NormSpec = NormSpec()) -> VectorObservable:

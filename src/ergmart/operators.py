@@ -57,6 +57,8 @@ class CycleLayout:
     length: np.ndarray    # (N,) cycle length L of each point
     position: np.ndarray  # (N,) position j of each point on its cycle
     slot: np.ndarray      # (N,) slot of each point's first copy
+    distinct_lengths: np.ndarray  # the distinct cycle lengths, ascending
+    length_class: np.ndarray      # (N,) index of each point's L in distinct_lengths
 
 
 def _cycle_layout(perm: list[int]) -> CycleLayout:
@@ -81,7 +83,11 @@ def _cycle_layout(perm: list[int]) -> CycleLayout:
         flat += cyc + cyc
         step += range(2 * size)
         sizes.append(size)
-    arrays = [np.array(a, dtype=np.int64) for a in (flat, step, length, position, slot)]
+    distinct = sorted(set(sizes))
+    klass = {size: k for k, size in enumerate(distinct)}
+    length_class = [klass[size] for size in length]
+    arrays = [np.array(a, dtype=np.int64)
+              for a in (flat, step, length, position, slot, distinct, length_class)]
     for arr in arrays:
         arr.setflags(write=False)
     return CycleLayout(math.lcm(*sizes), *arrays)

@@ -1,9 +1,14 @@
 """Brute-force reference implementations used to freeze expected values.
 
 Everything here is plain Python over lists: no shared code with the library
-paths under test beyond numpy array inputs being tolerated.
+paths under test beyond numpy array inputs being tolerated. The two
+`*_steps` oracles at the end are the exception: they replay, one numpy
+operation at a time, the float order the library's fast paths must keep, so
+the tests can compare them bit for bit.
 """
 import math
+
+import numpy as np
 
 
 def blocks_from_labels(labels):
@@ -179,3 +184,42 @@ def oracle_llog(weights, values, m, q):
         norm = oracle_point_norm(row, q)
         total += w * norm * (math.log(max(1.0, norm)) ** m)
     return total
+
+
+def oracle_running_averages_steps(arr, perm, alphas, n, start=0, carry=None):
+    """Rows start..n-1 of the running weighted averages by the step
+    recurrence, one gather per averaging length: T^i arr = (T^(i-1) arr)
+    gathered through `perm` on axis -2, acc = acc + a_i T^i arr, row k
+    divided by k + 1. `carry` holds [T^k arr, acc] at the last row built."""
+    out = np.empty((n - start,) + np.shape(arr))
+    if start == 0:
+        cur = np.asarray(arr, dtype=float)
+        acc = cur * alphas[0] if alphas is not None else cur.copy()
+        out[0] = acc
+    else:
+        cur, acc = carry
+    for i in range(max(start, 1), n):
+        cur = np.take(cur, perm, axis=-2)
+        acc = acc + (cur * alphas[i] if alphas is not None else cur)
+        out[i - start] = acc
+    if carry is not None:
+        carry[:] = [cur, acc]
+    counts = np.arange(start + 1, n + 1, dtype=float).reshape((n - start,) + (1,) * cur.ndim)
+    out /= counts
+    return out
+
+
+def oracle_row_norms_steps(values, q):
+    """l^q norms over the last axis as numpy reductions over that axis: |v|
+    for one component, sqrt of the summed squares for q = 2, the max for
+    q = inf, (sum |v|^q)^(1/q) otherwise."""
+    if values.shape[-1] == 1:
+        return np.abs(values[..., 0])
+    a = np.abs(values)
+    if math.isinf(q):
+        return a.max(axis=-1)
+    if q == 1.0:
+        return a.sum(axis=-1)
+    if q == 2.0:
+        return np.sqrt((values * values).sum(axis=-1))
+    return (a**q).sum(axis=-1) ** (1.0 / q)

@@ -7,11 +7,14 @@ refreeze them on purpose.
 """
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergmart.cli import main
+from ergmart.runner import _json_text
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 ARTIFACTS = ("trace.csv", "reports.json", "manifest.json")
@@ -47,14 +50,65 @@ def weighted_config(process: str) -> dict:
     }
 
 
+def multi_chunk_config(process: str) -> dict:
+    """N = 64, one map of the `long_orbit` cycle type (8, 7, 5, 3) * 2 +
+    (8, 7, 3) (order 840), four decreasing stages, dim 2 and two rational
+    weight terms, a constant and a cosine of period 840, so a_i =
+    0.5 + 0.5 cos(2 pi i / 840 + 3) starts near 0 and every point's sup is
+    reached past n = 512. The ergodic-martingale sup stacks 4 stages of
+    64 x 2 floats, so its 840 rows stream in chunks of at most 2**17 floats
+    (4 chunks when only the rows were counted, 5 with the gather index) and
+    the sup depends on the carry across at least two chunk borders."""
+    lengths = (8, 7, 5, 3) * 2 + (8, 7, 3)
+    points = [(37 * i + 11) % 64 for i in range(64)]
+    perm, start = list(range(64)), 0
+    for length in lengths:
+        cyc = points[start:start + length]
+        start += length
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            perm[a] = b
+    labels = [(13 * i) % 64 for i in range(64)]
+    stages = [labels] + [[b % blocks for b in labels] for blocks in (16, 4, 1)]
+    return {
+        "seed": 11,
+        "space": {"size": 64, "weights": "uniform"},
+        "maps": [{"kind": "explicit", "perm": perm}],
+        "filtrations": [{"kind": "explicit", "direction": "decreasing", "stages": stages}],
+        "observable": {"kind": "explicit",
+                       "values": [[((5 * i) % 11 - 5) / 3.0, ((7 * i) % 13 - 6) / 4.0]
+                                  for i in range(64)]},
+        "weight_seqs": [{"terms": [[0.5, [0, 1], 0.0], [0.5, [1, 840], 3.0]]}],
+        "process": process,
+        "norm_q": 2,
+        "trace_p": 2.0,
+        "grids": {"n1": "auto", "n2": "all"},
+        "checks": [{"type": "dominant", "p": 2.0},
+                   {"type": "maximal", "p": 2.0, "epsilons": "auto8"},
+                   {"type": "orlicz", "m": 1}],
+    }
+
+
 CONFIGS = {
     "demo": lambda: json.loads(DEMO.read_text()),
     "weighted_me": lambda: weighted_config("martingale_ergodic"),
     "weighted_em": lambda: weighted_config("ergodic_martingale"),
+    "multi_chunk_me": lambda: multi_chunk_config("martingale_ergodic"),
+    "multi_chunk_em": lambda: multi_chunk_config("ergodic_martingale"),
 }
 
-# sha256 of each artifact, frozen from the library before the shared-kernel trace
+# sha256 of each artifact, frozen from the library before the shared-kernel
+# trace (demo, weighted) and before the gathered sup rows (multi_chunk)
 FROZEN = {
+    "multi_chunk_em": {
+        "trace.csv": "b63094c0b84ef1d1d13893bbe3bd87699ebdb68dc8a4a3042f69ced1756c391a",
+        "reports.json": "0f2eb5e547cb6e3e3f9e21095212b256ded150cb84627d239fa2dae98c87ce12",
+        "manifest.json": "fcaacc2d7afa2a0c62ecb696c671291792264d8d1d0d5be6bb161fd740082e12",
+    },
+    "multi_chunk_me": {
+        "trace.csv": "a12ec4436053776535456c9a9864b874b4b80b38a971be2f977daa8b791ec82a",
+        "reports.json": "25ba740026f43062c7011b8095ea037b531b379ae8d3451ea85b93e438e858ae",
+        "manifest.json": "bdb985f2fb603e05f1298ed5817a3c214a429b41045ab80e22084c7fb58cacf1",
+    },
     "demo": {
         "trace.csv": "26b579c92378fb82a2581d6f22e965aae8cab85f0da4df41ee44765c3704ab9f",
         "reports.json": "9e7ec0e19cf5788e3610c3e4ee5f5acb8ddcde448dfe9383db127e8a82ce5079",
@@ -80,3 +134,41 @@ def test_artifacts_are_byte_identical(tmp_path, name):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ARTIFACTS}
     assert digests == FROZEN[name]
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324]))
+_INTS = st.integers() | st.sampled_from([2**63, -2**63 - 1, 2**64 + 1, 10**40])
+_NUMBER = _INTS | _FINITE
+# escapes, control characters, non-ASCII and astral code points
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00", "é", "\u2028", "\U0001f600", ""])
+_LEAVES = (st.none() | st.booleans() | _NUMBER | _TEXT
+           | st.lists(_NUMBER) | st.lists(_NUMBER).map(tuple)
+           | st.lists(st.lists(_NUMBER)) | st.lists(st.lists(_NUMBER | st.booleans(), max_size=3)))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_json_text_is_json_dumps_byte_for_byte(obj):
+    assert _json_text(obj) == _reference_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON, st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.sampled_from(["flat", "row", "value", "scalar", "mixed"]))
+def test_json_text_refuses_non_finite_floats(obj, bad, where):
+    wrapped = {"flat": [1.5, bad], "row": [[0.0, 1], [bad]], "value": {"k": obj, "x": bad},
+               "scalar": bad, "mixed": [obj, "a", bad]}[where]
+    with pytest.raises(ValueError):
+        _reference_json(wrapped)
+    with pytest.raises(ValueError):
+        _json_text(wrapped)

@@ -10,6 +10,7 @@ from ergmart.averages import (
     composite_cond_expect,
     ergodic_average,
     ergodic_limit,
+    running_weighted_averages,
     weighted_average,
 )
 from ergmart.generators import random_cycle_system
@@ -38,6 +39,7 @@ from oracles import (
     oracle_ergodic_average,
     oracle_ergodic_limit,
     oracle_multi_average,
+    oracle_running_averages_steps,
     oracle_weighted_average,
 )
 
@@ -455,3 +457,39 @@ class TestCycleKernel:
         for n in (0, -3):
             with pytest.raises(ValueError, match="positive"):
                 kernel.average(n)
+
+
+class TestRunningAverages:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_equal_to_the_step_recurrence_bit_for_bit(self, lead, weighted):
+        # one gather, one multiply and one running sum in row order must give
+        # every float of the step recurrence, built whole and in chunks that
+        # pass one carry along; N = 64 at dim 2 puts every lead shape but ()
+        # on the one-add-per-row path, the rest on numpy's accumulate
+        rng = np.random.default_rng(len(lead) + 3 * weighted)
+        for n_points in (5, 9, 64):
+            for trial in range(4):
+                perm = rng.permutation(n_points)
+                t = Endomorphism(uniform_space(n_points), perm)
+                dim = int(rng.integers(1, 3))
+                arr = rng.normal(size=lead + (n_points, dim)) * 10.0 ** rng.integers(-8, 9, dim)
+                n = int(rng.integers(1, min(3 * orbit_lcm(t) + 3, 300)))
+                alphas = rng.normal(size=n) if weighted else None
+                whole = running_weighted_averages(arr, t, alphas, n)
+                assert whole.shape == (n,) + arr.shape
+                assert np.array_equal(whole, oracle_running_averages_steps(arr, perm, alphas, n))
+                cuts = sorted(set(rng.integers(1, n, size=3).tolist())) if n > 1 else []
+                carry, oracle_carry, pieces = [], [], []
+                for start, stop in zip([0] + cuts, cuts + [n]):
+                    piece = running_weighted_averages(arr, t, alphas, stop, start, carry)
+                    assert np.array_equal(piece, oracle_running_averages_steps(
+                        arr, perm, alphas, stop, start, oracle_carry))
+                    pieces.append(piece)
+                assert np.array_equal(np.concatenate(pieces), whole)
+
+    def test_rejects_bad_lengths(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            running_weighted_averages(F1357.values, CYC, None, 0)
+        with pytest.raises(ValueError, match="need 0 <= start < n"):
+            running_weighted_averages(F1357.values, CYC, None, 3, 3, [])

@@ -141,9 +141,22 @@ def _envelope(value):
     return lambda cfg: cfg.update(weight_seqs=[{"kind": "random", "envelope": value}])
 
 
+def _explicit_perm(last):
+    return lambda cfg: cfg.update(maps=[{"kind": "explicit", "perm": [1, 2, 3, last]}])
+
+
+def _stage_label(last):
+    return lambda cfg: cfg["filtrations"][0]["stages"].__setitem__(1, [0, 0, 1, last])
+
+
+def _last_value(value):
+    return lambda cfg: cfg["observable"]["values"].__setitem__(3, [value])
+
+
 # config edits that must exit 1 with the path each error names (most used to
 # end in a raw traceback; the three *_above_* cases guard the int64 averaging
-# lengths, the two 1e308 cases the float range of weighted sums)
+# lengths, the 1e308 and 1.7e308 cases the float range of averages and
+# weighted sums)
 BAD_VALUES = {
     "auto0": (lambda cfg: cfg["checks"][1].update(epsilons="auto0"), "checks[1].epsilons"),
     "trace_p_inf": (lambda cfg: cfg.update(trace_p=math.inf), "trace_p"),
@@ -174,6 +187,14 @@ BAD_VALUES = {
     "amplitude_1e308": (_weight_term([1e308, [1, 3], 0.0]), "weight_seqs[0].terms"),
     "amplitudes_1e308_twice": (lambda cfg: cfg.update(weight_seqs=[{"terms": [
         [1e308, [1, 3], 0.0], [1e308, [1, 4], 0.0]]}]), "weight_seqs[0].terms"),
+    "perm_entry_1e40": (_explicit_perm(10**40), "maps[0]"),
+    "perm_entry_inf": (_explicit_perm(math.inf), "maps[0]"),
+    "perm_entry_null": (_explicit_perm(None), "maps[0]"),
+    "stage_label_1e40": (_stage_label(10**40), "filtrations[0].stages[1]"),
+    "stage_label_inf": (_stage_label(math.inf), "filtrations[0].stages[1]"),
+    "norm_q_inf": (lambda cfg: cfg.update(norm_q=math.inf), "norm_q"),
+    "observable_1_7e308": (_last_value(1.7e308), "observable.values"),
+    "observable_minus_1_7e308": (_last_value(-1.7e308), "observable.values"),
 }
 
 

@@ -80,12 +80,13 @@ class TestConstants:
 def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
     """The streamed sup field built with `chunk_floats` floats per chunk, the
     lengths of its chunks along the outermost averaging axis, and the floats
-    each row of that axis counts for."""
+    each row of that axis counts for: the row's stacked copies and its int64
+    gather index, one entry per point of every stack entry."""
     real_chunks = ineq._outer_chunks
     lengths, row_floats = [], []
 
     def spy(inner, t, alpha, n, copies):
-        row_floats.append(inner.size * copies)
+        row_floats.append(inner.size * copies + inner.size // inner.shape[-1])
         for chunk in real_chunks(inner, t, alpha, n, copies):
             lengths.append(len(chunk))
             yield chunk

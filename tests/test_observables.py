@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +14,9 @@ from ergmart.observables import (
     lp_norm,
     mean,
     point_norm_field,
+    row_norms,
 )
-from oracles import oracle_llog, oracle_lp_norm, oracle_point_norm
+from oracles import oracle_llog, oracle_lp_norm, oracle_point_norm, oracle_row_norms_steps
 
 SP4 = uniform_space(4)
 F1357 = VectorObservable(SP4, [1, 3, 5, 7])
@@ -133,3 +135,31 @@ def test_norm_properties(vals, c, p, q):
     assert llog_norm(f, 2, ns) >= 0.0
     if linf_norm(f, ns) <= 1.0:
         assert llog_norm(f, 3, ns) == 0.0
+
+
+def _layouts(rng, lead, dim):
+    """Random point values of shape lead + (dim,), C-contiguous, transposed
+    (the last axis the slowest) and strided: magnitudes 1e-150 to 1e150 with
+    random signs and about one exact zero in eight."""
+    shape = lead + (dim,)
+    mags = 10.0 ** rng.uniform(-150, 150, shape) * rng.choice((-1.0, 1.0), shape)
+    vals = np.where(rng.random(shape) < 0.125, 0.0, mags)
+    transposed = np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, -1, 0)), 0, -1)
+    wide = np.zeros(lead[:-1] + (2 * lead[-1], 3 * dim))
+    wide[..., ::2, ::3] = vals
+    return {"c": vals, "transposed": transposed, "strided": wide[..., ::2, ::3]}
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_row_norms_equal_the_reduction_bit_for_bit(q):
+    # below 8 components the columns are added one by one, from 8 on the
+    # reduction is kept: both must give the reduction's floats exactly
+    rng = np.random.default_rng(97 if math.isinf(q) else int(q * 10))
+    for dim in range(1, 13):
+        for lead in ((40,), (3, 17)):
+            for name, vals in _layouts(rng, lead, dim).items():
+                with np.errstate(over="ignore"):
+                    got, want = row_norms(vals, q), oracle_row_norms_steps(vals, q)
+                assert got.shape == want.shape == lead
+                assert np.ascontiguousarray(got).tobytes() == \
+                    np.ascontiguousarray(want).tobytes(), (dim, lead, name)
