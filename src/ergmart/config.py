@@ -25,7 +25,7 @@ from .generators import (
 from .inequalities import broken_rule
 from .measure import DECREASING, INCREASING, Filtration, MeasureSpace, Partition
 from .observables import NormSpec, VectorObservable
-from .operators import Endomorphism, cycle_map, identity_map, orbit_lcm, power
+from .operators import Endomorphism, cycle_map, identity_map, power
 from .processes import (
     ERGODIC_MARTINGALE,
     MARTINGALE_ERGODIC,
@@ -82,8 +82,13 @@ def _is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _is_int(value) -> bool:
+    # JSON true and false are Python ints; they are not integers here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ConfigError(path, "must be a positive integer")
     return value
 
@@ -120,7 +125,7 @@ def _build_map(cfg, path: str, space: MeasureSpace, built: list[Endomorphism],
             return cycle_map(space)
         if kind == "power":
             of = cfg.get("of", 0)
-            if not isinstance(of, int) or not 0 <= of < len(built):
+            if not _is_int(of) or not 0 <= of < len(built):
                 raise ConfigError(f"{path}.of", "must index an earlier map")
             return power(built[of], _as_positive_int(cfg.get("exponent", 2),
                                                      f"{path}.exponent"))
@@ -213,7 +218,7 @@ def _build_weights(cfg, path: str, rng) -> BesicovitchWeights | None:
                 raise ConfigError(f"{path}.terms[{k}]",
                                   "frequency pair must be [numer, denom]")
             num, den = freq
-            if not (isinstance(num, int) and isinstance(den, int) and 0 <= num < den):
+            if not (_is_int(num) and _is_int(den) and 0 <= num < den):
                 raise ConfigError(f"{path}.terms[{k}]",
                                   "frequency pair needs integers 0 <= numer < denom")
             freq = Fraction(num, den)  # kept exact, whatever the denominator
@@ -240,7 +245,7 @@ def _build_checks(cfg, path: str) -> tuple[CheckSpec, ...]:
             raise ConfigError(cpath, "must be an object")
         ctype = _need(chk, "type", cpath)
         box_factor = chk.get("box_factor", 4)
-        if not isinstance(box_factor, int) or box_factor < 1:
+        if not _is_int(box_factor) or box_factor < 1:
             raise ConfigError(f"{cpath}.box_factor", "must be a positive integer")
         if ctype in ("dominant", "maximal"):
             p = _need(chk, "p", cpath)
@@ -268,7 +273,7 @@ def _build_checks(cfg, path: str) -> tuple[CheckSpec, ...]:
                                  box_factor=box_factor))
         elif ctype == "orlicz":
             m = chk.get("m", 0)
-            if not isinstance(m, int) or m < 0:
+            if not _is_int(m) or m < 0:
                 raise ConfigError(f"{cpath}.m", "must be a nonnegative integer")
             out.append(CheckSpec(type="orlicz", m=m, box_factor=box_factor))
         else:
@@ -283,7 +288,7 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     seed = config.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed", "must be a nonnegative integer")
     rng = np.random.default_rng(seed)
 
@@ -338,6 +343,7 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
         raise ConfigError(f"observable.{field}", "the largest absolute entry must be "
                           "below sys.float_info.max / 2**63, so every average stays finite")
     if spec.is_weighted:
+        periods = spec.periods()
         for k, w in enumerate(spec.weights):
             # nested averages multiply the amplitude sums of all maps
             scale *= w.amplitude_bound
@@ -351,7 +357,7 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
                 raise ConfigError(f"weight_seqs[{k}]",
                                   "frequencies must be rational so the trace "
                                   "has an exact stabilization period")
-            if math.lcm(orbit_lcm(spec.maps[k]), w.period) >= _MAX_LENGTH:
+            if periods[k] >= _MAX_LENGTH:
                 raise ConfigError(f"weight_seqs[{k}]",
                                   "the stabilization period (lcm of the map order "
                                   "and the frequency denominators) must be below 2**62")
@@ -365,11 +371,11 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
         raise ConfigError("grids", "must be an object")
     n1_cfg = grids.get("n1", "auto")
     # common multiple of every map's order so the final grid point is exact
-    order = math.lcm(*(orbit_lcm(t) for t in spec.maps))
+    order = math.lcm(*spec.orbit_lcms())
     if n1_cfg == "auto":
         n1_grid = default_n1_grid(order)
     elif (isinstance(n1_cfg, list) and n1_cfg
-          and all(isinstance(v, int) and v >= 1 for v in n1_cfg)
+          and all(_is_int(v) and v >= 1 for v in n1_cfg)
           and all(b > a for a, b in zip(n1_cfg, n1_cfg[1:]))):
         n1_grid = tuple(n1_cfg)
     else:
@@ -384,7 +390,7 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     if n2_cfg == "all":
         n2_grid = tuple(range(n_stages))
     elif (isinstance(n2_cfg, list) and n2_cfg
-          and all(isinstance(v, int) and 0 <= v < n_stages for v in n2_cfg)
+          and all(_is_int(v) and 0 <= v < n_stages for v in n2_cfg)
           and all(b > a for a, b in zip(n2_cfg, n2_cfg[1:]))):
         n2_grid = tuple(n2_cfg)
     else:

@@ -35,6 +35,8 @@ _FAMILY_SHARE = {
     "multi_em": 0.05,
 }
 _TRUNCATION_FACTORS = (0.5, 0.25)
+# levels of each maximal sweep
+_EPS_COUNT = 8
 
 
 @dataclass
@@ -79,7 +81,7 @@ class FuzzReport:
         return out
 
 
-def _check_instance(inst, stats: FamilyStats, eps_count: int):
+def _check_instance(inst, stats: FamilyStats):
     spec, p = inst.spec, inst.p
     box = default_box(spec, n_factor=2 if spec.d_maps > 1 else 4)
 
@@ -106,7 +108,7 @@ def _check_instance(inst, stats: FamilyStats, eps_count: int):
     top = linf_norm(sup_field(spec, box), spec.norm)
     if top <= 0.0:
         return
-    reports = epsilon_sweep(spec, p, auto_epsilons(top, eps_count), box)
+    reports = epsilon_sweep(spec, p, auto_epsilons(top, _EPS_COUNT), box)
     stats.maximal_checks += len(reports)
     prev_lhs = None
     for rep in reports:
@@ -122,8 +124,7 @@ def _check_instance(inst, stats: FamilyStats, eps_count: int):
         prev_lhs = rep.lhs
 
 
-def run_inequality_fuzz(budget: int = 1000, seed: int = 20240801,
-                        eps_count: int = 8, n_max: int = 64) -> FuzzReport:
+def run_inequality_fuzz(budget: int = 1000, seed: int = 20240801) -> FuzzReport:
     """Runs the whole corpus; any failed bound lands in the report with the
     instance seed that reproduces it."""
     start = time.perf_counter()
@@ -134,9 +135,9 @@ def run_inequality_fuzz(budget: int = 1000, seed: int = 20240801,
     plan = plan[:budget] if len(plan) >= budget else plan + ["single_me"] * (budget - len(plan))
     seeds = np.random.SeedSequence(seed).generate_state(len(plan), dtype=np.uint64)
     for fam, child in zip(plan, seeds):
-        inst = random_process_instance(int(child), fam, n_max=n_max)
+        inst = random_process_instance(int(child), fam)
         st = stats[fam]
         st.instances += 1
-        _check_instance(inst, st, eps_count)
+        _check_instance(inst, st)
     return FuzzReport(budget=budget, seed=seed,
                       elapsed=time.perf_counter() - start, stats=stats)

@@ -41,6 +41,12 @@ __all__ = [
 # cycle lengths with small pairwise lcm keep averaging horizons short
 _CYCLE_LENGTHS = (1, 2, 3, 4, 6)
 _SIGNS = np.array((-1.0, 1.0))
+# cosine terms and frequency denominators of a random weight sequence
+_MAX_TERMS = 3
+_MAX_DENOM = 6
+# space size and observable dim of a fuzz instance
+_N_MAX = 64
+_DIM_MAX = 4
 
 
 def _pick(rng: np.random.Generator, options: tuple):
@@ -165,16 +171,15 @@ def random_observable(rng: np.random.Generator, space: MeasureSpace, dim: int,
     return VectorObservable(space, vals)
 
 
-def random_weights(rng: np.random.Generator, envelope: float = 1.0,
-                   max_terms: int = 3, max_denom: int = 6) -> BesicovitchWeights:
+def random_weights(rng: np.random.Generator, envelope: float = 1.0) -> BesicovitchWeights:
     """Cosine polynomial with rational frequencies and sum |amp| <= envelope."""
-    k = int(rng.integers(1, max_terms + 1))
+    k = int(rng.integers(1, _MAX_TERMS + 1))
     raw = rng.uniform(0.2, 1.0, k) * _SIGNS[rng.integers(0, 2, k)]
     target = envelope * float(rng.uniform(0.3, 1.0))
     amps = raw * (target / np.abs(raw).sum())
     terms = []
     for amp in amps:
-        den = int(rng.integers(1, max_denom + 1))
+        den = int(rng.integers(1, _MAX_DENOM + 1))
         num = int(rng.integers(0, den)) if den > 1 else 0
         phase = _pick(rng, (0.0, 0.25, 0.5, 1.0)) * math.pi
         terms.append((float(amp), Fraction(num, den), phase))
@@ -203,8 +208,7 @@ def _pick_p(rng: np.random.Generator, integer_only: bool) -> float:
     return _pick(rng, (1.25, 1.5, 2.0, 3.0, 4.0))
 
 
-def random_process_instance(seed: int, family: str, n_max: int = 64,
-                            dim_max: int = 4) -> ProcessInstance:
+def random_process_instance(seed: int, family: str) -> ProcessInstance:
     """One seeded instance of the given family, ready for inequality checks."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -214,9 +218,9 @@ def random_process_instance(seed: int, family: str, n_max: int = 64,
     me = family.endswith("_me")
     kind = MARTINGALE_ERGODIC if me else ERGODIC_MARTINGALE
 
-    space, tau, order = random_cycle_system(rng, n_max=n_max,
+    space, tau, order = random_cycle_system(rng, n_max=_N_MAX,
                                             lcm_cap=8 if multi else 12)
-    dim = int(rng.integers(1, dim_max + 1))
+    dim = int(rng.integers(1, _DIM_MAX + 1))
     style = "spiky" if rng.random() < 0.25 else ("mixed" if rng.random() < 0.3 else "normal")
     f = random_observable(rng, space, dim, style=style)
     q = _pick(rng, (1.0, 2.0, math.inf))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .averages import composite_block_means, running_weighted_averages
 from .measure import DECREASING
-from .observables import VectorObservable, llog_norm, lp_norm, row_norms
+from .observables import VectorObservable, llog_norm, lp_norm, point_norms
 from .operators import Endomorphism
 from .processes import MARTINGALE_ERGODIC, ProcessSpec
 
@@ -171,7 +171,7 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox) -> VectorObservable:
             # the outermost conditioning is constant on its blocks, so its max
             # is taken per block and only then spread to the points
             for part, means in composite_block_means(chunk, spec.filtrations, box.stage_sets):
-                block_max = row_norms(means, q).reshape(-1, part.block_count).max(axis=0)
+                block_max = point_norms(means, q).reshape(-1, part.block_count).max(axis=0)
                 np.maximum(field, block_max[part.block_of], out=field)
         return VectorObservable(spec.space, field)
     # ergodic-martingale: condition first, then average the whole stack
@@ -180,7 +180,7 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox) -> VectorObservable:
     for j in reversed(range(1, spec.d_maps)):
         inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
     for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], 1):
-        chunk_max = row_norms(chunk, q).reshape(-1, spec.space.size).max(axis=0)
+        chunk_max = point_norms(chunk, q).reshape(-1, spec.space.size).max(axis=0)
         np.maximum(field, chunk_max, out=field)
     return VectorObservable(spec.space, field)
 

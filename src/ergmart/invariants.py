@@ -42,7 +42,7 @@ from .processes import (
     tail_variation,
 )
 
-__all__ = ["CheckLine", "run_section", "SECTIONS"]
+__all__ = ["CheckLine", "SECTIONS"]
 
 _TOL = 1e-12
 
@@ -398,10 +398,3 @@ SECTIONS = [
     ("constant catalog", constants_crosscheck),
     ("canonical regression", canonical_regression),
 ]
-
-
-def run_section(name: str, seed: int, budget: int) -> list[CheckLine]:
-    for sec_name, fn in SECTIONS:
-        if sec_name == name:
-            return fn(seed, budget)
-    raise ValueError(f"unknown section {name!r}")

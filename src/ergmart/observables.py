@@ -18,6 +18,7 @@ __all__ = [
     "NormSpec",
     "VectorObservable",
     "row_norms",
+    "point_norms",
     "point_norm_field",
     "lp_norm",
     "lp_of_norms",
@@ -85,7 +86,9 @@ class VectorObservable:
 
 
 def row_norms(values: np.ndarray, q: float) -> np.ndarray:
-    """l^q norms over the last axis of an array of point values.
+    """l^q norms over the last axis of an array of point values, as the
+    reduction gives them: inf where the sum of powers overflows, 0 where it
+    underflows (point_norms mends those rows).
 
     numpy sums fewer than 8 entries of an axis one after the other, so below 8
     components the powers are added column by column, with the same floats
@@ -111,14 +114,36 @@ def row_norms(values: np.ndarray, q: float) -> np.ndarray:
     return total if inf or q == 1.0 else total ** (1.0 / q)
 
 
+def point_norms(values: np.ndarray, q: float) -> np.ndarray:
+    """row_norms, finite wherever the norm is: a row whose sum of powers
+    leaves the float range, or underflows to 0 though the row is not 0, is
+    divided by its largest |component| first, as lp_of_norms does. Every
+    other row keeps row_norms' float."""
+    if values.shape[-1] == 1 or math.isinf(q):
+        return row_norms(values, q)  # no powers taken
+    try:
+        # the floating-point flags find the rare call with such a row
+        with np.errstate(over="raise", under="raise"):
+            return row_norms(values, q)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore"):
+        norms = row_norms(values, q)
+        bad = (norms == 0.0) | (norms == math.inf)
+        rows = values[bad]
+        top = np.abs(rows).max(axis=-1)
+        norms[bad] = top * row_norms(rows / np.where(top > 0.0, top, 1.0)[:, None], q)
+    return norms
+
+
 def point_norm_field(f: VectorObservable, ns: NormSpec = NormSpec()) -> VectorObservable:
     """Scalar field of pointwise l^q norms of f."""
-    return VectorObservable(f.space, row_norms(f.values, ns.q))
+    return VectorObservable(f.space, point_norms(f.values, ns.q))
 
 
 def lp_norm(f: VectorObservable, p: float, ns: NormSpec = NormSpec()) -> float:
     """(sum_w mu_w |f(w)|_q^p)^(1/p) for finite p >= 1."""
-    return lp_of_norms(row_norms(f.values, ns.q), f.space.weights, p)
+    return lp_of_norms(point_norms(f.values, ns.q), f.space.weights, p)
 
 
 def lp_of_norms(norms: np.ndarray, mu: np.ndarray, p: float) -> float:
@@ -139,14 +164,14 @@ def lp_of_norms(norms: np.ndarray, mu: np.ndarray, p: float) -> float:
 
 def linf_norm(f: VectorObservable, ns: NormSpec = NormSpec()) -> float:
     """Essential sup of the point norms; equals the max since all masses are positive."""
-    return float(row_norms(f.values, ns.q).max())
+    return float(point_norms(f.values, ns.q).max())
 
 
 def llog_norm(f: VectorObservable, m: int, ns: NormSpec = NormSpec()) -> float:
     """Integral of |f|_q * (ln max(1, |f|_q))^m; the L log^+ L type functional."""
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    norms = row_norms(f.values, ns.q)
+    norms = point_norms(f.values, ns.q)
     if m == 0:
         return float(np.sum(f.space.weights * norms))
     logs = np.log(np.maximum(1.0, norms))

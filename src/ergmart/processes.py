@@ -20,7 +20,7 @@ import numpy as np
 
 from .averages import BesicovitchWeights, CesaroKernel, check_stages, composite_cond_expect
 from .measure import Filtration
-from .observables import NormSpec, VectorObservable, lp_norm, lp_of_norms, mean, row_norms
+from .observables import NormSpec, VectorObservable, lp_norm, lp_of_norms, mean, point_norms
 from .operators import Endomorphism, orbit_lcm
 
 __all__ = [
@@ -44,6 +44,8 @@ MARTINGALE_ERGODIC = "martingale_ergodic"
 ERGODIC_MARTINGALE = "ergodic_martingale"
 
 _TOL = 1e-12
+# the automatic n1 grid runs up to this many times the map order
+_N1_FACTOR = 4
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -301,7 +303,7 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
         desc = "caller-supplied reference"
     rows = []
     for (n1, n2), value in zip(itertools.product(n1_grid, n2_grid), cells):
-        norms = row_norms((value - target).values, spec.norm.q)
+        norms = point_norms((value - target).values, spec.norm.q)
         rows.append(TraceRow(
             n1=n1, n2=n2,
             lp_error=lp_of_norms(norms, spec.space.weights, p),
@@ -381,14 +383,14 @@ def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
     return worst
 
 
-def default_n1_grid(order: int, factor: int = 4) -> tuple[int, ...]:
-    """Doubling grid 1, 2, 4, ... capped by factor*order, plus the multiples
-    of the order itself so the exact points are always present."""
-    top = factor * order
+def default_n1_grid(order: int) -> tuple[int, ...]:
+    """Doubling grid 1, 2, 4, ... capped by _N1_FACTOR*order, plus the
+    multiples of the order itself so the exact points are always present."""
+    top = _N1_FACTOR * order
     grid = {1}
     v = 1
     while v < top:
         v *= 2
         grid.add(min(v, top))
-    grid.update(k * order for k in range(1, factor + 1))
+    grid.update(k * order for k in range(1, _N1_FACTOR + 1))
     return tuple(sorted(grid))

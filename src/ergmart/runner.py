@@ -26,7 +26,7 @@ from .inequalities import (
     sup_field,
 )
 from .observables import linf_norm
-from .processes import convergence_trace, stabilized_reference
+from .processes import convergence_trace
 
 __all__ = ["RunResult", "execute_plan", "render_trace_csv"]
 
@@ -148,21 +148,13 @@ def _run_checks(plan: ExperimentPlan) -> list[dict]:
 def execute_plan(plan: ExperimentPlan, out_dir: str | Path) -> RunResult:
     """Computes the trace and all checks, then writes the three artifacts;
     raises ConfigError, before writing anything, when a bound overflows."""
-    spec = plan.spec
-    # unweighted traces compute the closed-form limit themselves
-    reference = stabilized_reference(spec) if spec.is_weighted else None
-    trace = convergence_trace(spec, plan.n1_grid, plan.n2_grid, plan.trace_p,
-                              reference=reference)
-    if spec.is_weighted:
-        desc = "stabilized reference (one exact weight/orbit period)"
-    else:
-        desc = trace.target_description
+    trace = convergence_trace(plan.spec, plan.n1_grid, plan.n2_grid, plan.trace_p)
     reports = _run_checks(plan)
     manifest = {
         "config": plan.config_echo,
         "seed": plan.seed,
         "version": __version__,
-        "target": desc,
+        "target": trace.target_description,
     }
     trace_text = render_trace_csv(trace)
     reports_text = _json_text(reports)

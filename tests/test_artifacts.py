@@ -5,6 +5,7 @@ across refactors and speed-ups. The digests below were frozen from a run of
 the unchanged library; a change that moves any of them must say so and
 refreeze them on purpose.
 """
+import csv
 import hashlib
 import json
 import math
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergmart.cli import main
+from ergmart.config import build_experiment
+from ergmart.processes import convergence_trace, stabilized_reference
 from ergmart.runner import _json_text
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -97,17 +100,19 @@ CONFIGS = {
 }
 
 # sha256 of each artifact, frozen from the library before the shared-kernel
-# trace (demo, weighted) and before the gathered sup rows (multi_chunk)
+# trace (demo, weighted reports) and before the gathered sup rows
+# (multi_chunk reports); the weighted traces and manifests were refrozen when
+# every trace moved to the closed-form limit (test_weighted_trace_matches_the_oracle)
 FROZEN = {
     "multi_chunk_em": {
-        "trace.csv": "b63094c0b84ef1d1d13893bbe3bd87699ebdb68dc8a4a3042f69ced1756c391a",
+        "trace.csv": "417dff42ac1999ba8038ecef698e36f1e438d73ad6bcbf1262107dd576f3495f",
         "reports.json": "0f2eb5e547cb6e3e3f9e21095212b256ded150cb84627d239fa2dae98c87ce12",
-        "manifest.json": "fcaacc2d7afa2a0c62ecb696c671291792264d8d1d0d5be6bb161fd740082e12",
+        "manifest.json": "26e2c88fff0a835368c8fef12405f52f4361fbc0a932eb73492914f961c987ae",
     },
     "multi_chunk_me": {
-        "trace.csv": "a12ec4436053776535456c9a9864b874b4b80b38a971be2f977daa8b791ec82a",
+        "trace.csv": "16a2c471555aff26b4f152e6e94a25ac14190ca15ec8d3ecffa2c2acc40af65a",
         "reports.json": "25ba740026f43062c7011b8095ea037b531b379ae8d3451ea85b93e438e858ae",
-        "manifest.json": "bdb985f2fb603e05f1298ed5817a3c214a429b41045ab80e22084c7fb58cacf1",
+        "manifest.json": "6f3fcae1e4c9dcc5c94d88645d95f0be79ec8f957c02c142f0526080b09335ce",
     },
     "demo": {
         "trace.csv": "26b579c92378fb82a2581d6f22e965aae8cab85f0da4df41ee44765c3704ab9f",
@@ -115,14 +120,14 @@ FROZEN = {
         "manifest.json": "7c9d84c3f188a9f8113da9a3ce21ef9c3757acf52d437568dc9583c7716f7a90",
     },
     "weighted_em": {
-        "trace.csv": "b53f329f2f66cda274c4f2dad75899cffc869736df2e0a7c5f33a0a66d3189fe",
+        "trace.csv": "31f83a06fc47e68938b4f5c1c455dfc0668887c49e5a745930dec0f62f56e7f7",
         "reports.json": "782526f30787920f709677698034f7332e313e5c793904daf1a79cfcfd4c47ad",
-        "manifest.json": "6c6fe6a1c19954b4d382560b3523f68f84a8bd6e4c1e1a894819a57a22142276",
+        "manifest.json": "2b012f0e37a80c14c344c0e57d1d8507a6de87225f654211c0bce57f4653cadf",
     },
     "weighted_me": {
-        "trace.csv": "750d9d01a211403fec656566bea46b20fc94492ad11c531cf9a61a31caca2b8a",
+        "trace.csv": "065378c2a6dba3b954d8d5592b0200c8e78bc37f50f32d97e527eb9913c27819",
         "reports.json": "551d0993ac9e406c4657f4360b238e7be5b4157d7a504d6fa5f9d82664a5271d",
-        "manifest.json": "178e0e007cb2a05aee0c9256521d8e3e2c033a21d689e38d4d606c3173d986b1",
+        "manifest.json": "e1405e9d261bdee9316eaee5e8dfb4b4d2ce3dcfe51d57b43795853745b1af89",
     },
 }
 
@@ -134,6 +139,28 @@ def test_artifacts_are_byte_identical(tmp_path, name):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ARTIFACTS}
     assert digests == FROZEN[name]
+
+
+@pytest.mark.parametrize("name", ["weighted_me", "weighted_em", "multi_chunk_me", "multi_chunk_em"])
+def test_weighted_trace_matches_the_oracle(tmp_path, name):
+    # the run's trace reads the closed-form limit; the oracle reads one exact
+    # stabilization period of the weighted average
+    cfg = CONFIGS[name]()
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    plan = build_experiment(cfg)
+    oracle = convergence_trace(plan.spec, plan.n1_grid, plan.n2_grid, plan.trace_p,
+                               reference=stabilized_reference(plan.spec))
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(oracle.rows)
+    for row, want in zip(rows, oracle.rows):
+        assert (int(row["n1"]), int(row["n2"])) == (want.n1, want.n2)
+        assert abs(float(row["lp_error"]) - want.lp_error) <= 1e-15
+        assert abs(float(row["sup_error"]) - want.sup_error) <= 1e-15
+    assert json.loads((out / "manifest.json").read_text())["target"] == \
+        "closed-form limit (conditioned orbit average)"
 
 
 def _reference_json(obj) -> str:

@@ -195,6 +195,13 @@ BAD_VALUES = {
     "norm_q_inf": (lambda cfg: cfg.update(norm_q=math.inf), "norm_q"),
     "observable_1_7e308": (_last_value(1.7e308), "observable.values"),
     "observable_minus_1_7e308": (_last_value(-1.7e308), "observable.values"),
+    # JSON true and false are Python ints, yet no integer field takes them
+    "box_factor_true": (lambda cfg: cfg["checks"][0].update(box_factor=True),
+                        "checks[0].box_factor"),
+    "m_false": (lambda cfg: cfg["checks"][2].update(m=False), "checks[2].m"),
+    "n1_true": (lambda cfg: cfg.update(grids={"n1": [True, 2], "n2": "all"}), "grids.n1"),
+    "n2_false": (lambda cfg: cfg.update(grids={"n1": "auto", "n2": [False, 1]}), "grids.n2"),
+    "numerator_true": (_weight_term([0.5, [True, 2], 0.0]), "weight_seqs[0].terms[0]"),
 }
 
 
@@ -208,6 +215,28 @@ def test_bad_values_exit_1_with_path(tmp_path, capsys, mutate, path):
     assert code == 1
     assert f"error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("norm_q,values,code,path", [
+    # point norms near 1.4e200: the sup field is finite, the maximal bound's
+    # |f|_2^2 is not
+    (2, [[1, 1e200], [3, 2], [5, 1], [1e200, 3]], 1, "checks[1]"),
+    # 5^1000 leaves the float range, the l^1000 norm of (5, 1) is 5
+    (1000, [[1, 3], [3, 2], [5, 1], [2, 3]], 0, None),
+], ids=["values_1e200", "norm_q_1000"])
+def test_overflowing_point_norms_run(tmp_path, capsys, norm_q, values, code, path):
+    cfg = demo_config()
+    cfg["norm_q"] = norm_q
+    cfg["observable"]["values"] = values
+    cfg_path = tmp_path / "norms.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    if path is not None:
+        assert f"error: {path}: " in capsys.readouterr().err
+        return
+    reports = json.loads((tmp_path / "o" / "reports.json").read_text())
+    assert all(rep["satisfied"] for rep in reports)
+    assert reports[0]["lhs"] <= 5.0 < reports[0]["rhs"]
 
 
 @pytest.mark.parametrize("p", [400, 1e308], ids=["dominant_p_400", "dominant_p_1e308"])

@@ -14,6 +14,7 @@ from ergmart.observables import (
     lp_norm,
     mean,
     point_norm_field,
+    point_norms,
     row_norms,
 )
 from oracles import oracle_llog, oracle_lp_norm, oracle_point_norm, oracle_row_norms_steps
@@ -163,3 +164,28 @@ def test_row_norms_equal_the_reduction_bit_for_bit(q):
                 assert got.shape == want.shape == lead
                 assert np.ascontiguousarray(got).tobytes() == \
                     np.ascontiguousarray(want).tobytes(), (dim, lead, name)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 1000.0])
+def test_point_norms_mend_overflow_and_underflow(q):
+    # rows whose sum of powers overflows or underflows match the oracle on the
+    # row divided by its largest |component|; every other row is row_norms'
+    rng = np.random.default_rng(int(q))
+    vals = rng.normal(size=(6, 5, 3))
+    vals[0, 0] = [1.0, 1e200, -1e200]
+    vals[1, 2] = [1e-200, -3e-201, 0.0]
+    vals[2, 4] = [5.0, 1.0, 3.0]
+    vals[3, 1] = 0.0
+    vals[4, 3] = [1e-320, 0.0, 2e-320]
+    with np.errstate(over="ignore", under="ignore"):
+        raw = row_norms(vals, q)
+    got = point_norms(vals, q)
+    assert np.all(np.isfinite(got))
+    for idx in np.ndindex(vals.shape[:-1]):
+        row = vals[idx]
+        top = float(np.abs(row).max())
+        want = top * oracle_point_norm(row / top, q) if top > 0 else 0.0
+        assert got[idx] == pytest.approx(want, rel=1e-12, abs=0.0), idx
+        if 0.0 < raw[idx] < math.inf:
+            assert got[idx] == raw[idx], idx
+    assert got[3, 1] == 0.0 and got[0, 0] > 1e200 and got[1, 2] >= 1e-200
