@@ -42,6 +42,9 @@ _RATIONAL_TOL = 1e-12
 _MAX_DENOM = 4096
 # keeps num * (m mod den) below 2**62, so the exact phase reduction stays in int64
 _MAX_EXACT_DENOM = 2**31
+# floats per chunk of a stacked pass (a sup pass along its outermost averaging
+# axis, a trace along its n grid), so its memory grows with neither
+_CHUNK_FLOATS = 2**17
 # rows of at least this many floats are summed with one add per row: numpy's
 # accumulate along the outer axis is faster on narrower rows, slower on wider
 _ROW_ADD_FLOATS = 256
@@ -223,9 +226,10 @@ def _prefix_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _per_term(a: np.ndarray, lead: int) -> np.ndarray:
-    """(terms, N) per-term factors shaped to broadcast against a
-    (terms, ..., N, dim) stack with `lead` stack axes."""
-    return a.reshape(a.shape[:1] + (1,) * lead + a.shape[1:] + (1,))
+    """(..., N) factors, whose leading axes (per length, per term) match the
+    leading axes of a stack, shaped to broadcast against it: `lead` stack
+    axes and (N, dim) follow."""
+    return a.reshape(a.shape[:-1] + (1,) * lead + a.shape[-1:] + (1,))
 
 
 class CesaroKernel:
@@ -236,7 +240,7 @@ class CesaroKernel:
     whole `values` stack of shape (..., N, dim): the gather onto the doubled
     cycles (operators.CycleLayout), one prefix sum, the per-cycle sums and,
     weighted, the phase factors. `average(n)` then costs O(N dim) per stack
-    entry at any n.
+    entry at any n, and reads a whole array of lengths in one pass.
 
     On a cycle of length L, n = qL + r steps are q full cycles plus a window
     of r steps; both are differences of the one prefix sum. Weighted, each
@@ -253,50 +257,62 @@ class CesaroKernel:
     def __init__(self, values: np.ndarray, t: Endomorphism,
                  w: BesicovitchWeights | None = None):
         lay = t.cycle_layout
-        self.length, self.slot, self.w = lay.length, lay.slot, w
+        self.length, self.w = lay.length, w
         doubled = np.take(values, lay.flat, axis=-2)
+        self.lead = doubled.ndim - 2
+        if w is not None:
+            doubled = _per_term(np.exp(1j * w._angles(lay.step)), self.lead) * doubled
+        csum = _prefix_sum(doubled)
+        self.base = csum[..., lay.slot, :]
         if w is None:
-            self.csum = _prefix_sum(doubled)
             # one sum per cycle: the limit is exactly orbit-constant
             start = lay.slot - lay.position
-            self.cycle = self.csum[..., start + lay.length, :] - self.csum[..., start, :]
-            self.base = self.csum[..., lay.slot, :]
+            self.cycle = csum[..., start + lay.length, :] - csum[..., start, :]
         else:
-            self.lead = doubled.ndim - 2
-            self.csum = _prefix_sum(_per_term(np.exp(1j * w._angles(lay.step)), self.lead)
-                                    * doubled)
-            self.base = self.csum[..., lay.slot, :]
             self.back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
             self.cycle = _per_term(self.back, self.lead) * (
-                self.csum[..., lay.slot + lay.length, :] - self.base)
+                csum[..., lay.slot + lay.length, :] - self.base)
             self.theta = w._angles(lay.length)
             self.whole = self.theta == 0.0
+            # the n-independent half angle and Dirichlet denominator
+            self.half = self.theta / 2
+            self.sin_half = np.where(self.whole, 1.0, np.sin(self.half))
+        # every (term and) stack entry's prefix sum as one run of rows, so a
+        # read at any lengths is one gather at index + r
+        rows = csum.shape[-2]
+        self.csum = csum.reshape(-1, csum.shape[-1])
+        self.index = np.add.outer(np.arange(0, len(self.csum), rows), lay.slot)
         # a kernel may be kept and shared (ProcessSpec.kernels), so its tables are read-only
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
 
-    def average(self, n: int | None) -> np.ndarray:
-        """The average at length n, shape of the stack; the limit for n None."""
-        if n is not None and n < 1:
-            raise ValueError("n must be positive")
-        length, slot = self.length, self.slot
-        if self.w is None:
-            if n is None:
-                return self.cycle / length[:, None]
-            q, r = np.divmod(n, length)
-            return (q[:, None] * self.cycle + (self.csum[..., slot + r, :] - self.base)) / n
+    def average(self, n) -> np.ndarray:
+        """The average at length n, shape of the stack; the limit for n None.
+        An integer array of lengths gives the averages at each of them, on
+        new leading axes of its shape, every one the float of its own read."""
+        length, lead = self.length, self.lead
         if n is None:
-            whole = _per_term(self.whole, self.lead)
+            if self.w is None:
+                return self.cycle / length[:, None]
+            whole = _per_term(self.whole, lead)
             return np.where(whole, self.cycle.real, 0.0).sum(axis=0) / length[:, None]
-        q, r = np.divmod(n, length)
-        half, whole = self.theta / 2, self.whole
-        dirichlet = (np.exp(1j * (q - 1) * half) * np.sin(q * half)
-                     / np.where(whole, 1.0, np.sin(half)))
-        geometric = _per_term(np.where(whole, q, dirichlet), self.lead)
-        window = (_per_term(self.back * np.exp(1j * q * self.theta), self.lead)
-                  * (self.csum[..., slot + r, :] - self.base))
-        return (geometric * self.cycle + window).real.sum(axis=0) / n
+        n = np.asarray(n)
+        if min(n.flat, default=1) < 1:
+            raise ValueError("n must be positive")
+        q, r = np.divmod(n[..., None], length)  # n's shape + (N,)
+        window = self.csum.take(self.index + r[..., None, :], axis=0)
+        window = window.reshape(n.shape + self.base.shape) - self.base
+        scale = n.reshape(n.shape + (1,) * (lead + 2))
+        if self.w is None:
+            return (_per_term(q, lead) * self.cycle + window) / scale
+        # per-term factors of shape n's shape + (terms, N)
+        q = q[..., None, :]
+        half = self.half
+        dirichlet = np.exp(1j * (q - 1) * half) * np.sin(q * half) / self.sin_half
+        geometric = _per_term(np.where(self.whole, q, dirichlet), lead)
+        window = _per_term(self.back * np.exp(1j * q * self.theta), lead) * window
+        return (geometric * self.cycle + window).real.sum(axis=n.ndim) / scale
 
 
 def ergodic_average(f: VectorObservable, t: Endomorphism, n: int) -> VectorObservable:

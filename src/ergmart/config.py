@@ -178,7 +178,7 @@ def _build_observable(cfg, path: str, space: MeasureSpace, rng) -> VectorObserva
         dim = _as_positive_int(cfg.get("dim", 1), f"{path}.dim")
         style = cfg.get("style", "normal")
         scale = cfg.get("scale", 1.0)
-        if not isinstance(scale, (int, float)) or scale <= 0:
+        if not _is_finite_number(scale) or scale <= 0:
             raise ConfigError(f"{path}.scale", "must be a positive number")
         try:
             return random_observable(rng, space, dim, style=style, scale=float(scale))

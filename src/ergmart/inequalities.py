@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .averages import composite_block_means, running_weighted_averages
+from .averages import _CHUNK_FLOATS, composite_block_means, running_weighted_averages
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, point_norms
 from .operators import Endomorphism
@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-# floats per chunk of the outermost averaging axis in a sup pass, so its
-# memory does not grow with the averaging length
-_CHUNK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)

@@ -146,20 +146,31 @@ def lp_norm(f: VectorObservable, p: float, ns: NormSpec = NormSpec()) -> float:
     return lp_of_norms(point_norms(f.values, ns.q), f.space.weights, p)
 
 
-def lp_of_norms(norms: np.ndarray, mu: np.ndarray, p: float) -> float:
+def lp_of_norms(norms: np.ndarray, mu: np.ndarray, p: float):
     """(sum_w mu_w norms_w^p)^(1/p) of point norms already taken, for finite
-    p >= 1. When the sum of powers leaves the float range (large p), the
-    norms are divided by the largest one first, so the result is finite
-    whenever the norm is."""
+    p >= 1, over the last axis: a float for one row of N norms, an array of
+    the leading shape for a stack of rows. When a row's sum of powers leaves
+    the float range (large p), its norms are divided by its largest one
+    first, so the result is finite whenever the norm is."""
     if not p >= 1.0 or math.isinf(p):
         raise ValueError("p must be a finite real >= 1")
+    # C order, so every row is summed as a one-row call sums it
+    rows = np.ascontiguousarray(norms).reshape(-1, norms.shape[-1])
+    out = []
     with np.errstate(over="ignore", under="ignore"):
-        total = np.sum(mu * norms**p)
-        if not np.isfinite(total) or total == 0.0:
-            top = norms.max()
-            if 0.0 < top < math.inf:
-                return float(top * np.sum(mu * (norms / top) ** p) ** (1.0 / p))
-    return float(total ** (1.0 / p))
+        # each root is a scalar power, as a one-row call takes it: the array
+        # power may round differently
+        for k, total in enumerate((mu * rows**p).sum(axis=-1)):
+            if not 0.0 < total < math.inf:
+                top = rows[k].max()
+                if 0.0 < top < math.inf:
+                    total = (mu * (rows[k] / top) ** p).sum()
+                    out.append(top * total ** (1.0 / p))
+                    continue
+            out.append(total ** (1.0 / p))
+    if norms.ndim == 1:
+        return float(out[0])
+    return np.array(out).reshape(norms.shape[:-1])
 
 
 def linf_norm(f: VectorObservable, ns: NormSpec = NormSpec()) -> float:

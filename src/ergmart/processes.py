@@ -18,7 +18,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .averages import BesicovitchWeights, CesaroKernel, check_stages, composite_cond_expect
+from .averages import (_CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages,
+                       composite_block_means)
 from .measure import Filtration
 from .observables import NormSpec, VectorObservable, lp_norm, lp_of_norms, mean, point_norms
 from .operators import Endomorphism, orbit_lcm
@@ -151,8 +152,8 @@ class ProcessSpec:
     @functools.cached_property
     def limit(self) -> VectorObservable:
         """limit_target of this spec, computed on first use."""
-        [value] = _cells(self, [None], [self.last_stages])
-        return value
+        [values] = _cells(self, [None], [self.last_stages])
+        return VectorObservable(self.space, values[0, 0])
 
     def __repr__(self):
         return (f"ProcessSpec({self.kind}, maps={self.d_maps}, "
@@ -170,19 +171,21 @@ def _per_axis(value, count: int, message: str) -> tuple[int, ...]:
 
 
 def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
-           s_vecs: Sequence[tuple[int, ...]]) -> Iterator[VectorObservable]:
-    """Process values at every cell (n_vec, s_vec) of the grid, n-major; an
-    n_vec of None gives the limit of the averages.
+           s_vecs: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Process values at every cell (n_vec, s_vec) of the grid, in chunks of
+    consecutive n_vecs: arrays of shape (k, len(s_vecs), N, dim). An n_vec of
+    None (alone in its list) gives the limit of the averages.
 
     Every index is checked here, before any kernel is built; the values are
-    computed as they are read. The written operator order T_1^{k_1} ...
-    T_d^{k_d} applies T_d first, and by linearity the box sum factors into
-    nested one-parameter averages. The innermost map's kernel does not depend
-    on n, so it is built once and kept by the spec (ProcessSpec.kernels):
-    martingale-ergodic over f, averaged once per n_vec and conditioned at each
-    s_vec; ergodic-martingale over the stack of f conditioned at every s_vec,
-    averaged for all stages at once, once per list of s_vecs. The outer maps'
-    inputs depend on n, so their kernels are built per n_vec.
+    computed chunk by chunk as they are read. The written operator order
+    T_1^{k_1} ... T_d^{k_d} applies T_d first, and by linearity the box sum
+    factors into nested one-parameter averages. The innermost map's kernel
+    does not depend on n, so it is built once and kept by the spec
+    (ProcessSpec.kernels): martingale-ergodic over f, read once per chunk at
+    all its n_vecs and conditioned once per s_vec over the whole stack;
+    ergodic-martingale over the stack of f conditioned at every s_vec, once
+    per list of s_vecs, and read once per chunk. The outer maps' inputs
+    depend on n, so their kernels are built per n_vec.
     """
     for n_vec in n_vecs:
         if n_vec is not None and min(n_vec) < 1:
@@ -191,33 +194,49 @@ def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
     return _grid_values(spec, n_vecs, s_vecs)
 
 
-def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[VectorObservable]:
-    """The values of `_cells`, on indices it has checked."""
+def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
+    """The chunks of `_cells`, on indices it has checked. A chunk holds as
+    many n_vecs as keep its stack, the innermost read's complex terms
+    included, under _CHUNK_FLOATS floats."""
     weights = spec.weights or (None,) * spec.d_maps
     me = spec.kind == MARTINGALE_ERGODIC
     key = None if me else tuple(s_vecs)
-
-    def averaged(kernel: CesaroKernel, n_vec) -> np.ndarray:
-        values = kernel.average(None if n_vec is None else n_vec[-1])
-        for j in reversed(range(spec.d_maps - 1)):
-            values = CesaroKernel(values, spec.maps[j], weights[j]).average(
-                None if n_vec is None else n_vec[j])
-        return values
-
     kernel = spec.kernels.get(key)
     if kernel is None:
-        values = spec.f.values if me else np.stack(
-            [composite_cond_expect(spec.f, spec.filtrations, s_vec).values for s_vec in s_vecs])
+        values = spec.f.values if me else _conditioned(spec, spec.f.values, s_vecs)
         kernel = spec.kernels[key] = CesaroKernel(values, spec.maps[-1], weights[-1])
-    if me:
-        for n_vec in n_vecs:
-            avg = VectorObservable(spec.space, averaged(kernel, n_vec))
-            for s_vec in s_vecs:
-                yield composite_cond_expect(avg, spec.filtrations, s_vec)
-        return
-    for n_vec in n_vecs:
-        for values in averaged(kernel, n_vec):
-            yield VectorObservable(spec.space, values)
+    # floats per n_vec: the values at every s_vec, and the innermost read of
+    # each kernel entry (f, or f at every s_vec), complex per term if weighted
+    read = 1 if weights[-1] is None else 2 * len(weights[-1].terms)
+    entries = 1 if me else len(s_vecs)
+    rows = max(1, _CHUNK_FLOATS // (spec.f.values.size * (len(s_vecs) + entries * read)))
+    for start in range(0, len(n_vecs), rows):
+        chunk = n_vecs[start:start + rows]
+        if chunk[0] is None:
+            stack = kernel.average(None)[None]
+        else:
+            stack = kernel.average(np.array([n_vec[-1] for n_vec in chunk]))
+        if spec.d_maps > 1:
+            outer = []
+            for n_vec, values in zip(chunk, stack):
+                for j in reversed(range(spec.d_maps - 1)):
+                    values = CesaroKernel(values, spec.maps[j], weights[j]).average(
+                        None if n_vec is None else n_vec[j])
+                outer.append(values)
+            stack = np.stack(outer)
+        yield _conditioned(spec, stack, s_vecs) if me else stack
+
+
+def _conditioned(spec: ProcessSpec, values: np.ndarray, s_vecs) -> np.ndarray:
+    """A stack (..., N, dim) conditioned at every s_vec (the composition of
+    averages.composite_cond_expect), on a new stage axis before (N, dim):
+    one composite_block_means pass over the whole stack per s_vec."""
+    out = np.empty(values.shape[:-2] + (len(s_vecs),) + values.shape[-2:])
+    for k, s_vec in enumerate(s_vecs):
+        [(part, means)] = composite_block_means(values, spec.filtrations, [(s,) for s in s_vec])
+        out[..., k, :, :] = means.reshape(values.shape[:-2] + means.shape[-2:])[
+            ..., part.block_of, :]
+    return out
 
 
 def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
@@ -229,8 +248,8 @@ def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
     n_vec = _per_axis(n1, spec.d_maps, "n1 must give one count per map")
     s_vec = _per_axis(n2, spec.m_filtrations,
                       "n2 must give one stage index per filtration")
-    [value] = _cells(spec, [n_vec], [s_vec])
-    return value
+    [values] = _cells(spec, [n_vec], [s_vec])
+    return VectorObservable(spec.space, values[0, 0])
 
 
 def limit_target(spec: ProcessSpec) -> VectorObservable:
@@ -302,13 +321,17 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
         target = reference
         desc = "caller-supplied reference"
     rows = []
-    for (n1, n2), value in zip(itertools.product(n1_grid, n2_grid), cells):
-        norms = point_norms((value - target).values, spec.norm.q)
-        rows.append(TraceRow(
-            n1=n1, n2=n2,
-            lp_error=lp_of_norms(norms, spec.space.weights, p),
-            sup_error=float(norms.max()),
-        ))
+    cell = itertools.product(n1_grid, n2_grid)
+    for values in cells:
+        errors = values - target.values
+        if not np.isfinite(errors).all():
+            raise ValueError("values must be finite")
+        # one row of point norms per cell, in grid order
+        norms = point_norms(errors, spec.norm.q).reshape(-1, spec.space.size)
+        # the grid's cells last: zip stops at the chunk's end without taking one
+        for lp_error, sup_error, (n1, n2) in zip(
+                lp_of_norms(norms, spec.space.weights, p), norms.max(axis=-1), cell):
+            rows.append(TraceRow(n1, n2, float(lp_error), float(sup_error)))
     return ConvergenceTrace(tuple(rows), n1_grid, n2_grid, p, desc)
 
 
@@ -375,7 +398,8 @@ def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
     s_vec = _per_axis(n2, spec.m_filtrations, "n2 must give one stage index per filtration")
     tail_start = n_periods - max(1, n_periods // 4) + 1
     n_vecs = [tuple(k * pj for pj in periods) for k in range(tail_start, n_periods + 1)]
-    evals = list(_cells(spec, n_vecs, [s_vec]))
+    evals = [VectorObservable(spec.space, values[0])
+             for chunk in _cells(spec, n_vecs, [s_vec]) for values in chunk]
     worst = 0.0
     for a in range(len(evals)):
         for b in range(a + 1, len(evals)):

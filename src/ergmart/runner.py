@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import CheckSpec, ConfigError, ExperimentPlan
 from .inequalities import (
@@ -25,7 +27,7 @@ from .inequalities import (
     orlicz_class_report,
     sup_field,
 )
-from .observables import linf_norm
+from .observables import linf_norm, lp_norm
 from .processes import convergence_trace
 
 __all__ = ["RunResult", "execute_plan", "render_trace_csv"]
@@ -103,18 +105,22 @@ def _json_block(obj, newline: str) -> str:
     return json.dumps(obj, allow_nan=False)  # a scalar: json's C encoder
 
 
+def _epsilons(plan: ExperimentPlan, chk: CheckSpec) -> tuple[float, ...]:
+    """The levels of a maximal check: its own, or "autoK" spread over the sup field."""
+    if not isinstance(chk.epsilons, str):
+        return chk.epsilons
+    box = default_box(plan.spec, n_factor=chk.box_factor)
+    top = linf_norm(sup_field(plan.spec, box), plan.spec.norm)
+    return auto_epsilons(top, int(chk.epsilons[4:]))
+
+
 def _check_reports(plan: ExperimentPlan, chk: CheckSpec) -> list[dict]:
     box = default_box(plan.spec, n_factor=chk.box_factor)
     if chk.type == "dominant":
         return [_report_dict(dominant_check(plan.spec, chk.p, box))]
     if chk.type == "maximal":
-        eps = chk.epsilons
-        if isinstance(eps, str):
-            top = linf_norm(sup_field(plan.spec, box), plan.spec.norm)
-            grid = auto_epsilons(top, int(eps[4:]))
-        else:
-            grid = eps
-        return [_report_dict(r) for r in epsilon_sweep(plan.spec, chk.p, grid, box)]
+        return [_report_dict(r) for r in
+                epsilon_sweep(plan.spec, chk.p, _epsilons(plan, chk), box)]
     rep = orlicz_class_report(plan.spec, chk.m, box)
     return [{
         "theorem": "orlicz-class",
@@ -127,9 +133,24 @@ def _check_reports(plan: ExperimentPlan, chk: CheckSpec) -> list[dict]:
     }]
 
 
+def _values_too_large(plan: ExperimentPlan, chk: CheckSpec) -> bool:
+    """True for a maximal check whose input term |f|_p^p leaves the float
+    range while every (|f|_p / eps)^p stays in it: the bound C |f|_p^p /
+    eps^p does not change when f and eps are scaled together, so the size of
+    the values alone is at fault, not p or the epsilons."""
+    if chk.type != "maximal":
+        return False
+    norm = lp_norm(plan.spec.f, chk.p, plan.spec.norm)
+    with np.errstate(over="ignore"):
+        term = np.float64(norm) ** chk.p
+        ratios = (norm / np.array(_epsilons(plan, chk))) ** chk.p
+    return not np.isfinite(term) and np.isfinite(ratios).all()
+
+
 def _run_checks(plan: ExperimentPlan) -> list[dict]:
-    """Every check's reports; a bound that leaves the float range (a huge p,
-    a tiny epsilon) is a ConfigError naming the check."""
+    """Every check's reports; a bound that leaves the float range is a
+    ConfigError naming the observable when its values are too large, else
+    the check (a huge p, a tiny epsilon)."""
     out: list[dict] = []
     for k, chk in enumerate(plan.checks):
         try:
@@ -138,6 +159,9 @@ def _run_checks(plan: ExperimentPlan) -> list[dict]:
                          for v in rep.values() if isinstance(v, float))
         except (OverflowError, ZeroDivisionError):
             finite = False
+        if not finite and _values_too_large(plan, chk):
+            raise ConfigError("observable", "the values are too large for the maximal "
+                              f"bound at p = {chk.p:g} (checks[{k}]); scale them down")
         if not finite:
             raise ConfigError(f"checks[{k}]", "the bound is not a finite float; "
                               "use a smaller p or larger epsilons")

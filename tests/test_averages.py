@@ -452,11 +452,42 @@ class TestCycleKernel:
                         want = CesaroKernel(stack[idx], t, w).average(n)
                         assert got[idx].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_array_read_matches_each_length_bit_for_bit(self, lead):
+        """A read at an array of lengths stacks, on a new leading axis, the
+        very floats of the read at each length, unweighted and with rational
+        and irrational weights (up to 11 terms), for n below, at and above
+        every cycle length."""
+        rng = np.random.default_rng(101 + len(lead))
+        for _ in range(20):
+            space, t, order = random_cycle_system(rng, n_max=40)
+            lengths = sorted({len(c) for c in cycles(t)})
+            ns = sorted({1, 2, order, order + 1, 3 * order + 5}
+                        | {m for L in lengths for m in (L - 1, L, L + 1, 2 * L + 3) if m >= 1})
+            rational = tuple((float(rng.uniform(-1, 1)), Fraction(int(rng.integers(0, 9)), 9),
+                              float(rng.uniform(0, 6))) for _ in range(int(rng.integers(1, 12))))
+            irrational = ((0.7, float(rng.uniform(0, 1)), 0.4), (-0.3, Fraction(1, 4), 2.0))
+            stack = rng.normal(size=lead + (space.size, int(rng.integers(1, 4))))
+            for w in (None, BesicovitchWeights(rational), BesicovitchWeights(irrational)):
+                kernel = CesaroKernel(stack, t, w)
+                got = kernel.average(np.array(ns))
+                assert got.shape == (len(ns),) + stack.shape
+                want = np.stack([kernel.average(n) for n in ns])
+                assert got.tobytes() == want.tobytes()
+
     def test_kernel_rejects_nonpositive_length(self):
         kernel = CesaroKernel(F1357.values, CYC)
         for n in (0, -3):
             with pytest.raises(ValueError, match="positive"):
                 kernel.average(n)
+
+    @pytest.mark.parametrize("weights", (None, BesicovitchWeights.single_cosine(0.8, 1, 3)))
+    def test_array_with_a_zero_is_refused_before_any_read(self, monkeypatch, weights):
+        kernel = CesaroKernel(F1357.values, CYC, weights)
+        # a read of the prefix sums would now fail with an AttributeError
+        monkeypatch.setattr(kernel, "csum", None)
+        with pytest.raises(ValueError, match="n must be positive"):
+            kernel.average(np.array([3, 0, 5]))
 
 
 class TestRunningAverages:

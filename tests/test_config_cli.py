@@ -153,6 +153,10 @@ def _last_value(value):
     return lambda cfg: cfg["observable"]["values"].__setitem__(3, [value])
 
 
+def _random_scale(scale):
+    return lambda cfg: cfg.update(observable={"kind": "random", "dim": 2, "scale": scale})
+
+
 # config edits that must exit 1 with the path each error names (most used to
 # end in a raw traceback; the three *_above_* cases guard the int64 averaging
 # lengths, the 1e308 and 1.7e308 cases the float range of averages and
@@ -202,6 +206,9 @@ BAD_VALUES = {
     "n1_true": (lambda cfg: cfg.update(grids={"n1": [True, 2], "n2": "all"}), "grids.n1"),
     "n2_false": (lambda cfg: cfg.update(grids={"n1": "auto", "n2": [False, 1]}), "grids.n2"),
     "numerator_true": (_weight_term([0.5, [True, 2], 0.0]), "weight_seqs[0].terms[0]"),
+    "scale_true": (_random_scale(True), "observable.scale"),
+    "scale_nan": (_random_scale(math.nan), "observable.scale"),
+    "scale_inf": (_random_scale(math.inf), "observable.scale"),
 }
 
 
@@ -219,8 +226,8 @@ def test_bad_values_exit_1_with_path(tmp_path, capsys, mutate, path):
 
 @pytest.mark.parametrize("norm_q,values,code,path", [
     # point norms near 1.4e200: the sup field is finite, the maximal bound's
-    # |f|_2^2 is not
-    (2, [[1, 1e200], [3, 2], [5, 1], [1e200, 3]], 1, "checks[1]"),
+    # |f|_2^2 is not, though its (|f|_2 / eps)^2 is
+    (2, [[1, 1e200], [3, 2], [5, 1], [1e200, 3]], 1, "observable"),
     # 5^1000 leaves the float range, the l^1000 norm of (5, 1) is 5
     (1000, [[1, 3], [3, 2], [5, 1], [2, 3]], 0, None),
 ], ids=["values_1e200", "norm_q_1000"])
@@ -232,11 +239,30 @@ def test_overflowing_point_norms_run(tmp_path, capsys, norm_q, values, code, pat
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
     if path is not None:
-        assert f"error: {path}: " in capsys.readouterr().err
+        assert (f"error: {path}: the values are too large for the maximal bound at p = 2 "
+                in capsys.readouterr().err)
         return
     reports = json.loads((tmp_path / "o" / "reports.json").read_text())
     assert all(rep["satisfied"] for rep in reports)
     assert reports[0]["lhs"] <= 5.0 < reports[0]["rhs"]
+
+
+@pytest.mark.parametrize("values,maximal", [
+    # |f|_2^2 overflows, and so does (|f|_2 / eps)^2 at this epsilon
+    ([[1e200], [3], [5], [7]], {"epsilons": [1e-100]}),
+    # the demo values: |f|_500^500 overflows only because p is large
+    ([[1], [3], [5], [7]], {"p": 500}),
+], ids=["values_1e200_epsilon_1e-100", "demo_values_p_500"])
+def test_other_maximal_overflows_name_the_check(tmp_path, capsys, values, maximal):
+    cfg = demo_config()
+    cfg["observable"]["values"] = values
+    cfg["checks"][1].update(maximal)
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert ("error: checks[1]: the bound is not a finite float; use a smaller p or larger "
+            "epsilons" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("p", [400, 1e308], ids=["dominant_p_400", "dominant_p_1e308"])

@@ -12,6 +12,7 @@ from ergmart.observables import (
     linf_norm,
     llog_norm,
     lp_norm,
+    lp_of_norms,
     mean,
     point_norm_field,
     point_norms,
@@ -189,3 +190,22 @@ def test_point_norms_mend_overflow_and_underflow(q):
         if 0.0 < raw[idx] < math.inf:
             assert got[idx] == raw[idx], idx
     assert got[3, 1] == 0.0 and got[0, 0] > 1e200 and got[1, 2] >= 1e-200
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 400.0])
+def test_lp_of_norms_rows_match_one_row_calls_bit_for_bit(p):
+    # every row of a stack, in any layout, gets the float of its own one-row
+    # call, including the rows rescaled because their sum of powers leaves the
+    # float range and the all-zero rows
+    rng = np.random.default_rng(int(p))
+    mu = make_space(rng.uniform(0.1, 1.0, 9)).weights
+    for lead in ((1,), (12,), (3, 5)):
+        for name, norms in _layouts(rng, lead, 9).items():
+            norms = np.abs(norms)
+            norms[(0,) * len(lead)] = 0.0
+            got = lp_of_norms(norms, mu, p)
+            assert got.shape == lead
+            for idx in np.ndindex(lead):
+                want = lp_of_norms(np.array(norms[idx]), mu, p)
+                assert isinstance(want, float)
+                assert got[idx] == want, (lead, name, idx)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ergmart.averages as averages_module
+import ergmart.processes as processes_module
 from ergmart.averages import (
     BesicovitchWeights,
     composite_cond_expect,
@@ -437,6 +439,76 @@ class TestGridEvaluation:
         assert tail_variation(fresh, p=2.0, n_periods=8, n2=1) == want
         assert tail_variation(spec, p=2.0, n_periods=8, n2=1) == want
         assert len(calls) == 1
+
+
+def _spy_kernel_reads(monkeypatch):
+    reads = []
+    real = averages_module.CesaroKernel.average
+    monkeypatch.setattr(averages_module.CesaroKernel, "average",
+                        lambda kernel, n: reads.append(n) or real(kernel, n))
+    return reads
+
+
+def _wide_spec(kind):
+    """N = 1024, dim 4, four stages, two weight terms: one n of the trace
+    stack takes a large share of the chunk budget."""
+    rng = np.random.default_rng(5)
+    sp = uniform_space(1024)
+    f = VectorObservable(sp, rng.normal(size=(1024, 4)))
+    filt = Filtration(sp, DECREASING, tuple(Partition(sp, np.arange(1024) % k)
+                                            for k in (1024, 64, 8, 1)))
+    w = BesicovitchWeights(((0.6, Fraction(1, 3), 0.2), (0.4, Fraction(1, 4), 1.0)))
+    return ProcessSpec.single(kind, f, Endomorphism(sp, rng.permutation(1024)), filt, w)
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    @pytest.mark.parametrize("weights", (None, BesicovitchWeights.single_cosine(0.8, 1, 3)))
+    def test_single_map_trace_reads_the_kernel_once_per_chunk(self, monkeypatch, kind,
+                                                             weights):
+        n1_grid = (1, 2, 3, 5, 7, 12, 40, 41)
+        spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
+        want = convergence_trace(spec, n1_grid, (0, 1, 2), reference=F1357).rows
+        reads = _spy_kernel_reads(monkeypatch)
+        assert convergence_trace(spec, n1_grid, (0, 1, 2), reference=F1357).rows == want
+        assert [list(n) for n in reads] == [list(n1_grid)]
+        # a budget of three n per chunk (three stages, and a read of one real
+        # float or one complex term per kernel entry): three reads
+        read = 1 if weights is None else 2
+        entries = 1 if kind == MARTINGALE_ERGODIC else 3
+        monkeypatch.setattr(processes_module, "_CHUNK_FLOATS",
+                            3 * SP4.size * (3 + entries * read))
+        reads.clear()
+        assert convergence_trace(spec, n1_grid, (0, 1, 2), reference=F1357).rows == want
+        assert [list(n) for n in reads] == [[1, 2, 3], [5, 7, 12], [40, 41]]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_n_per_chunk_gives_the_same_rows(self, monkeypatch, family):
+        for seed in range(6):
+            inst = random_process_instance(seed, family)
+            period = max(inst.spec.periods())
+            n1_grid = sorted({1, 2, period, period + 1, 2 * period + 3})
+            n2_grid = range(min(len(fl.stages) for fl in inst.spec.filtrations))
+            monkeypatch.undo()
+            want = convergence_trace(inst.spec, n1_grid, n2_grid, inst.p).rows
+            monkeypatch.setattr(processes_module, "_CHUNK_FLOATS", 1)
+            fresh = random_process_instance(seed, family).spec
+            assert convergence_trace(fresh, n1_grid, n2_grid, inst.p).rows == want
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    def test_trace_memory_does_not_grow_with_the_grid(self, kind):
+        import tracemalloc
+
+        def peak(n1_grid):
+            spec = _wide_spec(kind)
+            tracemalloc.start()
+            try:
+                convergence_trace(spec, n1_grid, (0, 1, 2, 3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(range(1, 65)) <= 2 * peak(range(1, 5))
 
 
 def _spec_arrays(spec):
