@@ -1,6 +1,11 @@
 """Experiment configuration: validation with path-addressed messages and
 construction of library objects from JSON-friendly dictionaries.
 
+Every config field has one rule in FIELDS, read by `_field` (`_check` for a
+list entry), so a refused value is named by its own config path. Checks that
+need built objects follow the build; each library constructor keeps its own,
+reported at the path of the value it was given.
+
 Every random fragment draws from one seeded generator in a fixed order
 (space, maps, filtrations, observable, weight sequences), so a config plus a
 seed pins the whole experiment.
@@ -40,6 +45,12 @@ _MAX_LENGTH = 2**62
 # below this bound on max |f| times the weight amplitude sums (1 unweighted),
 # a weighted sum of up to _MAX_LENGTH terms stays finite
 _MAX_WEIGHTED_SCALE = sys.float_info.max / 2**63
+# the most entries a size field may ask of one array: space.size,
+# space.max_size, and size * dim of a random observable
+_MAX_ENTRIES = 2**24
+# the most levels of an "auto<count>" epsilon grid
+_MAX_LEVELS = 2**12
+_REQUIRED = object()  # the default of a field that must be given
 
 
 class ConfigError(ValueError):
@@ -70,15 +81,9 @@ class ExperimentPlan:
     config_echo: dict
 
 
-def _need(cfg: dict, key: str, path: str) -> Any:
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return cfg[key]
-
-
 def _is_finite_number(value) -> bool:
     # the bound rejects NaN, infinities and integers too large for a float
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 
 
@@ -87,255 +92,272 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_positive_int(value, path: str) -> int:
-    if not _is_int(value) or value < 1:
-        raise ConfigError(path, "must be a positive integer")
+@dataclass(frozen=True)
+class _Rule:
+    """One row of FIELDS. A value passes when it equals one of the literal
+    `values`, or by `kind`: "int", an integer in [low, high]; "number", a
+    number in [low, high] (low excluded when `open`); "list", a nonempty
+    list whose entries pass `item` (entries None: a bulk array that its
+    builder converts whole), strictly ascending when `ascending`, or a
+    string "auto<count>" with 1 <= count <= `auto`; "object", a JSON
+    object; "enum", the literals alone."""
+
+    message: str
+    default: Any = _REQUIRED
+    kind: str = "enum"
+    values: tuple = ()
+    low: float = -math.inf
+    high: float = math.inf
+    open: bool = False
+    item: _Rule | None = None
+    ascending: bool = False
+    auto: int = 0
+
+    def accepts(self, value, high: float | None = None) -> bool:
+        """`high`, when given, is the upper bound of an int or of a list's
+        entries that depends on built objects."""
+        high = self.high if high is None else high
+        if value in self.values:
+            return True
+        if self.kind == "int":
+            return _is_int(value) and self.low <= value <= high
+        if self.kind == "number":
+            return _is_finite_number(value) and value <= high and (
+                value > self.low if self.open else value >= self.low)
+        if self.kind == "object":
+            return isinstance(value, dict)
+        if self.auto and isinstance(value, str) and value.startswith("auto"):
+            count = value[4:]
+            return (count.isascii() and count.isdigit() and len(count) < 20
+                    and 1 <= int(count) <= self.auto)
+        return (self.kind == "list" and isinstance(value, list) and value != []
+                and (self.item is None or all(self.item.accepts(v, high) for v in value))
+                and not (self.ascending and any(b <= a for a, b in zip(value, value[1:]))))
+
+
+def _one_of(*values: str, default: Any = _REQUIRED) -> _Rule:
+    names = [repr(v) for v in values]
+    return _Rule(f"must be {', '.join(names[:-1])} or {names[-1]}", default, values=values)
+
+
+_OBJECT = _Rule("must be an object", kind="object")
+_POSITIVE = "must be a positive integer"
+_SIZE = f"{_POSITIVE} <= {_MAX_ENTRIES}"
+_SCALE = "must be a number > 0 and <= sys.float_info.max / 2**63"
+_KIND = _one_of("explicit", "random", default="explicit")
+
+# Every config field by its path, list indices written [k]; README's
+# "Config schema" table has one row per entry. The random filtration's
+# stage count shares its path with the explicit labelings.
+FIELDS: dict[str, _Rule] = {
+    "seed": _Rule("must be a nonnegative integer", 0, "int", low=0),
+    "space": _OBJECT,
+    "space.kind": _KIND,
+    "space.max_size": _Rule(_SIZE, 32, "int", low=1, high=_MAX_ENTRIES),
+    "space.weights": _Rule("must be 'uniform' or a nonempty list", kind="list",
+                           values=("uniform",)),
+    "space.size": _Rule(_SIZE, kind="int", low=1, high=_MAX_ENTRIES),
+    "maps": _Rule("must be a nonempty list", kind="list"),
+    "maps[k]": _OBJECT,
+    "maps[k].kind": _one_of("explicit", "identity", "cycle", "power", "random",
+                            default="explicit"),
+    "maps[k].of": _Rule("must index an earlier map", 0, "int", low=0),
+    "maps[k].exponent": _Rule(_POSITIVE, 2, "int", low=1),
+    "maps[k].perm": _Rule("must be a nonempty list", kind="list"),
+    "filtrations": _Rule("must be a nonempty list", kind="list"),
+    "filtrations[k]": _OBJECT,
+    "filtrations[k].direction": _one_of(INCREASING, DECREASING, default=DECREASING),
+    "filtrations[k].kind": _KIND,
+    "filtrations[k].stages": _Rule("must be a nonempty list of labelings", kind="list",
+                                   item=_Rule("", kind="list")),
+    "filtrations[k].stages (random)": _Rule(_POSITIVE, 3, "int", low=1),
+    "observable": _OBJECT,
+    "observable.kind": _KIND,
+    "observable.dim": _Rule(f"{_POSITIVE} with size * dim <= {_MAX_ENTRIES}", 1, "int", low=1,
+                            high=_MAX_ENTRIES),
+    "observable.style": _one_of("normal", "spiky", "mixed", default="normal"),
+    # a larger scale or envelope draws values or amplitudes past the float range
+    "observable.scale": _Rule(_SCALE, 1.0, "number", low=0, open=True,
+                              high=_MAX_WEIGHTED_SCALE),
+    "observable.values": _Rule("must be a nonempty list", kind="list"),
+    "weight_seqs": _Rule("must be null or one entry (object or null) per map", None,
+                         "list", values=(None,)),
+    "weight_seqs[k]": _Rule("must be null or an object", kind="object", values=(None,)),
+    "weight_seqs[k].kind": _KIND,
+    "weight_seqs[k].envelope": _Rule(_SCALE, 1.0, "number", low=0, open=True,
+                                     high=_MAX_WEIGHTED_SCALE),
+    "weight_seqs[k].terms": _Rule("must be a nonempty list of [amplitude, frequency, "
+                                  "phase] triples", kind="list"),
+    "process": _one_of(MARTINGALE_ERGODIC, ERGODIC_MARTINGALE, default=MARTINGALE_ERGODIC),
+    # a JSON Infinity would not survive the manifest's strict JSON echo
+    "norm_q": _Rule("must be a finite number >= 1 or 'inf'", 2, "number", values=("inf",),
+                    low=1),
+    "trace_p": _Rule("must be a finite number >= 1", 2.0, "number", low=1),
+    "grids": _Rule("must be an object", {}, "object"),
+    "grids.n1": _Rule("must be 'auto' or a strictly ascending list of positive integers",
+                      "auto", "list", values=("auto",), item=_Rule("", kind="int", low=1),
+                      ascending=True),
+    "grids.n2": _Rule("must be 'all' or a strictly ascending list of valid stage indices",
+                      "all", "list", values=("all",), item=_Rule("", kind="int", low=0),
+                      ascending=True),
+    "checks": _Rule("must be null or a list", None, "list", values=(None, [])),
+    "checks[k]": _OBJECT,
+    "checks[k].type": _one_of("dominant", "maximal", "orlicz"),
+    "checks[k].box_factor": _Rule(_POSITIVE, 4, "int", low=1),
+    "checks[k].p": _Rule("must be a finite number > 1", kind="number", low=1, open=True),
+    "checks[k].epsilons": _Rule(f"must be 'auto<count>' with 1 <= count <= {_MAX_LEVELS} "
+                                "or an ascending list of finite numbers > 0", "auto8",
+                                "list", item=_Rule("", kind="number", low=0, open=True),
+                                ascending=True, auto=_MAX_LEVELS),
+    "checks[k].m": _Rule("must be a nonnegative integer", 0, "int", low=0),
+}
+
+
+def _check(value, path: str, name: str, high: float | None = None):
+    """value, if the FIELDS row `name` accepts it; else a ConfigError at path."""
+    if not FIELDS[name].accepts(value, high):
+        raise ConfigError(path, FIELDS[name].message)
     return value
 
 
-def _build_space(cfg, path: str, rng) -> MeasureSpace:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be an object")
-    kind = cfg.get("kind", "explicit")
-    if kind == "random":
-        size = _as_positive_int(cfg.get("max_size", 32), f"{path}.max_size")
-        weights = rng.uniform(0.2, 2.0, size)
-        return MeasureSpace(weights / weights.sum())
-    weights = _need(cfg, "weights", path)
-    if weights == "uniform":
-        size = _as_positive_int(_need(cfg, "size", path), f"{path}.size")
-        return MeasureSpace(np.full(size, 1.0 / size))
-    if not isinstance(weights, list) or not weights:
-        raise ConfigError(f"{path}.weights", "must be 'uniform' or a nonempty list")
+def _field(cfg: dict, path: str, name: str, high: float | None = None):
+    """The field of the object cfg at `path` ("" at the top level) that the
+    FIELDS row `name` describes; its default when absent."""
+    key = name.split()[0].rpartition(".")[2]
+    where = f"{path}.{key}" if path else key
+    if key in cfg:
+        return _check(cfg[key], where, name, high)
+    if FIELDS[name].default is _REQUIRED:
+        raise ConfigError(where, "missing required field")
+    return FIELDS[name].default
+
+
+def _make(path: str, build, *args):
+    """build(*args); the error of a library constructor or of a bulk list's
+    conversion (one np.fromiter, which takes flat lists only) becomes a
+    ConfigError at path."""
     try:
-        return MeasureSpace(np.asarray(weights, dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.weights", str(exc)) from None
+        return build(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _build_space(cfg: dict, rng) -> MeasureSpace:
+    if _field(cfg, "space", "space.kind") == "random":
+        weights = rng.uniform(0.2, 2.0, _field(cfg, "space", "space.max_size"))
+        return MeasureSpace(weights / weights.sum())
+    weights = _field(cfg, "space", "space.weights")
+    if weights == "uniform":
+        size = _field(cfg, "space", "space.size")
+        return MeasureSpace(np.full(size, 1.0 / size))
+    return _make("space.weights", lambda: MeasureSpace(np.fromiter(weights, float)))
 
 
 def _build_map(cfg, path: str, space: MeasureSpace, built: list[Endomorphism],
                rng) -> Endomorphism:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be an object")
-    kind = cfg.get("kind", "explicit")
-    try:
-        if kind == "identity":
-            return identity_map(space)
-        if kind == "cycle":
-            return cycle_map(space)
-        if kind == "power":
-            of = cfg.get("of", 0)
-            if not _is_int(of) or not 0 <= of < len(built):
-                raise ConfigError(f"{path}.of", "must index an earlier map")
-            return power(built[of], _as_positive_int(cfg.get("exponent", 2),
-                                                     f"{path}.exponent"))
-        if kind == "random":
-            return random_permutation(rng, space)
-        if kind == "explicit":
-            perm = _need(cfg, "perm", path)
-            return Endomorphism(space, np.asarray(perm, dtype=np.int64))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, OverflowError) as exc:
-        # a null, an infinite or a huge entry of an explicit perm
-        raise ConfigError(path, str(exc)) from None
-    raise ConfigError(f"{path}.kind", f"unknown map kind {kind!r}")
+    kind = _field(_check(cfg, path, "maps[k]"), path, "maps[k].kind")
+    if kind == "power":
+        of = _field(cfg, path, "maps[k].of", high=len(built) - 1)
+        return power(built[of], _field(cfg, path, "maps[k].exponent"))
+    if kind == "explicit":
+        perm = _field(cfg, path, "maps[k].perm")
+        # a null, an infinite or a huge perm entry is an error of the map
+        return _make(path, lambda: Endomorphism(space, np.fromiter(perm, np.int64)))
+    # a cycle or a random permutation preserves only orbit-constant masses
+    if kind == "random":
+        return _make(path, random_permutation, rng, space)
+    return _make(path, cycle_map if kind == "cycle" else identity_map, space)
 
 
 def _build_filtration(cfg, path: str, space: MeasureSpace, rng) -> Filtration:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be an object")
-    direction = cfg.get("direction", DECREASING)
-    if direction not in (INCREASING, DECREASING):
-        raise ConfigError(f"{path}.direction",
-                          f"must be '{INCREASING}' or '{DECREASING}'")
-    kind = cfg.get("kind", "explicit")
-    if kind == "random":
-        n_stages = _as_positive_int(cfg.get("stages", 3), f"{path}.stages")
+    direction = _field(_check(cfg, path, "filtrations[k]"), path, "filtrations[k].direction")
+    if _field(cfg, path, "filtrations[k].kind") == "random":
+        n_stages = _field(cfg, path, "filtrations[k].stages (random)")
         return random_filtration(rng, space, n_stages, direction)
-    if kind != "explicit":
-        raise ConfigError(f"{path}.kind", f"unknown filtration kind {kind!r}")
-    stages_cfg = _need(cfg, "stages", path)
-    if not isinstance(stages_cfg, list) or not stages_cfg:
-        raise ConfigError(f"{path}.stages", "must be a nonempty list of labelings")
     stages = []
-    for k, labels in enumerate(stages_cfg):
-        try:
-            stages.append(Partition(space, np.asarray(labels, dtype=np.int64)))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"{path}.stages[{k}]", str(exc)) from None
-    try:
-        return Filtration(space, direction, tuple(stages))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.stages", str(exc)) from None
+    for j, labels in enumerate(_field(cfg, path, "filtrations[k].stages")):
+        stages.append(_make(f"{path}.stages[{j}]",
+                            lambda: Partition(space, np.fromiter(labels, np.int64))))
+    return _make(f"{path}.stages", Filtration, space, direction, tuple(stages))
 
 
-def _build_observable(cfg, path: str, space: MeasureSpace, rng) -> VectorObservable:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be an object")
-    kind = cfg.get("kind", "explicit")
-    if kind == "random":
-        dim = _as_positive_int(cfg.get("dim", 1), f"{path}.dim")
-        style = cfg.get("style", "normal")
-        scale = cfg.get("scale", 1.0)
-        if not _is_finite_number(scale) or scale <= 0:
-            raise ConfigError(f"{path}.scale", "must be a positive number")
-        try:
-            return random_observable(rng, space, dim, style=style, scale=float(scale))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    if kind != "explicit":
-        raise ConfigError(f"{path}.kind", f"unknown observable kind {kind!r}")
-    values = _need(cfg, "values", path)
-    try:
-        return VectorObservable(space, np.asarray(values, dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}.values", str(exc)) from None
+def _build_observable(cfg: dict, space: MeasureSpace, rng) -> VectorObservable:
+    path = "observable"
+    if _field(cfg, path, "observable.kind") == "random":
+        dim = _field(cfg, path, "observable.dim", high=_MAX_ENTRIES // space.size)
+        style = _field(cfg, path, "observable.style")
+        scale = float(_field(cfg, path, "observable.scale"))
+        return random_observable(rng, space, dim, style=style, scale=scale)
+    # one value or one row per point, converted by the observable itself
+    return _make("observable.values", VectorObservable, space,
+                 _field(cfg, path, "observable.values"))
+
+
+def _term(term, path: str) -> tuple:
+    """An [amplitude, frequency, phase] triple; a frequency pair [numer,
+    denom] is kept exact, whatever the denominator."""
+    if isinstance(term, list) and len(term) == 3:
+        amp, freq, phase = term
+        if (isinstance(freq, list) and len(freq) == 2 and all(map(_is_int, freq))
+                and 0 <= freq[0] < freq[1]):
+            freq = Fraction(*freq)
+        if all(map(_is_finite_number, (amp, freq, phase))):
+            return float(amp), freq, float(phase)
+    raise ConfigError(path, "must be [amplitude, frequency, phase] of finite numbers, "
+                      "the frequency possibly an integer pair [numer, denom] with "
+                      "0 <= numer < denom")
 
 
 def _build_weights(cfg, path: str, rng) -> BesicovitchWeights | None:
-    if cfg is None:
+    if _check(cfg, path, "weight_seqs[k]") is None:
         return None
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "must be null or an object")
-    if cfg.get("kind") == "random":
-        envelope = cfg.get("envelope", 1.0)
-        if not _is_finite_number(envelope) or not envelope > 0:
-            raise ConfigError(f"{path}.envelope", "must be a finite number > 0")
-        return random_weights(rng, envelope=float(envelope))
-    terms_cfg = _need(cfg, "terms", path)
-    if not isinstance(terms_cfg, list) or not terms_cfg:
-        raise ConfigError(f"{path}.terms", "must be a nonempty list of "
-                          "[amplitude, frequency, phase] triples")
-    terms = []
-    for k, term in enumerate(terms_cfg):
-        if not isinstance(term, list) or len(term) != 3:
-            raise ConfigError(f"{path}.terms[{k}]",
-                              "must be [amplitude, frequency, phase]")
-        amp, freq, phase = term
-        if isinstance(freq, list):
-            if len(freq) != 2:
-                raise ConfigError(f"{path}.terms[{k}]",
-                                  "frequency pair must be [numer, denom]")
-            num, den = freq
-            if not (_is_int(num) and _is_int(den) and 0 <= num < den):
-                raise ConfigError(f"{path}.terms[{k}]",
-                                  "frequency pair needs integers 0 <= numer < denom")
-            freq = Fraction(num, den)  # kept exact, whatever the denominator
-        if not all(isinstance(v, Fraction) or _is_finite_number(v)
-                   for v in (amp, freq, phase)):
-            raise ConfigError(f"{path}.terms[{k}]",
-                              "amplitude, frequency and phase must be finite numbers")
-        terms.append((float(amp), freq, float(phase)))
-    try:
-        return BesicovitchWeights(tuple(terms))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.terms", str(exc)) from None
+    if _field(cfg, path, "weight_seqs[k].kind") == "random":
+        return random_weights(rng, float(_field(cfg, path, "weight_seqs[k].envelope")))
+    terms = tuple(_term(term, f"{path}.terms[{j}]")
+                  for j, term in enumerate(_field(cfg, path, "weight_seqs[k].terms")))
+    return _make(f"{path}.terms", BesicovitchWeights, terms)
 
 
-def _build_checks(cfg, path: str) -> tuple[CheckSpec, ...]:
-    if cfg is None:
-        return ()
-    if not isinstance(cfg, list):
-        raise ConfigError(path, "must be a list")
-    out = []
-    for k, chk in enumerate(cfg):
-        cpath = f"{path}[{k}]"
-        if not isinstance(chk, dict):
-            raise ConfigError(cpath, "must be an object")
-        ctype = _need(chk, "type", cpath)
-        box_factor = chk.get("box_factor", 4)
-        if not _is_int(box_factor) or box_factor < 1:
-            raise ConfigError(f"{cpath}.box_factor", "must be a positive integer")
-        if ctype in ("dominant", "maximal"):
-            p = _need(chk, "p", cpath)
-            if not _is_finite_number(p) or not p > 1:
-                raise ConfigError(f"{cpath}.p", "must be a finite number > 1")
-            eps = None
-            if ctype == "maximal":
-                eps = chk.get("epsilons", "auto8")
-                if isinstance(eps, str):
-                    if not (eps.startswith("auto") and eps[4:].isdigit()
-                            and int(eps[4:]) >= 1):
-                        raise ConfigError(f"{cpath}.epsilons", "must be 'auto<count>' "
-                                          "with count >= 1 or an ascending list")
-                elif isinstance(eps, list):
-                    if not eps or any(not _is_finite_number(e) or e <= 0 for e in eps):
-                        raise ConfigError(f"{cpath}.epsilons",
-                                          "must be finite positive numbers")
-                    if any(b <= a for a, b in zip(eps, eps[1:])):
-                        raise ConfigError(f"{cpath}.epsilons", "must be ascending")
-                    eps = tuple(float(e) for e in eps)
-                else:
-                    raise ConfigError(f"{cpath}.epsilons",
-                                      "must be 'auto<count>' or an ascending list")
-            out.append(CheckSpec(type=ctype, p=float(p), epsilons=eps,
-                                 box_factor=box_factor))
-        elif ctype == "orlicz":
-            m = chk.get("m", 0)
-            if not _is_int(m) or m < 0:
-                raise ConfigError(f"{cpath}.m", "must be a nonnegative integer")
-            out.append(CheckSpec(type="orlicz", m=m, box_factor=box_factor))
-        else:
-            raise ConfigError(f"{cpath}.type", f"unknown check type {ctype!r}")
-    return tuple(out)
+def _build_check(cfg, path: str, spec: ProcessSpec) -> CheckSpec:
+    ctype = _field(_check(cfg, path, "checks[k]"), path, "checks[k].type")
+    box_factor = _field(cfg, path, "checks[k].box_factor")
+    if ctype == "orlicz":
+        return CheckSpec(type=ctype, m=_field(cfg, path, "checks[k].m"), box_factor=box_factor)
+    p = float(_field(cfg, path, "checks[k].p"))
+    eps = _field(cfg, path, "checks[k].epsilons") if ctype == "maximal" else None
+    if isinstance(eps, list):
+        eps = tuple(float(e) for e in eps)
+    broken = broken_rule(spec, ctype, p)
+    if broken is not None:
+        raise ConfigError(path + broken[0], broken[1])
+    return CheckSpec(type=ctype, p=p, epsilons=eps, box_factor=box_factor)
 
 
 def build_experiment(config: dict, seed_override: int | None = None) -> ExperimentPlan:
     """Validates the config dict and constructs every object it describes."""
     if not isinstance(config, dict):
         raise ConfigError("config", "must be a JSON object")
-    seed = config.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("seed", "must be a nonnegative integer")
+    seed = (_field(config, "", "seed") if seed_override is None
+            else _check(seed_override, "seed", "seed"))
     rng = np.random.default_rng(seed)
 
-    space = _build_space(_need(config, "space", "config"), "space", rng)
-
-    maps_cfg = _need(config, "maps", "config")
-    if not isinstance(maps_cfg, list) or not maps_cfg:
-        raise ConfigError("maps", "must be a nonempty list")
+    space = _build_space(_field(config, "", "space"), rng)
     maps: list[Endomorphism] = []
-    for k, mc in enumerate(maps_cfg):
+    for k, mc in enumerate(_field(config, "", "maps")):
         maps.append(_build_map(mc, f"maps[{k}]", space, maps, rng))
-
-    filts_cfg = _need(config, "filtrations", "config")
-    if not isinstance(filts_cfg, list) or not filts_cfg:
-        raise ConfigError("filtrations", "must be a nonempty list")
     filts = [_build_filtration(fc, f"filtrations[{k}]", space, rng)
-             for k, fc in enumerate(filts_cfg)]
+             for k, fc in enumerate(_field(config, "", "filtrations"))]
+    f = _build_observable(_field(config, "", "observable"), space, rng)
 
-    f = _build_observable(_need(config, "observable", "config"), "observable",
-                          space, rng)
+    weights_cfg = _field(config, "", "weight_seqs")
+    if weights_cfg is not None and len(weights_cfg) != len(maps):
+        raise ConfigError("weight_seqs", FIELDS["weight_seqs"].message)
+    weights = None if weights_cfg is None else tuple(
+        _build_weights(wc, f"weight_seqs[{k}]", rng) for k, wc in enumerate(weights_cfg))
 
-    weights_cfg = config.get("weight_seqs")
-    weights = None
-    if weights_cfg is not None:
-        if not isinstance(weights_cfg, list) or len(weights_cfg) != len(maps):
-            raise ConfigError("weight_seqs",
-                              "must be null or one entry (object or null) per map")
-        weights = tuple(_build_weights(wc, f"weight_seqs[{k}]", rng)
-                        for k, wc in enumerate(weights_cfg))
-
-    kind = config.get("process", MARTINGALE_ERGODIC)
-    if kind not in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
-        raise ConfigError("process",
-                          f"must be '{MARTINGALE_ERGODIC}' or '{ERGODIC_MARTINGALE}'")
-
-    norm_q = config.get("norm_q", 2)
-    if norm_q == "inf":
-        norm_q = math.inf
-    elif not _is_finite_number(norm_q) or not norm_q >= 1:
-        # a JSON Infinity would not survive the manifest's strict JSON echo
-        raise ConfigError("norm_q", "must be a finite number >= 1 or 'inf'")
-
-    try:
-        spec = ProcessSpec(kind, f, tuple(maps), tuple(filts), weights,
-                           NormSpec(float(norm_q)))
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
+    kind = _field(config, "", "process")
+    norm_q = NormSpec(float(_field(config, "", "norm_q")))  # float("inf") is math.inf
+    spec = _make("config", ProcessSpec, kind, f, tuple(maps), tuple(filts), weights, norm_q)
 
     scale = float(np.abs(f.values).max())
     if not scale < _MAX_WEIGHTED_SCALE:
@@ -362,51 +384,21 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
                                   "the stabilization period (lcm of the map order "
                                   "and the frequency denominators) must be below 2**62")
 
-    trace_p = config.get("trace_p", 2.0)
-    if not _is_finite_number(trace_p) or not trace_p >= 1:
-        raise ConfigError("trace_p", "must be a finite number >= 1")
-
-    grids = config.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError("grids", "must be an object")
-    n1_cfg = grids.get("n1", "auto")
+    trace_p = float(_field(config, "", "trace_p"))
+    grids = _field(config, "", "grids")
+    n1_cfg = _field(grids, "grids", "grids.n1")
     # common multiple of every map's order so the final grid point is exact
-    order = math.lcm(*spec.orbit_lcms())
-    if n1_cfg == "auto":
-        n1_grid = default_n1_grid(order)
-    elif (isinstance(n1_cfg, list) and n1_cfg
-          and all(_is_int(v) and v >= 1 for v in n1_cfg)
-          and all(b > a for a, b in zip(n1_cfg, n1_cfg[1:]))):
-        n1_grid = tuple(n1_cfg)
-    else:
-        raise ConfigError("grids.n1",
-                          "must be 'auto' or a strictly ascending list of "
-                          "positive integers")
+    n1_grid = (default_n1_grid(math.lcm(*spec.orbit_lcms())) if n1_cfg == "auto"
+               else tuple(n1_cfg))
     if n1_grid[-1] >= _MAX_LENGTH:
         raise ConfigError("grids.n1", "averaging lengths (up to 4 times the map "
                           "order for 'auto') must be below 2**62")
     n_stages = min(len(fl.stages) for fl in spec.filtrations)
-    n2_cfg = grids.get("n2", "all")
-    if n2_cfg == "all":
-        n2_grid = tuple(range(n_stages))
-    elif (isinstance(n2_cfg, list) and n2_cfg
-          and all(_is_int(v) and 0 <= v < n_stages for v in n2_cfg)
-          and all(b > a for a, b in zip(n2_cfg, n2_cfg[1:]))):
-        n2_grid = tuple(n2_cfg)
-    else:
-        raise ConfigError("grids.n2",
-                          "must be 'all' or a strictly ascending list of valid "
-                          "stage indices")
+    n2_cfg = _field(grids, "grids", "grids.n2", high=n_stages - 1)
+    n2_grid = tuple(range(n_stages)) if n2_cfg == "all" else tuple(n2_cfg)
 
-    checks = _build_checks(config.get("checks"), "checks")
-    for k, chk in enumerate(checks):
-        if chk.type in ("dominant", "maximal"):
-            broken = broken_rule(spec, chk.type, chk.p)
-            if broken is not None:
-                raise ConfigError(f"checks[{k}]{broken[0]}", broken[1])
-
-    echo = dict(config)
-    echo["seed"] = seed
+    checks = tuple(_build_check(chk, f"checks[{k}]", spec)
+                   for k, chk in enumerate(_field(config, "", "checks") or ()))
     return ExperimentPlan(spec=spec, checks=checks, n1_grid=n1_grid,
-                          n2_grid=n2_grid, trace_p=float(trace_p), seed=seed,
-                          config_echo=echo)
+                          n2_grid=n2_grid, trace_p=trace_p, seed=seed,
+                          config_echo=dict(config, seed=seed))

@@ -186,7 +186,8 @@ def llog_norm(f: VectorObservable, m: int, ns: NormSpec = NormSpec()) -> float:
     if m == 0:
         return float(np.sum(f.space.weights * norms))
     logs = np.log(np.maximum(1.0, norms))
-    return float(np.sum(f.space.weights * norms * logs**m))
+    with np.errstate(over="ignore"):  # a power past the float range is inf
+        return float(np.sum(f.space.weights * norms * logs**m))
 
 
 def integral(f: VectorObservable) -> np.ndarray:

@@ -225,6 +225,7 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
                 outer.append(values)
             stack = np.stack(outer)
         yield _conditioned(spec, stack, s_vecs) if me else stack
+        stack = outer = values = None  # the next chunk is built without this one
 
 
 def _conditioned(spec: ProcessSpec, values: np.ndarray, s_vecs) -> np.ndarray:
@@ -332,6 +333,7 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
         for lp_error, sup_error, (n1, n2) in zip(
                 lp_of_norms(norms, spec.space.weights, p), norms.max(axis=-1), cell):
             rows.append(TraceRow(n1, n2, float(lp_error), float(sup_error)))
+        values = errors = norms = None  # free this chunk before the next is built
     return ConvergenceTrace(tuple(rows), n1_grid, n2_grid, p, desc)
 
 

@@ -149,8 +149,8 @@ def _values_too_large(plan: ExperimentPlan, chk: CheckSpec) -> bool:
 
 def _run_checks(plan: ExperimentPlan) -> list[dict]:
     """Every check's reports; a bound that leaves the float range is a
-    ConfigError naming the observable when its values are too large, else
-    the check (a huge p, a tiny epsilon)."""
+    ConfigError naming the observable when its values are too large, an
+    Orlicz check's m, else the check (a huge p, a tiny epsilon)."""
     out: list[dict] = []
     for k, chk in enumerate(plan.checks):
         try:
@@ -162,6 +162,9 @@ def _run_checks(plan: ExperimentPlan) -> list[dict]:
         if not finite and _values_too_large(plan, chk):
             raise ConfigError("observable", "the values are too large for the maximal "
                               f"bound at p = {chk.p:g} (checks[{k}]); scale them down")
+        if not finite and chk.type == "orlicz":
+            raise ConfigError(f"checks[{k}].m", "the Orlicz functionals are not finite "
+                              "floats at this m; use a smaller m")
         if not finite:
             raise ConfigError(f"checks[{k}]", "the bound is not a finite float; "
                               "use a smaller p or larger epsilons")

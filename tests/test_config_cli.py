@@ -209,6 +209,14 @@ BAD_VALUES = {
     "scale_true": (_random_scale(True), "observable.scale"),
     "scale_nan": (_random_scale(math.nan), "observable.scale"),
     "scale_inf": (_random_scale(math.inf), "observable.scale"),
+    # an unknown kind or style is refused at its own path, not read as the default
+    "space_kind_unknown": (lambda cfg: cfg.update(space={"kind": "bogus", "size": 4,
+                                                         "weights": "uniform"}), "space.kind"),
+    "weight_kind_unknown": (lambda cfg: cfg.update(weight_seqs=[{"kind": "bogus"}]),
+                            "weight_seqs[0].kind"),
+    "style_unknown": (lambda cfg: cfg.update(observable={"kind": "random", "dim": 2,
+                                                         "style": "bogus"}),
+                      "observable.style"),
 }
 
 
@@ -262,6 +270,19 @@ def test_other_maximal_overflows_name_the_check(tmp_path, capsys, values, maxima
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert ("error: checks[1]: the bound is not a finite float; use a smaller p or larger "
             "epsilons" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("m", [10**400, 10**6], ids=["m_1e400", "m_1e6"])
+def test_orlicz_overflow_names_m(tmp_path, capsys, m):
+    # log(7)**m leaves the float range: 10**400 is past a float, 10**6 overflows to inf
+    cfg = demo_config()
+    cfg["checks"][2]["m"] = m
+    cfg_path = tmp_path / "orlicz.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: checks[2].m: the Orlicz functionals are not "
+                                       "finite floats at this m; use a smaller m\n")
     assert not (tmp_path / "o").exists()
 
 

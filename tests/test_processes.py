@@ -508,7 +508,10 @@ class TestBatchedGrid:
             finally:
                 tracemalloc.stop()
 
-        assert peak(range(1, 65)) <= 2 * peak(range(1, 5))
+        # one chunk at a time: 64 n values (16 chunks) peak within 10 % of 4
+        # (one chunk); with the previous chunk alive while the next is built,
+        # the martingale-ergodic peak was 1.4 times as high
+        assert peak(range(1, 65)) <= 1.1 * peak(range(1, 5))
 
 
 def _spec_arrays(spec):
