@@ -50,6 +50,8 @@ _MAX_WEIGHTED_SCALE = sys.float_info.max / 2**63
 _MAX_ENTRIES = 2**24
 # the most levels of an "auto<count>" epsilon grid
 _MAX_LEVELS = 2**12
+# stage labels are int64 in a partition
+_MAX_LABEL = 2**63 - 1
 _REQUIRED = object()  # the default of a field that must be given
 
 
@@ -115,14 +117,15 @@ class _Rule:
 
     def accepts(self, value, high: float | None = None) -> bool:
         """`high`, when given, is the upper bound of an int or of a list's
-        entries that depends on built objects."""
-        high = self.high if high is None else high
+        entries that depends on built objects; a list hands it on to its
+        entries, which otherwise keep their own."""
+        top = self.high if high is None else high
         if value in self.values:
             return True
         if self.kind == "int":
-            return _is_int(value) and self.low <= value <= high
+            return _is_int(value) and self.low <= value <= top
         if self.kind == "number":
-            return _is_finite_number(value) and value <= high and (
+            return _is_finite_number(value) and value <= top and (
                 value > self.low if self.open else value >= self.low)
         if self.kind == "object":
             return isinstance(value, dict)
@@ -131,8 +134,18 @@ class _Rule:
             return (count.isascii() and count.isdigit() and len(count) < 20
                     and 1 <= int(count) <= self.auto)
         return (self.kind == "list" and isinstance(value, list) and value != []
-                and (self.item is None or all(self.item.accepts(v, high) for v in value))
+                and (self.item is None or self.item.accepts_all(value, high))
                 and not (self.ascending and any(b <= a for a, b in zip(value, value[1:]))))
+
+    def accepts_all(self, values: list, high: float | None) -> bool:
+        """Whether every entry of a list passes. Integer entries are read in
+        one pass of builtins, as the maps' and labelings' long lists need:
+        JSON gives exact ints, and a bool's type is not int."""
+        if self.kind == "int" and not self.values:
+            top = self.high if high is None else high
+            return set(map(type, values)) == {int} and self.low <= min(values) and max(
+                values) <= top
+        return all(self.accepts(v, high) for v in values)
 
 
 def _one_of(*values: str, default: Any = _REQUIRED) -> _Rule:
@@ -163,13 +176,16 @@ FIELDS: dict[str, _Rule] = {
                             default="explicit"),
     "maps[k].of": _Rule("must index an earlier map", 0, "int", low=0),
     "maps[k].exponent": _Rule(_POSITIVE, 2, "int", low=1),
-    "maps[k].perm": _Rule("must be a nonempty list", kind="list"),
+    "maps[k].perm": _Rule("must be a nonempty list of integers in [0, size - 1]", kind="list",
+                          item=_Rule("", kind="int", low=0)),
     "filtrations": _Rule("must be a nonempty list", kind="list"),
     "filtrations[k]": _OBJECT,
     "filtrations[k].direction": _one_of(INCREASING, DECREASING, default=DECREASING),
     "filtrations[k].kind": _KIND,
-    "filtrations[k].stages": _Rule("must be a nonempty list of labelings", kind="list",
-                                   item=_Rule("", kind="list")),
+    "filtrations[k].stages": _Rule("must be a nonempty list of labelings, nonempty lists of "
+                                   "integers in [0, 2**63 - 1]", kind="list",
+                                   item=_Rule("", kind="list", item=_Rule(
+                                       "", kind="int", low=0, high=_MAX_LABEL))),
     "filtrations[k].stages (random)": _Rule(_POSITIVE, 3, "int", low=1),
     "observable": _OBJECT,
     "observable.kind": _KIND,
@@ -213,11 +229,34 @@ FIELDS: dict[str, _Rule] = {
 }
 
 
+def _object_keys() -> dict[str, frozenset]:
+    """The keys each object may hold, by the FIELDS row of the object ("" for
+    the whole config)."""
+    keys: dict[str, set] = {}
+    for name in FIELDS:
+        parent, _, key = name.split()[0].rpartition(".")
+        if not key.endswith("]"):
+            keys.setdefault(parent, set()).add(key)
+    return {parent: frozenset(names) for parent, names in keys.items()}
+
+
+_KEYS = _object_keys()
+
+
 def _check(value, path: str, name: str, high: float | None = None):
-    """value, if the FIELDS row `name` accepts it; else a ConfigError at path."""
+    """value, if the FIELDS row `name` accepts it and, for an object, knows
+    each of its keys; else a ConfigError at path, or at the unknown key."""
     if not FIELDS[name].accepts(value, high):
         raise ConfigError(path, FIELDS[name].message)
+    if isinstance(value, dict):
+        _known_keys(value, path, name)
     return value
+
+
+def _known_keys(cfg: dict, path: str, name: str):
+    for key in cfg:
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown field")
 
 
 def _field(cfg: dict, path: str, name: str, high: float | None = None):
@@ -260,8 +299,7 @@ def _build_map(cfg, path: str, space: MeasureSpace, built: list[Endomorphism],
         of = _field(cfg, path, "maps[k].of", high=len(built) - 1)
         return power(built[of], _field(cfg, path, "maps[k].exponent"))
     if kind == "explicit":
-        perm = _field(cfg, path, "maps[k].perm")
-        # a null, an infinite or a huge perm entry is an error of the map
+        perm = _field(cfg, path, "maps[k].perm", high=space.size - 1)
         return _make(path, lambda: Endomorphism(space, np.fromiter(perm, np.int64)))
     # a cycle or a random permutation preserves only orbit-constant masses
     if kind == "random":
@@ -337,6 +375,7 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     """Validates the config dict and constructs every object it describes."""
     if not isinstance(config, dict):
         raise ConfigError("config", "must be a JSON object")
+    _known_keys(config, "", "")
     seed = (_field(config, "", "seed") if seed_override is None
             else _check(seed_override, "seed", "seed"))
     rng = np.random.default_rng(seed)

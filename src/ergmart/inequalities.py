@@ -42,6 +42,7 @@ __all__ = [
     "APPLICABILITY_RULES",
     "broken_rule",
     "sup_field",
+    "fill_sup_fields",
     "dominant_check",
     "epsilon_sweep",
     "auto_epsilons",
@@ -113,7 +114,7 @@ def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
     axis."""
     n_max = tuple(n if period is None else min(n, period)
                   for n, period in zip(box.n_max, spec.periods()))
-    return SupBox(n_max, box.stage_sets)
+    return box if n_max == box.n_max else SupBox(n_max, box.stage_sets)
 
 
 def _alphas(spec: ProcessSpec, box: SupBox) -> list[np.ndarray | None]:
@@ -126,15 +127,36 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
     """Pointwise max of the process norms over the box, monotone under box
     enlargement; the exact untruncated sup once n_max_j >= P_j on every
     averaging axis. Built over the box cut to the periods and kept by the spec
-    under that box, so every check of a run, and every box that differs from
-    another only past the periods, reads the same field."""
+    under that cut box, so every check of a run, and every box that differs
+    from another only past the periods, reads the same field."""
     if box is None:
         box = default_box(spec)
-    _validate_box(spec, box)
-    box = _period_box(spec, box)
+    box = _cut_box(spec, box)
     if box not in spec.sup_fields:
         spec.sup_fields[box] = _build_sup_field(spec, box)
     return spec.sup_fields[box]
+
+
+def fill_sup_fields(spec: ProcessSpec, box: SupBox, prefixes: Sequence[SupBox]):
+    """Keeps on the spec, from one pass over `box`, the sup fields of `box`
+    and of every prefix box (no larger n_max on any axis, each stage set a
+    prefix of the box's, as shrink_box gives), so that sup_field reads each
+    of them without a build of its own. Each prefix field is the max over
+    the same floats as its own build, so it is bit for bit that field."""
+    box = _cut_box(spec, box)
+    cut = {_cut_box(spec, small) for small in prefixes}
+    for small in cut:
+        if (any(a > b for a, b in zip(small.n_max, box.n_max))
+                or any(ss != big[:len(ss)] for ss, big in zip(small.stage_sets, box.stage_sets))):
+            raise ValueError("every box must be a prefix of the full box")
+    missing = [small for small in cut - {box} if small not in spec.sup_fields]
+    if box not in spec.sup_fields or missing:
+        spec.sup_fields[box] = _build_sup_field(spec, box, missing)
+
+
+def _cut_box(spec: ProcessSpec, box: SupBox) -> SupBox:
+    _validate_box(spec, box)
+    return _period_box(spec, box)
 
 
 def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
@@ -150,36 +172,68 @@ def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
         yield running_weighted_averages(inner, t, alpha, min(n, start + rows), start, carry)
 
 
-def _build_sup_field(spec: ProcessSpec, box: SupBox) -> VectorObservable:
+def _build_sup_field(spec: ProcessSpec, box: SupBox,
+                     prefixes: Sequence[SupBox] = ()) -> VectorObservable:
     """One streamed pass over the box as given (sup_field hands it the box
     cut to the periods): the inner maps' averaging axes are built whole, the
     outermost one chunk by chunk, and each chunk is folded into the running
-    pointwise max."""
+    pointwise max. The field of each prefix box (see fill_sup_fields) is
+    folded in the same pass from its corner of every chunk's norms, and kept
+    on the spec."""
     alphas = _alphas(spec, box)
     q = spec.norm.q
-    field = np.zeros(spec.space.size)
-    if spec.kind == MARTINGALE_ERGODIC:
+    boxes = [box, *prefixes]
+    fields = [np.zeros(spec.space.size) for _ in boxes]
+    me = spec.kind == MARTINGALE_ERGODIC
+    if me:
         inner = spec.f.values
         for j in reversed(range(1, spec.d_maps)):
             inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
         # each inner filtration stacks one conditioned copy of a chunk per stage
         copies = math.prod(len(ss) for ss in box.stage_sets[1:])
-        for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], copies):
+    else:
+        # condition first, then average the whole stack
+        inner = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
+                          composite_block_means(spec.f.values, spec.filtrations,
+                                                box.stage_sets)])
+        for j in reversed(range(1, spec.d_maps)):
+            inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
+        copies = 1
+    start = 0  # the chunk's first row on the outermost averaging axis
+    for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], copies):
+        if me:
             # the outermost conditioning is constant on its blocks, so its max
-            # is taken per block and only then spread to the points
-            for part, means in composite_block_means(chunk, spec.filtrations, box.stage_sets):
-                block_max = point_norms(means, q).reshape(-1, part.block_count).max(axis=0)
-                np.maximum(field, block_max[part.block_of], out=field)
-        return VectorObservable(spec.space, field)
-    # ergodic-martingale: condition first, then average the whole stack
-    inner = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
-                      composite_block_means(spec.f.values, spec.filtrations, box.stage_sets)])
-    for j in reversed(range(1, spec.d_maps)):
-        inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
-    for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], 1):
-        chunk_max = point_norms(chunk, q).reshape(-1, spec.space.size).max(axis=0)
-        np.maximum(field, chunk_max, out=field)
-    return VectorObservable(spec.space, field)
+            # is taken per block and only then spread to the points; the norms'
+            # axes are (inner stages, n_1, inner n, blocks)
+            for k, (part, means) in enumerate(composite_block_means(chunk, spec.filtrations,
+                                                                    box.stage_sets)):
+                norms = point_norms(means, q)
+                for small, field in zip(boxes, fields):
+                    if k < len(small.stage_sets[0]) and start < small.n_max[0]:
+                        corner = _corner(norms, small.stage_sets[1:], small.n_max, start)
+                        block_max = corner.reshape(-1, part.block_count).max(axis=0)
+                        np.maximum(field, block_max[part.block_of], out=field)
+        else:
+            # the norms' axes are (n_1, inner n, stages, points)
+            norms = point_norms(chunk, q)
+            for small, field in zip(boxes, fields):
+                if start < small.n_max[0]:
+                    corner = _corner(norms, (), small.n_max, start, small.stage_sets)
+                    np.maximum(field, corner.reshape(-1, spec.space.size).max(axis=0),
+                               out=field)
+        start += len(chunk)
+    for small, field in zip(prefixes, fields[1:]):
+        spec.sup_fields[small] = VectorObservable(spec.space, field)
+    return VectorObservable(spec.space, fields[0])
+
+
+def _corner(norms: np.ndarray, lead_sets, n_max, start: int, tail_sets=()) -> np.ndarray:
+    """The entries of a chunk's norms, whose first row is row `start` of the
+    outermost averaging axis, that lie inside a box: stage axes of the sets
+    `lead_sets` before the averaging axes and of `tail_sets` after them."""
+    index = ([slice(len(ss)) for ss in lead_sets] + [slice(n_max[0] - start)]
+             + [slice(n) for n in n_max[1:]] + [slice(len(ss)) for ss in tail_sets])
+    return norms[tuple(index)]
 
 
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequalities
-from .averages import (
-    BesicovitchWeights,
-    ergodic_average,
-    ergodic_limit,
-    weighted_average,
-)
+from .averages import BesicovitchWeights, CesaroKernel
 from .generators import (
     random_cycle_system,
     random_filtration,
@@ -29,12 +24,14 @@ from .generators import (
     random_weights,
 )
 from .measure import DECREASING, INCREASING, Filtration, Partition, partition_join, partition_meet, refines, uniform_space
-from .observables import NormSpec, VectorObservable, linf_norm, llog_norm, lp_norm, mean, point_norm_field
-from .operators import cond_expect, cycle_map, identity_map, koopman, power
+from .observables import (NormSpec, VectorObservable, linf_norm, llog_norm, lp_norm,
+                          lp_of_norms, mean, point_norm_field, point_norms)
+from .operators import Endomorphism, cond_expect, cycle_map, identity_map, koopman, power
 from .processes import (
     ERGODIC_MARTINGALE,
     MARTINGALE_ERGODIC,
     ProcessSpec,
+    _cells,
     default_n1_grid,
     evaluate,
     limit_target,
@@ -141,17 +138,33 @@ def operator_algebra(seed: int, budget: int) -> list[CheckLine]:
             oks[names[1]] = False
         if np.max(np.abs(mean(ef) - mean(f))) > _TOL:
             oks[names[2]] = False
-        for p in (1.0, 1.5, 2.0, 3.0):
-            if lp_norm(ef, p, ns) > lp_norm(f, p, ns) + _TOL:
-                oks[names[3]] = False
-        dom = cond_expect(point_norm_field(f, ns), fine)
-        if np.max(point_norm_field(ef, ns).values - dom.values) > _TOL:
+        # the point norms of f, E f and f o tau once, read at every p
+        mu = space.weights
+        norms_f, norms_ef = point_norms(f.values, ns.q), point_norms(ef.values, ns.q)
+        lp_f = {p: lp_of_norms(norms_f, mu, p) for p in (1.0, 1.5, 2.0, 3.0)}
+        if any(lp_of_norms(norms_ef, mu, p) > lp_f[p] + _TOL for p in lp_f):
+            oks[names[3]] = False
+        dom = cond_expect(VectorObservable(space, norms_f), fine)
+        if np.max(norms_ef - dom.values[:, 0]) > _TOL:
             oks[names[4]] = False
-        tf = koopman(f, tau)
+        norms_tf = point_norms(koopman(f, tau).values, ns.q)
         for p in (1.0, 2.0, 3.0):
-            if abs(lp_norm(tf, p, ns) - lp_norm(f, p, ns)) > 1e-12 * max(1.0, lp_norm(f, p, ns)):
+            if abs(lp_of_norms(norms_tf, mu, p) - lp_f[p]) > 1e-12 * max(1.0, lp_f[p]):
                 oks[names[5]] = False
     return [_line(n, oks[n], f"{n_checks} random instances") for n in names]
+
+
+def _powers(t: Endomorphism, n: int) -> np.ndarray:
+    """tau^k of every point for k < n, shape (n, N)."""
+    rows = [np.arange(t.space.size)]
+    for _ in range(1, n):
+        rows.append(t.map[rows[-1]])
+    return np.array(rows)
+
+
+def _sup(values: np.ndarray) -> float:
+    """linf_norm of point values, without building an observable."""
+    return float(point_norms(values, 2.0).max())
 
 
 def averaging_laws(seed: int, budget: int) -> list[CheckLine]:
@@ -168,20 +181,22 @@ def averaging_laws(seed: int, budget: int) -> list[CheckLine]:
         g = random_observable(rng, space, f.dim)
         a, b = rng.normal(0, 2, 2)
         n = int(rng.integers(1, 3 * order + 1))
-        lin = ergodic_average(a * f + b * g, tau, n) - (
-            a * ergodic_average(f, tau, n) + b * ergodic_average(g, tau, n))
-        if linf_norm(lin) > 1e-10:
+        # one kernel over f, g and a f + b g, read at every length at once
+        kernel = CesaroKernel(np.stack([f.values, g.values, (a * f + b * g).values]), tau)
+        multiples = (order, 2 * order, 3 * order)
+        uneven = (order, 2 * order + 1, 3 * order - 1)
+        lengths = np.array((n,) + multiples + uneven)
+        avg_f, avg_g, avg_ab = kernel.average(lengths).swapaxes(0, 1)
+        if _sup(avg_ab[0] - (avg_f[0] * float(a) + avg_g[0] * float(b))) > 1e-10:
             oks[names[0]] = False
-        star = ergodic_limit(f, tau)
-        for k in (1, 2, 3):
-            if linf_norm(ergodic_average(f, tau, k * order) - star) > _TOL:
-                oks[names[1]] = False
-        for n2 in (order, 2 * order + 1, 3 * order - 1):
-            gap = linf_norm(ergodic_average(f, tau, n2) - star)
-            if gap > 2 * linf_norm(f) * order / n2 + _TOL:
+        star = kernel.average(None)[0]
+        if any(_sup(avg - star) > _TOL for avg in avg_f[1:4]):
+            oks[names[1]] = False
+        for avg, n2 in zip(avg_f[4:], uneven):
+            if _sup(avg - star) > 2 * _sup(f.values) * order / n2 + _TOL:
                 oks[names[2]] = False
-        again = ergodic_limit(star, tau)
-        if linf_norm(again - star) > _TOL or linf_norm(koopman(star, tau) - star) > _TOL:
+        again = CesaroKernel(star, tau).average(None)
+        if _sup(again - star) > _TOL or _sup(star[tau.map] - star) > _TOL:
             oks[names[3]] = False
         # small commuting multiparameter instance against the direct sum
         maps = (tau, power(tau, 2))
@@ -191,32 +206,18 @@ def averaging_laws(seed: int, budget: int) -> list[CheckLine]:
         spec = ProcessSpec(MARTINGALE_ERGODIC, f, maps, (sing,), seqs)
         n_vec = (int(rng.integers(1, 2 * order + 1)), int(rng.integers(1, order + 1)))
         got = evaluate(spec, n_vec, 0)
-        direct = np.zeros_like(f.values)
         alph = [s.values(n) for s, n in zip(seqs, n_vec)]
         # T_1^{k1} applied after T_2^{k2}: the term at x is f(tau_2^{k2}(tau_1^{k1}(x))),
-        # one gather through the powers inner[k2] of tau_2 and outer of tau_1
-        inner = [np.arange(space.size)]
-        for _ in range(1, n_vec[1]):
-            inner.append(maps[1].map[inner[-1]])
-        outer = np.arange(space.size)
-        for k1 in range(n_vec[0]):
-            for k2 in range(n_vec[1]):
-                direct += alph[0][k1] * alph[1][k2] * f.values[inner[k2][outer]]
-            outer = maps[0].map[outer]
-        direct /= n_vec[0] * n_vec[1]
+        # every term in one gather through the powers of tau_2 and of tau_1
+        terms = f.values[_powers(maps[1], n_vec[1])[:, _powers(maps[0], n_vec[0])]]
+        direct = np.tensordot(np.outer(alph[1], alph[0]), terms, axes=2) / (n_vec[0] * n_vec[1])
         if np.max(np.abs(got.values - direct)) > 1e-10:
             oks[names[4]] = False
         w = seqs[0]
         n_w = int(rng.integers(1, 2 * order + 1))
-        wa = point_norm_field(weighted_average(f, tau, w, n_w)).values[:, 0]
-        scal = point_norm_field(f).values[:, 0]
-        acc = np.zeros_like(scal)
-        cur = scal
-        absal = np.abs(w.values(n_w))
-        for i in range(n_w):
-            if i:
-                cur = cur[tau.map]
-            acc += absal[i] * cur
+        wa = point_norms(CesaroKernel(f.values, tau, w).average(n_w), 2.0)
+        scal = point_norms(f.values, 2.0)
+        acc = np.abs(w.values(n_w)) @ scal[_powers(tau, n_w)]
         if np.max(wa - acc / n_w) > _TOL:
             oks[names[5]] = False
     return [_line(n, oks[n], f"{n_checks} random instances") for n in names]
@@ -247,35 +248,42 @@ def process_convergence(seed: int, budget: int) -> list[CheckLine]:
                 if not mean_identity_check(spec).passed:
                     oks[names[1]] = False
         filt = random_filtration(rng, space, 3, DECREASING)
-        ident = identity_map(space)
-        spec_id = ProcessSpec.single(MARTINGALE_ERGODIC, f, ident, filt)
-        for s in range(len(filt.stages)):
-            for n1 in (1, 2, 5):
-                gap = linf_norm(evaluate(spec_id, n1, s) - cond_expect(f, filt.stages[s]))
-                if gap > _TOL:
-                    oks[names[2]] = False
+        last = len(filt.stages) - 1
+        # the identity map's n x stage grid and the singleton filtration's n
+        # column, each in one batched read
+        spec_id = ProcessSpec.single(MARTINGALE_ERGODIC, f, identity_map(space), filt)
+        grid_id = _grid(spec_id, (1, 2, 5), range(last + 1))
+        for s, part in enumerate(filt.stages):
+            want = cond_expect(f, part).values
+            if any(_sup(values - want) > _TOL for values in grid_id[:, s]):
+                oks[names[2]] = False
         sing = Filtration(space, DECREASING, (Partition.singletons(space),))
         spec_sing = ProcessSpec.single(ERGODIC_MARTINGALE, f, tau, sing)
-        for n1 in (1, 2, order, 2 * order):
-            gap = linf_norm(evaluate(spec_sing, n1, 0) - ergodic_average(f, tau, n1))
-            if gap > _TOL:
-                oks[names[3]] = False
+        lengths = (1, 2, order, 2 * order)
+        got = _grid(spec_sing, lengths, [0])[:, 0]
+        plain = CesaroKernel(f.values, tau).average(np.array(lengths))
+        if any(_sup(a - b) > _TOL for a, b in zip(got, plain)):
+            oks[names[3]] = False
         spec = ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt)
-        target = limit_target(spec)
         grid = default_n1_grid(order)
         for _ in range(5):
+            # each path is drawn, which keeps the seeded sequence; every one
+            # ends at (grid[-1], last stage), which is evaluated once below
             i = j = 0
-            path = [(grid[0], 0)]
-            while i < len(grid) - 1 or j < len(filt.stages) - 1:
-                if i < len(grid) - 1 and (j == len(filt.stages) - 1 or rng.random() < 0.5):
+            while i < len(grid) - 1 or j < last:
+                if i < len(grid) - 1 and (j == last or rng.random() < 0.5):
                     i += 1
                 else:
                     j += 1
-                path.append((grid[i], j))
-            final = linf_norm(evaluate(spec, *path[-1]) - target)
-            if final > 1e-9:
-                oks[names[4]] = False
+        if linf_norm(evaluate(spec, grid[-1], last) - limit_target(spec)) > 1e-9:
+            oks[names[4]] = False
     return [_line(n, oks[n], f"{n_checks} random instances") for n in names]
+
+
+def _grid(spec: ProcessSpec, n1s, n2s) -> np.ndarray:
+    """The process at every (n1, n2) of the grid, shape (len(n1s), len(n2s),
+    N, dim), from one batched evaluation."""
+    return np.concatenate(list(_cells(spec, [(n1,) for n1 in n1s], [(n2,) for n2 in n2s])))
 
 
 def weighted_stabilization(seed: int, budget: int) -> list[CheckLine]:

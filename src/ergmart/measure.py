@@ -15,6 +15,8 @@ import numpy as np
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
+# labels below this many times the point count are renumbered by a table
+_DENSE_LABELS = 4
 
 __all__ = [
     "MeasureSpace",
@@ -41,7 +43,7 @@ class MeasureSpace:
         arr = np.array(self.weights, dtype=float, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("a measure space needs at least one point")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("weights must be finite")
         if np.any(arr <= 0.0):
             raise ValueError("weights must be strictly positive")
@@ -77,12 +79,23 @@ def uniform_space(n: int, total: float = 1.0) -> MeasureSpace:
 
 
 def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    # relabel by first occurrence so equal partitions share one representation
-    uniq, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[order] = np.arange(uniq.size)
-    return rank[inverse].astype(np.int64), int(uniq.size)
+    """Nonnegative labels renumbered by first occurrence, so equal partitions
+    share one representation, and the number of blocks. Labels below
+    _DENSE_LABELS times the point count are renumbered through a table of
+    first positions in O(N); sparser ones through np.unique."""
+    n, top = labels.size, int(labels.max())
+    if top >= _DENSE_LABELS * n:
+        uniq, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        rank = np.empty(uniq.size, dtype=np.int64)
+        rank[np.argsort(first_idx, kind="stable")] = np.arange(uniq.size)
+        return rank[inverse].astype(np.int64), int(uniq.size)
+    positions = np.arange(n)
+    first = np.empty(top + 1, dtype=np.int64)
+    first[labels[::-1]] = positions[::-1]  # reversed write keeps the first
+    first_of_point = first[labels]
+    # a block's new label counts the blocks that start before it
+    rank = np.cumsum(first_of_point == positions) - 1
+    return rank[first_of_point], int(rank[-1]) + 1
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -53,7 +53,7 @@ class VectorObservable:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] != self.space.size:
             raise ValueError("values must be an N x d array matching the space")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -154,23 +154,26 @@ def lp_of_norms(norms: np.ndarray, mu: np.ndarray, p: float):
     first, so the result is finite whenever the norm is."""
     if not p >= 1.0 or math.isinf(p):
         raise ValueError("p must be a finite real >= 1")
-    # C order, so every row is summed as a one-row call sums it
-    rows = np.ascontiguousarray(norms).reshape(-1, norms.shape[-1])
-    out = []
     with np.errstate(over="ignore", under="ignore"):
-        # each root is a scalar power, as a one-row call takes it: the array
-        # power may round differently
-        for k, total in enumerate((mu * rows**p).sum(axis=-1)):
-            if not 0.0 < total < math.inf:
-                top = rows[k].max()
-                if 0.0 < top < math.inf:
-                    total = (mu * (rows[k] / top) ** p).sum()
-                    out.append(top * total ** (1.0 / p))
-                    continue
-            out.append(total ** (1.0 / p))
-    if norms.ndim == 1:
-        return float(out[0])
+        if norms.ndim == 1:
+            return float(_root(norms, (mu * norms**p).sum(), mu, p))
+        # C order, so every row is summed as a one-row call sums it
+        rows = np.ascontiguousarray(norms).reshape(-1, norms.shape[-1])
+        out = [_root(row, total, mu, p)
+               for row, total in zip(rows, (mu * rows**p).sum(axis=-1))]
     return np.array(out).reshape(norms.shape[:-1])
+
+
+def _root(row: np.ndarray, total, mu: np.ndarray, p: float):
+    """The L_p norm of one row of norms from its sum of powers `total`, or
+    from the row divided by its largest norm when `total` left the float
+    range. The root is a scalar power: the array power may round
+    differently."""
+    if not 0.0 < total < math.inf:
+        top = row.max()
+        if 0.0 < top < math.inf:
+            return top * (mu * (row / top) ** p).sum() ** (1.0 / p)
+    return total ** (1.0 / p)
 
 
 def linf_norm(f: VectorObservable, ns: NormSpec = NormSpec()) -> float:

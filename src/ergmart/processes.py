@@ -126,7 +126,11 @@ class ProcessSpec:
     def periods(self) -> tuple[int | None, ...]:
         """Per-map period P_j after which the weighted Cesaro sum repeats
         exactly: lcm of the orbit order and the weight period; None for a map
-        whose weights have an irrational frequency."""
+        whose weights have an irrational frequency. Computed once per spec."""
+        return self._periods
+
+    @functools.cached_property
+    def _periods(self) -> tuple[int | None, ...]:
         if self.weights is None:
             return self.orbit_lcms()
         periods = []
@@ -354,9 +358,11 @@ def mean_identity_check(spec: ProcessSpec) -> MeanIdentityReport:
     m_out = mean(target)
     gap = float(np.max(np.abs(m_in - m_out)))
     norm_rows = []
+    # each observable's point norms once, read at every p
+    mu, q = spec.space.weights, spec.norm.q
+    norms_target, norms_f = point_norms(target.values, q), point_norms(spec.f.values, q)
     for p in (1.0, 2.0, 3.0):
-        lhs = lp_norm(target, p, spec.norm)
-        rhs = lp_norm(spec.f, p, spec.norm)
+        lhs, rhs = lp_of_norms(norms_target, mu, p), lp_of_norms(norms_f, mu, p)
         norm_rows.append((p, lhs, rhs, lhs <= rhs + _TOL))
     passed = gap <= _TOL and all(r[3] for r in norm_rows)
     return MeanIdentityReport(

@@ -16,6 +16,8 @@ class SelfcheckResult:
     lines: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
+    # wall seconds per section, the fuzz under "inequality fuzz"; not printed
+    section_s: dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
         return "\n".join(self.lines)
@@ -27,16 +29,21 @@ def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:
     start = time.perf_counter()
     lines: list[str] = []
     failures: list[str] = []
+    section_s: dict[str, float] = {}
     lines.append(f"selfcheck: budget {budget}, seed {seed}")
     lines.append("-" * 72)
     for k, (sec_name, fn) in enumerate(SECTIONS):
-        for check in fn(seed + k, budget):
+        sec_start = time.perf_counter()
+        checks = fn(seed + k, budget)
+        section_s[sec_name] = time.perf_counter() - sec_start
+        for check in checks:
             status = "PASS" if check.ok else "FAIL"
             detail = f"  [{check.detail}]" if check.detail else ""
             lines.append(f"[{status}] {sec_name}: {check.name}{detail}")
             if not check.ok:
                 failures.append(f"{sec_name}: {check.name} (seed {seed + k}): {check.detail}")
     fuzz = run_inequality_fuzz(budget=budget, seed=seed)
+    section_s["inequality fuzz"] = fuzz.elapsed
     lines.extend(fuzz.summary_lines())
     for fail in fuzz.failure_lines():
         failures.append(f"inequality fuzz: {fail}")
@@ -47,4 +54,5 @@ def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:
     if failures:
         lines.append("failures (seeds reproduce the instance):")
         lines.extend(f"  - {f}" for f in failures)
-    return SelfcheckResult(ok=ok, lines=lines, failures=failures, elapsed=elapsed)
+    return SelfcheckResult(ok=ok, lines=lines, failures=failures, elapsed=elapsed,
+                           section_s=section_s)

@@ -191,11 +191,28 @@ BAD_VALUES = {
     "amplitude_1e308": (_weight_term([1e308, [1, 3], 0.0]), "weight_seqs[0].terms"),
     "amplitudes_1e308_twice": (lambda cfg: cfg.update(weight_seqs=[{"terms": [
         [1e308, [1, 3], 0.0], [1e308, [1, 4], 0.0]]}]), "weight_seqs[0].terms"),
-    "perm_entry_1e40": (_explicit_perm(10**40), "maps[0]"),
-    "perm_entry_inf": (_explicit_perm(math.inf), "maps[0]"),
-    "perm_entry_null": (_explicit_perm(None), "maps[0]"),
-    "stage_label_1e40": (_stage_label(10**40), "filtrations[0].stages[1]"),
-    "stage_label_inf": (_stage_label(math.inf), "filtrations[0].stages[1]"),
+    # perm entries and stage labels are integers, refused at the list's path
+    "perm_entry_1e40": (_explicit_perm(10**40), "maps[0].perm"),
+    "perm_entry_inf": (_explicit_perm(math.inf), "maps[0].perm"),
+    "perm_entry_null": (_explicit_perm(None), "maps[0].perm"),
+    "perm_entry_4": (_explicit_perm(4), "maps[0].perm"),
+    "perm_entry_true": (_explicit_perm(True), "maps[0].perm"),
+    "perm_floats": (lambda cfg: cfg.update(maps=[{"kind": "explicit",
+                                                  "perm": [1.5, 2.5, 3.9, 0.2]}]),
+                    "maps[0].perm"),
+    "perm_strings": (lambda cfg: cfg.update(maps=[{"kind": "explicit",
+                                                   "perm": ["1", "2", "3", False]}]),
+                     "maps[0].perm"),
+    "stage_label_1e40": (_stage_label(10**40), "filtrations[0].stages"),
+    "stage_label_inf": (_stage_label(math.inf), "filtrations[0].stages"),
+    "stage_label_float": (_stage_label(1.0), "filtrations[0].stages"),
+    "stage_label_string": (_stage_label("1"), "filtrations[0].stages"),
+    "stage_label_true": (_stage_label(True), "filtrations[0].stages"),
+    # a key that no FIELDS row names is refused at its path, not ignored
+    "grids_key_unknown": (lambda cfg: cfg.update(grids={"n1": "auto", "nn2": [0]}),
+                          "grids.nn2"),
+    "top_key_unknown": (lambda cfg: cfg.update(sead=1), "sead"),
+    "check_key_unknown": (lambda cfg: cfg["checks"][0].update(box=2), "checks[0].box"),
     "norm_q_inf": (lambda cfg: cfg.update(norm_q=math.inf), "norm_q"),
     "observable_1_7e308": (_last_value(1.7e308), "observable.values"),
     "observable_minus_1_7e308": (_last_value(-1.7e308), "observable.values"),

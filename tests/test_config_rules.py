@@ -99,8 +99,6 @@ CONTEXTS = {
     "checks[k].epsilons": (None, "checks[1].epsilons"),
     "checks[k].m": (None, "checks[2].m"),
 }
-# a perm entry that no int64 holds is an error of the map, not of the list
-ERROR_AT = {"maps[k].perm": "maps[0]"}
 _DELETE = object()
 
 
@@ -191,9 +189,21 @@ def test_every_refused_value_exits_1_at_its_path(data):
         holder[key] = bad
     code, err, wrote = _run(cfg)
     assert code == 1
-    assert err.startswith(f"error: {ERROR_AT.get(name, path)}"), err
+    assert err.startswith(f"error: {path}"), err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not wrote
+
+
+@pytest.mark.parametrize("name", [""] + sorted(n for n in FIELDS if FIELDS[n].kind == "object"))
+def test_unknown_key_exits_1_at_its_path(name):
+    # every object of the config, the config itself included, knows its keys
+    cfg = _config(name) if name else copy.deepcopy(DEMO)
+    path = CONTEXTS[name][1] if name else ""
+    holder, key = _slot(cfg, path) if name else ({"": cfg}, "")
+    holder[key]["bogus"] = 1
+    code, err, wrote = _run(cfg)
+    assert code == 1 and not wrote
+    assert err == f"error: {path + '.' if path else ''}bogus: unknown field\n", err
 
 
 def test_readme_table_names_every_row():

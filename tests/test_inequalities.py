@@ -203,6 +203,43 @@ class TestSupField:
         assert peak < 8 * 2**20
 
 
+class TestOneSupPass:
+    """The fuzz builds each instance's sup fields, over the box and its two
+    shrink_box truncations, in one pass."""
+
+    @pytest.mark.parametrize("rows_per_chunk", (None, 1))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_filled_truncations_are_their_own_builds(self, family, rows_per_chunk,
+                                                     monkeypatch):
+        # also with the outermost axis cut into one-row chunks, so every
+        # truncation ends inside the pass
+        if rows_per_chunk:
+            monkeypatch.setattr(ineq, "_CHUNK_FLOATS", rows_per_chunk)
+        for seed in range(20):
+            spec = random_process_instance(seed, family).spec
+            box = default_box(spec, n_factor=2 if spec.d_maps > 1 else 4)
+            smalls = [shrink_box(box, factor) for factor in (0.5, 0.25)]
+            ineq.fill_sup_fields(spec, box, smalls)
+            for small in [box, *smalls]:
+                fresh = ineq._build_sup_field(spec, ineq._period_box(spec, small))
+                assert np.array_equal(sup_field(spec, small).values, fresh.values)
+
+    def test_one_build_per_fuzz_instance(self, monkeypatch):
+        builds = []
+        real_build = ineq._build_sup_field
+        monkeypatch.setattr(ineq, "_build_sup_field",
+                            lambda *args: builds.append(args[0]) or real_build(*args))
+        report = run_inequality_fuzz(budget=60)
+        assert report.ok
+        assert len(builds) == len(set(builds)) == 60
+
+    def test_a_box_that_is_not_a_prefix_is_refused(self):
+        spec = me_spec()
+        with pytest.raises(ValueError, match="prefix"):
+            ineq.fill_sup_fields(spec, SupBox((4,), ((0, 1),)), [SupBox((4,), ((1,),))])
+        assert not spec.sup_fields
+
+
 class TestPeriodClamp:
     """Past the stabilization period P no averaging length raises the sup, so
     the field over n <= P is the sup over every n."""
