@@ -366,13 +366,14 @@ def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],
     first; conditional expectations for different filtrations do not commute
     in general, so the order is fixed here and relied on everywhere else.
     Each inner filtration conditions the whole stack once per stage and adds
-    a leading stage axis. Yields, per stage of the first filtration, its
-    partition and the block means, shape (S_2, ..., S_m, ..., blocks, dim)
-    with S_k the size of the k-th stage set.
+    a stage axis right after the stack's own leading axes. Yields, per stage
+    of the first filtration, its partition and the block means, shape
+    (..., S_2, ..., S_m, blocks, dim) with S_k the size of the k-th stage set.
     """
+    lead = values.ndim - 2
     for fl, ss in zip(filtrations[:0:-1], stage_sets[:0:-1]):
         values = np.stack([np.take(block_means(values, fl.stages[s]), fl.stages[s].block_of,
-                                   axis=-2) for s in ss])
+                                   axis=-2) for s in ss], axis=lead)
     for s in stage_sets[0]:
         part = filtrations[0].stages[s]
         yield part, block_means(values, part)

@@ -426,12 +426,12 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     trace_p = float(_field(config, "", "trace_p"))
     grids = _field(config, "", "grids")
     n1_cfg = _field(grids, "grids", "grids.n1")
-    # common multiple of every map's order so the final grid point is exact
-    n1_grid = (default_n1_grid(math.lcm(*spec.orbit_lcms())) if n1_cfg == "auto"
+    # common multiple of every map's stabilization period so the final grid point is exact
+    n1_grid = (default_n1_grid(math.lcm(*spec.periods())) if n1_cfg == "auto"
                else tuple(n1_cfg))
     if n1_grid[-1] >= _MAX_LENGTH:
-        raise ConfigError("grids.n1", "averaging lengths (up to 4 times the map "
-                          "order for 'auto') must be below 2**62")
+        raise ConfigError("grids.n1", "averaging lengths (up to 4 times the stabilization "
+                          "period for 'auto') must be below 2**62")
     n_stages = min(len(fl.stages) for fl in spec.filtrations)
     n2_cfg = _field(grids, "grids", "grids.n2", high=n_stages - 1)
     n2_grid = tuple(range(n_stages)) if n2_cfg == "all" else tuple(n2_cfg)

@@ -16,7 +16,6 @@ from .inequalities import (
     default_box,
     dominant_check,
     epsilon_sweep,
-    fill_sup_fields,
     shrink_box,
     sup_field,
 )
@@ -87,7 +86,7 @@ def _check_instance(inst, stats: FamilyStats):
     box = default_box(spec, n_factor=2 if spec.d_maps > 1 else 4)
     smalls = [shrink_box(box, factor) for factor in _TRUNCATION_FACTORS]
     # one sup pass serves the box and its truncations
-    fill_sup_fields(spec, box, smalls)
+    sup_field(spec, box, smalls)
 
     full = dominant_check(spec, p, box)
     stats.dominant_checks += 1

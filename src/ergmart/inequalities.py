@@ -42,7 +42,6 @@ __all__ = [
     "APPLICABILITY_RULES",
     "broken_rule",
     "sup_field",
-    "fill_sup_fields",
     "dominant_check",
     "epsilon_sweep",
     "auto_epsilons",
@@ -97,7 +96,11 @@ def shrink_box(box: SupBox, factor: float) -> SupBox:
     return SupBox(n_max, stage_sets)
 
 
-def _validate_box(spec: ProcessSpec, box: SupBox):
+def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
+    """The box, checked against the spec, with each averaging axis cut to
+    min(n_max_j, P_j): no n past the period P_j raises the sup (see the
+    module docstring), and the weights repeat with a period that divides P_j.
+    A map without a period keeps its axis."""
     if len(box.n_max) != spec.d_maps:
         raise ValueError("box must give one n_max per map")
     if len(box.stage_sets) != spec.m_filtrations:
@@ -105,58 +108,33 @@ def _validate_box(spec: ProcessSpec, box: SupBox):
     for k, (fl, ss) in enumerate(zip(spec.filtrations, box.stage_sets)):
         if ss[-1] >= len(fl.stages):
             raise ValueError(f"stage index {ss[-1]} out of range for filtration {k}")
-
-
-def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
-    """The box with each averaging axis cut to min(n_max_j, P_j): no n past
-    the period P_j raises the sup (see the module docstring), and the weights
-    repeat with a period that divides P_j. A map without a period keeps its
-    axis."""
     n_max = tuple(n if period is None else min(n, period)
                   for n, period in zip(box.n_max, spec.periods()))
     return box if n_max == box.n_max else SupBox(n_max, box.stage_sets)
 
 
-def _alphas(spec: ProcessSpec, box: SupBox) -> list[np.ndarray | None]:
-    if spec.weights is None:
-        return [None] * spec.d_maps
-    return [w.values(k) for w, k in zip(spec.weights, box.n_max)]
-
-
-def sup_field(spec: ProcessSpec, box: SupBox | None = None) -> VectorObservable:
+def sup_field(spec: ProcessSpec, box: SupBox | None = None,
+              prefixes: Sequence[SupBox] = ()) -> VectorObservable:
     """Pointwise max of the process norms over the box, monotone under box
     enlargement; the exact untruncated sup once n_max_j >= P_j on every
     averaging axis. Built over the box cut to the periods and kept by the spec
     under that cut box, so every check of a run, and every box that differs
-    from another only past the periods, reads the same field."""
+    from another only past the periods, reads the same field. The same pass
+    keeps the field of each of `prefixes` (no larger n_max, each stage set a
+    prefix of the box's, as shrink_box gives): the max over the same floats
+    as its own build, so bit for bit that field."""
     if box is None:
         box = default_box(spec)
-    box = _cut_box(spec, box)
-    if box not in spec.sup_fields:
-        spec.sup_fields[box] = _build_sup_field(spec, box)
-    return spec.sup_fields[box]
-
-
-def fill_sup_fields(spec: ProcessSpec, box: SupBox, prefixes: Sequence[SupBox]):
-    """Keeps on the spec, from one pass over `box`, the sup fields of `box`
-    and of every prefix box (no larger n_max on any axis, each stage set a
-    prefix of the box's, as shrink_box gives), so that sup_field reads each
-    of them without a build of its own. Each prefix field is the max over
-    the same floats as its own build, so it is bit for bit that field."""
-    box = _cut_box(spec, box)
-    cut = {_cut_box(spec, small) for small in prefixes}
+    box = _period_box(spec, box)
+    cut = {_period_box(spec, small) for small in prefixes}
     for small in cut:
         if (any(a > b for a, b in zip(small.n_max, box.n_max))
                 or any(ss != big[:len(ss)] for ss, big in zip(small.stage_sets, box.stage_sets))):
             raise ValueError("every box must be a prefix of the full box")
     missing = [small for small in cut - {box} if small not in spec.sup_fields]
     if box not in spec.sup_fields or missing:
-        spec.sup_fields[box] = _build_sup_field(spec, box, missing)
-
-
-def _cut_box(spec: ProcessSpec, box: SupBox) -> SupBox:
-    _validate_box(spec, box)
-    return _period_box(spec, box)
+        spec.sup_fields[box] = _build_sup_field(spec, box, *missing)
+    return spec.sup_fields[box]
 
 
 def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
@@ -172,23 +150,20 @@ def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
         yield running_weighted_averages(inner, t, alpha, min(n, start + rows), start, carry)
 
 
-def _build_sup_field(spec: ProcessSpec, box: SupBox,
-                     prefixes: Sequence[SupBox] = ()) -> VectorObservable:
+def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> VectorObservable:
     """One streamed pass over the box as given (sup_field hands it the box
     cut to the periods): the inner maps' averaging axes are built whole, the
-    outermost one chunk by chunk, and each chunk is folded into the running
-    pointwise max. The field of each prefix box (see fill_sup_fields) is
-    folded in the same pass from its corner of every chunk's norms, and kept
-    on the spec."""
-    alphas = _alphas(spec, box)
+    outermost one chunk by chunk, and each chunk's norms are folded into the
+    running pointwise max of the box and of each prefix box, whose fields are
+    kept on the spec."""
+    alphas = ([None] * spec.d_maps if spec.weights is None
+              else [w.values(k) for w, k in zip(spec.weights, box.n_max)])
     q = spec.norm.q
     boxes = [box, *prefixes]
     fields = [np.zeros(spec.space.size) for _ in boxes]
     me = spec.kind == MARTINGALE_ERGODIC
     if me:
         inner = spec.f.values
-        for j in reversed(range(1, spec.d_maps)):
-            inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
         # each inner filtration stacks one conditioned copy of a chunk per stage
         copies = math.prod(len(ss) for ss in box.stage_sets[1:])
     else:
@@ -196,44 +171,39 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox,
         inner = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
                           composite_block_means(spec.f.values, spec.filtrations,
                                                 box.stage_sets)])
-        for j in reversed(range(1, spec.d_maps)):
-            inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
         copies = 1
+    for j in reversed(range(1, spec.d_maps)):
+        inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
     start = 0  # the chunk's first row on the outermost averaging axis
     for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], copies):
         if me:
             # the outermost conditioning is constant on its blocks, so its max
-            # is taken per block and only then spread to the points; the norms'
-            # axes are (inner stages, n_1, inner n, blocks)
+            # is taken per block and only then spread to the points
             for k, (part, means) in enumerate(composite_block_means(chunk, spec.filtrations,
                                                                     box.stage_sets)):
-                norms = point_norms(means, q)
-                for small, field in zip(boxes, fields):
-                    if k < len(small.stage_sets[0]) and start < small.n_max[0]:
-                        corner = _corner(norms, small.stage_sets[1:], small.n_max, start)
-                        block_max = corner.reshape(-1, part.block_count).max(axis=0)
-                        np.maximum(field, block_max[part.block_of], out=field)
+                _fold(boxes, fields, point_norms(means, q), start, (k, part))
         else:
-            # the norms' axes are (n_1, inner n, stages, points)
-            norms = point_norms(chunk, q)
-            for small, field in zip(boxes, fields):
-                if start < small.n_max[0]:
-                    corner = _corner(norms, (), small.n_max, start, small.stage_sets)
-                    np.maximum(field, corner.reshape(-1, spec.space.size).max(axis=0),
-                               out=field)
+            _fold(boxes, fields, point_norms(chunk, q), start, None)
         start += len(chunk)
     for small, field in zip(prefixes, fields[1:]):
         spec.sup_fields[small] = VectorObservable(spec.space, field)
     return VectorObservable(spec.space, fields[0])
 
 
-def _corner(norms: np.ndarray, lead_sets, n_max, start: int, tail_sets=()) -> np.ndarray:
-    """The entries of a chunk's norms, whose first row is row `start` of the
-    outermost averaging axis, that lie inside a box: stage axes of the sets
-    `lead_sets` before the averaging axes and of `tail_sets` after them."""
-    index = ([slice(len(ss)) for ss in lead_sets] + [slice(n_max[0] - start)]
-             + [slice(n) for n in n_max[1:]] + [slice(len(ss)) for ss in tail_sets])
-    return norms[tuple(index)]
+def _fold(boxes, fields, norms: np.ndarray, start: int, outer) -> None:
+    """Folds into each box's field the max of a chunk's norms inside it, axes
+    (n_1 from row `start`, inner n..., stages..., points or blocks). `outer`
+    is None, or the (position in the first stage set, partition) of the
+    outermost conditioning, whose blocks the norms are over with no axis of
+    the first filtration."""
+    for box, field in zip(boxes, fields):
+        sets = box.stage_sets if outer is None else box.stage_sets[1:]
+        if start >= box.n_max[0] or (outer is not None and outer[0] >= len(box.stage_sets[0])):
+            continue
+        index = ([slice(box.n_max[0] - start)] + [slice(n) for n in box.n_max[1:]]
+                 + [slice(len(ss)) for ss in sets])
+        top = norms[tuple(index)].reshape(-1, norms.shape[-1]).max(axis=0)
+        np.maximum(field, top if outer is None else top[outer[1].block_of], out=field)
 
 
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:

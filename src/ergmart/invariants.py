@@ -201,7 +201,6 @@ def averaging_laws(seed: int, budget: int) -> list[CheckLine]:
         # small commuting multiparameter instance against the direct sum
         maps = (tau, power(tau, 2))
         seqs = (random_weights(rng), random_weights(rng))
-        random_filtration(rng, space, 2)  # keeps the seeded draw sequence
         sing = Filtration(space, DECREASING, (Partition.singletons(space),))
         spec = ProcessSpec(MARTINGALE_ERGODIC, f, maps, (sing,), seqs)
         n_vec = (int(rng.integers(1, 2 * order + 1)), int(rng.integers(1, order + 1)))
@@ -266,15 +265,7 @@ def process_convergence(seed: int, budget: int) -> list[CheckLine]:
             oks[names[3]] = False
         spec = ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt)
         grid = default_n1_grid(order)
-        for _ in range(5):
-            # each path is drawn, which keeps the seeded sequence; every one
-            # ends at (grid[-1], last stage), which is evaluated once below
-            i = j = 0
-            while i < len(grid) - 1 or j < last:
-                if i < len(grid) - 1 and (j == last or rng.random() < 0.5):
-                    i += 1
-                else:
-                    j += 1
+        # every monotone index path ends at (grid[-1], last stage)
         if linf_norm(evaluate(spec, grid[-1], last) - limit_target(spec)) > 1e-9:
             oks[names[4]] = False
     return [_line(n, oks[n], f"{n_checks} random instances") for n in names]

@@ -416,8 +416,8 @@ def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
 
 
 def default_n1_grid(order: int) -> tuple[int, ...]:
-    """Doubling grid 1, 2, 4, ... capped by _N1_FACTOR*order, plus the
-    multiples of the order itself so the exact points are always present."""
+    """Doubling grid 1, 2, 4, ... capped by _N1_FACTOR*order, plus the multiples
+    of `order`, a period of the averages, so the exact points are always present."""
     top = _N1_FACTOR * order
     grid = {1}
     v = 1

@@ -7,13 +7,14 @@ from ergmart.averages import (
     BesicovitchWeights,
     CesaroKernel,
     besicovitch_defect,
+    composite_block_means,
     composite_cond_expect,
     ergodic_average,
     ergodic_limit,
     running_weighted_averages,
     weighted_average,
 )
-from ergmart.generators import random_cycle_system
+from ergmart.generators import random_cycle_system, random_filtration
 from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, point_norm_field
 from ergmart.operators import (
@@ -319,6 +320,22 @@ class TestCompositeCondExpect:
         filt = Filtration(SP4, DECREASING, (Partition.whole(SP4),))
         with pytest.raises(ValueError, match="out of range"):
             composite_cond_expect(F1357, [filt], [1])
+
+    def test_block_means_put_the_stage_axes_after_the_stack_axes(self):
+        rng = np.random.default_rng(43)
+        space, _, _ = random_cycle_system(rng, n_max=24)
+        filts = [random_filtration(rng, space, 3) for _ in range(3)]
+        # S_2 = 3 and S_3 = 2 differ from the stack's (2, 3), so the order shows in the shape
+        stage_sets = [(0, 2), (0, 1, 2), (1, 2)]
+        values = rng.normal(size=(2, 3, space.size, 2))
+        yielded = list(composite_block_means(values, filts, stage_sets))
+        assert len(yielded) == 2
+        for s1, (part, means) in zip(stage_sets[0], yielded):
+            assert means.shape == (2, 3, 3, 2, part.block_count, 2)
+            for i, j, a, b in np.ndindex(2, 3, 3, 2):
+                want = composite_cond_expect(VectorObservable(space, values[i, j]), filts,
+                                             (s1, stage_sets[1][a], stage_sets[2][b]))
+                assert np.array_equal(means[i, j, a, b][part.block_of], want.values)
 
 
 def test_average_linearity():

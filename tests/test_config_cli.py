@@ -377,6 +377,18 @@ class TestRunner:
         last = lines[-1].split(",")
         assert float(last[2]) <= 1e-12 and float(last[3]) <= 1e-12
 
+    def test_auto_grid_reaches_the_weighted_period(self, tmp_path):
+        # weight period 5 on an order-4 cycle: the stabilization period is 20,
+        # so the auto grid must reach 80, where the trace is exact
+        cfg = demo_config()
+        cfg["weight_seqs"] = [{"terms": [[0.8, [1, 5], 0.0]]}]
+        plan = build_experiment(cfg)
+        assert plan.spec.periods() == (20,) and plan.n1_grid[-1] == 80
+        execute_plan(plan, tmp_path)
+        n1, n2, lp_error, sup_error = (tmp_path / "trace.csv").read_text().split()[-1].split(",")
+        assert (int(n1), int(n2)) == (80, plan.n2_grid[-1])
+        assert float(lp_error) <= 1e-10 and float(sup_error) <= 1e-10
+
     def test_csv_roundtrip_within_ulp(self, tmp_path):
         plan = build_experiment(demo_config())
         execute_plan(plan, tmp_path)

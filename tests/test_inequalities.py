@@ -219,7 +219,7 @@ class TestOneSupPass:
             spec = random_process_instance(seed, family).spec
             box = default_box(spec, n_factor=2 if spec.d_maps > 1 else 4)
             smalls = [shrink_box(box, factor) for factor in (0.5, 0.25)]
-            ineq.fill_sup_fields(spec, box, smalls)
+            sup_field(spec, box, smalls)
             for small in [box, *smalls]:
                 fresh = ineq._build_sup_field(spec, ineq._period_box(spec, small))
                 assert np.array_equal(sup_field(spec, small).values, fresh.values)
@@ -236,8 +236,33 @@ class TestOneSupPass:
     def test_a_box_that_is_not_a_prefix_is_refused(self):
         spec = me_spec()
         with pytest.raises(ValueError, match="prefix"):
-            ineq.fill_sup_fields(spec, SupBox((4,), ((0, 1),)), [SupBox((4,), ((1,),))])
+            sup_field(spec, SupBox((4,), ((0, 1),)), [SupBox((4,), ((1,),))])
         assert not spec.sup_fields
+
+    @pytest.mark.parametrize("bad, message", [
+        (SupBox((2, 2), ((0,),)), "one n_max per map"),
+        (SupBox((2,), ((0,), (0,))), "one stage set per filtration"),
+        (SupBox((2,), ((0, 3),)), "stage index 3 out of range"),
+    ])
+    def test_a_bad_prefix_is_refused_before_any_build(self, bad, message, monkeypatch):
+        monkeypatch.setattr(ineq, "_build_sup_field", lambda *args: pytest.fail("built"))
+        spec = me_spec()
+        with pytest.raises(ValueError, match=message):
+            sup_field(spec, SupBox((4,), ((0, 1, 2),)), [bad])
+        assert not spec.sup_fields
+
+    def test_a_prefix_equal_to_the_cut_box_or_given_twice_costs_no_build(self, monkeypatch):
+        builds = []
+        real_build = ineq._build_sup_field
+        monkeypatch.setattr(ineq, "_build_sup_field",
+                            lambda *args: builds.append(args) or real_build(*args))
+        spec = me_spec()  # period 4
+        box, small = SupBox((8,), ((0, 1, 2),)), SupBox((2,), ((0, 1),))
+        sup_field(spec, box, [SupBox((4,), ((0, 1, 2),)), small, small])
+        assert [args[1:] for args in builds] == [(SupBox((4,), ((0, 1, 2),)), small)]
+        sup_field(spec, small)
+        sup_field(spec, box, [small])
+        assert len(builds) == 1
 
 
 class TestPeriodClamp:

@@ -1,0 +1,64 @@
+"""Layout checks on the package source: no module imports a name it never
+uses, and every exported name resolves. Both catch what a deletion leaves
+behind. `ergmart/__init__.py` imports names only to export them, so it is
+checked by the second test alone."""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ergmart"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import of the module, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _all_entries(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = _tree(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_all_entries(tree))  # a re-export is a use
+    unused = {n: line for n, line in _imported(tree).items() if n not in used}
+    assert not unused, f"ergmart/{name}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"ergmart.{name}")
+    missing = [entry for entry in _all_entries(_tree(name)) if not hasattr(module, entry)]
+    assert not missing, f"ergmart.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_package_import_resolves():
+    tree = _tree("__init__")
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module("." * node.level + (node.module or ""), "ergmart")
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    assert not missing, f"ergmart/__init__.py imports missing names: {missing}"
