@@ -25,7 +25,7 @@ import numpy as np
 
 from .measure import Filtration, Partition
 from .observables import VectorObservable
-from .operators import Endomorphism, block_means
+from .operators import Endomorphism, _weighted_block_means
 
 __all__ = [
     "BesicovitchWeights",
@@ -282,10 +282,13 @@ class CesaroKernel:
         rows = csum.shape[-2]
         self.csum = csum.reshape(-1, csum.shape[-1])
         self.index = np.add.outer(np.arange(0, len(self.csum), rows), lay.slot)
-        # a kernel may be kept and shared (ProcessSpec.kernels), so its tables are read-only
-        for table in vars(self).values():
+        # a kernel may be kept and shared (ProcessSpec.kernels), so its tables
+        # are read-only; C-contiguous, so every read runs numpy's fast loops
+        for name, table in list(vars(self).items()):
             if isinstance(table, np.ndarray):
+                table = np.ascontiguousarray(table)
                 table.setflags(write=False)
+                setattr(self, name, table)
 
     def average(self, n) -> np.ndarray:
         """The average at length n, shape of the stack; the limit for n None.
@@ -366,17 +369,22 @@ def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],
     first; conditional expectations for different filtrations do not commute
     in general, so the order is fixed here and relied on everywhere else.
     Each inner filtration conditions the whole stack once per stage and adds
-    a stage axis right after the stack's own leading axes. Yields, per stage
-    of the first filtration, its partition and the block means, shape
-    (..., S_2, ..., S_m, blocks, dim) with S_k the size of the k-th stage set.
+    a stage axis right after the stack's own leading axes. Each filtration's
+    pass weights the stack by the point masses once, and every stage's block
+    sums read that one product. Yields, per stage of the first filtration,
+    its partition and the block means, shape (..., S_2, ..., S_m, blocks,
+    dim) with S_k the size of the k-th stage set.
     """
     lead = values.ndim - 2
+    masses = filtrations[0].space.weights[:, None]
     for fl, ss in zip(filtrations[:0:-1], stage_sets[:0:-1]):
-        values = np.stack([np.take(block_means(values, fl.stages[s]), fl.stages[s].block_of,
-                                   axis=-2) for s in ss], axis=lead)
+        weighted = values * masses  # once per pass, read by every stage
+        values = np.stack([np.take(_weighted_block_means(weighted, fl.stages[s]),
+                                   fl.stages[s].block_of, axis=-2) for s in ss], axis=lead)
+    weighted = values * masses
     for s in stage_sets[0]:
         part = filtrations[0].stages[s]
-        yield part, block_means(values, part)
+        yield part, _weighted_block_means(weighted, part)
 
 
 def check_stages(filtrations: Sequence[Filtration], s_vec: Sequence[int]) -> tuple[int, ...]:

@@ -43,6 +43,8 @@ def _cmd_run(args) -> int:
 def _cmd_selfcheck(args) -> int:
     result = run_selfcheck(budget=args.budget, seed=args.seed)
     print(result.render())
+    if args.times:
+        print(result.render_times())
     return 0 if result.ok else 2
 
 
@@ -93,6 +95,8 @@ def main(argv=None) -> int:
     p_self.add_argument("--budget", type=int, default=100,
                         help="instances per randomized section")
     p_self.add_argument("--seed", type=int, default=20240801)
+    p_self.add_argument("--times", action="store_true",
+                        help="after the report, print the wall time of each section")
     p_self.set_defaults(func=_cmd_selfcheck)
 
     p_gen = sub.add_parser("gen", help="print a seeded explicit config fragment")

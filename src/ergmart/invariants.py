@@ -265,8 +265,12 @@ def process_convergence(seed: int, budget: int) -> list[CheckLine]:
             oks[names[3]] = False
         spec = ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt)
         grid = default_n1_grid(order)
-        # every monotone index path ends at (grid[-1], last stage)
-        if linf_norm(evaluate(spec, grid[-1], last) - limit_target(spec)) > 1e-9:
+        # along the n grid at the last stage, where every monotone index path
+        # ends, the process is exact at each multiple of the order; one read
+        path = _grid(spec, grid, [last])[:, 0]
+        target = limit_target(spec).values
+        if any(_sup(values - target) > 1e-9
+               for n, values in zip(grid, path) if n % order == 0):
             oks[names[4]] = False
     return [_line(n, oks[n], f"{n_checks} random instances") for n in names]
 

@@ -156,19 +156,16 @@ class Partition:
     def _bin_layouts(self) -> dict:
         return {}
 
-    def bin_layout(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """(bins, masses), each of shape (N * dim,): the bincount bin
-        block * dim + component of every (point, component) slot of an
-        (N, dim) array, and the point's mass repeated dim times. Built once
+    def bin_layout(self, dim: int) -> np.ndarray:
+        """The bincount bin block * dim + component of every (point,
+        component) slot of an (N, dim) array, shape (N * dim,). Built once
         per dim and kept by the partition."""
-        layout = self._bin_layouts.get(dim)
-        if layout is None:
+        bins = self._bin_layouts.get(dim)
+        if bins is None:
             bins = ((self.block_of * dim)[:, None] + np.arange(dim)).reshape(-1)
-            masses = np.repeat(self.space.weights, dim)
-            for arr in (bins, masses):
-                arr.setflags(write=False)
-            layout = self._bin_layouts[dim] = (bins, masses)
-        return layout
+            bins.setflags(write=False)
+            self._bin_layouts[dim] = bins
+        return bins
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

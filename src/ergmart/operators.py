@@ -175,19 +175,30 @@ def block_means(values: np.ndarray, part: Partition) -> np.ndarray:
     """Mass-weighted block means of point values: shape (..., N, dim) in,
     (..., block_count, dim) out, leading axes kept.
 
-    One bincount pass over the whole stack; each bin adds its values in
-    point order, so every column of every slice comes out bit for bit as
-    its own one-column bincount would. The bins and masses of one slice are
-    the partition's (Partition.bin_layout), built once per dim.
+    The values are multiplied by the point masses once, then summed per
+    block in one bincount pass over the whole stack; each bin adds its
+    values in point order, so every column of every slice comes out bit for
+    bit as its own one-column bincount would. The bins of one slice are the
+    partition's (Partition.bin_layout), built once per dim. A partition of
+    single points needs no bincount (see _weighted_block_means).
     """
     vals = np.asarray(values, dtype=float)
-    *lead, n, dim = vals.shape
+    return _weighted_block_means(vals * part.space.weights[:, None], part)
+
+
+def _weighted_block_means(weighted: np.ndarray, part: Partition) -> np.ndarray:
+    """block_means of values already multiplied by the point masses, so one
+    product serves every partition of a stack. On single points each bin
+    would add one term to 0.0, which keeps it, so the product divided by
+    the masses is the same float (an input -0.0 stays -0.0)."""
+    if part.block_count == part.space.size:
+        return weighted / part.block_masses[:, None]
+    *lead, n, dim = weighted.shape
     rows = math.prod(lead)
     width = part.block_count * dim
-    bins, masses = part.bin_layout(dim)
+    bins = part.bin_layout(dim)
     if rows > 1:
         bins = np.add.outer(np.arange(0, rows * width, width), bins).reshape(-1)
-    weighted = vals.reshape(rows, n * dim) * masses
     sums = np.bincount(bins, weights=weighted.reshape(-1), minlength=rows * width)
     return sums.reshape(*lead, part.block_count, dim) / part.block_masses[:, None]
 

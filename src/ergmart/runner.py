@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,10 @@ def _json_text(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
     byte for byte. With an indent, json uses its pure-Python encoder, which
     spends most of a manifest's time on the config echo's long lists of
-    numbers; those are joined here directly, and everything else still goes
-    through json."""
+    numbers and builds an encoder for every call; so lists of numbers are
+    joined here directly, and strings (keys too), ints, finite floats,
+    booleans and None are written here as json writes them (_json_scalar).
+    Only other values go through json."""
     return _json_block(obj, "\n") + "\n"
 
 
@@ -97,12 +100,29 @@ def _json_block(obj, newline: str) -> str:
         return "[" + inner + body + newline + "]"
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         return "{" + inner + ("," + inner).join(
-            [json.dumps(k) + ": " + _json_block(obj[k], inner) for k in sorted(obj)]
+            [encode_basestring_ascii(k) + ": " + _json_block(obj[k], inner) for k in sorted(obj)]
         ) + newline + "}"
     if isinstance(obj, (list, tuple, dict)):
         # empty, or a dict whose keys json must convert before it sorts them
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
-    return json.dumps(obj, allow_nan=False)  # a scalar: json's C encoder
+    return _json_scalar(obj)
+
+
+def _json_scalar(obj) -> str:
+    """json.dumps(obj, allow_nan=False) of a scalar. A str goes through
+    json's own ASCII escaper, an int or finite float through its repr (json's
+    number text), a bool or None is its literal; any other value (a subclass,
+    a non-finite float) goes to json."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int or (kind is float and math.isfinite(obj)):
+        return repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    return json.dumps(obj, allow_nan=False)
 
 
 def _epsilons(plan: ExperimentPlan, chk: CheckSpec) -> tuple[float, ...]:

@@ -16,11 +16,16 @@ class SelfcheckResult:
     lines: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
-    # wall seconds per section, the fuzz under "inequality fuzz"; not printed
+    # wall seconds per section, the fuzz under "inequality fuzz"
     section_s: dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
         return "\n".join(self.lines)
+
+    def render_times(self) -> str:
+        """One line per section, and one for the fuzz, with its wall time."""
+        return "\n".join(f"[time] {name}: {seconds:.3f}s"
+                         for name, seconds in self.section_s.items())
 
 
 def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:

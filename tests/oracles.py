@@ -2,9 +2,9 @@
 
 Everything here is plain Python over lists: no shared code with the library
 paths under test beyond numpy array inputs being tolerated. The two
-`*_steps` oracles at the end are the exception: they replay, one numpy
-operation at a time, the float order the library's fast paths must keep, so
-the tests can compare them bit for bit.
+`*_steps` oracles and the two `*_bincount` oracles at the end are the
+exception: they replay, one numpy operation at a time, the float order the
+library's fast paths must keep, so the tests can compare them bit for bit.
 """
 import math
 
@@ -223,3 +223,35 @@ def oracle_row_norms_steps(values, q):
     if q == 2.0:
         return np.sqrt((values * values).sum(axis=-1))
     return (a**q).sum(axis=-1) ** (1.0 / q)
+
+
+def oracle_block_means_bincount(values, part):
+    """Block means as one bincount per call: the stack (..., N, dim) times
+    the point masses repeated dim times, every slice's bins offset by its
+    row, one bincount over the whole stack, then divided by the block
+    masses. Nothing is skipped on single points."""
+    vals = np.asarray(values, dtype=float)
+    *lead, n, dim = vals.shape
+    rows = math.prod(lead)
+    width = part.block_count * dim
+    bins = ((part.block_of * dim)[:, None] + np.arange(dim)).reshape(-1)
+    masses = np.repeat(part.space.weights, dim)
+    if rows > 1:
+        bins = np.add.outer(np.arange(0, rows * width, width), bins).reshape(-1)
+    weighted = vals.reshape(rows, n * dim) * masses
+    sums = np.bincount(bins, weights=weighted.reshape(-1), minlength=rows * width)
+    block_masses = np.bincount(part.block_of, weights=part.space.weights,
+                               minlength=part.block_count)
+    return sums.reshape(*lead, part.block_count, dim) / block_masses[:, None]
+
+
+def oracle_composite_block_means_bincount(values, filtrations, stage_sets):
+    """[(partition, block means)] per stage of the first filtration, each
+    stage of every filtration conditioned by oracle_block_means_bincount on
+    its own, the last filtration first, its stage axis after the stack's."""
+    lead = values.ndim - 2
+    for fl, ss in zip(filtrations[:0:-1], stage_sets[:0:-1]):
+        values = np.stack([np.take(oracle_block_means_bincount(values, fl.stages[s]),
+                                   fl.stages[s].block_of, axis=-2) for s in ss], axis=lead)
+    return [(filtrations[0].stages[s], oracle_block_means_bincount(values, filtrations[0].stages[s]))
+            for s in stage_sets[0]]

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ergmart.runner as runner
 from ergmart.cli import main
 from ergmart.config import build_experiment
 from ergmart.processes import convergence_trace, stabilized_reference
@@ -91,19 +92,47 @@ def multi_chunk_config(process: str) -> dict:
     }
 
 
+def many_terms_config(process: str) -> dict:
+    """weighted_config with ten rational cosine terms (amplitudes summing to
+    0.99, one denominator 7 that no cycle length has, period 420): the
+    kernel sums over a terms axis of at least 8, where numpy's unrolled
+    pairwise sum would reorder the additions if a table's memory layout put
+    that axis innermost."""
+    cfg = weighted_config(process)
+    cfg["weight_seqs"] = [{"terms": [
+        [0.2, [1, 12], 0.4], [0.15, [7, 20], 2.1], [0.12, [2, 5], 1.0], [0.1, [4, 15], 5.5],
+        [0.1, [1, 4], 0.0], [0.09, [2, 3], 3.0], [0.08, [1, 6], 4.2], [0.07, [3, 10], 0.7],
+        [0.05, [1, 2], 1.9], [0.03, [3, 7], 2.6]]}]
+    return cfg
+
+
 CONFIGS = {
     "demo": lambda: json.loads(DEMO.read_text()),
     "weighted_me": lambda: weighted_config("martingale_ergodic"),
     "weighted_em": lambda: weighted_config("ergodic_martingale"),
     "multi_chunk_me": lambda: multi_chunk_config("martingale_ergodic"),
     "multi_chunk_em": lambda: multi_chunk_config("ergodic_martingale"),
+    "many_terms_me": lambda: many_terms_config("martingale_ergodic"),
+    "many_terms_em": lambda: many_terms_config("ergodic_martingale"),
 }
 
 # sha256 of each artifact, frozen from the library before the shared-kernel
 # trace (demo, weighted reports) and before the gathered sup rows
 # (multi_chunk reports); the weighted traces and manifests were refrozen when
-# every trace moved to the closed-form limit (test_weighted_trace_matches_the_oracle)
+# every trace moved to the closed-form limit (test_weighted_trace_matches_the_oracle);
+# many_terms before the single mass product per conditioning pass and the
+# contiguous kernel tables
 FROZEN = {
+    "many_terms_em": {
+        "trace.csv": "da7923a30d87e747ace8bee6c717f73ff81b4a667772d175483401b738be4306",
+        "reports.json": "e6219d5bb65d5bad4aff75d9170a4cf9efb72e78dee18af47bf82024578e9f00",
+        "manifest.json": "bbdadfa84612d168f942df1b449399e907321b5399d5ee6298ffcf0061666fb5",
+    },
+    "many_terms_me": {
+        "trace.csv": "56667ef36ae5a477c5b931a477d6ffa5b03d0ef2ac3e542eca47d3cb7b9f3328",
+        "reports.json": "a1ae06c328a38cff6d5de6e6d0454b577547d75a88e3ea2be4b3b8605441ebbb",
+        "manifest.json": "54c0c9b7be0c05cbb9a866e1654b4041a9ffaf7082cf8bc77e001f71660feda6",
+    },
     "multi_chunk_em": {
         "trace.csv": "417dff42ac1999ba8038ecef698e36f1e438d73ad6bcbf1262107dd576f3495f",
         "reports.json": "0f2eb5e547cb6e3e3f9e21095212b256ded150cb84627d239fa2dae98c87ce12",
@@ -141,7 +170,8 @@ def test_artifacts_are_byte_identical(tmp_path, name):
     assert digests == FROZEN[name]
 
 
-@pytest.mark.parametrize("name", ["weighted_me", "weighted_em", "multi_chunk_me", "multi_chunk_em"])
+@pytest.mark.parametrize("name", ["weighted_me", "weighted_em", "multi_chunk_me", "multi_chunk_em",
+                                  "many_terms_me", "many_terms_em"])
 def test_weighted_trace_matches_the_oracle(tmp_path, name):
     # the run's trace reads the closed-form limit; the oracle reads one exact
     # stabilization period of the weighted average
@@ -199,3 +229,18 @@ def test_json_text_refuses_non_finite_floats(obj, bad, where):
         _reference_json(wrapped)
     with pytest.raises(ValueError):
         _json_text(wrapped)
+
+
+@pytest.mark.parametrize("name", ["demo", "many_terms_me"])
+def test_reports_are_written_without_json_dumps(name, monkeypatch):
+    # every key and scalar of a reports.json (str, int, float, bool, None)
+    # and its number lists are written directly, with no encoder per value
+    reports = runner._run_checks(build_experiment(CONFIGS[name]()))
+    want = _reference_json(reports)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(runner.json, "dumps", refuse)
+    for _ in range(2):
+        assert _json_text(reports) == want

@@ -37,6 +37,7 @@ from ergmart.processes import (
 )
 from oracles import (
     oracle_composite,
+    oracle_composite_block_means_bincount,
     oracle_ergodic_average,
     oracle_ergodic_limit,
     oracle_multi_average,
@@ -320,6 +321,28 @@ class TestCompositeCondExpect:
         filt = Filtration(SP4, DECREASING, (Partition.whole(SP4),))
         with pytest.raises(ValueError, match="out of range"):
             composite_cond_expect(F1357, [filt], [1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_for_bit_the_bincount_kernel_per_stage(self, m):
+        # one mass product per filtration pass and no bincount on singletons
+        # give the floats of a bincount per stage
+        rng = np.random.default_rng(50 + m)
+        for n in (3, 7, 48):
+            for sp in (uniform_space(n), make_space(rng.uniform(0.1, 2.0, n))):
+                mixed = Partition(sp, rng.integers(0, max(2, n // 4), n))
+                coarse = Partition(sp, mixed.block_of % 2)
+                chain = (Partition.singletons(sp), mixed, coarse, Partition.whole(sp))
+                filts = [Filtration(sp, DECREASING, chain[k % 2:]) for k in range(m)]
+                stage_sets = [tuple(range(len(fl.stages))) for fl in filts]
+                for lead in ((), (2,)):
+                    values = rng.normal(size=lead + (n, 2))
+                    got = list(composite_block_means(values, filts, stage_sets))
+                    want = oracle_composite_block_means_bincount(values, filts, stage_sets)
+                    assert len(got) == len(want) == len(stage_sets[0])
+                    for (part, means), (want_part, want_means) in zip(got, want):
+                        assert part is want_part
+                        assert means.shape == want_means.shape
+                        assert np.array_equal(means, want_means)
 
     def test_block_means_put_the_stage_axes_after_the_stack_axes(self):
         rng = np.random.default_rng(43)

@@ -265,6 +265,36 @@ class TestOneSupPass:
         assert len(builds) == 1
 
 
+class TestConditioningCost:
+    """The martingale-ergodic sup pass weights each chunk by the point masses
+    once and reads no bincount on a singletons stage."""
+
+    @pytest.mark.parametrize("rows_per_chunk", (None, 1))
+    def test_three_bincounts_per_chunk_on_four_stages_from_singletons(self, rows_per_chunk,
+                                                                      monkeypatch):
+        sp = uniform_space(12)
+        t = Endomorphism(sp, [(i + 1) % 4 + 4 * (i // 4) for i in range(12)])  # order 4
+        mixed = Partition(sp, [0, 0, 1, 2, 2, 3, 4, 4, 5, 5, 5, 6])
+        filt = Filtration(sp, DECREASING, (Partition.singletons(sp), mixed,
+                                           Partition(sp, mixed.block_of // 3),
+                                           Partition.whole(sp)))
+        f = VectorObservable(sp, np.arange(24.0).reshape(12, 2) % 7)
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, f, t, filt)
+        box = ineq._period_box(spec, default_box(spec))
+        assert box.n_max == (4,)
+        want = ineq._build_sup_field(spec, box).values  # builds the masses and bins
+        if rows_per_chunk:
+            monkeypatch.setattr(ineq, "_CHUNK_FLOATS", rows_per_chunk)
+        chunks = 1 if rows_per_chunk is None else 4
+        calls, real = [], np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for _ in range(2):  # the count repeats exactly
+            calls.clear()
+            got = ineq._build_sup_field(spec, box).values
+            assert len(calls) == 3 * chunks
+            assert np.array_equal(got, want)
+
+
 class TestPeriodClamp:
     """Past the stabilization period P no averaging length raises the sup, so
     the field over n <= P is the sup over every n."""

@@ -94,13 +94,11 @@ class TestPartition:
         p = Partition(sp, [5, 5, 1, 5])
         assert p.block_masses is p.block_masses
         assert p.block_masses.tolist() == [7.0, 3.0]
-        bins, masses = p.bin_layout(2)
-        assert p.bin_layout(2) == (bins, masses)
-        assert p.bin_layout(2)[0] is bins
+        bins = p.bin_layout(2)
+        assert p.bin_layout(2) is bins
         assert bins.tolist() == [0, 1, 0, 1, 2, 3, 0, 1]
-        assert masses.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
-        assert p.bin_layout(1)[0].tolist() == [0, 0, 1, 0]
-        for table in (p.block_masses, bins, masses):
+        assert p.bin_layout(1).tolist() == [0, 0, 1, 0]
+        for table in (p.block_masses, bins):
             with pytest.raises(ValueError):
                 table[0] = 9
 

@@ -16,7 +16,7 @@ from ergmart.operators import (
     orbit_lcm,
     power,
 )
-from oracles import oracle_cond_expect, oracle_koopman
+from oracles import oracle_block_means_bincount, oracle_cond_expect, oracle_koopman
 
 SP4 = uniform_space(4)
 F1357 = VectorObservable(SP4, [1, 3, 5, 7])
@@ -134,6 +134,35 @@ class TestCondExpect:
             # block sums accumulate in point order, as the sequential oracle does
             assert want.tolist() == oracle_cond_expect(sp.weights, part.block_of,
                                                        f.values.tolist())
+
+
+def kernel_cases():
+    """(space, partition) for N = 3, 7 and 48 (1/3, 1/7 and 1/48 are not
+    binary fractions), uniform and random masses, and a singleton, a mixed
+    (N // 2 single points and one block of the rest, shuffled) and a
+    one-block partition."""
+    rng = np.random.default_rng(17)
+    for n in (3, 7, 48):
+        for sp in (uniform_space(n), make_space(rng.uniform(0.1, 2.0, n))):
+            mixed = Partition(sp, rng.permutation(np.minimum(np.arange(n), n // 2)))
+            yield from ((sp, part) for part in (Partition.singletons(sp), mixed,
+                                                Partition.whole(sp)))
+
+
+class TestBlockMeansKernel:
+    """block_means against the one-bincount-per-call kernel it replaced,
+    bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_every_partition_and_mass_is_the_bincount_float(self, lead):
+        rng = np.random.default_rng(len(lead))
+        for sp, part in kernel_cases():
+            values = rng.normal(0, 3, lead + (sp.size, 2))
+            values.flat[::5] = -0.0  # a zero that the singleton path keeps signed
+            got = block_means(values, part)
+            want = oracle_block_means_bincount(values, part)
+            assert got.shape == want.shape == lead + (part.block_count, 2)
+            assert np.array_equal(got, want)
 
 
 class TestAlgebraicInvariants:

@@ -527,7 +527,7 @@ def _spec_arrays(spec):
     for fl in spec.filtrations:
         for part in fl.stages:
             yield part.block_masses
-            yield from part.bin_layout(spec.f.dim)
+            yield part.bin_layout(spec.f.dim)
 
 
 class TestKeptTables:
@@ -568,6 +568,11 @@ class TestKeptTables:
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
+        # every kernel read runs on C-contiguous tables
+        for kernel in spec.kernels.values():
+            for name, table in vars(kernel).items():
+                if isinstance(table, np.ndarray):
+                    assert table.flags.c_contiguous, name
 
     def test_limit_target_is_kept(self):
         spec = em_spec()

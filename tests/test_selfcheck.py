@@ -1,6 +1,11 @@
-"""The work one selfcheck does, and the section times it keeps."""
+"""The work one selfcheck does, the section times it keeps and prints, and
+what its lines check."""
 import ergmart.averages as averages
+import ergmart.cli as cli
+import ergmart.invariants as invariants
 from ergmart.invariants import SECTIONS
+from ergmart.operators import orbit_lcm
+from ergmart.processes import default_n1_grid
 from ergmart.selfcheck import run_selfcheck
 
 
@@ -20,3 +25,40 @@ def test_section_times_are_kept_per_section():
     assert list(result.section_s) == [name for name, _ in SECTIONS] + ["inequality fuzz"]
     assert all(t >= 0.0 for t in result.section_s.values())
     assert sum(result.section_s.values()) <= result.elapsed
+
+
+def test_times_are_printed_only_with_the_flag(monkeypatch, capsys):
+    result = run_selfcheck(budget=2)
+    monkeypatch.setattr(cli, "run_selfcheck", lambda budget, seed: result)
+    assert cli.main(["selfcheck", "--budget", "2"]) == 0
+    assert capsys.readouterr().out == result.render() + "\n"
+    assert cli.main(["selfcheck", "--budget", "2", "--times"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(result.render() + "\n")
+    times = out[len(result.render()) + 1:].splitlines()
+    assert times == [f"[time] {name}: {s:.3f}s" for name, s in result.section_s.items()]
+    assert [line.split(":")[0] for line in times] == (
+        [f"[time] {name}" for name, _ in SECTIONS] + ["[time] inequality fuzz"])
+
+
+def test_a_wrong_value_mid_path_fails_the_monotone_path_line(monkeypatch):
+    # the line reads the whole n grid at the last stage, not only its end
+    name = "errors vanish along monotone index paths"
+
+    def line_ok():
+        return {c.name: c.ok for c in invariants.process_convergence(3, 4)}[name]
+
+    assert line_ok()
+    real_grid, patched = invariants._grid, []
+
+    def grid_with_a_wrong_middle(spec, n1s, n2s):
+        grid = real_grid(spec, n1s, n2s)
+        order = orbit_lcm(spec.maps[0])
+        if tuple(n1s) == default_n1_grid(order):
+            grid[list(n1s).index(2 * order)] += 1e-6
+            patched.append(order)
+        return grid
+
+    monkeypatch.setattr(invariants, "_grid", grid_with_a_wrong_middle)
+    assert not line_ok()
+    assert len(patched) == 10  # one path per instance
