@@ -169,19 +169,22 @@ class BesicovitchWeights:
 
 def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
                               alphas: np.ndarray | None, n: int, start: int = 0,
-                              carry: list | None = None) -> np.ndarray:
+                              carry: list | None = None,
+                              points: np.ndarray | None = None) -> np.ndarray:
     """Rows start..n-1 of the stack of weighted Cesaro averages along a new
     leading axis.
 
     `arr` has shape (..., N, dim); row k is (1/(k+1)) sum_{i<=k} a_i T^i arr.
     With alphas None the weights are identically one. The rows come from one
-    gather of every T^i arr through the doubled cycles (T^i x sits at slot
-    slot_x + (i mod L_x), see operators.CycleLayout), one multiply by the
+    gather of every T^i arr, the point T^i x read off the doubled cycles
+    (slot slot_x + (i mod L_x), see operators.CycleLayout), one multiply by the
     weights and one running sum that adds the terms in row order, so every
     float is the one of the step recurrence acc + a_i T^i arr. A stack built
     in pieces passes the same list `carry` to every call: it holds the
     running sum at the last row built, which the next call adds into its
-    first row.
+    first row. An index array `points` builds the rows at those points only,
+    in that order, on the point axis; each point's floats are those of the
+    whole stack.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -190,18 +193,21 @@ def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
     arr = np.asarray(arr, dtype=float)
     lay = t.cycle_layout
     rows, size, dim = n - start, arr.shape[-2], arr.shape[-1]
-    # every entry of the stack gets its own copy of the doubled cycles
-    doubled = np.take(arr, lay.flat, axis=-2).reshape(-1, dim)
-    copies = doubled.shape[0] // (2 * size)
+    klass, slot = ((lay.length_class, lay.slot) if points is None
+                   else (lay.length_class[points], lay.slot[points]))
     # i mod L once per distinct length, spread to the points by a gather:
     # an integer division per point costs more than the whole gather
     steps = np.arange(start, n)[:, None] % lay.distinct_lengths
-    index = np.empty((rows, copies, size), dtype=np.int64)
-    np.add(np.take(steps, lay.length_class, axis=1)[:, None, :],
-           lay.slot + (2 * size) * np.arange(copies)[:, None], out=index)
-    out = np.empty((rows,) + arr.shape)
+    # the point T^i x, read off the doubled cycles, once for the whole stack
+    image = lay.flat[np.take(steps, klass, axis=1) + slot]
+    values = arr.reshape(-1, dim)
+    copies = len(values) // size
+    index = np.empty((rows, copies, len(slot)), dtype=np.int64)
+    np.add(image[:, None, :], size * np.arange(copies)[:, None], out=index)
+    del image
+    out = np.empty((rows,) + arr.shape[:-2] + (len(slot), dim))
     # the indices are in range; any mode but "raise" writes out unbuffered
-    np.take(doubled, index, axis=0, out=out.reshape(rows, copies, size, dim), mode="clip")
+    np.take(values, index, axis=0, out=out.reshape(rows, copies, len(slot), dim), mode="clip")
     del index
     if alphas is not None:
         out *= alphas[start:n].reshape((rows,) + (1,) * arr.ndim)

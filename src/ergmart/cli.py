@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, build_experiment
+from .fuzz import broken_run_arg
 from .generators import random_filtration, random_observable, random_permutation
 from .measure import DECREASING, MeasureSpace
 from .runner import execute_plan
@@ -41,6 +42,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    broken = broken_run_arg(args.budget, args.seed)
+    if broken is not None:
+        print(f"error: --{broken[0]}: {broken[1]}", file=sys.stderr)
+        return 1
     result = run_selfcheck(budget=args.budget, seed=args.seed)
     print(result.render())
     if args.times:

@@ -21,7 +21,7 @@ from .inequalities import (
 )
 from .observables import linf_norm
 
-__all__ = ["FamilyStats", "FuzzReport", "run_inequality_fuzz"]
+__all__ = ["FamilyStats", "FuzzReport", "broken_run_arg", "run_inequality_fuzz"]
 
 _TOL = 1e-12
 
@@ -127,9 +127,28 @@ def _check_instance(inst, stats: FamilyStats):
         prev_lhs = rep.lhs
 
 
+def broken_run_arg(budget: int, seed: int) -> tuple[str, str] | None:
+    """(argument, message) of the first of budget and seed that a run
+    refuses; None when both hold. A budget below 1 would cut families from
+    the plan, and a negative seed seeds no generator."""
+    if budget < 1:
+        return "budget", f"must be a positive integer, got {budget}"
+    if seed < 0:
+        return "seed", f"must be a nonnegative integer, got {seed}"
+    return None
+
+
+def _check_run_args(budget: int, seed: int) -> None:
+    broken = broken_run_arg(budget, seed)
+    if broken is not None:
+        raise ValueError(" ".join(broken))
+
+
 def run_inequality_fuzz(budget: int = 1000, seed: int = 20240801) -> FuzzReport:
     """Runs the whole corpus; any failed bound lands in the report with the
-    instance seed that reproduces it."""
+    instance seed that reproduces it. Raises ValueError for a budget below
+    1 or a negative seed."""
+    _check_run_args(budget, seed)
     start = time.perf_counter()
     stats = {fam: FamilyStats() for fam in FAMILIES}
     plan: list[str] = []

@@ -11,6 +11,19 @@ segment whose norm is largest at an end. Each report is therefore a sound
 check of the corresponding infinite-index bound, and an exact one once the
 box reaches the periods.
 
+The same segment argument holds point by point when the conditioning comes
+first (ergodic-martingale). Fix the stages and the inner lengths n_2, ...:
+the value at x is then a weighted Cesaro average of one fixed field along
+the tau_1-orbit of x, whose terms repeat with period H_x = lcm(L_x, weight
+period of map 1), L_x the length of that orbit. So n_1 <= H_x already gives
+the sup at x, and the sup pass builds each point's outermost axis only up to
+min(n_max_1, H_x); with an irrational frequency H_x is n_max_1. Only that
+outermost axis is cut when there are several maps: an inner A_{n_j} is a
+convex combination of A_{P_j} and A_r at every point, and the outer
+averages are linear, so the inner axes keep the cut to P_j. When the
+averaging comes first (martingale-ergodic), the outer conditioning mixes the
+points of a block, so every point runs to n_max_1.
+
 Constant catalog (see the README table):
   Thm2.4 / Thm3.4   dominant, single parameter       (p/(p-1))^2
   Thm2.5 / Thm3.5   maximal,  single parameter       (p/(p-1))^p
@@ -137,31 +150,65 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None,
     return spec.sup_fields[box]
 
 
+def _outer_horizons(spec: ProcessSpec, n: int) -> np.ndarray:
+    """Each point's last row H_x on the outermost averaging axis of a build
+    up to n (see the module docstring). Condition-then-average: min(n,
+    lcm(L_x, weight period)) with L_x the length of x's cycle under the
+    first map, or n when that map's weights have no period.
+    Average-then-condition: n, as its outermost conditioning mixes the
+    points of a block."""
+    lay = spec.maps[0].cycle_layout
+    period = 1 if spec.weights is None else spec.weights[0].period
+    if spec.kind == MARTINGALE_ERGODIC or period is None:
+        return np.full(spec.space.size, n)
+    ends = [min(n, math.lcm(int(length), period)) for length in lay.distinct_lengths]
+    return np.array(ends, dtype=np.int64)[lay.length_class]
+
+
 def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
-                  n: int, copies: int) -> Iterator[np.ndarray]:
-    """The running averages of `inner` under the outermost map t up to n, in
-    consecutive chunks along the averaging axis of about _CHUNK_FLOATS
-    floats, counting each float `copies` times for the stacks built from a
-    chunk, and each row's int64 gather index (one entry per point of every
-    stack entry) as floats too."""
-    rows = max(1, _CHUNK_FLOATS // (inner.size * copies + inner.size // inner.shape[-1]))
-    carry: list = []
-    for start in range(0, n, rows):
-        yield running_weighted_averages(inner, t, alpha, min(n, start + rows), start, carry)
+                  ends: np.ndarray, order: np.ndarray,
+                  copies: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, chunk) of the running averages of `inner` under the
+    outermost map t, point x up to its own last row `ends[x]`, in
+    consecutive chunks along the averaging axis. `order` lists the points
+    longest end first, so the points still running at any row are a prefix
+    of it; each chunk holds that prefix on its point axis and stops at the
+    next end, where the next chunk narrows. `order` None runs every point,
+    in its own order, to one common end. A chunk holds about
+    _CHUNK_FLOATS floats, counting each float `copies` times for the stacks
+    built from it, and each row's int64 gather index (one entry per point
+    of every stack entry) as floats too."""
+    per_point = (inner.size * copies + inner.size // inner.shape[-1]) // inner.shape[-2]
+    if order is not None:
+        ends = ends[order]
+    start, running, carry = 0, len(ends), []
+    while running:
+        stop = min(int(ends[running - 1]), start + max(1, _CHUNK_FLOATS // (per_point * running)))
+        points = None if order is None else order[:running]
+        yield start, running_weighted_averages(inner, t, alpha, stop, start, carry, points)
+        start = stop
+        running = int(np.count_nonzero(ends[:running] > start))
+        carry[:] = [carry[0][..., :running, :]]
 
 
 def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> VectorObservable:
     """One streamed pass over the box as given (sup_field hands it the box
     cut to the periods): the inner maps' averaging axes are built whole, the
-    outermost one chunk by chunk, and each chunk's norms are folded into the
-    running pointwise max of the box and of each prefix box, whose fields are
-    kept on the spec."""
+    outermost one chunk by chunk, each point up to its own last row (all of
+    them to n_max_1 when the conditioning comes after the averaging), and
+    each chunk's norms are folded into the running pointwise max of the box
+    and of each prefix box, whose fields are kept on the spec."""
+    me = spec.kind == MARTINGALE_ERGODIC
+    ends = _outer_horizons(spec, box.n_max[0])
+    order = None if ends.min() == ends.max() else np.argsort(-ends, kind="stable")
+    # the weights up to the last row any point reads
+    reads = (int(ends.max()),) + box.n_max[1:]
     alphas = ([None] * spec.d_maps if spec.weights is None
-              else [w.values(k) for w, k in zip(spec.weights, box.n_max)])
+              else [w.values(k) for w, k in zip(spec.weights, reads)])
     q = spec.norm.q
     boxes = [box, *prefixes]
+    # in the point order of the chunks until the end of the pass
     fields = [np.zeros(spec.space.size) for _ in boxes]
-    me = spec.kind == MARTINGALE_ERGODIC
     if me:
         inner = spec.f.values
         # each inner filtration stacks one conditioned copy of a chunk per stage
@@ -174,8 +221,7 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
         copies = 1
     for j in reversed(range(1, spec.d_maps)):
         inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
-    start = 0  # the chunk's first row on the outermost averaging axis
-    for chunk in _outer_chunks(inner, spec.maps[0], alphas[0], box.n_max[0], copies):
+    for start, chunk in _outer_chunks(inner, spec.maps[0], alphas[0], ends, order, copies):
         if me:
             # the outermost conditioning is constant on its blocks, so its max
             # is taken per block and only then spread to the points
@@ -184,7 +230,9 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
                 _fold(boxes, fields, point_norms(means, q), start, (k, part))
         else:
             _fold(boxes, fields, point_norms(chunk, q), start, None)
-        start += len(chunk)
+    if order is not None:
+        for field in fields:
+            field[order] = field.copy()
     for small, field in zip(prefixes, fields[1:]):
         spec.sup_fields[small] = VectorObservable(spec.space, field)
     return VectorObservable(spec.space, fields[0])
@@ -192,10 +240,10 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
 
 def _fold(boxes, fields, norms: np.ndarray, start: int, outer) -> None:
     """Folds into each box's field the max of a chunk's norms inside it, axes
-    (n_1 from row `start`, inner n..., stages..., points or blocks). `outer`
-    is None, or the (position in the first stage set, partition) of the
-    outermost conditioning, whose blocks the norms are over with no axis of
-    the first filtration."""
+    (n_1 from row `start`, inner n..., stages..., points or blocks), the
+    points a prefix of the field's. `outer` is None, or the (position in the
+    first stage set, partition) of the outermost conditioning, whose blocks
+    the norms are over with no axis of the first filtration."""
     for box, field in zip(boxes, fields):
         sets = box.stage_sets if outer is None else box.stage_sets[1:]
         if start >= box.n_max[0] or (outer is not None and outer[0] >= len(box.stage_sets[0])):
@@ -203,7 +251,10 @@ def _fold(boxes, fields, norms: np.ndarray, start: int, outer) -> None:
         index = ([slice(box.n_max[0] - start)] + [slice(n) for n in box.n_max[1:]]
                  + [slice(len(ss)) for ss in sets])
         top = norms[tuple(index)].reshape(-1, norms.shape[-1]).max(axis=0)
-        np.maximum(field, top if outer is None else top[outer[1].block_of], out=field)
+        if outer is not None:
+            top = top[outer[1].block_of]
+        head = field[:len(top)]
+        np.maximum(head, top, out=head)
 
 
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .fuzz import run_inequality_fuzz
+from .fuzz import _check_run_args, run_inequality_fuzz
 from .invariants import SECTIONS
 
 __all__ = ["SelfcheckResult", "run_selfcheck"]
@@ -30,7 +30,9 @@ class SelfcheckResult:
 
 def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:
     """Runs every invariant section plus the inequality fuzz at the given
-    budget; deterministic for a fixed (budget, seed) pair."""
+    budget; deterministic for a fixed (budget, seed) pair. Raises ValueError
+    for a budget below 1 or a negative seed."""
+    _check_run_args(budget, seed)
     start = time.perf_counter()
     lines: list[str] = []
     failures: list[str] = []

@@ -5,6 +5,9 @@ paths under test beyond numpy array inputs being tolerated. The two
 `*_steps` oracles and the two `*_bincount` oracles at the end are the
 exception: they replay, one numpy operation at a time, the float order the
 library's fast paths must keep, so the tests can compare them bit for bit.
+`oracle_sup_field_full_period` is the other exception: the sup pass before
+the per-point cut of the outermost axis, over the library's own kernels, so
+it judges that cut alone.
 """
 import math
 
@@ -255,3 +258,42 @@ def oracle_composite_block_means_bincount(values, filtrations, stage_sets):
                                    fl.stages[s].block_of, axis=-2) for s in ss], axis=lead)
     return [(filtrations[0].stages[s], oracle_block_means_bincount(values, filtrations[0].stages[s]))
             for s in stage_sets[0]]
+
+
+def oracle_sup_field_full_period(spec, box, chunk_floats=2**17):
+    """The pointwise sup of the process norms over `box` (already cut to the
+    periods), every point averaged up to n_max_1 on the outermost axis: the
+    sup pass as it was built before each point stopped at its own cycle
+    period. Inner axes whole, the outermost one streamed in chunks of about
+    `chunk_floats` floats; martingale-ergodic chunks are conditioned after
+    the averaging and maxed per block."""
+    from ergmart.averages import composite_block_means, running_weighted_averages
+    from ergmart.observables import point_norms
+    from ergmart.processes import MARTINGALE_ERGODIC
+
+    me = spec.kind == MARTINGALE_ERGODIC
+    alphas = ([None] * spec.d_maps if spec.weights is None
+              else [w.values(k) for w, k in zip(spec.weights, box.n_max)])
+    if me:
+        inner = spec.f.values
+    else:
+        inner = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
+                          composite_block_means(spec.f.values, spec.filtrations,
+                                                box.stage_sets)])
+    for j in reversed(range(1, spec.d_maps)):
+        inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
+    rows = max(1, chunk_floats // inner.size)
+    field = np.zeros(spec.space.size)
+    carry = []
+    for start in range(0, box.n_max[0], rows):
+        chunk = running_weighted_averages(inner, spec.maps[0], alphas[0],
+                                          min(box.n_max[0], start + rows), start, carry)
+        if me:
+            for part, means in composite_block_means(chunk, spec.filtrations, box.stage_sets):
+                norms = point_norms(means, spec.norm.q)
+                top = norms.reshape(-1, norms.shape[-1]).max(axis=0)[part.block_of]
+                np.maximum(field, top, out=field)
+        else:
+            norms = point_norms(chunk, spec.norm.q)
+            np.maximum(field, norms.reshape(-1, norms.shape[-1]).max(axis=0), out=field)
+    return field

@@ -559,6 +559,32 @@ class TestRunningAverages:
                     pieces.append(piece)
                 assert np.array_equal(np.concatenate(pieces), whole)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_point_subset_reads_the_floats_of_the_whole_stack(self, lead, weighted):
+        # a subset in any order, narrowed between pieces with the carry cut
+        # to the same prefix, gives each of its points the whole stack's floats
+        rng = np.random.default_rng(7 + len(lead) + 2 * weighted)
+        for n_points in (5, 9, 64):
+            for trial in range(4):
+                perm = rng.permutation(n_points)
+                t = Endomorphism(uniform_space(n_points), perm)
+                arr = rng.normal(size=lead + (n_points, 2))
+                n = int(rng.integers(2, min(3 * orbit_lcm(t) + 3, 300)))
+                alphas = rng.normal(size=n) if weighted else None
+                whole = running_weighted_averages(arr, t, alphas, n)
+                points = rng.permutation(n_points)[:int(rng.integers(1, n_points + 1))]
+                assert np.array_equal(running_weighted_averages(arr, t, alphas, n, points=points),
+                                      whole[..., points, :])
+                cut = int(rng.integers(1, n))
+                keep = int(rng.integers(1, len(points) + 1))
+                carry = []
+                head = running_weighted_averages(arr, t, alphas, cut, 0, carry, points)
+                carry[:] = [carry[0][..., :keep, :]]
+                tail = running_weighted_averages(arr, t, alphas, n, cut, carry, points[:keep])
+                assert np.array_equal(head, whole[:cut][..., points, :])
+                assert np.array_equal(tail, whole[cut:][..., points[:keep], :])
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError, match="n must be positive"):
             running_weighted_averages(F1357.values, CYC, None, 0)

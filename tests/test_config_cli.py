@@ -2,11 +2,11 @@ import json
 import math
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+import ergmart.inequalities as ineq
 from ergmart.cli import main
 from ergmart.config import ConfigError, build_experiment
 from ergmart.inequalities import APPLICABILITY_RULES, dominant_check, epsilon_sweep
@@ -340,29 +340,43 @@ def _long_orbit_config():
 
 @pytest.mark.parametrize("make_config", [demo_config, _long_orbit_config],
                          ids=["demo", "long_orbit"])
-def test_huge_box_factor_costs_one_period(tmp_path, make_config):
-    # the sup over n <= 10**7 * order is built over n <= P, so the run is as
-    # fast as at box_factor 4, reports the same lhs and keeps the box as given
-    def run(factor):
+def test_huge_box_factor_costs_one_period(tmp_path, make_config, monkeypatch):
+    # the sup over n <= 10**7 * order is built over n <= P: the run builds
+    # no row past the period, reports the same lhs as at box_factor 4 and
+    # keeps the box as given
+    def write(factor):
         cfg = make_config()
         for chk in cfg["checks"]:
             chk["box_factor"] = factor
-        path, out = tmp_path / f"{factor}.json", tmp_path / f"out{factor}"
+        path = tmp_path / f"{factor}.json"
         path.write_text(json.dumps(cfg))
-        start = time.perf_counter()
+        return path
+
+    def run(factor):
+        out = tmp_path / f"out{factor}"
         res = subprocess.run([sys.executable, "-m", "ergmart.cli", "run", "--config",
-                              str(path), "--out", str(out)],
+                              str(write(factor)), "--out", str(out)],
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
-        return time.perf_counter() - start, json.loads((out / "reports.json").read_text())
+        return json.loads((out / "reports.json").read_text())
 
-    elapsed, huge = run(10**7)
-    _, default = run(4)
-    assert elapsed < 1.0
-    (order,) = build_experiment(make_config()).spec.orbit_lcms()
+    huge, default = run(10**7), run(4)
+    spec = build_experiment(make_config()).spec
+    (order,) = spec.orbit_lcms()
     assert all(r["truncation"]["n_max"] == [10**7 * order] for r in huge)
     assert [r.get("lhs", r.get("sup_functional")) for r in huge] == \
            [r.get("lhs", r.get("sup_functional")) for r in default]
+    # in process: every stack the sup pass builds ends at or before the period
+    stops, real = [], ineq.running_weighted_averages
+
+    def spy(arr, t, alphas, n, *rest):
+        stops.append(n)
+        return real(arr, t, alphas, n, *rest)
+
+    monkeypatch.setattr(ineq, "running_weighted_averages", spy)
+    assert main(["run", "--config", str(write(10**7)), "--out", str(tmp_path / "in")]) == 0
+    (period,) = stabilization_periods(spec)
+    assert stops and max(stops) <= period
 
 
 class TestRunner:

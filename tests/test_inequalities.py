@@ -1,13 +1,16 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ergmart.inequalities as ineq
 from ergmart.averages import BesicovitchWeights
+from ergmart.config import build_experiment
 from ergmart.fuzz import run_inequality_fuzz
 from ergmart.generators import FAMILIES, random_process_instance
 from ergmart.inequalities import (
@@ -31,6 +34,9 @@ from ergmart.processes import (
     evaluate,
     stabilization_periods,
 )
+from oracles import oracle_cycles, oracle_sup_field_full_period
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SP4 = uniform_space(4)
 F1357 = VectorObservable(SP4, [1, 3, 5, 7])
@@ -77,25 +83,56 @@ class TestConstants:
             maximal_constant(0.5)
 
 
-def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
-    """The streamed sup field built with `chunk_floats` floats per chunk, the
-    lengths of its chunks along the outermost averaging axis, and the floats
-    each row of that axis counts for: the row's stacked copies and its int64
-    gather index, one entry per point of every stack entry."""
-    real_chunks = ineq._outer_chunks
-    lengths, row_floats = [], []
+def _horizons(spec, n):
+    """Each point's last outermost row, from the plain cycles: n for
+    average-then-condition; min(n, lcm(L_x, weight period)) for
+    condition-then-average, n when the first map's weights have no period."""
+    size = spec.space.size
+    period = 1 if spec.weights is None else spec.weights[0].period
+    if spec.kind == MARTINGALE_ERGODIC or period is None:
+        return [n] * size
+    length = {x: len(cyc) for cyc in oracle_cycles([int(y) for y in spec.maps[0].map])
+              for x in cyc}
+    return [min(n, math.lcm(length[x], period)) for x in range(size)]
 
-    def spy(inner, t, alpha, n, copies):
-        row_floats.append(inner.size * copies + inner.size // inner.shape[-1])
-        for chunk in real_chunks(inner, t, alpha, n, copies):
-            lengths.append(len(chunk))
-            yield chunk
+
+def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
+    """The streamed sup field built with `chunk_floats` floats per chunk,
+    each chunk along the outermost averaging axis as (first row, rows, its
+    points), and the floats each point of a row counts for: its stacked
+    copies and its int64 gather index, one entry per stack entry."""
+    real_chunks = ineq._outer_chunks
+    chunks, point_floats = [], []
+
+    def spy(inner, t, alpha, ends, order, copies):
+        point_floats.append((inner.size * copies + inner.size // inner.shape[-1])
+                            // inner.shape[-2])
+        for start, chunk in real_chunks(inner, t, alpha, ends, order, copies):
+            points = range(chunk.shape[-2]) if order is None else order[:chunk.shape[-2]]
+            chunks.append((start, len(chunk), {int(x) for x in points}))
+            yield start, chunk
 
     monkeypatch.setattr(ineq, "_outer_chunks", spy)
     monkeypatch.setattr(ineq, "_CHUNK_FLOATS", chunk_floats)
     field = ineq._build_sup_field(spec, box).values
     monkeypatch.undo()
-    return field, lengths, row_floats[0]
+    return field, chunks, point_floats[0]
+
+
+def _assert_staircase(chunks, horizons, chunk_floats, point_floats):
+    """The chunks run consecutively from row 0 to the last horizon; each
+    holds exactly the points whose horizon lies past its first row, ends
+    at the latest at the next horizon, and stays within the float budget,
+    which it fills unless it ends at a horizon or is one row."""
+    assert chunks[0][0] == 0
+    assert sum(rows for _, rows, _ in chunks) == max(horizons)
+    for (start, rows, points), (nxt, _, _) in zip(chunks, chunks[1:] + [(None, 0, ())]):
+        stop = start + rows
+        assert nxt in (None, stop)
+        assert points == {x for x, end in enumerate(horizons) if end > start}
+        assert stop <= min(horizons[x] for x in points)
+        budget = max(1, chunk_floats // (point_floats * len(points)))
+        assert rows == budget or (rows < budget and stop in horizons)
 
 
 class TestSupField:
@@ -151,11 +188,15 @@ class TestSupField:
                     want = np.maximum(want, field.values[:, 0])
             built = SupBox(tuple(map(min, box.n_max, stabilization_periods(spec))),
                            box.stage_sets)
-            whole, lengths, row_floats = _build_in_chunks(monkeypatch, spec, built, 2**62)
-            assert lengths == [built.n_max[0]]
+            horizons = _horizons(spec, built.n_max[0])
+            whole, chunks, point_floats = _build_in_chunks(monkeypatch, spec, built, 2**62)
+            # one chunk per distinct horizon
+            assert [start + rows for start, rows, _ in chunks] == sorted(set(horizons))
+            _assert_staircase(chunks, horizons, 2**62, point_floats)
+            row_floats = point_floats * spec.space.size
             for rows in (1, built.n_max[0] - 1) if built.n_max[0] > 1 else ():
-                got, lengths, _ = _build_in_chunks(monkeypatch, spec, built, rows * row_floats)
-                assert len(lengths) > 1 and max(lengths) == rows and lengths[-1] == 1
+                got, chunks, _ = _build_in_chunks(monkeypatch, spec, built, rows * row_floats)
+                _assert_staircase(chunks, horizons, rows * row_floats, point_floats)
                 assert np.array_equal(got, whole)
             assert np.array_equal(sup_field(spec, box).values, whole)
             np.testing.assert_allclose(whole[:, 0], want, rtol=1e-12, atol=1e-12)
@@ -340,6 +381,87 @@ class TestPeriodClamp:
                     vals = point_norm_field(evaluate(spec, n_vec, s)).values[:, 0]
                     want = np.maximum(want, vals)
             np.testing.assert_allclose(field, want, rtol=1e-12, atol=1e-12)
+
+
+def _config_spec(name):
+    return build_experiment(json.loads((CONFIGS / f"{name}.json").read_text())).spec
+
+
+class TestPerPointHorizon:
+    """Condition-then-average builds each point's outermost averaging axis
+    only up to its horizon min(n_max_1, lcm(L_x, weight period)); its field
+    is judged against the build that runs every point to n_max_1."""
+
+    @staticmethod
+    def _judge(spec, boxes):
+        # the cut drops rows past each horizon: the field is a max over a
+        # subset of the full build's floats, and those rows only repeat the
+        # running sum's rounding, at most eps per added term
+        me = spec.kind == MARTINGALE_ERGODIC
+        scale = np.finfo(float).eps * spec.f.dim * np.abs(spec.f.values).max()
+        for box in boxes:
+            cut = ineq._period_box(spec, box)
+            got = sup_field(spec, box).values[:, 0]
+            want = oracle_sup_field_full_period(spec, cut)
+            assert np.all(got <= want)
+            assert np.all(want - got <= scale * cut.n_max[0])
+            if me:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fields_within_the_full_period_build(self, family):
+        for seed in range(40):
+            spec = random_process_instance(seed, family).spec
+            box = default_box(spec, n_factor=2 if spec.d_maps > 1 else 4)
+            smalls = [shrink_box(box, factor) for factor in (0.5, 0.25)]
+            sup_field(spec, box, smalls)
+            self._judge(spec, [box, *smalls])
+
+    def test_order_62832_field_within_the_full_period_build(self):
+        spec = _config_spec("high_order_128")
+        assert spec.orbit_lcms() == (62832,)
+        box = default_box(spec)
+        smalls = [shrink_box(box, factor) for factor in (0.5, 0.25)]
+        sup_field(spec, box, smalls)
+        self._judge(spec, [box, *smalls])
+
+    @staticmethod
+    def _point_rows(monkeypatch, spec, box, prefixes=()):
+        """Rows times points of every stack the sup pass builds."""
+        built, real = [], ineq.running_weighted_averages
+
+        def spy(*args):
+            out = real(*args)
+            built.append(len(out) * out.shape[-2])
+            return out
+
+        monkeypatch.setattr(ineq, "running_weighted_averages", spy)
+        sup_field(spec, box, prefixes)
+        monkeypatch.undo()
+        return sum(built)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_point_rows_stop_at_each_horizon(self, family, monkeypatch):
+        # the inner axes and average-then-condition build n_max_j rows at
+        # every point; the outer axis of condition-then-average sum_x H_x
+        for seed in range(20):
+            spec = random_process_instance(seed, family).spec
+            box = default_box(spec, n_factor=2 if spec.d_maps > 1 else 4)
+            smalls = [shrink_box(box, factor) for factor in (0.5, 0.25)]
+            cut = ineq._period_box(spec, box)
+            size = spec.space.size
+            want = sum(_horizons(spec, cut.n_max[0])) + size * sum(cut.n_max[1:])
+            if spec.kind == MARTINGALE_ERGODIC:
+                assert want == size * sum(cut.n_max)
+            assert self._point_rows(monkeypatch, spec, box, smalls) == want
+
+    @pytest.mark.parametrize("name, rows", [("high_order_128", 5392),
+                                            ("high_order_2048", 1948974)])
+    def test_point_rows_of_the_high_order_maps(self, name, rows, monkeypatch):
+        # sum_C L_C^2 rows against order * N = 8.0e6 and 3.4e14
+        spec = _config_spec(name)
+        assert sum(_horizons(spec, spec.orbit_lcms()[0])) == rows
+        assert self._point_rows(monkeypatch, spec, default_box(spec)) == rows
 
 
 class TestDominantCheck:

@@ -1,8 +1,11 @@
 """The work one selfcheck does, the section times it keeps and prints, and
 what its lines check."""
+import pytest
+
 import ergmart.averages as averages
 import ergmart.cli as cli
 import ergmart.invariants as invariants
+from ergmart.fuzz import run_inequality_fuzz
 from ergmart.invariants import SECTIONS
 from ergmart.operators import orbit_lcm
 from ergmart.processes import default_n1_grid
@@ -62,3 +65,19 @@ def test_a_wrong_value_mid_path_fails_the_monotone_path_line(monkeypatch):
     monkeypatch.setattr(invariants, "_grid", grid_with_a_wrong_middle)
     assert not line_ok()
     assert len(patched) == 10  # one path per instance
+
+
+@pytest.mark.parametrize("budget, seed, flag", [
+    (0, 20240801, "budget"), (-5, 20240801, "budget"), (1, -1, "seed"), (-5, -1, "budget"),
+])
+def test_a_budget_below_one_or_a_negative_seed_is_refused(budget, seed, flag, capsys):
+    # a budget below 1 used to cut families from the fuzz plan and print
+    # PASSED; a negative seed ended in a numpy traceback
+    for run in (run_inequality_fuzz, run_selfcheck):
+        with pytest.raises(ValueError, match=f"^{flag} must be a"):
+            run(budget=budget, seed=seed)
+    assert cli.main(["selfcheck", "--budget", str(budget), "--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --{flag}: must be a")
+    assert "Traceback" not in captured.err
