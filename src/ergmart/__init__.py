@@ -35,11 +35,8 @@ from .observables import (
 )
 from .operators import (
     Endomorphism,
-    check_L1_Linf_contraction,
-    check_positive_domination,
     cond_expect,
     cycle_map,
-    cycles,
     identity_map,
     koopman,
     orbit_lcm,
@@ -47,11 +44,7 @@ from .operators import (
 )
 from .averages import (
     BesicovitchWeights,
-    besicovitch_defect,
     composite_cond_expect,
-    ergodic_average,
-    ergodic_limit,
-    weighted_average,
 )
 from .processes import (
     ERGODIC_MARTINGALE,
@@ -64,7 +57,6 @@ from .processes import (
     limit_target,
     mean_identity_check,
     stabilization_periods,
-    stabilized_reference,
     tail_variation,
 )
 from .inequalities import (

@@ -30,10 +30,6 @@ from .operators import Endomorphism, _weighted_block_means
 __all__ = [
     "BesicovitchWeights",
     "CesaroKernel",
-    "ergodic_average",
-    "ergodic_limit",
-    "besicovitch_defect",
-    "weighted_average",
     "composite_block_means",
     "composite_cond_expect",
 ]
@@ -119,16 +115,13 @@ class BesicovitchWeights:
         x = self._freq * m
         return 2.0 * math.pi * np.where(self._exact, exact, x - np.rint(x))
 
-    def values(self, n: int, term_subset: Sequence[int] | None = None) -> np.ndarray:
-        """First n weights; `term_subset` restricts to the chosen terms."""
+    def values(self, n: int) -> np.ndarray:
+        """First n weights."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        idx = range(len(self.terms)) if term_subset is None else term_subset
         i = np.arange(n, dtype=np.int64)
         out = np.zeros(n)
-        for k in idx:
-            amp, freq, phase = self.terms[k]
-            reduced = self._reduced[k]
+        for (amp, freq, phase), reduced in zip(self.terms, self._reduced):
             if reduced is not None:
                 num, den = reduced
                 angle = 2.0 * math.pi * num * (i % den) / den + phase
@@ -142,16 +135,6 @@ class BesicovitchWeights:
         if horizon < 1:
             raise ValueError("horizon must be positive")
         return float(np.abs(self.values(horizon)).max())
-
-    @property
-    def is_constant(self) -> bool:
-        return all(fq == 0.0 for _, fq, _ in self.terms)
-
-    @property
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError("weights are not constant")
-        return float(sum(a * math.cos(ph) for a, _, ph in self.terms))
 
     @property
     def period(self) -> int | None:
@@ -322,47 +305,6 @@ class CesaroKernel:
         geometric = _per_term(np.where(self.whole, q, dirichlet), lead)
         window = _per_term(self.back * np.exp(1j * q * self.theta), lead) * window
         return (geometric * self.cycle + window).real.sum(axis=n.ndim) / scale
-
-
-def ergodic_average(f: VectorObservable, t: Endomorphism, n: int) -> VectorObservable:
-    """(1/n) sum_{i<n} f o tau^i, exact on the cycles of tau."""
-    if f.space != t.space:
-        raise ValueError("observable and map live on different spaces")
-    return VectorObservable(f.space, CesaroKernel(f.values, t).average(n))
-
-
-def ergodic_limit(f: VectorObservable, t: Endomorphism,
-                  w: BesicovitchWeights | None = None) -> VectorObservable:
-    """Exact limit of the Cesaro averages: the mean over each orbit of tau.
-
-    With weights, a term survives on a cycle of length L only when freq L is
-    an integer (den | L; never for an irrational frequency), and adds the
-    one-cycle weighted mean Re(coef sum_{i<L} omega^i f o tau^i) / L.
-    """
-    if f.space != t.space:
-        raise ValueError("observable and map live on different spaces")
-    return VectorObservable(f.space, CesaroKernel(f.values, t, w).average(None))
-
-
-def besicovitch_defect(w: BesicovitchWeights, poly_terms: Sequence[int], n: int) -> float:
-    """Cesaro l1 distance (1/n) sum_{i<n} |a_i - phi(i)| against the partial
-    cosine polynomial built from the chosen term indices."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for k in poly_terms:
-        if not 0 <= k < len(w.terms):
-            raise ValueError(f"term index {k} out of range")
-    full = w.values(n)
-    part = w.values(n, term_subset=poly_terms)
-    return float(np.abs(full - part).mean())
-
-
-def weighted_average(f: VectorObservable, t: Endomorphism, w: BesicovitchWeights,
-                     n: int) -> VectorObservable:
-    """(1/n) sum_{i<n} a_i * (f o tau^i), exact on the cycles of tau."""
-    if f.space != t.space:
-        raise ValueError("observable and map live on different spaces")
-    return VectorObservable(f.space, CesaroKernel(f.values, t, w).average(n))
 
 
 def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_experiment
+from .config import _MAX_ENTRIES, ConfigError, _check, build_experiment
 from .fuzz import broken_run_arg
 from .generators import random_filtration, random_observable, random_permutation
 from .measure import DECREASING, MeasureSpace
@@ -76,6 +76,13 @@ def _fragment(kind: str, seed: int, size: int, dim: int) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    try:  # each flag through its config field's rule
+        _check(args.seed, "--seed", "seed")
+        _check(args.size, "--size", "space.size")
+        _check(args.dim, "--dim", "observable.dim", high=_MAX_ENTRIES // args.size)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     fragment = _fragment(args.kind, args.seed, args.size, args.dim)
     print(json.dumps(fragment, sort_keys=True, indent=2))
     return 0

@@ -15,12 +15,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .measure import MeasureSpace, Partition
-from .observables import NormSpec, VectorObservable, lp_norm, linf_norm, point_norm_field
+from .observables import VectorObservable
 
 __all__ = [
     "CycleLayout",
@@ -28,15 +27,10 @@ __all__ = [
     "identity_map",
     "cycle_map",
     "power",
-    "cycles",
     "orbit_lcm",
     "koopman",
     "block_means",
     "cond_expect",
-    "DominationReport",
-    "ContractionReport",
-    "check_positive_domination",
-    "check_L1_Linf_contraction",
 ]
 
 _TOL = 1e-12
@@ -152,13 +146,6 @@ def power(t: Endomorphism, k: int) -> Endomorphism:
     return Endomorphism(t.space, out)
 
 
-def cycles(t: Endomorphism) -> list[np.ndarray]:
-    """Orbit decomposition of the permutation, each orbit starting at its
-    smallest point."""
-    lay = t.cycle_layout
-    return [lay.flat[s:s + lay.length[lay.flat[s]]] for s in np.flatnonzero(lay.step == 0)]
-
-
 def orbit_lcm(t: Endomorphism) -> int:
     """Least common multiple of the cycle lengths (the order of tau)."""
     return t.cycle_layout.order
@@ -208,76 +195,3 @@ def cond_expect(f: VectorObservable, part: Partition) -> VectorObservable:
     if f.space != part.space:
         raise ValueError("observable and partition live on different spaces")
     return VectorObservable(f.space, block_means(f.values, part)[part.block_of])
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Per-sample slack of |T f|_X <= T'(|f|_X) plus positivity/L1 checks on T'."""
-
-    passed: bool
-    max_slack: float
-    rows: tuple[dict, ...]
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    passed: bool
-    rows: tuple[dict, ...]
-
-
-def check_positive_domination(
-    apply_T: Callable[[VectorObservable], VectorObservable],
-    apply_Tdom: Callable[[VectorObservable], VectorObservable],
-    samples: Sequence[VectorObservable],
-    ns: NormSpec = NormSpec(),
-) -> DominationReport:
-    """Sample-based necessary-condition check that T' positively dominates T.
-
-    For each sample f it records max_w (|Tf(w)|_X - T'(|f|_X)(w)), verifies
-    that T' keeps nonnegative scalar fields nonnegative, and that T'
-    contracts the L1 norm.
-    """
-    rows = []
-    worst = -math.inf
-    for f in samples:
-        tf = apply_T(f)
-        norm_f = point_norm_field(f, ns)
-        dom = apply_Tdom(norm_f)
-        slack = float((point_norm_field(tf, ns).values[:, 0] - dom.values[:, 0]).max())
-        positive = bool(dom.values.min() >= -_TOL)
-        l1_in = lp_norm(norm_f, 1.0, ns)
-        l1_out = lp_norm(dom, 1.0, ns)
-        contracts = l1_out <= l1_in + _TOL
-        ok = slack <= _TOL and positive and contracts
-        rows.append({
-            "max_slack": slack,
-            "dominant_positive": positive,
-            "dominant_l1_contracts": contracts,
-            "ok": ok,
-        })
-        worst = max(worst, slack)
-    return DominationReport(
-        passed=all(r["ok"] for r in rows),
-        max_slack=worst if rows else 0.0,
-        rows=tuple(rows),
-    )
-
-
-def check_L1_Linf_contraction(
-    apply_T: Callable[[VectorObservable], VectorObservable],
-    samples: Sequence[VectorObservable],
-    ns: NormSpec = NormSpec(),
-) -> ContractionReport:
-    """Checks |Tf|_1 <= |f|_1 and |Tf|_inf <= |f|_inf on each sample."""
-    rows = []
-    for f in samples:
-        tf = apply_T(f)
-        l1_in, l1_out = lp_norm(f, 1.0, ns), lp_norm(tf, 1.0, ns)
-        li_in, li_out = linf_norm(f, ns), linf_norm(tf, ns)
-        ok = l1_out <= l1_in + _TOL and li_out <= li_in + _TOL
-        rows.append({
-            "l1_in": l1_in, "l1_out": l1_out,
-            "linf_in": li_in, "linf_out": li_out,
-            "ok": ok,
-        })
-    return ContractionReport(passed=all(r["ok"] for r in rows), rows=tuple(rows))

@@ -36,7 +36,6 @@ __all__ = [
     "convergence_trace",
     "mean_identity_check",
     "stabilization_periods",
-    "stabilized_reference",
     "tail_variation",
     "default_n1_grid",
 ]
@@ -295,9 +294,6 @@ class ConvergenceTrace:
             if row.lp_error < 0 or row.sup_error < 0:
                 raise ValueError("errors must be nonnegative")
 
-    def final_row(self) -> TraceRow:
-        return self.rows[-1]
-
     def __repr__(self):
         return f"ConvergenceTrace(rows={len(self.rows)}, target={self.target_description!r})"
 
@@ -385,13 +381,6 @@ def stabilization_periods(spec: ProcessSpec) -> tuple[int, ...]:
         raise ValueError("weight sequence has an irrational frequency; "
                          "no exact period is available")
     return periods
-
-
-def stabilized_reference(spec: ProcessSpec) -> VectorObservable:
-    """Exact limit for rational-frequency weights: one full period of the
-    weighted average (evaluated at the last stage of every filtration)."""
-    periods = stabilization_periods(spec)
-    return evaluate(spec, periods, spec.last_stages)
 
 
 def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,

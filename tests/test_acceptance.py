@@ -37,7 +37,7 @@ from ergmart.observables import (
     point_norm_field,
 )
 from ergmart.operators import cond_expect, identity_map
-from ergmart.averages import ergodic_average
+from ergmart.averages import CesaroKernel
 from ergmart.processes import (
     ERGODIC_MARTINGALE,
     MARTINGALE_ERGODIC,
@@ -109,7 +109,7 @@ def test_criterion_2_process_convergence_both_kinds():
             for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
                 spec = ProcessSpec.single(kind, f, tau, filt)
                 trace = convergence_trace(spec, (order,), (len(filt.stages) - 1,))
-                row = trace.final_row()
+                row = trace.rows[-1]
                 worst_err = max(worst_err, row.lp_error, row.sup_error)
                 rep = mean_identity_check(spec)
                 worst_mean = max(worst_mean, rep.max_mean_gap)
@@ -143,7 +143,7 @@ def test_criterion_3_degenerate_cases():
         sing = Filtration(space, DECREASING, (Partition.singletons(space),))
         spec = ProcessSpec.single(ERGODIC_MARTINGALE, f, tau, sing)
         for n1 in (1, 2, order, 2 * order):
-            pure = ergodic_average(f, tau, n1)
+            pure = VectorObservable(space, CesaroKernel(f.values, tau).average(n1))
             worst_erg = max(worst_erg, linf_norm(evaluate(spec, n1, 0) - pure))
     ok = worst_mart <= 1e-12 and worst_erg <= 1e-12
     _report(3, ok, f"degenerate cases: identity-map gap {worst_mart:.2e}, "

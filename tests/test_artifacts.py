@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import ergmart.runner as runner
 from ergmart.cli import main
 from ergmart.config import build_experiment
-from ergmart.processes import convergence_trace, stabilized_reference
+from ergmart.processes import convergence_trace, evaluate
 from ergmart.runner import _json_text
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -181,7 +181,8 @@ def test_weighted_trace_matches_the_oracle(tmp_path, name):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     plan = build_experiment(cfg)
     oracle = convergence_trace(plan.spec, plan.n1_grid, plan.n2_grid, plan.trace_p,
-                               reference=stabilized_reference(plan.spec))
+                               reference=evaluate(plan.spec, plan.spec.periods(),
+                                                  plan.spec.last_stages))
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(oracle.rows)

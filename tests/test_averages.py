@@ -6,13 +6,9 @@ import pytest
 from ergmart.averages import (
     BesicovitchWeights,
     CesaroKernel,
-    besicovitch_defect,
     composite_block_means,
     composite_cond_expect,
-    ergodic_average,
-    ergodic_limit,
     running_weighted_averages,
-    weighted_average,
 )
 from ergmart.generators import random_cycle_system, random_filtration
 from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
@@ -20,7 +16,6 @@ from ergmart.observables import VectorObservable, linf_norm, point_norm_field
 from ergmart.operators import (
     Endomorphism,
     cycle_map,
-    cycles,
     identity_map,
     koopman,
     orbit_lcm,
@@ -33,11 +28,11 @@ from ergmart.processes import (
     evaluate,
     limit_target,
     stabilization_periods,
-    stabilized_reference,
 )
 from oracles import (
     oracle_composite,
     oracle_composite_block_means_bincount,
+    oracle_cycles,
     oracle_ergodic_average,
     oracle_ergodic_limit,
     oracle_multi_average,
@@ -50,36 +45,41 @@ F1357 = VectorObservable(SP4, [1, 3, 5, 7])
 CYC = cycle_map(SP4)
 
 
+def _average(f, t, n, w=None):
+    """The (weighted) Cesaro average of f at length n, or its limit for n None."""
+    return VectorObservable(f.space, CesaroKernel(f.values, t, w).average(n))
+
+
 class TestErgodicAverage:
     def test_n1_is_identity(self):
-        assert ergodic_average(F1357, CYC, 1).values == pytest.approx(F1357.values)
+        assert _average(F1357, CYC, 1).values == pytest.approx(F1357.values)
 
     def test_two_terms(self):
-        got = ergodic_average(F1357, CYC, 2)
+        got = _average(F1357, CYC, 2)
         assert got.values[:, 0] == pytest.approx([2, 4, 6, 4])
         assert got.values.tolist() == oracle_ergodic_average(
             [[1], [3], [5], [7]], [1, 2, 3, 0], 2)
 
     def test_full_cycle(self):
-        got = ergodic_average(F1357, CYC, 4)
+        got = _average(F1357, CYC, 4)
         assert got.values[:, 0] == pytest.approx([4, 4, 4, 4])
 
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
-            ergodic_average(F1357, CYC, 0)
+            _average(F1357, CYC, 0)
 
 
 class TestErgodicLimit:
     def test_identity_fixes_f(self):
-        got = ergodic_limit(F1357, identity_map(SP4))
+        got = _average(F1357, identity_map(SP4), None)
         assert got.values == pytest.approx(F1357.values)
 
     def test_four_cycle(self):
-        assert ergodic_limit(F1357, CYC).values[:, 0] == pytest.approx([4, 4, 4, 4])
+        assert _average(F1357, CYC, None).values[:, 0] == pytest.approx([4, 4, 4, 4])
 
     def test_two_transpositions(self):
         t = Endomorphism(SP4, [1, 0, 3, 2])
-        got = ergodic_limit(F1357, t)
+        got = _average(F1357, t, None)
         assert got.values[:, 0] == pytest.approx([2, 2, 6, 6])
         assert got.values.tolist() == oracle_ergodic_limit(
             [[1], [3], [5], [7]], SP4.weights, [1, 0, 3, 2])
@@ -88,7 +88,7 @@ class TestErgodicLimit:
         sp = make_space([0.3, 0.3, 0.2, 0.2])
         f = VectorObservable(sp, [2.0, 6.0, 1.0, 5.0])
         t = Endomorphism(sp, [1, 0, 3, 2])
-        got = ergodic_limit(f, t)
+        got = _average(f, t, None)
         assert got.values[:, 0] == pytest.approx([4, 4, 3, 3])
 
     def test_exactness_at_period_multiples(self):
@@ -99,9 +99,9 @@ class TestErgodicLimit:
             t = Endomorphism(sp, rng.permutation(n))
             f = VectorObservable(sp, rng.normal(0, 2, (n, 2)))
             L = orbit_lcm(t)
-            star = ergodic_limit(f, t)
+            star = _average(f, t, None)
             for k in (1, 2, 3):
-                assert linf_norm(ergodic_average(f, t, k * L) - star) <= 1e-12
+                assert linf_norm(_average(f, t, k * L) - star) <= 1e-12
 
     def test_cesaro_rate(self):
         rng = np.random.default_rng(9)
@@ -111,9 +111,9 @@ class TestErgodicLimit:
             t = Endomorphism(sp, rng.permutation(n))
             f = VectorObservable(sp, rng.normal(0, 2, (n, 1)))
             L = orbit_lcm(t)
-            star = ergodic_limit(f, t)
+            star = _average(f, t, None)
             for m in (L, L + 1, 2 * L + 3, 5 * L):
-                gap = linf_norm(ergodic_average(f, t, m) - star)
+                gap = linf_norm(_average(f, t, m) - star)
                 assert gap <= 2 * linf_norm(f) * L / m + 1e-12
 
     def test_projection_and_invariance(self):
@@ -121,8 +121,8 @@ class TestErgodicLimit:
         sp = uniform_space(12)
         t = Endomorphism(sp, rng.permutation(12))
         f = VectorObservable(sp, rng.normal(0, 1, (12, 3)))
-        star = ergodic_limit(f, t)
-        assert linf_norm(ergodic_limit(star, t) - star) <= 1e-12
+        star = _average(f, t, None)
+        assert linf_norm(_average(star, t, None) - star) <= 1e-12
         assert linf_norm(koopman(star, t) - star) <= 1e-12
 
 
@@ -132,11 +132,6 @@ class TestWeights:
         assert w.values(6) == pytest.approx([1, -1, 1, -1, 1, -1])
         assert w.period == 2
         assert w.amplitude_bound == 1.0
-
-    def test_constant_detection(self):
-        w = BesicovitchWeights.constant(0.75)
-        assert w.is_constant and w.constant_value == pytest.approx(0.75)
-        assert BesicovitchWeights.single_cosine(1.0, 1, 3).is_constant is False
 
     def test_frequency_range_validated(self):
         with pytest.raises(ValueError):
@@ -159,36 +154,22 @@ class TestWeights:
         assert w.sup_abs(100) <= w.amplitude_bound + 1e-15
 
 
-class TestDefect:
-    def test_full_subset_zero(self):
-        w = BesicovitchWeights(((0.5, 1 / 3, 0.2), (0.5, 0.0, 0.0)))
-        assert besicovitch_defect(w, [0, 1], 50) == 0.0
-
-    def test_alternating_empty_subset(self):
-        w = BesicovitchWeights.single_cosine(1.0, 1, 2)
-        assert besicovitch_defect(w, [], 10) == pytest.approx(1.0)
-
-    def test_constant_empty_subset(self):
-        w = BesicovitchWeights.constant(1.0)
-        assert besicovitch_defect(w, [], 10) == pytest.approx(1.0)
-
-
 class TestWeightedAverage:
     def test_unit_weights_match_plain(self):
         w = BesicovitchWeights.constant(1.0)
         for n in (1, 2, 3, 7):
-            assert weighted_average(F1357, CYC, w, n).values == pytest.approx(
-                ergodic_average(F1357, CYC, n).values)
+            assert _average(F1357, CYC, n, w).values == pytest.approx(
+                _average(F1357, CYC, n).values)
 
     def test_alternating_two_terms(self):
         w = BesicovitchWeights.single_cosine(1.0, 1, 2)
-        got = weighted_average(F1357, CYC, w, 2)
+        got = _average(F1357, CYC, 2, w)
         assert got.values[:, 0] == pytest.approx([-1, -1, -1, 3])
 
     def test_single_term_scales(self):
         w = BesicovitchWeights(((0.5, 1 / 3, 0.7),))
         a0 = w.values(1)[0]
-        got = weighted_average(F1357, CYC, w, 1)
+        got = _average(F1357, CYC, 1, w)
         assert got.values == pytest.approx(a0 * F1357.values)
 
     def test_random_against_oracle(self):
@@ -202,7 +183,7 @@ class TestWeightedAverage:
             n = int(rng.integers(1, 9))
             want = oracle_weighted_average(f.values.tolist(), [int(i) for i in t.map],
                                            w.values(n).tolist(), n)
-            assert weighted_average(f, t, w, n).values == pytest.approx(
+            assert _average(f, t, n, w).values == pytest.approx(
                 np.asarray(want), abs=1e-12)
 
     def test_domination_by_abs_weights(self):
@@ -214,7 +195,7 @@ class TestWeightedAverage:
             t = Endomorphism(sp, rng.permutation(n_pts))
             f = VectorObservable(sp, rng.normal(0, 2, (n_pts, 3)))
             n = int(rng.integers(1, 12))
-            lhs = point_norm_field(weighted_average(f, t, w, n)).values[:, 0]
+            lhs = point_norm_field(_average(f, t, n, w)).values[:, 0]
             scal = point_norm_field(f).values[:, 0]
             acc = np.zeros(n_pts)
             cur = scal.copy()
@@ -239,7 +220,7 @@ class TestMultiAverage:
         spec = self.spec((CYC,), (w,))
         for n in (1, 3, 5):
             assert evaluate(spec, [n], 0).values == pytest.approx(
-                weighted_average(F1357, CYC, w, n).values)
+                _average(F1357, CYC, n, w).values)
 
     def test_identity_maps_fix_f(self):
         ident = identity_map(SP4)
@@ -371,8 +352,8 @@ def test_average_linearity():
         g = VectorObservable(sp, rng.normal(0, 1, (n, 2)))
         a, b = rng.normal(0, 2, 2)
         m = int(rng.integers(1, 10))
-        lhs = ergodic_average(a * f + b * g, t, m)
-        rhs = a * ergodic_average(f, t, m) + b * ergodic_average(g, t, m)
+        lhs = _average(a * f + b * g, t, m)
+        rhs = a * _average(f, t, m) + b * _average(g, t, m)
         assert linf_norm(lhs - rhs) <= 1e-12 * max(1.0, abs(a) + abs(b)) * 10
 
 
@@ -381,7 +362,7 @@ def _orbit_constant_system(rng, n_max=16):
     n = int(rng.integers(2, n_max + 1))
     perm = rng.permutation(n)
     masses = np.empty(n)
-    for cyc in cycles(Endomorphism(uniform_space(n), perm)):
+    for cyc in oracle_cycles(perm.tolist()):
         masses[cyc] = rng.uniform(0.2, 2.0)
     space = make_space(masses / masses.sum())
     return space, Endomorphism(space, perm)
@@ -410,15 +391,15 @@ class TestCycleKernel:
             f = VectorObservable(sp, rng.normal(0, 2, (sp.size, int(rng.integers(1, 5)))))
             vals, perm = f.values.tolist(), t.map.tolist()
             scale = np.abs(f.values).max()
-            lengths = sorted({len(c) for c in cycles(t)})
+            lengths = sorted({len(c) for c in oracle_cycles(t.map.tolist())})
             ns = sorted({17} | {m for L in lengths for m in (1, L - 1, L, 3 * L + 2) if m >= 1})
             cases = _kernel_weight_cases(rng, [L for L in lengths if L > 1] or [2])
             for n in ns:
                 want = np.asarray(oracle_ergodic_average(vals, perm, n))
-                assert np.abs(ergodic_average(f, t, n).values - want).max() <= 1e-12 * scale
+                assert np.abs(_average(f, t, n).values - want).max() <= 1e-12 * scale
                 for w, rel in cases:
                     want = np.asarray(oracle_weighted_average(vals, perm, w.values(n).tolist(), n))
-                    got = weighted_average(f, t, w, n).values
+                    got = _average(f, t, n, w).values
                     assert np.abs(got - want).max() <= rel * scale * w.amplitude_bound
 
     def test_any_length_costs_one_period(self):
@@ -453,10 +434,9 @@ class TestCycleKernel:
 
     def test_layout_is_built_once_per_map(self, monkeypatch):
         import ergmart.operators as ops
-        builds, calls = [], []
-        build, orbits = ops._cycle_layout, ops.cycles
+        builds = []
+        build = ops._cycle_layout
         monkeypatch.setattr(ops, "_cycle_layout", lambda perm: builds.append(1) or build(perm))
-        monkeypatch.setattr(ops, "cycles", lambda t: calls.append(1) or orbits(t))
         t = Endomorphism(SP4, [1, 0, 3, 2])
         filt = Filtration(SP4, DECREASING, (Partition.singletons(SP4), Partition.whole(SP4)))
         spec = ProcessSpec.single(MARTINGALE_ERGODIC, F1357, t, filt,
@@ -465,9 +445,9 @@ class TestCycleKernel:
         assert len(builds) == 1
         evaluate(spec, 7, 1)
         limit_target(spec)
-        stabilized_reference(spec)
+        evaluate(spec, spec.periods(), spec.last_stages)
         orbit_lcm(t)
-        assert len(builds) == 1 and not calls
+        assert len(builds) == 1
 
     def test_stack_kernel_matches_each_entry_bit_for_bit(self):
         """One kernel over a (S, K, N, dim) stack reads, at every n and at the
@@ -501,7 +481,7 @@ class TestCycleKernel:
         rng = np.random.default_rng(101 + len(lead))
         for _ in range(20):
             space, t, order = random_cycle_system(rng, n_max=40)
-            lengths = sorted({len(c) for c in cycles(t)})
+            lengths = sorted({len(c) for c in oracle_cycles(t.map.tolist())})
             ns = sorted({1, 2, order, order + 1, 3 * order + 5}
                         | {m for L in lengths for m in (L - 1, L, L + 1, 2 * L + 3) if m >= 1})
             rational = tuple((float(rng.uniform(-1, 1)), Fraction(int(rng.integers(0, 9)), 9),

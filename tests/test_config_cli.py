@@ -11,7 +11,7 @@ from ergmart.cli import main
 from ergmart.config import ConfigError, build_experiment
 from ergmart.inequalities import APPLICABILITY_RULES, dominant_check, epsilon_sweep
 from ergmart.observables import linf_norm, lp_norm
-from ergmart.processes import evaluate, stabilization_periods, stabilized_reference
+from ergmart.processes import evaluate, stabilization_periods
 from ergmart.runner import execute_plan
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -445,7 +445,8 @@ class TestRunner:
         spec = build_experiment(cfg).spec
         (period,) = stabilization_periods(spec)
         assert period == math.lcm(4, 5000)
-        gap = evaluate(spec, 2 * period, spec.last_stages) - stabilized_reference(spec)
+        gap = (evaluate(spec, 2 * period, spec.last_stages)
+               - evaluate(spec, period, spec.last_stages))
         assert lp_norm(gap, 2.0) <= 1e-9 and linf_norm(gap) <= 1e-9
 
     def test_failing_check_flags_run(self, tmp_path, monkeypatch):
@@ -559,6 +560,31 @@ class TestCli:
         first = capsys.readouterr().out
         self.run_cli("gen", "--kind", "map", "--seed", "11", "--size", "8")
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("kind", ["space", "map", "filtration", "observable"])
+    @pytest.mark.parametrize("flags, err", [
+        (("--size", "0"), "--size: must be a positive integer <= 16777216"),
+        (("--size", "-4"), "--size: must be a positive integer <= 16777216"),
+        (("--size", "10000000000"), "--size: must be a positive integer <= 16777216"),
+        (("--seed", "-1"), "--seed: must be a nonnegative integer"),
+        (("--dim", "0"), "--dim: must be a positive integer with size * dim <= 16777216"),
+        (("--size", "4096", "--dim", "4097"),
+         "--dim: must be a positive integer with size * dim <= 16777216"),
+        (("--size", "16777216", "--dim", "1"), None),
+        (("--size", "4096", "--dim", "4096"), None),
+    ])
+    def test_gen_checks_each_flag_by_its_config_rule(self, capsys, monkeypatch, kind, flags,
+                                                      err):
+        # nothing is drawn: a refusal comes first, and an accepted flag set
+        # reaches this stand-in for the fragment
+        import ergmart.cli as cli
+        monkeypatch.setattr(cli, "_fragment", lambda *args: {"args": list(args)})
+        code = self.run_cli("gen", "--kind", kind, "--seed", "1", *flags)
+        out, got = capsys.readouterr()
+        if err is None:
+            assert code == 0 and got == "" and json.loads(out)["args"][0] == kind
+        else:
+            assert code == 1 and out == "" and got == f"error: {err}\n"
 
     def test_selfcheck_exit_codes(self, capsys, monkeypatch):
         assert self.run_cli("selfcheck", "--budget", "20") == 0

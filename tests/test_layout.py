@@ -1,9 +1,12 @@
 """Layout checks on the package source: no module imports a name it never
-uses, and every exported name resolves. Both catch what a deletion leaves
-behind. `ergmart/__init__.py` imports names only to export them, so it is
-checked by the second test alone."""
+uses, every exported name resolves, and every name the package exports is
+read by another module or documented in README.md. The first two catch what
+a deletion leaves behind, the third what a deletion should take.
+`ergmart/__init__.py` imports names only to export them, so the first test
+skips it."""
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,30 @@ def test_every_package_import_resolves():
             missing += [f"{node.module}.{alias.name}" for alias in node.names
                         if not hasattr(module, alias.name)]
     assert not missing, f"ergmart/__init__.py imports missing names: {missing}"
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names and attributes, and its imports."""
+    read = set(_imported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_package_export_is_read():
+    """A name that ergmart/__init__.py imports from a module is read by
+    another module of the package, or named in README.md's inline code;
+    anything else is public surface that nothing uses."""
+    reads = {name: _read_names(_tree(name)) for name in MODULES}
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    documented = {word for span in re.findall(r"`([^`\n]+)`", readme)
+                  for word in re.findall(r"\w+", span)}
+    unread = [f"{node.module}.{alias.name}" for node in _tree("__init__").body
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name not in documented
+              and not any(alias.name in read for name, read in reads.items()
+                          if name != node.module)]
+    assert not unread, f"ergmart/__init__.py exports names nothing else reads: {unread}"

@@ -8,9 +8,8 @@ import ergmart.averages as averages_module
 import ergmart.processes as processes_module
 from ergmart.averages import (
     BesicovitchWeights,
+    CesaroKernel,
     composite_cond_expect,
-    ergodic_average,
-    weighted_average,
 )
 from ergmart.generators import (
     FAMILIES,
@@ -35,7 +34,6 @@ from ergmart.processes import (
     limit_target,
     mean_identity_check,
     stabilization_periods,
-    stabilized_reference,
     tail_variation,
 )
 from oracles import oracle_composite, oracle_ergodic_average
@@ -128,7 +126,8 @@ class TestLimitTarget:
             weights = tuple(random_weights(rng) for _ in maps)
             for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
                 spec = ProcessSpec(kind, f, maps, filts, weights)
-                gap = linf_norm(limit_target(spec) - stabilized_reference(spec))
+                ref = evaluate(spec, spec.periods(), spec.last_stages)
+                gap = linf_norm(limit_target(spec) - ref)
                 assert gap <= 1e-12
 
     def test_constant_weights_scale_target(self):
@@ -140,7 +139,7 @@ class TestLimitTarget:
 class TestConvergenceTrace:
     def test_exact_at_period_and_last_stage(self):
         trace = convergence_trace(me_spec(), (1, 2, 4, 8), (0, 1, 2), p=2.0)
-        final = trace.final_row()
+        final = trace.rows[-1]
         assert final.n1 == 8 and final.n2 == 2
         assert final.lp_error <= 1e-12 and final.sup_error <= 1e-12
         by_idx = {(r.n1, r.n2): r for r in trace.rows}
@@ -241,8 +240,8 @@ class TestWeightedStabilization:
     def test_exact_periodicity_of_trace(self):
         w = BesicovitchWeights.single_cosine(0.8, 1, 3)
         spec = me_spec(weights=w)
-        ref = stabilized_reference(spec)
         (period,) = stabilization_periods(spec)
+        ref = evaluate(spec, period, spec.last_stages)
         for k in (2, 3, 5):
             assert linf_norm(evaluate(spec, k * period, 2) - ref) <= 1e-12
 
@@ -311,17 +310,15 @@ def test_default_grid_contains_period_multiples():
     assert grid[-1] == 24
 
 
-def _cell_by_public_averages(spec, n_vec, s_vec):
-    """One process value composed from the public one-map averages, each on
-    its own (N, dim) input: the computation the grid path shares."""
+def _cell_by_one_map_kernels(spec, n_vec, s_vec):
+    """One process value composed from one-map Cesaro kernels, each on its
+    own (N, dim) input: the computation the grid path shares."""
     weights = spec.weights or (None,) * spec.d_maps
 
     def averages(g):
         for j in reversed(range(spec.d_maps)):
-            if weights[j] is None:
-                g = ergodic_average(g, spec.maps[j], n_vec[j])
-            else:
-                g = weighted_average(g, spec.maps[j], weights[j], n_vec[j])
+            g = VectorObservable(g.space, CesaroKernel(g.values, spec.maps[j],
+                                                       weights[j]).average(n_vec[j]))
         return g
 
     if spec.kind == MARTINGALE_ERGODIC:
@@ -363,7 +360,7 @@ class TestGridEvaluation:
             for row in trace.rows:
                 value = evaluate(spec, row.n1, row.n2)
                 n_vec, s_vec = (row.n1,) * spec.d_maps, (row.n2,) * spec.m_filtrations
-                assert value.values.tobytes() == _cell_by_public_averages(
+                assert value.values.tobytes() == _cell_by_one_map_kernels(
                     spec, n_vec, s_vec).values.tobytes()
                 diff = value - target
                 assert row.lp_error == lp_norm(diff, inst.p, spec.norm)
