@@ -1,8 +1,21 @@
-"""Full invariant and inequality suite behind `ergmart selfcheck`."""
+"""Full invariant and inequality suite behind `ergmart selfcheck`.
+
+The fuzz and the eight sections depend on nothing but their own seeds, so
+they run as nine tasks on up to min(usable CPUs, 9) worker processes forked
+from the caller; the results are collected in the serial order, so the lines
+are the same. Workers are forked, not spawned: a spawned pool imports numpy
+and the package again in each worker, which takes about as long as a whole
+budget-50 run, and a forked worker sees the caller's patched functions. The
+tasks run in process instead when fewer than two CPUs are usable, when the
+platform cannot fork, or when the caller runs other threads (forking a
+threaded process is unsafe)."""
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .fuzz import _check_run_args, run_inequality_fuzz
 from .invariants import SECTIONS
@@ -16,7 +29,8 @@ class SelfcheckResult:
     lines: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
-    # wall seconds per section, the fuzz under "inequality fuzz"
+    # wall seconds per section, the fuzz under "inequality fuzz"; pooled
+    # sections overlap, so their sum may exceed `elapsed`
     section_s: dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -28,29 +42,71 @@ class SelfcheckResult:
                          for name, seconds in self.section_s.items())
 
 
+# A task is a module-level function and its arguments, so a pool can pickle
+# it. Sections are named by their index: a worker reads SECTIONS as the
+# caller had it when it forked, patched or wrapped functions included.
+
+def _run_fuzz(budget: int, seed: int):
+    start = time.perf_counter()
+    report = run_inequality_fuzz(budget=budget, seed=seed)
+    return report, time.perf_counter() - start
+
+
+def _run_section(k: int, seed: int, budget: int):
+    start = time.perf_counter()
+    checks = SECTIONS[k][1](seed, budget)
+    return checks, time.perf_counter() - start
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(tasks: list) -> list:
+    """The tasks' results in task order, from a pool forked for this call
+    and shut down before it returns, or in process (see the module doc)."""
+    workers = min(_usable_cpus(), len(tasks))
+    if workers < 2 or threading.active_count() > 1:
+        return [task() for task in tasks]
+    import multiprocessing  # imported here: the CLI's start-up does without it
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [task() for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:
     """Runs every invariant section plus the inequality fuzz at the given
     budget; deterministic for a fixed (budget, seed) pair. Raises ValueError
     for a budget below 1 or a negative seed."""
     _check_run_args(budget, seed)
     start = time.perf_counter()
+    # the fuzz, one of the two longest tasks, starts first
+    tasks = [partial(_run_fuzz, budget, seed)]
+    tasks += [partial(_run_section, k, seed + k, budget) for k in range(len(SECTIONS))]
+    (fuzz, fuzz_s), *section_results = _run_tasks(tasks)
     lines: list[str] = []
     failures: list[str] = []
     section_s: dict[str, float] = {}
     lines.append(f"selfcheck: budget {budget}, seed {seed}")
     lines.append("-" * 72)
-    for k, (sec_name, fn) in enumerate(SECTIONS):
-        sec_start = time.perf_counter()
-        checks = fn(seed + k, budget)
-        section_s[sec_name] = time.perf_counter() - sec_start
+    for k, ((sec_name, _), (checks, seconds)) in enumerate(zip(SECTIONS, section_results)):
+        section_s[sec_name] = seconds
         for check in checks:
             status = "PASS" if check.ok else "FAIL"
             detail = f"  [{check.detail}]" if check.detail else ""
             lines.append(f"[{status}] {sec_name}: {check.name}{detail}")
             if not check.ok:
                 failures.append(f"{sec_name}: {check.name} (seed {seed + k}): {check.detail}")
-    fuzz = run_inequality_fuzz(budget=budget, seed=seed)
-    section_s["inequality fuzz"] = fuzz.elapsed
+    section_s["inequality fuzz"] = fuzz_s
     lines.extend(fuzz.summary_lines())
     for fail in fuzz.failure_lines():
         failures.append(f"inequality fuzz: {fail}")

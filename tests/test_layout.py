@@ -3,10 +3,13 @@ uses, every exported name resolves, and every name the package exports is
 read by another module or documented in README.md. The first two catch what
 a deletion leaves behind, the third what a deletion should take.
 `ergmart/__init__.py` imports names only to export them, so the first test
-skips it."""
+skips it. The last test keeps the process pool out of the CLI's start-up."""
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,17 @@ def test_every_package_export_is_read():
               and not any(alias.name in read for name, read in reads.items()
                           if name != node.module)]
     assert not unread, f"ergmart/__init__.py exports names nothing else reads: {unread}"
+
+
+def test_cli_start_up_leaves_the_pool_modules_unloaded():
+    """`ergmart.cli` imports the selfcheck, which imports its process pool
+    only when a selfcheck runs; every `ergmart run` would pay for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, ergmart.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -1,33 +1,163 @@
-"""The work one selfcheck does, the section times it keeps and prints, and
-what its lines check."""
+"""The work one selfcheck does, the section times it keeps and prints, what
+its lines check, and that its pooled run says what the in-process run says
+and leaves no process behind."""
+import concurrent.futures
+import multiprocessing
+import os
+import re
+import threading
+
 import pytest
 
 import ergmart.averages as averages
 import ergmart.cli as cli
+import ergmart.inequalities as ineq
 import ergmart.invariants as invariants
+import ergmart.selfcheck as selfcheck
 from ergmart.fuzz import run_inequality_fuzz
 from ergmart.invariants import SECTIONS
 from ergmart.operators import orbit_lcm
 from ergmart.processes import default_n1_grid
 from ergmart.selfcheck import run_selfcheck
 
+_ELAPSED = re.compile(r"^selfcheck (PASSED|FAILED) in \d+\.\d{2}s$")
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(selfcheck, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools that runs create, as a list of their sizes."""
+    made = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class SpyPool(real_pool):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return made
+
+
+def _same_run(serial, pooled):
+    # every line but the elapsed-time one, which a failure list follows
+    def kept(result):
+        return [line for line in result.lines if not _ELAPSED.match(line)]
+
+    assert kept(pooled) == kept(serial)
+    assert pooled.failures == serial.failures
+    assert pooled.ok == serial.ok
+
 
 def test_one_kernel_per_observable_and_map(monkeypatch):
     # at budget 20 the sections build 140 kernels; a build per average, per
-    # limit and per singleton-filtration cell took 260
+    # limit and per singleton-filtration cell took 260. In process, so the
+    # spy sees every build: a forked worker's builds would go uncounted
+    _cpus(monkeypatch, 1)
     builds = []
     real_init = averages.CesaroKernel.__init__
     monkeypatch.setattr(averages.CesaroKernel, "__init__",
                         lambda self, *args: builds.append(args) or real_init(self, *args))
     assert run_selfcheck(budget=20).ok
-    assert len(builds) <= 150
+    assert 100 <= len(builds) <= 150
 
 
-def test_section_times_are_kept_per_section():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_section_times_are_kept_per_section(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
     result = run_selfcheck(budget=2)
     assert list(result.section_s) == [name for name, _ in SECTIONS] + ["inequality fuzz"]
     assert all(t >= 0.0 for t in result.section_s.values())
-    assert sum(result.section_s.values()) <= result.elapsed
+    if cpus == 1:
+        assert sum(result.section_s.values()) <= result.elapsed
+    else:  # pooled sections overlap
+        assert all(t <= result.elapsed for t in result.section_s.values())
+
+
+@pytest.mark.parametrize("budget", [2, 20, 50])
+@pytest.mark.parametrize("seed", [1, 2, 20240801])
+def test_pooled_run_matches_the_in_process_run(monkeypatch, pools, budget, seed):
+    _cpus(monkeypatch, 1)
+    serial = run_selfcheck(budget=budget, seed=seed)
+    _cpus(monkeypatch, 2)
+    pooled = run_selfcheck(budget=budget, seed=seed)
+    assert pools == [2]
+    _same_run(serial, pooled)
+
+
+def test_the_pool_has_one_worker_per_task_at_most(monkeypatch):
+    asked = []
+
+    class Refused(Exception):
+        pass
+
+    def no_pool(max_workers, **kwargs):
+        asked.append(max_workers)
+        raise Refused
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    _cpus(monkeypatch, 64)
+    with pytest.raises(Refused):
+        run_selfcheck(budget=2)
+    assert asked == [len(SECTIONS) + 1]
+
+
+def test_pooled_run_reports_a_mutation_as_the_in_process_run_does(monkeypatch, pools):
+    real = ineq.maximal_constant
+    monkeypatch.setattr(ineq, "maximal_constant", lambda *a, **k: 0.9 * real(*a, **k))
+    _cpus(monkeypatch, 1)
+    serial = run_selfcheck(budget=20)
+    _cpus(monkeypatch, 2)
+    pooled = run_selfcheck(budget=20)
+    assert pools == [2]
+    assert not serial.ok and serial.failures
+    assert ([line for line in pooled.lines if line.startswith("[FAIL]")]
+            == [line for line in serial.lines if line.startswith("[FAIL]")])
+    _same_run(serial, pooled)
+
+
+class SectionBroke(Exception):
+    pass
+
+
+def _broken_section(seed, budget):
+    raise SectionBroke(f"section broke at seed {seed}")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_raising_section_raises_and_leaves_no_process(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    sections = list(SECTIONS)
+    sections[3] = (sections[3][0], _broken_section)
+    monkeypatch.setattr(selfcheck, "SECTIONS", sections)
+    with pytest.raises(SectionBroke, match="^section broke at seed 20240804$"):
+        run_selfcheck(budget=20)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_threaded_caller_runs_in_process(monkeypatch, pools):
+    _cpus(monkeypatch, 1)
+    serial = run_selfcheck(budget=2)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        threaded = run_selfcheck(budget=2)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert pools == [] and forks == []
+    _same_run(serial, threaded)
 
 
 def test_times_are_printed_only_with_the_flag(monkeypatch, capsys):
