@@ -2,17 +2,21 @@
 
 The fuzz and the eight sections depend on nothing but their own seeds, so
 they run as nine tasks on up to min(usable CPUs, 9) worker processes forked
-from the caller; the results are collected in the serial order, so the lines
-are the same. Workers are forked, not spawned: a spawned pool imports numpy
-and the package again in each worker, which takes about as long as a whole
-budget-50 run, and a forked worker sees the caller's patched functions. The
-tasks run in process instead when fewer than two CPUs are usable, when the
-platform cannot fork, or when the caller runs other threads (forking a
-threaded process is unsafe)."""
+from the caller, the longest first; the results are collected in the serial
+order, so the lines are the same. Workers are forked, not spawned: a spawned
+pool imports numpy and the package again in each worker, which takes about
+as long as a whole budget-50 run, and a forked worker sees the caller's
+patched functions. The tasks run in process instead when fewer than two CPUs
+are usable, when the platform cannot fork, when the process runs any other
+thread (forking a threaded process is unsafe, and Python 3.12 warns about
+it), or when the caller has wrapped one of the package's functions (what a
+tracer or a spy records in a worker would stay there). Threads are counted
+as the OS lists them, so a threaded BLAS's workers count: with numpy, the
+pool needs a single-threaded BLAS, e.g. `OPENBLAS_NUM_THREADS=1`."""
 from __future__ import annotations
 
 import os
-import threading
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,16 +50,17 @@ class SelfcheckResult:
 # it. Sections are named by their index: a worker reads SECTIONS as the
 # caller had it when it forked, patched or wrapped functions included.
 
-def _run_fuzz(budget: int, seed: int):
-    start = time.perf_counter()
-    report = run_inequality_fuzz(budget=budget, seed=seed)
-    return report, time.perf_counter() - start
-
-
 def _run_section(k: int, seed: int, budget: int):
     start = time.perf_counter()
     checks = SECTIONS[k][1](seed, budget)
     return checks, time.perf_counter() - start
+
+
+# the longest tasks, longest first, by `--times` at budget 50; the others
+# follow in SECTIONS order. On two CPUs the fuzz first and process
+# convergence fifth left one worker idle for the last 0.03-0.05 s
+_LONGEST_FIRST = ("process convergence", "inequality fuzz", "averaging laws",
+                  "operator algebra")
 
 
 def _usable_cpus() -> int:
@@ -64,11 +69,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _threads() -> int:
+    """This process's threads as the OS lists them, a BLAS's worker threads
+    included, which `threading` does not see; 0 where the list is unreadable."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def _wrapped() -> bool:
+    """Whether a binding of the package's modules, or a section, holds a
+    wrapper (functools.wraps sets `__wrapped__`), as a tracer or a spy does."""
+    bound = [fn for _, fn in SECTIONS]
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == __package__ or name.startswith(__package__ + ".")):
+            bound.extend(vars(module).values())
+    return any(hasattr(value, "__wrapped__") for value in bound)
+
+
 def _run_tasks(tasks: list) -> list:
     """The tasks' results in task order, from a pool forked for this call
     and shut down before it returns, or in process (see the module doc)."""
     workers = min(_usable_cpus(), len(tasks))
-    if workers < 2 or threading.active_count() > 1:
+    if workers < 2 or _threads() != 1 or _wrapped():
         return [task() for task in tasks]
     import multiprocessing  # imported here: the CLI's start-up does without it
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -89,24 +113,27 @@ def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:
     for a budget below 1 or a negative seed."""
     _check_run_args(budget, seed)
     start = time.perf_counter()
-    # the fuzz, one of the two longest tasks, starts first
-    tasks = [partial(_run_fuzz, budget, seed)]
-    tasks += [partial(_run_section, k, seed + k, budget) for k in range(len(SECTIONS))]
-    (fuzz, fuzz_s), *section_results = _run_tasks(tasks)
+    tasks = {"inequality fuzz": partial(run_inequality_fuzz, budget=budget, seed=seed)}
+    tasks.update((name, partial(_run_section, k, seed + k, budget))
+                 for k, (name, _) in enumerate(SECTIONS))
+    order = sorted(tasks, key=lambda name: (_LONGEST_FIRST.index(name)
+                                            if name in _LONGEST_FIRST else len(_LONGEST_FIRST)))
+    results = dict(zip(order, _run_tasks([tasks[name] for name in order])))
     lines: list[str] = []
     failures: list[str] = []
     section_s: dict[str, float] = {}
     lines.append(f"selfcheck: budget {budget}, seed {seed}")
     lines.append("-" * 72)
-    for k, ((sec_name, _), (checks, seconds)) in enumerate(zip(SECTIONS, section_results)):
-        section_s[sec_name] = seconds
+    for k, (sec_name, _) in enumerate(SECTIONS):
+        checks, section_s[sec_name] = results[sec_name]
         for check in checks:
             status = "PASS" if check.ok else "FAIL"
             detail = f"  [{check.detail}]" if check.detail else ""
             lines.append(f"[{status}] {sec_name}: {check.name}{detail}")
             if not check.ok:
                 failures.append(f"{sec_name}: {check.name} (seed {seed + k}): {check.detail}")
-    section_s["inequality fuzz"] = fuzz_s
+    fuzz = results["inequality fuzz"]
+    section_s["inequality fuzz"] = fuzz.elapsed
     lines.extend(fuzz.summary_lines())
     for fail in fuzz.failure_lines():
         failures.append(f"inequality fuzz: {fail}")

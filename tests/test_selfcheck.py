@@ -1,17 +1,22 @@
 """The work one selfcheck does, the section times it keeps and prints, what
-its lines check, and that its pooled run says what the in-process run says
-and leaves no process behind."""
+its lines check, and that its pooled run says what the in-process run says,
+leaves no process behind and is made only where forking is safe.
+
+Runs that must pool read `selfcheck_pool_probe.py`, run once in a fresh
+interpreter whose BLAS runs one thread: this process's BLAS may run more,
+and a run forks only from a process with no other thread."""
 import concurrent.futures
-import multiprocessing
+import json
 import os
 import re
-import threading
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ergmart.averages as averages
 import ergmart.cli as cli
-import ergmart.inequalities as ineq
 import ergmart.invariants as invariants
 import ergmart.selfcheck as selfcheck
 from ergmart.fuzz import run_inequality_fuzz
@@ -21,10 +26,27 @@ from ergmart.processes import default_n1_grid
 from ergmart.selfcheck import run_selfcheck
 
 _ELAPSED = re.compile(r"^selfcheck (PASSED|FAILED) in \d+\.\d{2}s$")
+_PROBE = Path(__file__).with_name("selfcheck_pool_probe.py")
 
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(selfcheck, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """What `selfcheck_pool_probe.py` printed, by case."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("the selfcheck pools only where the OS lists a process's threads")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = Path(selfcheck.__file__).parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-W", "error", str(_PROBE)], capture_output=True,
+                         text=True, timeout=300, env=env)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["threads"] == 1, "the probe's BLAS runs threads of its own"
+    return out
 
 
 @pytest.fixture
@@ -45,11 +67,11 @@ def pools(monkeypatch):
 def _same_run(serial, pooled):
     # every line but the elapsed-time one, which a failure list follows
     def kept(result):
-        return [line for line in result.lines if not _ELAPSED.match(line)]
+        return [line for line in result["lines"] if not _ELAPSED.match(line)]
 
     assert kept(pooled) == kept(serial)
-    assert pooled.failures == serial.failures
-    assert pooled.ok == serial.ok
+    assert pooled["failures"] == serial["failures"]
+    assert pooled["ok"] == serial["ok"]
 
 
 def test_one_kernel_per_observable_and_map(monkeypatch):
@@ -65,26 +87,26 @@ def test_one_kernel_per_observable_and_map(monkeypatch):
     assert 100 <= len(builds) <= 150
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_section_times_are_kept_per_section(monkeypatch, cpus):
-    _cpus(monkeypatch, cpus)
+def test_section_times_are_kept_per_section(monkeypatch):
+    _cpus(monkeypatch, 1)
     result = run_selfcheck(budget=2)
     assert list(result.section_s) == [name for name, _ in SECTIONS] + ["inequality fuzz"]
     assert all(t >= 0.0 for t in result.section_s.values())
-    if cpus == 1:
-        assert sum(result.section_s.values()) <= result.elapsed
-    else:  # pooled sections overlap
-        assert all(t <= result.elapsed for t in result.section_s.values())
+    assert sum(result.section_s.values()) <= result.elapsed
+
+
+def test_pooled_section_times_overlap(probe):
+    pooled = probe["pairs"]["2/1"][1]
+    assert pooled["pools"] == [2]
+    assert list(pooled["section_s"]) == [name for name, _ in SECTIONS] + ["inequality fuzz"]
+    assert all(0.0 <= t <= pooled["elapsed"] for t in pooled["section_s"].values())
 
 
 @pytest.mark.parametrize("budget", [2, 20, 50])
 @pytest.mark.parametrize("seed", [1, 2, 20240801])
-def test_pooled_run_matches_the_in_process_run(monkeypatch, pools, budget, seed):
-    _cpus(monkeypatch, 1)
-    serial = run_selfcheck(budget=budget, seed=seed)
-    _cpus(monkeypatch, 2)
-    pooled = run_selfcheck(budget=budget, seed=seed)
-    assert pools == [2]
+def test_pooled_run_matches_the_in_process_run(probe, budget, seed):
+    serial, pooled = probe["pairs"][f"{budget}/{seed}"]
+    assert serial["pools"] == [] and pooled["pools"] == [2]
     _same_run(serial, pooled)
 
 
@@ -99,65 +121,57 @@ def test_the_pool_has_one_worker_per_task_at_most(monkeypatch):
         raise Refused
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(selfcheck, "_threads", lambda: 1)
     _cpus(monkeypatch, 64)
     with pytest.raises(Refused):
         run_selfcheck(budget=2)
     assert asked == [len(SECTIONS) + 1]
 
 
-def test_pooled_run_reports_a_mutation_as_the_in_process_run_does(monkeypatch, pools):
-    real = ineq.maximal_constant
-    monkeypatch.setattr(ineq, "maximal_constant", lambda *a, **k: 0.9 * real(*a, **k))
-    _cpus(monkeypatch, 1)
-    serial = run_selfcheck(budget=20)
-    _cpus(monkeypatch, 2)
-    pooled = run_selfcheck(budget=20)
-    assert pools == [2]
-    assert not serial.ok and serial.failures
-    assert ([line for line in pooled.lines if line.startswith("[FAIL]")]
-            == [line for line in serial.lines if line.startswith("[FAIL]")])
+def test_pooled_run_reports_a_mutation_as_the_in_process_run_does(probe):
+    # ineq.maximal_constant scaled by 0.9
+    serial, pooled = probe["mutation"]
+    assert serial["pools"] == [] and pooled["pools"] == [2]
+    assert not serial["ok"] and serial["failures"]
+    assert ([line for line in pooled["lines"] if line.startswith("[FAIL]")]
+            == [line for line in serial["lines"] if line.startswith("[FAIL]")])
     _same_run(serial, pooled)
 
 
-class SectionBroke(Exception):
-    pass
+@pytest.mark.parametrize("case, pools", [("in process", []), ("pooled", [2])])
+def test_a_raising_section_raises_and_leaves_no_process(probe, case, pools):
+    raised = probe["raising"][case]
+    assert raised["pools"] == pools
+    assert raised["raised"] == ["SectionBroke", "section broke at seed 20240804"]
+    assert raised["children"] == 0 and raised["waitpid"] == "ChildProcessError"
 
 
-def _broken_section(seed, budget):
-    raise SectionBroke(f"section broke at seed {seed}")
+@pytest.mark.parametrize("case", ["python thread", "unlisted thread"])
+def test_a_threaded_caller_runs_in_process(probe, case):
+    # the unlisted thread is one `threading` does not count, as a BLAS's are
+    threaded = probe[case]
+    assert threaded["pools"] == [] and threaded["forks"] == 0
+    assert threaded["threading_counts"] == (2 if case == "python thread" else 1)
+    _same_run(probe["pairs"]["2/20240801"][0], threaded)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_raising_section_raises_and_leaves_no_process(monkeypatch, cpus):
-    _cpus(monkeypatch, cpus)
-    sections = list(SECTIONS)
-    sections[3] = (sections[3][0], _broken_section)
-    monkeypatch.setattr(selfcheck, "SECTIONS", sections)
-    with pytest.raises(SectionBroke, match="^section broke at seed 20240804$"):
-        run_selfcheck(budget=20)
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_a_wrapped_function_runs_in_process(probe):
+    # what a tracer's or a spy's wrapper counts in a worker would be lost
+    wrapped = probe["wrapped"]
+    assert wrapped["pools"] == [] and wrapped["calls"] > 0
+    _same_run(probe["pairs"]["2/20240801"][0], wrapped)
 
 
-def test_a_threaded_caller_runs_in_process(monkeypatch, pools):
-    _cpus(monkeypatch, 1)
-    serial = run_selfcheck(budget=2)
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+def test_unlisted_threads_keep_the_run_in_process(monkeypatch, pools):
+    # where the OS's thread list cannot be read, other threads may run
+    def unreadable(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "listdir", unreadable)
     _cpus(monkeypatch, 2)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        threaded = run_selfcheck(budget=2)
-    finally:
-        release.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-    assert pools == [] and forks == []
-    _same_run(serial, threaded)
+    assert selfcheck._threads() == 0
+    assert run_selfcheck(budget=2).ok
+    assert pools == []
 
 
 def test_times_are_printed_only_with_the_flag(monkeypatch, capsys):
