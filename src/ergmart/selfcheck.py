@@ -57,8 +57,8 @@ def _run_section(k: int, seed: int, budget: int):
 
 
 # the longest tasks, longest first, by `--times` at budget 50; the others
-# follow in SECTIONS order. On two CPUs the fuzz first and process
-# convergence fifth left one worker idle for the last 0.03-0.05 s
+# follow in SECTIONS order. A long task submitted late leaves the other
+# workers idle while it finishes
 _LONGEST_FIRST = ("process convergence", "inequality fuzz", "averaging laws",
                   "operator algebra")
 
@@ -105,6 +105,12 @@ def _run_tasks(tasks: list) -> list:
         return [future.result() for future in futures]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        # the OS lists the pool's joined threads for up to a few ms more,
+        # and a call that finds them runs in process; nothing else runs
+        # threads here, so wait (at most a second) until it lists this one
+        deadline = time.monotonic() + 1.0
+        while _threads() > 1 and time.monotonic() < deadline:
+            time.sleep(1e-4)
 
 
 def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:

@@ -126,6 +126,7 @@ def with_thread(start):
 if __name__ == "__main__":
     out = {"threads": selfcheck._threads(), "pairs": pairs(), "mutation": mutation(),
            "raising": {"in process": raising_section(1), "pooled": raising_section(2)},
+           "back to back": [run(2, budget=2)["pools"] for _ in range(5)],
            "wrapped": wrapped(),
            "python thread": with_thread(lambda target: threading.Thread(target=target).start()),
            # a thread `threading` does not list, as a BLAS's workers are

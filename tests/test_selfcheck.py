@@ -110,6 +110,11 @@ def test_pooled_run_matches_the_in_process_run(probe, budget, seed):
     _same_run(serial, pooled)
 
 
+def test_back_to_back_runs_each_pool(probe):
+    # a run that found the last pool's exiting threads would run in process
+    assert probe["back to back"] == [[2]] * 5
+
+
 def test_the_pool_has_one_worker_per_task_at_most(monkeypatch):
     asked = []
 
