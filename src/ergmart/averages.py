@@ -32,6 +32,7 @@ __all__ = [
     "CesaroKernel",
     "composite_block_means",
     "composite_cond_expect",
+    "conditioned",
 ]
 
 _RATIONAL_TOL = 1e-12
@@ -316,23 +317,29 @@ def composite_block_means(values: np.ndarray, filtrations: Sequence[Filtration],
     The first filtration is the outermost factor, so the last one is applied
     first; conditional expectations for different filtrations do not commute
     in general, so the order is fixed here and relied on everywhere else.
-    Each inner filtration conditions the whole stack once per stage and adds
-    a stage axis right after the stack's own leading axes. Each filtration's
-    pass weights the stack by the point masses once, and every stage's block
-    sums read that one product. Yields, per stage of the first filtration,
-    its partition and the block means, shape (..., S_2, ..., S_m, blocks,
-    dim) with S_k the size of the k-th stage set.
+    The inner filtrations condition the whole stack first (`conditioned`),
+    adding their stage axes right after the stack's own leading axes. Each
+    filtration's pass weights the stack by the point masses once, and every
+    stage's block sums read that one product. Yields, per stage of the first
+    filtration, its partition and the block means, shape (..., S_2, ...,
+    S_m, blocks, dim) with S_k the size of the k-th stage set.
     """
-    lead = values.ndim - 2
-    masses = filtrations[0].space.weights[:, None]
-    for fl, ss in zip(filtrations[:0:-1], stage_sets[:0:-1]):
-        weighted = values * masses  # once per pass, read by every stage
-        values = np.stack([np.take(_weighted_block_means(weighted, fl.stages[s]),
-                                   fl.stages[s].block_of, axis=-2) for s in ss], axis=lead)
-    weighted = values * masses
+    if len(filtrations) > 1:
+        values = conditioned(values, filtrations[1:], stage_sets[1:])
+    weighted = values * filtrations[0].space.weights[:, None]
     for s in stage_sets[0]:
         part = filtrations[0].stages[s]
         yield part, _weighted_block_means(weighted, part)
+
+
+def conditioned(values: np.ndarray, filtrations: Sequence[Filtration],
+                stage_sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The block means of composite_block_means spread back to the points:
+    shape (..., S_1, ..., S_m, N, dim), the stage axes right after the
+    stack's own axes, in the order of the filtrations."""
+    return np.stack([np.take(means, part.block_of, axis=-2) for part, means
+                     in composite_block_means(values, filtrations, stage_sets)],
+                    axis=values.ndim - 2)
 
 
 def check_stages(filtrations: Sequence[Filtration], s_vec: Sequence[int]) -> tuple[int, ...]:
@@ -355,5 +362,5 @@ def composite_cond_expect(f: VectorObservable, filtrations: Sequence[Filtration]
     s_vec = check_stages(filtrations, s_vec)
     if not filtrations:
         return f
-    [(part, means)] = composite_block_means(f.values, filtrations, [(s,) for s in s_vec])
-    return VectorObservable(f.space, means.reshape(means.shape[-2:])[part.block_of])
+    values = conditioned(f.values, filtrations, [(s,) for s in s_vec])
+    return VectorObservable(f.space, values.reshape(f.values.shape))

@@ -29,6 +29,8 @@ def _cmd_run(args) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:
+        if args.seed is not None:  # a refusal names the flag, not the config's field
+            _check(args.seed, "--seed", "seed")
         plan = build_experiment(config, seed_override=args.seed)
         result = execute_plan(plan, args.out)
     except ConfigError as exc:

@@ -40,7 +40,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .averages import _CHUNK_FLOATS, composite_block_means, running_weighted_averages
+from .averages import (_CHUNK_FLOATS, check_stages, composite_block_means, conditioned,
+                       running_weighted_averages)
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, point_norms
 from .operators import Endomorphism
@@ -118,9 +119,8 @@ def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
         raise ValueError("box must give one n_max per map")
     if len(box.stage_sets) != spec.m_filtrations:
         raise ValueError("box must give one stage set per filtration")
-    for k, (fl, ss) in enumerate(zip(spec.filtrations, box.stage_sets)):
-        if ss[-1] >= len(fl.stages):
-            raise ValueError(f"stage index {ss[-1]} out of range for filtration {k}")
+    for end in (0, -1):  # the sets ascend, so their ends bound them
+        check_stages(spec.filtrations, [ss[end] for ss in box.stage_sets])
     n_max = tuple(n if period is None else min(n, period)
                   for n, period in zip(box.n_max, spec.periods()))
     return box if n_max == box.n_max else SupBox(n_max, box.stage_sets)
@@ -150,64 +150,58 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None,
     return spec.sup_fields[box]
 
 
-def _outer_horizons(spec: ProcessSpec, n: int) -> np.ndarray:
-    """Each point's last row H_x on the outermost averaging axis of a build
-    up to n (see the module docstring). Condition-then-average: min(n,
-    lcm(L_x, weight period)) with L_x the length of x's cycle under the
-    first map, or n when that map's weights have no period.
+def _horizon_classes(spec: ProcessSpec, n: int) -> list[tuple[int, np.ndarray]]:
+    """The points of a build up to n, grouped by their last row H on the
+    outermost averaging axis (see the module docstring): (H, points) pairs,
+    H ascending, the points of each class ascending. Condition-then-average:
+    H_x = min(n, lcm(L_x, weight period)) with L_x the length of x's cycle
+    under the first map, or n when that map's weights have no period.
     Average-then-condition: n, as its outermost conditioning mixes the
-    points of a block."""
+    points of a block. A uniform build is one class of every point."""
     lay = spec.maps[0].cycle_layout
     period = 1 if spec.weights is None else spec.weights[0].period
     if spec.kind == MARTINGALE_ERGODIC or period is None:
-        return np.full(spec.space.size, n)
-    ends = [min(n, math.lcm(int(length), period)) for length in lay.distinct_lengths]
-    return np.array(ends, dtype=np.int64)[lay.length_class]
+        ends = np.full(spec.space.size, n)
+    else:
+        ends = np.array([min(n, math.lcm(int(length), period))
+                         for length in lay.distinct_lengths])[lay.length_class]
+    order = np.argsort(ends, kind="stable")
+    return [(int(ends[points[0]]), points)
+            for points in np.split(order, np.flatnonzero(np.diff(ends[order])) + 1)]
 
 
 def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
-                  ends: np.ndarray, order: np.ndarray,
+                  end: int, points: np.ndarray,
                   copies: int) -> Iterator[tuple[int, np.ndarray]]:
     """(first row, chunk) of the running averages of `inner` under the
-    outermost map t, point x up to its own last row `ends[x]`, in
-    consecutive chunks along the averaging axis. `order` lists the points
-    longest end first, so the points still running at any row are a prefix
-    of it; each chunk holds that prefix on its point axis and stops at the
-    next end, where the next chunk narrows. `order` None runs every point,
-    in its own order, to one common end. A chunk holds about
-    _CHUNK_FLOATS floats, counting each float `copies` times for the stacks
-    built from it, and each row's int64 gather index (one entry per point
-    of every stack entry) as floats too."""
+    outermost map t at `points`, rows 0..end-1, in consecutive chunks along
+    the averaging axis, each with `points` on its point axis. A chunk holds
+    about _CHUNK_FLOATS floats, counting each float `copies` times for the
+    stacks built from it, and each row's int64 gather index (one entry per
+    point of every stack entry) as floats too."""
     per_point = (inner.size * copies + inner.size // inner.shape[-1]) // inner.shape[-2]
-    if order is not None:
-        ends = ends[order]
-    start, running, carry = 0, len(ends), []
-    while running:
-        stop = min(int(ends[running - 1]), start + max(1, _CHUNK_FLOATS // (per_point * running)))
-        points = None if order is None else order[:running]
-        yield start, running_weighted_averages(inner, t, alpha, stop, start, carry, points)
-        start = stop
-        running = int(np.count_nonzero(ends[:running] > start))
-        carry[:] = [carry[0][..., :running, :]]
+    rows, carry = max(1, _CHUNK_FLOATS // (per_point * len(points))), []
+    for start in range(0, end, rows):
+        yield start, running_weighted_averages(inner, t, alpha, min(end, start + rows),
+                                               start, carry, points)
 
 
 def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> VectorObservable:
     """One streamed pass over the box as given (sup_field hands it the box
     cut to the periods): the inner maps' averaging axes are built whole, the
-    outermost one chunk by chunk, each point up to its own last row (all of
-    them to n_max_1 when the conditioning comes after the averaging), and
-    each chunk's norms are folded into the running pointwise max of the box
-    and of each prefix box, whose fields are kept on the spec."""
+    outermost one chunk by chunk, one pass from row 0 per class of points
+    that share a last row (one class, up to n_max_1, when the conditioning
+    comes after the averaging), and each chunk's norms are folded into the
+    running pointwise max of the box and of each prefix box, whose fields
+    are kept on the spec."""
     me = spec.kind == MARTINGALE_ERGODIC
-    ends = _outer_horizons(spec, box.n_max[0])
-    order = None if ends.min() == ends.max() else np.argsort(-ends, kind="stable")
+    classes = _horizon_classes(spec, box.n_max[0])
     # the weights up to the last row any point reads
-    reads = (int(ends.max()),) + box.n_max[1:]
+    reads = (classes[-1][0],) + box.n_max[1:]
     alphas = ([None] * spec.d_maps if spec.weights is None
               else [w.values(k) for w, k in zip(spec.weights, reads)])
     q = spec.norm.q
     boxes = [box, *prefixes]
-    # in the point order of the chunks until the end of the pass
     fields = [np.zeros(spec.space.size) for _ in boxes]
     if me:
         inner = spec.f.values
@@ -215,35 +209,30 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
         copies = math.prod(len(ss) for ss in box.stage_sets[1:])
     else:
         # condition first, then average the whole stack
-        inner = np.stack([np.take(means, part.block_of, axis=-2) for part, means in
-                          composite_block_means(spec.f.values, spec.filtrations,
-                                                box.stage_sets)])
-        copies = 1
+        inner, copies = conditioned(spec.f.values, spec.filtrations, box.stage_sets), 1
     for j in reversed(range(1, spec.d_maps)):
         inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
-    for start, chunk in _outer_chunks(inner, spec.maps[0], alphas[0], ends, order, copies):
-        if me:
-            # the outermost conditioning is constant on its blocks, so its max
-            # is taken per block and only then spread to the points
-            for k, (part, means) in enumerate(composite_block_means(chunk, spec.filtrations,
-                                                                    box.stage_sets)):
-                _fold(boxes, fields, point_norms(means, q), start, (k, part))
-        else:
-            _fold(boxes, fields, point_norms(chunk, q), start, None)
-    if order is not None:
-        for field in fields:
-            field[order] = field.copy()
+    for end, points in classes:
+        for start, chunk in _outer_chunks(inner, spec.maps[0], alphas[0], end, points, copies):
+            if me:
+                # the outermost conditioning is constant on its blocks, so its
+                # max is taken per block and only then spread to the points
+                for k, (part, means) in enumerate(
+                        composite_block_means(chunk, spec.filtrations, box.stage_sets)):
+                    _fold(boxes, fields, point_norms(means, q), start, points, (k, part))
+            else:
+                _fold(boxes, fields, point_norms(chunk, q), start, points, None)
     for small, field in zip(prefixes, fields[1:]):
         spec.sup_fields[small] = VectorObservable(spec.space, field)
     return VectorObservable(spec.space, fields[0])
 
 
-def _fold(boxes, fields, norms: np.ndarray, start: int, outer) -> None:
-    """Folds into each box's field the max of a chunk's norms inside it, axes
-    (n_1 from row `start`, inner n..., stages..., points or blocks), the
-    points a prefix of the field's. `outer` is None, or the (position in the
-    first stage set, partition) of the outermost conditioning, whose blocks
-    the norms are over with no axis of the first filtration."""
+def _fold(boxes, fields, norms: np.ndarray, start: int, points: np.ndarray, outer) -> None:
+    """Folds into each box's field, at `points`, the max of a chunk's norms
+    inside it, axes (n_1 from row `start`, inner n..., stages..., points or
+    blocks). `outer` is None, or the (position in the first stage set,
+    partition) of the outermost conditioning, whose blocks the norms are
+    over with no axis of the first filtration."""
     for box, field in zip(boxes, fields):
         sets = box.stage_sets if outer is None else box.stage_sets[1:]
         if start >= box.n_max[0] or (outer is not None and outer[0] >= len(box.stage_sets[0])):
@@ -253,8 +242,7 @@ def _fold(boxes, fields, norms: np.ndarray, start: int, outer) -> None:
         top = norms[tuple(index)].reshape(-1, norms.shape[-1]).max(axis=0)
         if outer is not None:
             top = top[outer[1].block_of]
-        head = field[:len(top)]
-        np.maximum(head, top, out=head)
+        field[points] = np.maximum(field[points], top)
 
 
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:

@@ -18,8 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .averages import (_CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages,
-                       composite_block_means)
+from .averages import _CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages, conditioned
 from .measure import Filtration
 from .observables import NormSpec, VectorObservable, lp_norm, lp_of_norms, mean, point_norms
 from .operators import Endomorphism, orbit_lcm
@@ -233,14 +232,9 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
 
 def _conditioned(spec: ProcessSpec, values: np.ndarray, s_vecs) -> np.ndarray:
     """A stack (..., N, dim) conditioned at every s_vec (the composition of
-    averages.composite_cond_expect), on a new stage axis before (N, dim):
-    one composite_block_means pass over the whole stack per s_vec."""
-    out = np.empty(values.shape[:-2] + (len(s_vecs),) + values.shape[-2:])
-    for k, s_vec in enumerate(s_vecs):
-        [(part, means)] = composite_block_means(values, spec.filtrations, [(s,) for s in s_vec])
-        out[..., k, :, :] = means.reshape(values.shape[:-2] + means.shape[-2:])[
-            ..., part.block_of, :]
-    return out
+    averages.composite_cond_expect), on a new stage axis before (N, dim)."""
+    return np.stack([conditioned(values, spec.filtrations, [(s,) for s in s_vec]).reshape(
+        values.shape) for s_vec in s_vecs], axis=values.ndim - 2)
 
 
 def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:

@@ -92,11 +92,9 @@ def _run_tasks(tasks: list) -> list:
     """The tasks' results in task order, from a pool forked for this call
     and shut down before it returns, or in process (see the module doc)."""
     workers = min(_usable_cpus(), len(tasks))
-    if workers < 2 or _threads() != 1 or _wrapped():
+    if workers < 2 or not hasattr(os, "fork") or _threads() != 1 or _wrapped():
         return [task() for task in tasks]
     import multiprocessing  # imported here: the CLI's start-up does without it
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [task() for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("fork"))

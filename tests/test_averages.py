@@ -8,6 +8,7 @@ from ergmart.averages import (
     CesaroKernel,
     composite_block_means,
     composite_cond_expect,
+    conditioned,
     running_weighted_averages,
 )
 from ergmart.generators import random_cycle_system, random_filtration
@@ -324,6 +325,12 @@ class TestCompositeCondExpect:
                         assert part is want_part
                         assert means.shape == want_means.shape
                         assert np.array_equal(means, want_means)
+                    # and spread back to the points, the stage axes after the stack's
+                    spread = conditioned(values, filts, stage_sets)
+                    assert spread.shape == lead + tuple(map(len, stage_sets)) + (n, 2)
+                    for k, (want_part, want_means) in enumerate(want):
+                        assert np.array_equal(spread[(slice(None),) * len(lead) + (k,)],
+                                              np.take(want_means, want_part.block_of, axis=-2))
 
     def test_block_means_put_the_stage_axes_after_the_stack_axes(self):
         rng = np.random.default_rng(43)

@@ -519,6 +519,12 @@ class TestCli:
         assert code == 1
         assert "checks[0].p" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # no partial files
+        # a bad --seed is named as the flag, as gen names it
+        code = self.run_cli("run", "--config", str(DEMO), "--out", str(tmp_path / "o"),
+                            "--seed", "-1")
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: --seed: must be a nonnegative integer\n")
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns_subprocess(self, tmp_path):
         for sub in ("o1", "o2"):

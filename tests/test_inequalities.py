@@ -98,41 +98,44 @@ def _horizons(spec, n):
 
 def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
     """The streamed sup field built with `chunk_floats` floats per chunk,
-    each chunk along the outermost averaging axis as (first row, rows, its
-    points), and the floats each point of a row counts for: its stacked
-    copies and its int64 gather index, one entry per stack entry."""
+    its passes along the outermost averaging axis as (last row, points,
+    chunks), each chunk as (first row, rows), and the floats each point of
+    a row counts for: its stacked copies and its int64 gather index, one
+    entry per stack entry."""
     real_chunks = ineq._outer_chunks
-    chunks, point_floats = [], []
+    passes, point_floats = [], []
 
-    def spy(inner, t, alpha, ends, order, copies):
+    def spy(inner, t, alpha, end, points, copies):
         point_floats.append((inner.size * copies + inner.size // inner.shape[-1])
                             // inner.shape[-2])
-        for start, chunk in real_chunks(inner, t, alpha, ends, order, copies):
-            points = range(chunk.shape[-2]) if order is None else order[:chunk.shape[-2]]
-            chunks.append((start, len(chunk), {int(x) for x in points}))
+        chunks = []
+        passes.append((end, {int(x) for x in points}, chunks))
+        for start, chunk in real_chunks(inner, t, alpha, end, points, copies):
+            assert chunk.shape[-2] == len(points)
+            chunks.append((start, len(chunk)))
             yield start, chunk
 
     monkeypatch.setattr(ineq, "_outer_chunks", spy)
     monkeypatch.setattr(ineq, "_CHUNK_FLOATS", chunk_floats)
     field = ineq._build_sup_field(spec, box).values
     monkeypatch.undo()
-    return field, chunks, point_floats[0]
+    assert len(set(point_floats)) == 1
+    return field, passes, point_floats[0]
 
 
-def _assert_staircase(chunks, horizons, chunk_floats, point_floats):
-    """The chunks run consecutively from row 0 to the last horizon; each
-    holds exactly the points whose horizon lies past its first row, ends
-    at the latest at the next horizon, and stays within the float budget,
-    which it fills unless it ends at a horizon or is one row."""
-    assert chunks[0][0] == 0
-    assert sum(rows for _, rows, _ in chunks) == max(horizons)
-    for (start, rows, points), (nxt, _, _) in zip(chunks, chunks[1:] + [(None, 0, ())]):
-        stop = start + rows
-        assert nxt in (None, stop)
-        assert points == {x for x, end in enumerate(horizons) if end > start}
-        assert stop <= min(horizons[x] for x in points)
+def _assert_classes(passes, horizons, chunk_floats, point_floats):
+    """One pass per class of points that share a horizon, holding exactly
+    those points; its chunks run consecutively from row 0 to the class's
+    horizon, and each fills the float budget unless it ends at the horizon
+    or is one row."""
+    assert sorted(end for end, _, _ in passes) == sorted(set(horizons))
+    for end, points, chunks in passes:
+        assert points == {x for x, h in enumerate(horizons) if h == end}
         budget = max(1, chunk_floats // (point_floats * len(points)))
-        assert rows == budget or (rows < budget and stop in horizons)
+        assert [start for start, _ in chunks] == [0] + [a + b for a, b in chunks[:-1]]
+        assert sum(rows for _, rows in chunks) == end
+        for start, rows in chunks:
+            assert rows == budget or (rows < budget and start + rows == end)
 
 
 class TestSupField:
@@ -189,14 +192,14 @@ class TestSupField:
             built = SupBox(tuple(map(min, box.n_max, stabilization_periods(spec))),
                            box.stage_sets)
             horizons = _horizons(spec, built.n_max[0])
-            whole, chunks, point_floats = _build_in_chunks(monkeypatch, spec, built, 2**62)
-            # one chunk per distinct horizon
-            assert [start + rows for start, rows, _ in chunks] == sorted(set(horizons))
-            _assert_staircase(chunks, horizons, 2**62, point_floats)
+            whole, passes, point_floats = _build_in_chunks(monkeypatch, spec, built, 2**62)
+            # one chunk per class
+            assert all(chunks == [(0, end)] for end, _, chunks in passes)
+            _assert_classes(passes, horizons, 2**62, point_floats)
             row_floats = point_floats * spec.space.size
             for rows in (1, built.n_max[0] - 1) if built.n_max[0] > 1 else ():
-                got, chunks, _ = _build_in_chunks(monkeypatch, spec, built, rows * row_floats)
-                _assert_staircase(chunks, horizons, rows * row_floats, point_floats)
+                got, passes, _ = _build_in_chunks(monkeypatch, spec, built, rows * row_floats)
+                _assert_classes(passes, horizons, rows * row_floats, point_floats)
                 assert np.array_equal(got, whole)
             assert np.array_equal(sup_field(spec, box).values, whole)
             np.testing.assert_allclose(whole[:, 0], want, rtol=1e-12, atol=1e-12)
@@ -284,6 +287,7 @@ class TestOneSupPass:
         (SupBox((2, 2), ((0,),)), "one n_max per map"),
         (SupBox((2,), ((0,), (0,))), "one stage set per filtration"),
         (SupBox((2,), ((0, 3),)), "stage index 3 out of range"),
+        (SupBox((2,), ((-1,),)), "stage index -1 out of range"),
     ])
     def test_a_bad_prefix_is_refused_before_any_build(self, bad, message, monkeypatch):
         monkeypatch.setattr(ineq, "_build_sup_field", lambda *args: pytest.fail("built"))

@@ -1,7 +1,8 @@
 """Layout checks on the package source: no module imports a name it never
 uses, every exported name resolves, and every name the package exports is
 read by another module or documented in README.md. The first two catch what
-a deletion leaves behind, the third what a deletion should take.
+a deletion leaves behind, the third what a deletion should take, and so
+does the fourth: every top-level function and class is named elsewhere.
 `ergmart/__init__.py` imports names only to export them, so the first test
 skips it. The last test keeps the process pool out of the CLI's start-up."""
 import ast
@@ -95,6 +96,23 @@ def test_every_package_export_is_read():
               and not any(alias.name in read for name, read in reads.items()
                           if name != node.module)]
     assert not unread, f"ergmart/__init__.py exports names nothing else reads: {unread}"
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    """Each top-level function and class of the package is named on some
+    line of the package other than its own definition: code that nothing
+    calls, exports or mentions is dead."""
+    lines = [(name, k, line) for name in ["__init__", *MODULES]
+             for k, line in enumerate((PACKAGE / f"{name}.py").read_text().splitlines(), 1)]
+    unnamed = []
+    for name in MODULES:
+        for node in _tree(name).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(word.search(line) for where, k, line in lines
+                           if (where, k) != (name, node.lineno)):
+                    unnamed.append(f"{name}.{node.name}")
+    assert not unnamed, f"top-level definitions named nowhere else: {unnamed}"
 
 
 def test_cli_start_up_leaves_the_pool_modules_unloaded():

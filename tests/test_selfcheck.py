@@ -179,6 +179,14 @@ def test_unlisted_threads_keep_the_run_in_process(monkeypatch, pools):
     assert pools == []
 
 
+def test_a_platform_without_fork_runs_in_process(monkeypatch, pools):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(selfcheck, "_threads", lambda: 1)
+    _cpus(monkeypatch, 2)
+    assert run_selfcheck(budget=2).ok
+    assert pools == []
+
+
 def test_times_are_printed_only_with_the_flag(monkeypatch, capsys):
     result = run_selfcheck(budget=2)
     monkeypatch.setattr(cli, "run_selfcheck", lambda budget, seed: result)
