@@ -126,6 +126,23 @@ def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
     return box if n_max == box.n_max else SupBox(n_max, box.stage_sets)
 
 
+def _cut(spec: ProcessSpec, box: SupBox) -> SupBox:
+    """_period_box of the box, checked and cut once per spec and box, and
+    kept by the spec for every later check."""
+    cut = spec._cut_boxes.get(box)
+    if cut is None:
+        cut = spec._cut_boxes[box] = _period_box(spec, box)
+    return cut
+
+
+def _f_norm(spec: ProcessSpec, p: float) -> float:
+    """|f|_p of the spec, computed once per p and kept by the spec."""
+    norm = spec._f_norms.get(p)
+    if norm is None:
+        norm = spec._f_norms[p] = lp_norm(spec.f, p, spec.norm)
+    return norm
+
+
 def sup_field(spec: ProcessSpec, box: SupBox | None = None,
               prefixes: Sequence[SupBox] = ()) -> VectorObservable:
     """Pointwise max of the process norms over the box, monotone under box
@@ -138,8 +155,8 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None,
     as its own build, so bit for bit that field."""
     if box is None:
         box = default_box(spec)
-    box = _period_box(spec, box)
-    cut = {_period_box(spec, small) for small in prefixes}
+    box = _cut(spec, box)
+    cut = {_cut(spec, small) for small in prefixes}
     for small in cut:
         if (any(a > b for a, b in zip(small.n_max, box.n_max))
                 or any(ss != big[:len(ss)] for ss, big in zip(small.stage_sets, box.stage_sets))):
@@ -252,7 +269,7 @@ def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float
     bound is never understated."""
     if spec.weights is None:
         return 1.0, 1.0
-    observed = max(w.sup_abs(k) for w, k in zip(spec.weights, _period_box(spec, box).n_max))
+    observed = max(w.sup_abs(k) for w, k in zip(spec.weights, _cut(spec, box).n_max))
     envelope = max(w.amplitude_bound for w in spec.weights)
     return observed, envelope
 
@@ -362,7 +379,7 @@ def dominant_check(spec: ProcessSpec, p: float, box: SupBox | None = None) -> In
                               alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box)
     lhs = lp_norm(field, p, spec.norm)
-    rhs = const * lp_norm(spec.f, p, spec.norm)
+    rhs = const * _f_norm(spec, p)
     return InequalityReport(
         theorem_tag=_theorem_tag(spec, "dominant"),
         lhs=lhs, rhs=rhs, constant=const, p=p, epsilon=None,
@@ -385,7 +402,7 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
                              alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box).values[:, 0]
     mu = spec.space.weights
-    fnorm_p = lp_norm(spec.f, p, spec.norm) ** p
+    fnorm_p = _f_norm(spec, p) ** p
     tag = _theorem_tag(spec, "maximal")
     out = []
     for eps in eps_grid:

@@ -144,6 +144,17 @@ class ProcessSpec:
         return {}
 
     @functools.cached_property
+    def _cut_boxes(self) -> dict:
+        """Each sup box given for this spec, checked and cut to the periods
+        once by inequalities._period_box, under the box as given."""
+        return {}
+
+    @functools.cached_property
+    def _f_norms(self) -> dict:
+        """|f|_p of this spec by p, computed once by the inequality checks."""
+        return {}
+
+    @functools.cached_property
     def kernels(self) -> dict:
         """Innermost-map Cesaro kernels of this spec, filled by the grid
         evaluation and kept as long as the spec: under None the kernel of f
@@ -153,9 +164,11 @@ class ProcessSpec:
 
     @functools.cached_property
     def limit(self) -> VectorObservable:
-        """limit_target of this spec, computed on first use."""
-        [values] = _cells(self, [None], [self.last_stages])
-        return VectorObservable(self.space, values[0, 0])
+        """limit_target of this spec, computed on first use, or kept by the
+        first grid read that reached it (_cells)."""
+        for _ in _cells(self, [None], [self.last_stages]):
+            pass
+        return vars(self)["limit"]
 
     def __repr__(self):
         return (f"ProcessSpec({self.kind}, maps={self.d_maps}, "
@@ -176,7 +189,8 @@ def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
            s_vecs: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
     """Process values at every cell (n_vec, s_vec) of the grid, in chunks of
     consecutive n_vecs: arrays of shape (k, len(s_vecs), N, dim). An n_vec of
-    None (alone in its list) gives the limit of the averages.
+    None gives the limit of the averages, in the same pass as the lengths
+    beside it; read at the last stages, it is kept as the spec's limit.
 
     Every index is checked here, before any kernel is built; the values are
     computed chunk by chunk as they are read. The written operator order
@@ -214,10 +228,11 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
     rows = max(1, _CHUNK_FLOATS // (spec.f.values.size * (len(s_vecs) + entries * read)))
     for start in range(0, len(n_vecs), rows):
         chunk = n_vecs[start:start + rows]
-        if chunk[0] is None:
-            stack = kernel.average(None)[None]
-        else:
-            stack = kernel.average(np.array([n_vec[-1] for n_vec in chunk]))
+        # every row is the float of its own read, so a None row is read at
+        # length 1 and then overwritten by the limit
+        stack = kernel.average(np.array([1 if n_vec is None else n_vec[-1] for n_vec in chunk]))
+        if None in chunk:
+            stack[[k for k, n_vec in enumerate(chunk) if n_vec is None]] = kernel.average(None)
         if spec.d_maps > 1:
             outer = []
             for n_vec, values in zip(chunk, stack):
@@ -226,13 +241,22 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
                         None if n_vec is None else n_vec[j])
                 outer.append(values)
             stack = np.stack(outer)
-        yield _conditioned(spec, stack, s_vecs) if me else stack
+        if me:
+            stack = _conditioned(spec, stack, s_vecs)
+        if None in chunk and spec.last_stages in s_vecs and "limit" not in vars(spec):
+            vars(spec)["limit"] = VectorObservable(
+                spec.space, stack[chunk.index(None), s_vecs.index(spec.last_stages)])
+        yield stack
         stack = outer = values = None  # the next chunk is built without this one
 
 
 def _conditioned(spec: ProcessSpec, values: np.ndarray, s_vecs) -> np.ndarray:
     """A stack (..., N, dim) conditioned at every s_vec (the composition of
-    averages.composite_cond_expect), on a new stage axis before (N, dim)."""
+    averages.composite_cond_expect), on a new stage axis before (N, dim).
+    With one filtration every stage is one conditioning of the stack, whose
+    mass-weighted product all stages read, so one call gives them all."""
+    if spec.m_filtrations == 1:
+        return conditioned(values, spec.filtrations, [[s for (s,) in s_vecs]])
     return np.stack([conditioned(values, spec.filtrations, [(s,) for s in s_vec]).reshape(
         values.shape) for s_vec in s_vecs], axis=values.ndim - 2)
 

@@ -2,20 +2,25 @@
 
 The fuzz and the eight sections depend on nothing but their own seeds, so
 they run as nine tasks on up to min(usable CPUs, 9) worker processes forked
-from the caller, the longest first; the results are collected in the serial
+from the caller for each call and waited for before it returns. The workers
+take the tasks, longest first, from one pipe and send their results back
+each through a pipe of its own; the results are collected in the serial
 order, so the lines are the same. Workers are forked, not spawned: a spawned
-pool imports numpy and the package again in each worker, which takes about
-as long as a whole budget-50 run, and a forked worker sees the caller's
-patched functions. The tasks run in process instead when fewer than two CPUs
-are usable, when the platform cannot fork, when the process runs any other
-thread (forking a threaded process is unsafe, and Python 3.12 warns about
-it), or when the caller has wrapped one of the package's functions (what a
-tracer or a spy records in a worker would stay there). Threads are counted
-as the OS lists them, so a threaded BLAS's workers count: with numpy, the
-pool needs a single-threaded BLAS, e.g. `OPENBLAS_NUM_THREADS=1`."""
+worker imports numpy and the package again, which takes about as long as a
+whole budget-50 run, and a forked worker sees the caller's patched
+functions. No thread is started. The tasks run in process instead when fewer
+than two CPUs are usable, when the platform cannot fork, when the process
+runs any other thread (forking a threaded process is unsafe, and Python 3.12
+warns about it), or when the caller has wrapped one of the package's
+functions (what a tracer or a spy records in a worker would stay there).
+Threads are counted as the OS lists them, so a threaded BLAS's workers
+count: with numpy, a forked run needs a single-threaded BLAS, e.g.
+`OPENBLAS_NUM_THREADS=1`."""
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,7 +38,7 @@ class SelfcheckResult:
     lines: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
-    # wall seconds per section, the fuzz under "inequality fuzz"; pooled
+    # wall seconds per section, the fuzz under "inequality fuzz"; forked
     # sections overlap, so their sum may exceed `elapsed`
     section_s: dict[str, float] = field(default_factory=dict)
 
@@ -46,8 +51,7 @@ class SelfcheckResult:
                          for name, seconds in self.section_s.items())
 
 
-# A task is a module-level function and its arguments, so a pool can pickle
-# it. Sections are named by their index: a worker reads SECTIONS as the
+# Sections are named by their index: a worker reads SECTIONS as the
 # caller had it when it forked, patched or wrapped functions included.
 
 def _run_section(k: int, seed: int, budget: int):
@@ -89,26 +93,96 @@ def _wrapped() -> bool:
 
 
 def _run_tasks(tasks: list) -> list:
-    """The tasks' results in task order, from a pool forked for this call
-    and shut down before it returns, or in process (see the module doc)."""
+    """The tasks' results in task order, from workers forked for this call
+    and waited for before it returns, or in process (see the module doc)."""
     workers = min(_usable_cpus(), len(tasks))
     if workers < 2 or not hasattr(os, "fork") or _threads() != 1 or _wrapped():
         return [task() for task in tasks]
-    import multiprocessing  # imported here: the CLI's start-up does without it
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    return _forked(tasks, workers)
+
+
+def _forked(tasks: list, workers: int) -> list:
+    """Runs the tasks on `workers` forked processes. The indices wait in one
+    pipe, a byte each, whose write end is closed before the first fork, so a
+    worker reads until EOF; each worker pickles {index: (ok, result or
+    exception)} into its own pipe. Raises the exception of the first failing
+    task in task order, or a RuntimeError naming a worker that ended without
+    sending its results or could not pickle them."""
+    queue, feed = os.pipe()
     try:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+        os.write(feed, bytes(range(len(tasks))))
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        # the OS lists the pool's joined threads for up to a few ms more,
-        # and a call that finds them runs in process; nothing else runs
-        # threads here, so wait (at most a second) until it lists this one
-        deadline = time.monotonic() + 1.0
-        while _threads() > 1 and time.monotonic() < deadline:
-            time.sleep(1e-4)
+        os.close(feed)
+    outs: dict[int, int] = {}  # pid -> read end of the worker's pipe
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(tasks, queue, write, [read, *outs.values()])
+            os.close(write)
+            outs[pid] = read
+        sent = {pid: _read_all(read) for pid, read in outs.items()}
+    except BaseException:
+        for pid in outs:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for read in outs.values():
+            os.close(read)
+        statuses = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in outs}
+    results: dict[int, tuple] = {}
+    for pid, data in sent.items():
+        if statuses[pid] != 0 or not data:
+            how = (f"was killed by signal {-statuses[pid]}" if statuses[pid] < 0
+                   else f"exited with status {statuses[pid]}")
+            raise RuntimeError(f"selfcheck worker {pid} {how} before it sent its results")
+        results.update(pickle.loads(data))
+    for ok, value in (results[k] for k in range(len(tasks))):
+        if not ok:
+            raise value
+    return [results[k][1] for k in range(len(tasks))]
+
+
+def _work(tasks: list, queue: int, out: int, inherited: list[int]) -> None:
+    """A worker's whole life: it runs the tasks whose indices it reads from
+    `queue`, sends their outcomes through `out` and exits, never returning
+    into the caller; any failure ends it with status 1."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        outcomes = {}
+        while index := os.read(queue, 1):
+            try:
+                outcomes[index[0]] = (True, tasks[index[0]]())
+            except Exception as exc:
+                outcomes[index[0]] = (False, exc)
+        try:
+            data = pickle.dumps(outcomes)
+        except Exception as exc:
+            # what cannot be sent fails every task this worker took, by name
+            error = RuntimeError(f"selfcheck worker {os.getpid()} could not send "
+                                 f"its results: {exc!r}")
+            data = pickle.dumps({k: (False, error) for k in outcomes})
+        with open(out, "wb", closefd=False) as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def run_selfcheck(budget: int = 100, seed: int = 20240801) -> SelfcheckResult:

@@ -1,17 +1,15 @@
-"""Runs the selfcheck pooled and in process, in the cases the pool must
-handle, and prints what each run said as one JSON object on stdout;
-`test_selfcheck.py` reads it. The pool needs a process with no thread but
-its own, so run it in a fresh interpreter whose BLAS runs one thread, with
-every warning an error:
+"""Runs the selfcheck on forked workers and in process, in the cases the
+workers must handle, and prints what each run said as one JSON object on
+stdout; `test_selfcheck.py` reads it. A run forks only from a process with
+no thread but its own, so run this in a fresh interpreter whose BLAS runs
+one thread, with every warning an error:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
         PYTHONPATH=src python -W error tests/selfcheck_pool_probe.py
 """
 import _thread
-import concurrent.futures
 import functools
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -21,25 +19,29 @@ import ergmart.inequalities as ineq
 import ergmart.selfcheck as selfcheck
 from ergmart.selfcheck import run_selfcheck
 
-POOLS = []  # the worker count of every pool made, in order
+FORKS = []  # the pid of every worker forked, in order
+_real_fork = os.fork
 
 
-class SpyPool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers=None, **kwargs):
-        POOLS.append(max_workers)
-        super().__init__(max_workers, **kwargs)
+def _spy_fork():
+    pid = _real_fork()
+    if pid:
+        FORKS.append(pid)
+    return pid
 
 
-concurrent.futures.ProcessPoolExecutor = SpyPool
+os.fork = _spy_fork
 
 
 def run(cpus, **kwargs):
-    """A run on `cpus` usable CPUs: what it reported and the pools it made."""
+    """A run on `cpus` usable CPUs: what it reported, the workers it forked
+    and the threads the OS lists as soon as it returns."""
     selfcheck._usable_cpus = lambda: cpus
-    made = len(POOLS)
+    made = len(FORKS)
     res = run_selfcheck(**kwargs)
     return {"lines": res.lines, "failures": res.failures, "ok": res.ok,
-            "section_s": res.section_s, "elapsed": res.elapsed, "pools": POOLS[made:]}
+            "section_s": res.section_s, "elapsed": res.elapsed,
+            "forks": len(FORKS) - made, "threads": selfcheck._threads()}
 
 
 def pairs():
@@ -64,12 +66,30 @@ def _broken_section(seed, budget):
     raise SectionBroke(f"section broke at seed {seed}")
 
 
-def raising_section(cpus):
+def _exiting_section(seed, budget):
+    os._exit(3)
+
+
+def _unpicklable_section(seed, budget):
+    return (lambda: None), 0.0
+
+
+def _no_child() -> str:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        return "returned"
+    except ChildProcessError:
+        return "ChildProcessError"
+
+
+def failing_section(cpus, section):
+    """A run whose fourth section is `section`: what it raised, the workers
+    it forked, and whether a child is left."""
     real = selfcheck.SECTIONS
     sections = list(real)
-    sections[3] = (sections[3][0], _broken_section)
+    sections[3] = (sections[3][0], section)
     selfcheck.SECTIONS = sections
-    made = len(POOLS)
+    made = len(FORKS)
     try:
         run(cpus, budget=20)
         raised = None
@@ -77,13 +97,7 @@ def raising_section(cpus):
         raised = [type(exc).__name__, str(exc)]
     finally:
         selfcheck.SECTIONS = real
-    try:
-        os.waitpid(-1, os.WNOHANG)
-        waitpid = "returned"
-    except ChildProcessError:
-        waitpid = "ChildProcessError"
-    return {"raised": raised, "pools": POOLS[made:], "waitpid": waitpid,
-            "children": len(multiprocessing.active_children())}
+    return {"raised": raised, "workers": FORKS[made:], "waitpid": _no_child()}
 
 
 def wrapped():
@@ -106,18 +120,14 @@ def wrapped():
 
 def with_thread(start):
     """A run while another thread, started by `start(target)`, waits."""
-    forks = []
-    real_fork = os.fork
-    os.fork = lambda: forks.append(1) or real_fork()
     lock = threading.Lock()
     lock.acquire()
     start(lock.acquire)
     try:
         seen = threading.active_count()
-        return {**run(2, budget=2), "forks": len(forks), "threading_counts": seen}
+        return {**run(2, budget=2), "threading_counts": seen}
     finally:
         lock.release()
-        os.fork = real_fork
         deadline = time.monotonic() + 10
         while selfcheck._threads() > 1 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -125,8 +135,12 @@ def with_thread(start):
 
 if __name__ == "__main__":
     out = {"threads": selfcheck._threads(), "pairs": pairs(), "mutation": mutation(),
-           "raising": {"in process": raising_section(1), "pooled": raising_section(2)},
-           "back to back": [run(2, budget=2)["pools"] for _ in range(5)],
+           "raising": {"in process": failing_section(1, _broken_section),
+                       "pooled": failing_section(2, _broken_section)},
+           "exiting": failing_section(2, _exiting_section),
+           "unpicklable": failing_section(2, _unpicklable_section),
+           "back to back": [run(2, budget=2)["forks"] for _ in range(5)],
+           "many cpus": run(64, budget=2)["forks"],
            "wrapped": wrapped(),
            "python thread": with_thread(lambda target: threading.Thread(target=target).start()),
            # a thread `threading` does not list, as a BLAS's workers are

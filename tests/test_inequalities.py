@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergmart.fuzz as fuzz
 import ergmart.inequalities as ineq
 from ergmart.averages import BesicovitchWeights
 from ergmart.config import build_experiment
@@ -276,6 +277,30 @@ class TestOneSupPass:
         report = run_inequality_fuzz(budget=60)
         assert report.ok
         assert len(builds) == len(set(builds)) == 60
+
+    def test_each_box_is_cut_once_per_fuzz_instance(self, monkeypatch):
+        # the box and its two truncations; every check read them again, 1,970
+        # cuts for the 200 instances
+        cuts = []
+        real_cut = ineq._period_box
+        monkeypatch.setattr(ineq, "_period_box",
+                            lambda *args: cuts.append(args) or real_cut(*args))
+        assert run_inequality_fuzz(budget=200, seed=1).ok
+        assert len(cuts) == len(set(cuts)) == 600
+
+    def test_the_norm_of_f_once_per_fuzz_instance(self, monkeypatch):
+        # each instance checks at one p; every check took |f|_p again, 198
+        # of the 348 norms of a budget-50 run
+        made, norms = [], []
+        real_instance, real_norm = fuzz.random_process_instance, ineq.lp_norm
+        monkeypatch.setattr(fuzz, "random_process_instance",
+                            lambda *args: (lambda inst: made.append(inst.spec.f) or inst)(
+                                real_instance(*args)))
+        monkeypatch.setattr(ineq, "lp_norm",
+                            lambda f, *args: norms.append(f) or real_norm(f, *args))
+        assert run_inequality_fuzz(budget=50).ok
+        own = [f for f in norms if any(f is g for g in made)]
+        assert len(made) == len(own) == 50 and len(norms) == 200
 
     def test_a_box_that_is_not_a_prefix_is_refused(self):
         spec = me_spec()

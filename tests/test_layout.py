@@ -4,7 +4,8 @@ read by another module or documented in README.md. The first two catch what
 a deletion leaves behind, the third what a deletion should take, and so
 does the fourth: every top-level function and class is named elsewhere.
 `ergmart/__init__.py` imports names only to export them, so the first test
-skips it. The last test keeps the process pool out of the CLI's start-up."""
+skips it. The last test keeps a process pool's modules out of the CLI's
+start-up and out of a selfcheck on forked workers."""
 import ast
 import importlib
 import os
@@ -116,14 +117,24 @@ def test_every_top_level_definition_is_named_elsewhere():
 
 
 def test_cli_start_up_leaves_the_pool_modules_unloaded():
-    """`ergmart.cli` imports the selfcheck, which imports its process pool
-    only when a selfcheck runs; every `ergmart run` would pay for it."""
-    env = dict(os.environ)
+    """`ergmart.cli` starts without a process pool's modules, and a
+    selfcheck on forked workers does not load them either: the workers are
+    forked with `os` alone, so `multiprocessing` and `concurrent.futures`
+    stay out of every run."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("the selfcheck forks only where the OS lists a process's threads")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
-    probe = ("import sys, ergmart.cli; "
-             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         timeout=60, env=env)
+    probe = ("import os, sys, ergmart.cli, ergmart.selfcheck as sc\n"
+             "pool = {'multiprocessing', 'concurrent.futures'}\n"
+             "print(sorted(pool & set(sys.modules)))\n"
+             "forks, fork = [], os.fork\n"
+             "os.fork = lambda: forks.append(1) or fork()\n"
+             "sc._usable_cpus = lambda: 2\n"
+             "assert sc.run_selfcheck(budget=2).ok\n"
+             "print(len(forks), sorted(pool & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-W", "error", "-c", probe], capture_output=True,
+                         text=True, timeout=60, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.splitlines() == ["[]", "2 []"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ergmart.averages as averages_module
+import ergmart.invariants as invariants
 import ergmart.processes as processes_module
 from ergmart.averages import (
     BesicovitchWeights,
@@ -574,3 +575,44 @@ class TestKeptTables:
     def test_limit_target_is_kept(self):
         spec = em_spec()
         assert limit_target(spec) is limit_target(spec)
+
+
+class TestConditioningPasses:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_limit_read_beside_lengths_is_the_limit_bit_for_bit(self, family):
+        for seed in range(6):
+            spec = random_process_instance(seed, family).spec
+            period = max(spec.periods())
+            n_vecs = [(1,) * spec.d_maps, None, (period + 1,) * spec.d_maps]
+            s_vecs = [(0,) * spec.m_filtrations, spec.last_stages]
+            values = np.concatenate(list(processes_module._cells(spec, n_vecs, s_vecs)))
+            kept = spec.limit.values  # kept by the read, not computed again
+            fresh = limit_target(random_process_instance(seed, family).spec).values
+            assert kept.tobytes() == fresh.tobytes() == values[1, 1].tobytes()
+            for k in (0, 2):
+                for j, s_vec in enumerate(s_vecs):
+                    cell = evaluate(spec, n_vecs[k], s_vec).values
+                    assert cell.tobytes() == values[k, j].tobytes()
+
+    def test_process_convergence_conditions_seven_times_per_instance(self, monkeypatch):
+        # 25 instances: the limit came from a pass of its own three times per
+        # instance, 10 passes where 7 do
+        calls = []
+        real = processes_module._conditioned
+        monkeypatch.setattr(processes_module, "_conditioned",
+                            lambda *args: calls.append(1) or real(*args))
+        assert all(line.ok for line in invariants.process_convergence(5, 50))
+        assert len(calls) == 175
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    def test_one_filtration_conditions_every_stage_in_one_call(self, monkeypatch, kind):
+        passes, calls = [], []
+        real_pass, real_call = processes_module._conditioned, processes_module.conditioned
+        monkeypatch.setattr(processes_module, "_conditioned",
+                            lambda *args: passes.append(1) or real_pass(*args))
+        monkeypatch.setattr(processes_module, "conditioned",
+                            lambda *args: calls.append(args[2]) or real_call(*args))
+        spec = ProcessSpec.single(kind, F1357, CYC, FILT3)
+        convergence_trace(spec, (1, 2, 5), (0, 1, 2))
+        assert len(passes) == len(calls) == 2  # the limit's, and the trace's
+        assert calls[-1] == [[0, 1, 2]]

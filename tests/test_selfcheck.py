@@ -1,11 +1,11 @@
 """The work one selfcheck does, the section times it keeps and prints, what
-its lines check, and that its pooled run says what the in-process run says,
-leaves no process behind and is made only where forking is safe.
+its lines check, and that its run on forked workers says what the
+in-process run says, leaves no process or thread behind and forks only
+where forking is safe.
 
-Runs that must pool read `selfcheck_pool_probe.py`, run once in a fresh
+Runs that must fork read `selfcheck_pool_probe.py`, run once in a fresh
 interpreter whose BLAS runs one thread: this process's BLAS may run more,
 and a run forks only from a process with no other thread."""
-import concurrent.futures
 import json
 import os
 import re
@@ -37,7 +37,7 @@ def _cpus(monkeypatch, n):
 def probe():
     """What `selfcheck_pool_probe.py` printed, by case."""
     if not os.path.isdir("/proc/self/task"):
-        pytest.skip("the selfcheck pools only where the OS lists a process's threads")
+        pytest.skip("the selfcheck forks only where the OS lists a process's threads")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = Path(selfcheck.__file__).parents[1]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -49,19 +49,22 @@ def probe():
     return out
 
 
+class Refused(Exception):
+    pass
+
+
 @pytest.fixture
-def pools(monkeypatch):
-    """The process pools that runs create, as a list of their sizes."""
-    made = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+def forks(monkeypatch):
+    """The forks that runs ask for, each refused: this process may run
+    other threads, so it must not fork."""
+    asked = []
 
-    class SpyPool(real_pool):
-        def __init__(self, max_workers=None, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def refuse():
+        asked.append(1)
+        raise Refused
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    return made
+    monkeypatch.setattr(os, "fork", refuse)
+    return asked
 
 
 def _same_run(serial, pooled):
@@ -97,7 +100,7 @@ def test_section_times_are_kept_per_section(monkeypatch):
 
 def test_pooled_section_times_overlap(probe):
     pooled = probe["pairs"]["2/1"][1]
-    assert pooled["pools"] == [2]
+    assert pooled["forks"] == 2
     assert list(pooled["section_s"]) == [name for name, _ in SECTIONS] + ["inequality fuzz"]
     assert all(0.0 <= t <= pooled["elapsed"] for t in pooled["section_s"].values())
 
@@ -106,56 +109,69 @@ def test_pooled_section_times_overlap(probe):
 @pytest.mark.parametrize("seed", [1, 2, 20240801])
 def test_pooled_run_matches_the_in_process_run(probe, budget, seed):
     serial, pooled = probe["pairs"][f"{budget}/{seed}"]
-    assert serial["pools"] == [] and pooled["pools"] == [2]
+    assert serial["forks"] == 0 and pooled["forks"] == 2
+    # the workers start no thread and are waited for: the caller is alone
+    assert pooled["threads"] == 1
     _same_run(serial, pooled)
 
 
 def test_back_to_back_runs_each_pool(probe):
-    # a run that found the last pool's exiting threads would run in process
-    assert probe["back to back"] == [[2]] * 5
+    # a run that found another thread of the last one's would run in process
+    assert probe["back to back"] == [2] * 5
 
 
-def test_the_pool_has_one_worker_per_task_at_most(monkeypatch):
-    asked = []
-
-    class Refused(Exception):
-        pass
-
-    def no_pool(max_workers, **kwargs):
-        asked.append(max_workers)
-        raise Refused
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+def test_the_pool_has_one_worker_per_task_at_most(probe, monkeypatch, forks):
+    # on 64 CPUs, nine workers for the nine tasks
+    assert probe["many cpus"] == len(SECTIONS) + 1
+    # a refused fork is raised, with the run's pipes closed
     monkeypatch.setattr(selfcheck, "_threads", lambda: 1)
     _cpus(monkeypatch, 64)
+    fds = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(Refused):
         run_selfcheck(budget=2)
-    assert asked == [len(SECTIONS) + 1]
+    assert forks == [1]
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_pooled_run_reports_a_mutation_as_the_in_process_run_does(probe):
     # ineq.maximal_constant scaled by 0.9
     serial, pooled = probe["mutation"]
-    assert serial["pools"] == [] and pooled["pools"] == [2]
+    assert serial["forks"] == 0 and pooled["forks"] == 2
     assert not serial["ok"] and serial["failures"]
     assert ([line for line in pooled["lines"] if line.startswith("[FAIL]")]
             == [line for line in serial["lines"] if line.startswith("[FAIL]")])
     _same_run(serial, pooled)
 
 
-@pytest.mark.parametrize("case, pools", [("in process", []), ("pooled", [2])])
-def test_a_raising_section_raises_and_leaves_no_process(probe, case, pools):
+@pytest.mark.parametrize("case, workers", [("in process", 0), ("pooled", 2)])
+def test_a_raising_section_raises_and_leaves_no_process(probe, case, workers):
     raised = probe["raising"][case]
-    assert raised["pools"] == pools
+    assert len(raised["workers"]) == workers
     assert raised["raised"] == ["SectionBroke", "section broke at seed 20240804"]
-    assert raised["children"] == 0 and raised["waitpid"] == "ChildProcessError"
+    assert raised["waitpid"] == "ChildProcessError"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("exiting", r"selfcheck worker (\d+) exited with status 3 before it sent its results"),
+    ("unpicklable", r"selfcheck worker (\d+) could not send its results: .*pickle.*"),
+])
+def test_a_dying_or_unsendable_worker_is_named_and_reaped(probe, case, message):
+    # a task that ends its worker, or returns what pickle refuses: the run
+    # raises, names the worker, and leaves no child
+    failed = probe[case]
+    assert len(failed["workers"]) == 2
+    kind, text = failed["raised"]
+    named = re.fullmatch(message, text)
+    assert kind == "RuntimeError" and named
+    assert int(named.group(1)) in failed["workers"]
+    assert failed["waitpid"] == "ChildProcessError"
 
 
 @pytest.mark.parametrize("case", ["python thread", "unlisted thread"])
 def test_a_threaded_caller_runs_in_process(probe, case):
     # the unlisted thread is one `threading` does not count, as a BLAS's are
     threaded = probe[case]
-    assert threaded["pools"] == [] and threaded["forks"] == 0
+    assert threaded["forks"] == 0
     assert threaded["threading_counts"] == (2 if case == "python thread" else 1)
     _same_run(probe["pairs"]["2/20240801"][0], threaded)
 
@@ -163,11 +179,11 @@ def test_a_threaded_caller_runs_in_process(probe, case):
 def test_a_wrapped_function_runs_in_process(probe):
     # what a tracer's or a spy's wrapper counts in a worker would be lost
     wrapped = probe["wrapped"]
-    assert wrapped["pools"] == [] and wrapped["calls"] > 0
+    assert wrapped["forks"] == 0 and wrapped["calls"] > 0
     _same_run(probe["pairs"]["2/20240801"][0], wrapped)
 
 
-def test_unlisted_threads_keep_the_run_in_process(monkeypatch, pools):
+def test_unlisted_threads_keep_the_run_in_process(monkeypatch, forks):
     # where the OS's thread list cannot be read, other threads may run
     def unreadable(path):
         raise PermissionError(path)
@@ -176,15 +192,15 @@ def test_unlisted_threads_keep_the_run_in_process(monkeypatch, pools):
     _cpus(monkeypatch, 2)
     assert selfcheck._threads() == 0
     assert run_selfcheck(budget=2).ok
-    assert pools == []
+    assert forks == []
 
 
-def test_a_platform_without_fork_runs_in_process(monkeypatch, pools):
+def test_a_platform_without_fork_runs_in_process(monkeypatch, forks):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(selfcheck, "_threads", lambda: 1)
     _cpus(monkeypatch, 2)
     assert run_selfcheck(budget=2).ok
-    assert pools == []
+    assert forks == []
 
 
 def test_times_are_printed_only_with_the_flag(monkeypatch, capsys):
@@ -214,7 +230,8 @@ def test_a_wrong_value_mid_path_fails_the_monotone_path_line(monkeypatch):
     def grid_with_a_wrong_middle(spec, n1s, n2s):
         grid = real_grid(spec, n1s, n2s)
         order = orbit_lcm(spec.maps[0])
-        if tuple(n1s) == default_n1_grid(order):
+        # the path's read ends in the limit, an n1 of None
+        if tuple(n for n in n1s if n is not None) == default_n1_grid(order):
             grid[list(n1s).index(2 * order)] += 1e-6
             patched.append(order)
         return grid
