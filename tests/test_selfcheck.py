@@ -154,7 +154,7 @@ def test_a_raising_section_raises_and_leaves_no_process(probe, case, workers):
 @pytest.mark.parametrize("case, message", [
     ("exiting", r"selfcheck worker (\d+) exited with status 3 before it sent its results"),
     ("unpicklable", r"selfcheck worker (\d+) could not send its results: .*pickle.*"),
-])
+], ids=["exiting", "unpicklable"])
 def test_a_dying_or_unsendable_worker_is_named_and_reaped(probe, case, message):
     # a task that ends its worker, or returns what pickle refuses: the run
     # raises, names the worker, and leaves no child
