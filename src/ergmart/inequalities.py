@@ -20,9 +20,37 @@ the sup at x, and the sup pass builds each point's outermost axis only up to
 min(n_max_1, H_x); with an irrational frequency H_x is n_max_1. Only that
 outermost axis is cut when there are several maps: an inner A_{n_j} is a
 convex combination of A_{P_j} and A_r at every point, and the outer
-averages are linear, so the inner axes keep the cut to P_j. When the
-averaging comes first (martingale-ergodic), the outer conditioning mixes the
-points of a block, so every point runs to n_max_1.
+averages are linear, so the inner axes keep the cut to P_j.
+
+When the averaging comes first (martingale-ergodic), the outer conditioning
+mixes the points of a block, so all points share the outermost axis. With
+one map and one filtration that axis is read in rounds of 64, 128, 256, ...
+rows and stops after the first round n_0 at which an exact certificate
+shows that no later row raises the field. With S_n(y) = sum_{i<n} a_i
+f(T^i y) and l(y) = S_{H_y}(y) / H_y the limit, S_n - n l has period H_y,
+so |A_n f(y) - l(y)|_q <= R_y / n with R_y = max_{r <= H_y} |S_r - r l|_q.
+A cycle C inside a block B, where mu is constant, adds (W_n / n) mu(C)
+mean_C f to mu(B) E[A_n f | B], W_n = sum_{i<n} a_i, and w mu(C) mean_C f
+to its limit, w the weights' mean, with |W_n - n w| <= D_w. Hence
+
+    |E[A_n f | B] - E[l | B]|_q <= R_B / n   for every n,
+
+R_B the mu-mean over B of R_y on the cycles that B cuts plus D_w |a_B|_q,
+a_B the share of E[f | B] of the cycles inside B (unweighted D_w = 0). A
+block is closed once |E[l | B]|_q + R_B / n_0, plus the float margin of
+_row_error, lies below the field at each of its points, so no computed row
+past n_0 raises the field, which is the full pass's bit for bit. R_y comes
+from one unconditioned pass of each point to H_y, once per spec.
+
+A pass of more than _EXACT_ROWS point rows, one that would run for longer
+than the 30 s the configs are run under, also closes a block once n_0
+reaches H_B, the lcm of the weight period and of H_y on the cycles that B
+cuts: E[A_n f | B] - E[l | B] is then V(n) / n with V of period H_B and
+V(H_B) = 0, so each later row lies on a segment from E[l | B] to a row at
+n <= H_B, as above. That stop is exact up to the rounding of the rows it
+skips. Irrational frequencies, weights whose period passes n_max_1,
+several maps or filtrations, and a box that ends inside the first round
+run every point to n_max_1.
 
 Constant catalog (see the README table):
   Thm2.4 / Thm3.4   dominant, single parameter       (p/(p-1))^2
@@ -34,17 +62,18 @@ Constant catalog (see the README table):
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .averages import (_CHUNK_FLOATS, check_stages, composite_block_means, conditioned,
-                       running_weighted_averages)
+from .averages import (_CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages,
+                       composite_block_means, conditioned, running_weighted_averages)
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, point_norms
-from .operators import Endomorphism
+from .operators import Endomorphism, block_means
 from .processes import MARTINGALE_ERGODIC, ProcessSpec
 
 __all__ = [
@@ -66,6 +95,15 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# rows of the first round of a martingale-ergodic pass that may stop early;
+# each later round ends where the rows read so far double
+_FIRST_ROUND = 64
+# point rows (rows times points) of a martingale-ergodic pass past which a
+# block may also close at its own period: a full pass reads 66-80 ns per
+# point row (4 stages, dim 2, one thread, high_order_128 and cuts of
+# high_order_2048), so one this long runs for 36-43 s
+_EXACT_ROWS = 2**29
+_U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 @dataclass(frozen=True)
@@ -167,57 +205,98 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None,
     return spec.sup_fields[box]
 
 
-def _horizon_classes(spec: ProcessSpec, n: int) -> list[tuple[int, np.ndarray]]:
-    """The points of a build up to n, grouped by their last row H on the
-    outermost averaging axis (see the module docstring): (H, points) pairs,
-    H ascending, the points of each class ascending. Condition-then-average:
-    H_x = min(n, lcm(L_x, weight period)) with L_x the length of x's cycle
-    under the first map, or n when that map's weights have no period.
-    Average-then-condition: n, as its outermost conditioning mixes the
-    points of a block. A uniform build is one class of every point."""
+def _horizons(spec: ProcessSpec) -> np.ndarray | None:
+    """H_x = lcm(L_x, weight period) of every point x, with L_x the length
+    of x's cycle under the first map: after H_x steps both the orbit and the
+    weights repeat, so the Cesaro sum S_n(x) - n l(x) has period H_x. None
+    when the first map's weights have no period."""
     lay = spec.maps[0].cycle_layout
     period = 1 if spec.weights is None else spec.weights[0].period
-    if spec.kind == MARTINGALE_ERGODIC or period is None:
-        ends = np.full(spec.space.size, n)
-    else:
-        ends = np.array([min(n, math.lcm(int(length), period))
-                         for length in lay.distinct_lengths])[lay.length_class]
+    if period is None:
+        return None
+    return np.array([math.lcm(int(length), period)
+                     for length in lay.distinct_lengths])[lay.length_class]
+
+
+def _horizon_classes(ends: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The points grouped by their last outermost row: (H, points) pairs, H
+    ascending, the points of each class ascending. Condition-then-average
+    builds each point x to min(n_max_1, H_x), n_max_1 when H_x is None (see
+    the module docstring); the certificate of average-then-condition
+    (_point_bounds) streams each point to H_x itself."""
     order = np.argsort(ends, kind="stable")
     return [(int(ends[points[0]]), points)
             for points in np.split(order, np.flatnonzero(np.diff(ends[order])) + 1)]
 
 
-def _outer_chunks(inner: np.ndarray, t: Endomorphism, alpha: np.ndarray | None,
-                  end: int, points: np.ndarray,
+def _outer_chunks(inner: np.ndarray, t: Endomorphism, alphas: Iterable[np.ndarray | None],
+                  rounds: Sequence[int], points: np.ndarray,
                   copies: int) -> Iterator[tuple[int, np.ndarray]]:
     """(first row, chunk) of the running averages of `inner` under the
-    outermost map t at `points`, rows 0..end-1, in consecutive chunks along
-    the averaging axis, each with `points` on its point axis. A chunk holds
-    about _CHUNK_FLOATS floats, counting each float `copies` times for the
-    stacks built from it, and each row's int64 gather index (one entry per
-    point of every stack entry) as floats too."""
+    outermost map t at `points`, rows 0..rounds[-1]-1, in consecutive chunks
+    along the averaging axis, each with `points` on its point axis. No chunk
+    crosses a round end (`rounds` ascend). `alphas` gives each round's
+    weights, read at least to its end (None unweighted), and is advanced as
+    the round starts, so a caller that stops after a round reads no weight
+    past it from a lazy one. A chunk holds about _CHUNK_FLOATS floats,
+    counting each float `copies` times for the stacks built from it, and
+    each row's int64 gather index (one entry per point of every stack entry)
+    as floats too."""
+    rows, carry, start = _chunk_rows(inner, len(points), copies), [], 0
+    for stop, alpha in zip(rounds, alphas):
+        for first in range(start, stop, rows):
+            yield first, running_weighted_averages(inner, t, alpha, min(stop, first + rows),
+                                                   first, carry, points)
+        start = stop
+
+
+def _chunk_rows(inner: np.ndarray, points: int, copies: int) -> int:
+    """Rows of an _outer_chunks chunk over `points` points."""
     per_point = (inner.size * copies + inner.size // inner.shape[-1]) // inner.shape[-2]
-    rows, carry = max(1, _CHUNK_FLOATS // (per_point * len(points))), []
-    for start in range(0, end, rows):
-        yield start, running_weighted_averages(inner, t, alpha, min(end, start + rows),
-                                               start, carry, points)
+    return max(1, _CHUNK_FLOATS // (per_point * points))
+
+
+def _rounds(spec: ProcessSpec, box: SupBox, rows: int) -> tuple[int, ...]:
+    """The row ends at which a sup pass over the box, in chunks of `rows`
+    rows, may stop: after about _FIRST_ROUND rows and then each time the
+    rows read so far double, in whole chunks once a round holds one, for a
+    martingale-ergodic spec of one map and one filtration whose weights
+    repeat within n_max_1 rows; (n_max_1,) for any other pass, and for a box
+    that ends inside the first round."""
+    end = box.n_max[0]
+    if spec.kind != MARTINGALE_ERGODIC or spec.is_multi:
+        return (end,)
+    period = 1 if spec.weights is None else spec.weights[0].period
+    if period is None or period > end:
+        return (end,)
+    stops = [_FIRST_ROUND if rows > _FIRST_ROUND else _FIRST_ROUND // rows * rows]
+    while stops[-1] < end:
+        stops.append(stops[-1] * 2 if stops[-1] < rows else stops[-1] + stops[-1] // rows * rows)
+    return (*stops[:-1], end)
 
 
 def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> VectorObservable:
     """One streamed pass over the box as given (sup_field hands it the box
     cut to the periods): the inner maps' averaging axes are built whole, the
-    outermost one chunk by chunk, one pass from row 0 per class of points
-    that share a last row (one class, up to n_max_1, when the conditioning
-    comes after the averaging), and each chunk's norms are folded into the
+    outermost one chunk by chunk, and each chunk's norms are folded into the
     running pointwise max of the box and of each prefix box, whose fields
-    are kept on the spec."""
+    are kept on the spec.
+
+    Condition-then-average: one pass from row 0 per class of points that
+    share a last row min(n_max_1, H_x). Average-then-condition: one pass of
+    every point, in the rounds of _rounds. It stops at the end of the first
+    round n_0 after which the certificate (_certified) shows that no later
+    row raises any box's field; else it runs to n_max_1. Either way each
+    field is a max over a prefix of the full pass's floats. The outermost
+    map's weights are read once, up to the last row of any class, or per
+    round as it starts."""
     me = spec.kind == MARTINGALE_ERGODIC
-    classes = _horizon_classes(spec, box.n_max[0])
-    # the weights up to the last row any point reads
-    reads = (classes[-1][0],) + box.n_max[1:]
-    alphas = ([None] * spec.d_maps if spec.weights is None
-              else [w.values(k) for w, k in zip(spec.weights, reads)])
-    q = spec.norm.q
+    end = box.n_max[0]
+    ends = None if me else _horizons(spec)
+    classes = _horizon_classes(np.full(spec.space.size, end) if ends is None
+                               else np.minimum(ends, end))
+    weights = spec.weights or (None,) * spec.d_maps
+    w, q = weights[0], spec.norm.q
     boxes = [box, *prefixes]
     fields = [np.zeros(spec.space.size) for _ in boxes]
     if me:
@@ -228,9 +307,17 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
         # condition first, then average the whole stack
         inner, copies = conditioned(spec.f.values, spec.filtrations, box.stage_sets), 1
     for j in reversed(range(1, spec.d_maps)):
-        inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
-    for end, points in classes:
-        for start, chunk in _outer_chunks(inner, spec.maps[0], alphas[0], end, points, copies):
+        alpha = None if weights[j] is None else weights[j].values(box.n_max[j])
+        inner = running_weighted_averages(inner, spec.maps[j], alpha, box.n_max[j])
+    rounds = _rounds(spec, box, _chunk_rows(inner, spec.space.size, copies))
+    if me:
+        # one class of every point
+        alphas = (None if w is None else w.values(stop) for stop in rounds)
+    else:
+        alphas = itertools.repeat(None if w is None else w.values(classes[-1][0]))
+    for last, points in classes:
+        for start, chunk in _outer_chunks(inner, spec.maps[0], alphas,
+                                          rounds if me else (last,), points, copies):
             if me:
                 # the outermost conditioning is constant on its blocks, so its
                 # max is taken per block and only then spread to the points
@@ -239,6 +326,9 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
                     _fold(boxes, fields, point_norms(means, q), start, points, (k, part))
             else:
                 _fold(boxes, fields, point_norms(chunk, q), start, points, None)
+            row = start + len(chunk)
+            if row in rounds[:-1] and _certified(spec, boxes, fields, row, end):
+                break
     for small, field in zip(prefixes, fields[1:]):
         spec.sup_fields[small] = VectorObservable(spec.space, field)
     return VectorObservable(spec.space, fields[0])
@@ -262,6 +352,168 @@ def _fold(boxes, fields, norms: np.ndarray, start: int, points: np.ndarray, oute
         field[points] = np.maximum(field[points], top)
 
 
+def _certified(spec: ProcessSpec, boxes, fields, row: int, end: int) -> bool:
+    """Whether no row past `row` of a martingale-ergodic pass up to `end`
+    raises any box's field: every block of every stage of each box that runs
+    past `row` is closed (see the module docstring). The field must first
+    clear the limits alone, read off the Cesaro kernel, so a block whose sup
+    is its limit, as on a fixed point, costs no certificate pass."""
+    asked = [(field, s) for box, field in zip(boxes, fields) if box.n_max[0] > row
+             for s in box.stage_sets[0]]
+    cert, (slope, offset) = spec._certificate, _row_error(spec)
+    margin = slope * (end + cert["points"][0] if "points" in cert else 2 * end) + 2 * offset
+    late = end * spec.space.size > _EXACT_ROWS
+    if not late:
+        for field, s in asked:
+            block_of, limit = _limit_bound(spec, cert, s)
+            if not np.all(limit[block_of] + margin < field):
+                return False
+    _point_bounds(spec, cert, end)
+    for field, s in asked:
+        block_of, limit, spread = _stage_bound(spec, cert, s)
+        closed = (limit + spread / row)[block_of] * (1 + 4 * _U) + margin < field
+        if late:
+            period = _stage_period(spec, cert, s)
+            closed |= ((period > 0) & (period <= row))[block_of]
+        if not closed.all():
+            return False
+    return True
+
+
+def _row_error(spec: ProcessSpec) -> tuple[float, float]:
+    """(a, b) such that a n + b bounds the rounding of any conditioned row
+    norm |E[A_m f | B]|_q, m <= n, of the martingale-ergodic pass: first
+    order in the unit roundoff u, doubled to cover the higher orders. With
+    K = max |a_i| (1 unweighted), F = max |f| over the components, N points
+    and d components: the running sum of m products, and the division by m,
+    are off by at most (m + 1) u K F per component; the block mean adds
+    (2N + 3) u K F (the mass products, a sum of at most N of them, a block
+    mass summed from at most N masses, and the division); a componentwise
+    error e moves the l^q norm by |e|_q <= d max |e|, and the norm itself
+    is off by (d + 4) u |v|_q, with |v|_q <= d K F. In all
+    2 u K F d (n + 2N + d + 8)."""
+    w = None if spec.weights is None else spec.weights[0]
+    size, dim = spec.space.size, spec.f.dim
+    slope = 2 * _U * dim * float(np.abs(spec.f.values).max()) * (
+        1.0 if w is None else w.sup_abs(w.period))
+    return slope, slope * (2 * size + dim + 8)
+
+
+def _kernel_limit(spec: ProcessSpec) -> np.ndarray:
+    """g, the limit of the averages at every point from the spec's Cesaro
+    kernel of f (the trace's, or built and kept here)."""
+    kernel = spec.kernels.get(None)
+    if kernel is None:
+        kernel = spec.kernels[None] = CesaroKernel(
+            spec.f.values, spec.maps[0], None if spec.weights is None else spec.weights[0])
+    return kernel.average(None)
+
+
+def _point_bounds(spec: ProcessSpec, cert: dict, cap: int) -> tuple:
+    """(cap, D_w, l, R) of the spec: l(y) the pass's own row at H_y and R_y
+    for H_y <= cap (inf past it), per point, and D_w with its rounding;
+    built by the first call and kept in its certificate `cert`
+    (ProcessSpec._certificate) under "points", beside the block bounds of
+    each stage s that _limit_bound, _stage_bound or _stage_period was asked
+    for, under ("limit", s), ("bound", s) and ("period", s).
+
+    Each class of points that share H_y <= cap streams f through
+    _outer_chunks to row H_y and folds r |A_r - g|_q into R_y, g the
+    kernel's limit. Any g serves: |S_r - r l|_q <= r |A_r - g|_q
+    + r |g - l|_q, and |g - l|_q is read at the class's last row. Each A_r is a row of the kind _row_error
+    bounds, and the 2 (d + 8) u of the final factor covers the differences,
+    norms and products after them."""
+    if "points" not in cert:
+        w = None if spec.weights is None else spec.weights[0]
+        guess, values, q = _kernel_limit(spec), spec.f.values, spec.norm.q
+        limit, bound = np.zeros_like(values), np.full(spec.space.size, math.inf)
+        slope, offset = _row_error(spec)
+        classes = [(end, points) for end, points in _horizon_classes(_horizons(spec))
+                   if end <= cap]
+        # the weights once, up to the last class's row
+        alphas = itertools.repeat(
+            None if w is None else w.values(max([end for end, _ in classes], default=0)))
+        for end, points in classes:
+            top = np.zeros(len(points))
+            for start, chunk in _outer_chunks(values, spec.maps[0], alphas, (end,), points, 1):
+                rows = np.arange(start + 1, start + len(chunk) + 1, dtype=float)[:, None]
+                deviation = point_norms(chunk - guess[points], q) * rows
+                np.maximum(top, deviation.max(axis=0), out=top)
+            limit[points] = chunk[-1]
+            miss = point_norms(chunk[-1] - guess[points], q) + 2 * (slope * end + offset)
+            bound[points] = (top + end * miss) * (1 + 2 * (spec.f.dim + 8) * _U)
+        cert["points"] = cap, _weight_drift(w), limit, bound
+    return cert["points"]
+
+
+def _weight_drift(w: BesicovitchWeights | None) -> float:
+    """D_w = max_r |W_r - r w| over one weight period P, W_r the sum of the
+    first r weights and w their mean, plus the rounding of that float: a
+    running sum of r <= P weights is off by r^2 u K, r w by r (P + 2) u K.
+    0 unweighted, where W_r = r."""
+    if w is None:
+        return 0.0
+    period = w.period
+    a = w.values(period)
+    sums = np.concatenate(([0.0], np.cumsum(a)))
+    drift = np.abs(sums - np.arange(period + 1) * (sums[-1] / period)).max()
+    return float(drift * (1 + 2 * _U) + 2 * period * (period + 2) * _U * np.abs(a).max())
+
+
+def _limit_bound(spec: ProcessSpec, cert: dict, s: int):
+    """(block_of, |E[g | B]|_q) of stage s of the first filtration, g the
+    kernel's limit, kept in the certificate."""
+    if ("limit", s) not in cert:
+        part = spec.filtrations[0].stages[s]
+        cert["limit", s] = part.block_of, point_norms(block_means(_kernel_limit(spec), part),
+                                                      spec.norm.q)
+    return cert["limit", s]
+
+
+def _cut_points(spec: ProcessSpec, block_of: np.ndarray) -> np.ndarray:
+    """Whether each point's cycle is cut by the blocks: whether one of its
+    steps y -> T y leaves y's block."""
+    lay, size = spec.maps[0].cycle_layout, spec.space.size
+    cycle = lay.slot - lay.position  # the first slot of each point's cycle
+    return np.bincount(cycle, block_of != block_of[spec.maps[0].map], 2 * size)[cycle] > 0
+
+
+def _stage_bound(spec: ProcessSpec, cert: dict, s: int):
+    """(block_of, |E[l | B]|_q, R_B) of stage s of the first filtration,
+    per block, built once and kept in the certificate (see _certified). The
+    (2N + 8) u of R_B covers the block means; |a_B|_q gets the error of a
+    block mean of f and of its norm."""
+    if ("bound", s) not in cert:
+        _, drift, points_limit, points_bound = cert["points"]
+        part, size, dim = spec.filtrations[0].stages[s], spec.space.size, spec.f.dim
+        values = spec.f.values
+        cut = _cut_points(spec, part.block_of)
+        means = block_means(np.hstack([points_limit, np.where(cut[:, None], 0.0, values),
+                                       np.where(cut, points_bound, 0.0)[:, None]]), part)
+        limit = point_norms(means[:, :dim], spec.norm.q)
+        inside = (point_norms(means[:, dim:-1], spec.norm.q) * (1 + (dim + 4) * _U)
+                  + (2 * size + 3) * dim * _U * np.abs(values).max())
+        cert["bound", s] = (part.block_of, limit,
+                            (means[:, -1] + drift * inside) * (1 + (2 * size + 8) * _U))
+    return cert["bound", s]
+
+
+def _stage_period(spec: ProcessSpec, cert: dict, s: int) -> np.ndarray:
+    """H_B per block of stage s, kept in the certificate: the lcm of the
+    weight period and of H_y on the cycles that B cuts, 0 past the cap, read
+    class by class so that no product overflows."""
+    if ("period", s) not in cert:
+        part, cap = spec.filtrations[0].stages[s], cert["points"][0]
+        cut, ends = _cut_points(spec, part.block_of), _horizons(spec)
+        period = np.full(part.block_count, 1 if spec.weights is None else spec.weights[0].period)
+        for end in set(ends[cut].tolist()):
+            has = np.bincount(part.block_of[cut & (ends == end)], minlength=part.block_count) > 0
+            step = period // np.gcd(period, end)
+            period = np.where(has, np.where(step > cap // end, 0, step * end), period)
+        cert["period", s] = period
+    return cert["period", s]
+
+
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:
     """(observed, envelope) weight bound: observed sup |a_i| over the box
     horizon (read within one period, where the weights already repeat) and
@@ -269,7 +521,8 @@ def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float
     bound is never understated."""
     if spec.weights is None:
         return 1.0, 1.0
-    observed = max(w.sup_abs(k) for w, k in zip(spec.weights, _cut(spec, box).n_max))
+    observed = max(w.sup_abs(k if w.period is None else min(k, w.period))
+                   for w, k in zip(spec.weights, _cut(spec, box).n_max))
     envelope = max(w.amplitude_bound for w in spec.weights)
     return observed, envelope
 

@@ -155,6 +155,12 @@ class ProcessSpec:
         return {}
 
     @functools.cached_property
+    def _certificate(self) -> dict:
+        """The early-stop certificate of this spec's martingale-ergodic sup
+        pass, built once by inequalities._certified."""
+        return {}
+
+    @functools.cached_property
     def kernels(self) -> dict:
         """Innermost-map Cesaro kernels of this spec, filled by the grid
         evaluation and kept as long as the spec: under None the kernel of f

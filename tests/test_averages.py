@@ -409,8 +409,11 @@ class TestCycleKernel:
                     got = _average(f, t, n, w).values
                     assert np.abs(got - want).max() <= rel * scale * w.amplitude_bound
 
-    def test_any_length_costs_one_period(self):
-        import time
+    def test_any_length_costs_one_period(self, monkeypatch):
+        # the work, not the wall time: no running sum is built, and no weight
+        # is read at an index past one period
+        import ergmart.averages as avg
+        import ergmart.inequalities as ineq
         rng = np.random.default_rng(89)
         lengths = (8, 7, 5, 3) * 2 + (8, 7, 3)
         points = rng.permutation(64)
@@ -432,9 +435,19 @@ class TestCycleKernel:
             spec = ProcessSpec.single(kind, f, t, filt, weights=w)
             (period,) = stabilization_periods(spec)
             q, r = divmod(n, period)
-            start = time.perf_counter()
+            reads = []
+            real_values, real_angles = BesicovitchWeights.values, BesicovitchWeights._angles
+            for module in (avg, ineq):
+                monkeypatch.setattr(module, "running_weighted_averages",
+                                    lambda *args: pytest.fail("a running sum was built"))
+            monkeypatch.setattr(BesicovitchWeights, "values",
+                                lambda self, k: reads.append(k) or real_values(self, k))
+            monkeypatch.setattr(BesicovitchWeights, "_angles",
+                                lambda self, m: reads.append(int(m.max()) + 1)
+                                or real_angles(self, m))
             got = evaluate(spec, n, 1).values
-            assert time.perf_counter() - start < 0.5
+            monkeypatch.undo()
+            assert reads and max(reads) <= period
             want = (q * period * evaluate(spec, period, 1).values
                     + r * evaluate(spec, r, 1).values) / n
             assert np.abs(got - want).max() <= 1e-12

@@ -379,6 +379,25 @@ def test_huge_box_factor_costs_one_period(tmp_path, make_config, monkeypatch):
     assert stops and max(stops) <= period
 
 
+def test_high_order_2048_martingale_ergodic_run_stops_at_a_certified_row(tmp_path, monkeypatch):
+    # period 1.65e11: the sup pass stops at the end of a round once every
+    # block is closed, by the certificate or, this far past any full pass,
+    # at its own period; the spy counts the conditioned outer rows
+    cfg = json.loads((DEMO.parent / "high_order_2048.json").read_text())
+    cfg["process"] = "martingale_ergodic"
+    path = tmp_path / "high_order_2048_me.json"
+    path.write_text(json.dumps(cfg))
+    rows, real = [], ineq.composite_block_means
+    monkeypatch.setattr(ineq, "composite_block_means",
+                        lambda chunk, *args: rows.append(len(chunk)) or real(chunk, *args))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    (period,) = build_experiment(cfg).spec.periods()
+    assert period == 165098491320
+    assert 0 < sum(rows) <= 512
+    reports = json.loads((tmp_path / "o" / "reports.json").read_text())
+    assert reports and all(r["satisfied"] for r in reports)
+
+
 class TestRunner:
     def test_demo_outputs(self, tmp_path):
         plan = build_experiment(demo_config())

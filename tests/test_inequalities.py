@@ -10,10 +10,12 @@ import pytest
 
 import ergmart.fuzz as fuzz
 import ergmart.inequalities as ineq
-from ergmart.averages import BesicovitchWeights
+from ergmart.averages import (BesicovitchWeights, composite_block_means,
+                              running_weighted_averages)
 from ergmart.config import build_experiment
 from ergmart.fuzz import run_inequality_fuzz
-from ergmart.generators import FAMILIES, random_process_instance
+from ergmart.generators import (FAMILIES, random_filtration, random_observable,
+                                random_process_instance, random_weights)
 from ergmart.inequalities import (
     SupBox,
     default_box,
@@ -25,9 +27,11 @@ from ergmart.inequalities import (
     shrink_box,
     sup_field,
 )
-from ergmart.measure import DECREASING, INCREASING, Filtration, Partition, uniform_space
-from ergmart.observables import VectorObservable, linf_norm, llog_norm, point_norm_field
-from ergmart.operators import Endomorphism, cycle_map, power
+from ergmart.measure import (DECREASING, INCREASING, Filtration, MeasureSpace, Partition,
+                             uniform_space)
+from ergmart.observables import (NormSpec, VectorObservable, linf_norm, llog_norm,
+                                 point_norm_field, point_norms)
+from ergmart.operators import Endomorphism, block_means, cycle_map, power
 from ergmart.processes import (
     ERGODIC_MARTINGALE,
     MARTINGALE_ERGODIC,
@@ -106,12 +110,12 @@ def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
     real_chunks = ineq._outer_chunks
     passes, point_floats = [], []
 
-    def spy(inner, t, alpha, end, points, copies):
+    def spy(inner, t, alphas, rounds, points, copies):
         point_floats.append((inner.size * copies + inner.size // inner.shape[-1])
                             // inner.shape[-2])
         chunks = []
-        passes.append((end, {int(x) for x in points}, chunks))
-        for start, chunk in real_chunks(inner, t, alpha, end, points, copies):
+        passes.append((rounds[-1], {int(x) for x in points}, chunks))
+        for start, chunk in real_chunks(inner, t, alphas, rounds, points, copies):
             assert chunk.shape[-2] == len(points)
             chunks.append((start, len(chunk)))
             yield start, chunk
@@ -412,8 +416,11 @@ class TestPeriodClamp:
             np.testing.assert_allclose(field, want, rtol=1e-12, atol=1e-12)
 
 
-def _config_spec(name):
-    return build_experiment(json.loads((CONFIGS / f"{name}.json").read_text())).spec
+def _config_spec(name, kind=None):
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    if kind is not None:
+        config["process"] = kind
+    return build_experiment(config).spec
 
 
 class TestPerPointHorizon:
@@ -491,6 +498,356 @@ class TestPerPointHorizon:
         spec = _config_spec(name)
         assert sum(_horizons(spec, spec.orbit_lcms()[0])) == rows
         assert self._point_rows(monkeypatch, spec, default_box(spec)) == rows
+
+
+def _cycle_space(rng, lengths):
+    """A space and a map of the given cycle type, its points shuffled, with
+    a random mass constant on each cycle."""
+    size = sum(lengths)
+    points, perm = rng.permutation(size), np.empty(size, dtype=np.int64)
+    masses, begin = np.empty(size), 0
+    for length in lengths:
+        cyc = points[begin:begin + length]
+        perm[cyc] = np.roll(cyc, -1)
+        masses[cyc] = rng.uniform(0.2, 2.0)
+        begin += length
+    space = MeasureSpace(masses / masses.sum())
+    return space, Endomorphism(space, perm)
+
+
+def _long_me_spec(seed):
+    """One map and one filtration, martingale-ergodic, on about 50 points
+    whose cycles of length 1 to 9 give periods up to 2,520: every dim, q,
+    observable style and, half the time, random weights."""
+    rng = np.random.default_rng(seed)
+    lengths = []
+    while sum(lengths) < 48:
+        lengths.append(int(rng.choice((1, 2, 3, 4, 5, 7, 8, 9))))
+    space, t = _cycle_space(rng, lengths)
+    filt = random_filtration(rng, space, int(rng.integers(1, 5)))
+    f = random_observable(rng, space, int(rng.integers(1, 5)),
+                          str(rng.choice(("normal", "spiky", "mixed"))))
+    w = random_weights(rng) if rng.random() < 0.5 else None
+    q = float(rng.choice((1.0, 2.0, 3.0, math.inf)))
+    return ProcessSpec.single(MARTINGALE_ERGODIC, f, t, filt, weights=w, norm=NormSpec(q))
+
+
+def _order_840_spec(seed, weighted=True):
+    """The shape of the benchmark's long orbit: 64 points in cycles of
+    8, 7, 5 and 3 (order 840), four nested stages of 1, 4, 16 and 64 points,
+    dim 2, and two cosine weights whose denominators divide 840."""
+    rng = np.random.default_rng(seed)
+    space, t = _cycle_space(rng, (8, 7, 5, 3) * 2 + (8, 7, 3))
+    labels = rng.permutation(64)
+    filt = Filtration(space, DECREASING,
+                      tuple(Partition(space, labels // size) for size in (1, 4, 16, 64)))
+    f = VectorObservable(space, rng.normal(size=(64, 2)))
+    divisors = [d for d in range(2, 841) if 840 % d == 0]
+    amp = rng.uniform(0.3, 0.7)
+    terms = []
+    for a in (amp, 1.0 - amp):
+        den = int(rng.choice(divisors))
+        num = int(rng.choice([k for k in range(1, den) if math.gcd(k, den) == 1]))
+        terms.append((a, Fraction(num, den), rng.uniform(0.0, 2.0 * math.pi)))
+    w = BesicovitchWeights(tuple(terms)) if weighted else None
+    return ProcessSpec.single(MARTINGALE_ERGODIC, f, t, filt, weights=w)
+
+
+def _conditioned_rows(spec, box, prefixes=()):
+    """sup_field over the box, and the outer rows of the pass: the rows of
+    every chunk that the outermost conditioning reads, once for all its
+    stages."""
+    rows, real = [], ineq.composite_block_means
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ineq, "composite_block_means",
+                      lambda chunk, *args: rows.append(len(chunk)) or real(chunk, *args))
+        field = sup_field(spec, box, prefixes).values[:, 0]
+    return field, sum(rows)
+
+
+class TestCertifiedStop:
+    """A martingale-ergodic pass of one map and one filtration reads its
+    outer rows in rounds of 64, 128, 256, ... rows and stops after the first
+    round that the certificate closes (inequalities._certified); its fields
+    are those of the pass to the period, bit for bit."""
+
+    def test_fields_equal_the_full_period_build(self, monkeypatch):
+        stops = []
+        for seed in range(40):
+            spec = _long_me_spec(seed)
+            box = default_box(spec)
+            smalls = [shrink_box(box, factor) for factor in (0.5, 0.25)]
+            _, rows = _conditioned_rows(spec, box, smalls)
+            cut = ineq._period_box(spec, box)
+            budget = ineq._chunk_rows(spec.f.values, spec.space.size, 1)
+            assert rows == cut.n_max[0] or rows in ineq._rounds(spec, cut, budget)
+            stops.append(rows < cut.n_max[0])
+            for small in [box, *smalls]:
+                want = oracle_sup_field_full_period(spec, ineq._period_box(spec, small))
+                assert np.array_equal(sup_field(spec, small).values[:, 0], want)
+        # a point whose sup is its limit, as on a fixed point, keeps the rest
+        # running to the period
+        assert sum(stops) >= 8
+
+    def test_order_840_fields_stop_early_and_equal_the_full_period_build(self, monkeypatch):
+        for seed in range(12):
+            spec = _order_840_spec(seed)
+            box = ineq._period_box(spec, default_box(spec))
+            assert box.n_max == (840,)
+            field, rows = _conditioned_rows(spec, box)
+            assert rows in (64, 128, 256)
+            assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
+
+    def test_the_period_closure_stays_within_the_rounding(self, monkeypatch):
+        # past _EXACT_ROWS a block also closes once the rows reach H_B. The
+        # field is then a max over a prefix of the full pass's rows, and in
+        # real arithmetic no later row raises it, so it falls short of the
+        # full pass's field by at most the rounding of two rows up to P, the
+        # error model of _row_error (the largest gap seen is 0.7 % of that)
+        monkeypatch.setattr(ineq, "_EXACT_ROWS", 0)
+        stops = []
+        specs = ([_long_me_spec(seed) for seed in range(40)]
+                 + [_order_840_spec(seed, weighted) for seed in range(12)
+                    for weighted in (False, True)])
+        for spec in specs:
+            box = ineq._period_box(spec, default_box(spec))
+            field, rows = _conditioned_rows(spec, box)
+            want = oracle_sup_field_full_period(spec, box)
+            slope, offset = ineq._row_error(spec)
+            assert np.all(want - field >= 0)
+            assert np.all(want - field <= 2 * (slope * box.n_max[0] + offset))
+            stops.append(rows < box.n_max[0])
+        # the margin alone stops 21 of these 64
+        assert sum(stops) >= 56
+
+    @pytest.mark.parametrize("length, den, whole", [(60, 7, False), (2, 199, True)])
+    def test_the_period_closure_waits_for_a_late_sup(self, length, den, whole, monkeypatch):
+        # f is 1 on the last 10 points of one cycle (one point of a 2-cycle)
+        # and 0 before, and the weights 1 - cos(2 pi i / den) start near 0.
+        # On the single points of the 60-cycle a sup comes past row 64, and
+        # H_B = lcm(60, 7); on the whole space of the 2-cycle, which cuts no
+        # cycle, the rows are (W_n / n) E[f], largest at n = 141, and H_B is
+        # the weight period 199. A block closed at the first round misses it.
+        monkeypatch.setattr(ineq, "_EXACT_ROWS", 0)
+        space = uniform_space(length)
+        t = Endomorphism(space, np.roll(np.arange(length), -1))
+        part = (Partition(space, np.zeros(length, dtype=np.int64)) if whole
+                else Partition.singletons(space))
+        f = VectorObservable(space, (np.arange(length) >= max(1, length - 10)).astype(float))
+        w = BesicovitchWeights(((1.0, 0.0, 0.0), (1.0, Fraction(1, den), math.pi)))
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, f, t, Filtration(space, DECREASING, (part,)),
+                                  weights=w)
+        box = SupBox(spec.periods(), ((0,),))
+        field, _ = _conditioned_rows(spec, box)
+        assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
+        assert np.any(oracle_sup_field_full_period(spec, SupBox((64,), ((0,),))) < field)
+
+    @pytest.mark.parametrize("past", (False, True))
+    def test_only_a_pass_past_the_exact_rows_closes_at_its_period(self, past, monkeypatch):
+        # every block's rows are one float at every n: 1 on cycles of 8, 7,
+        # 5 and 3, 10 on a fixed point, so each sup is its limit and no
+        # margin closes a block; the blocks are single points, whole cycles
+        # and the space, so H_B <= 8 and the period closes every block at
+        # the first round, but only for a pass of more than _EXACT_ROWS
+        # point rows
+        rng = np.random.default_rng(3)
+        space, t = _cycle_space(rng, (1, 8, 7, 5, 3))
+        lay = t.cycle_layout
+        filt = Filtration(space, DECREASING, (
+            Partition.singletons(space), Partition(space, lay.slot - lay.position),
+            Partition(space, np.zeros(24, dtype=np.int64))))
+        f = np.ones(24)
+        f[lay.length_class == list(lay.distinct_lengths).index(1)] = 10.0
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, VectorObservable(space, f), t, filt)
+        box = ineq._period_box(spec, default_box(spec))
+        assert box.n_max == (840,)
+        monkeypatch.setattr(ineq, "_EXACT_ROWS", 840 * 24 - past)
+        field, rows = _conditioned_rows(spec, box)
+        assert rows == (64 if past else 840)
+        assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
+        assert field.max() == 10.0
+
+    @pytest.mark.parametrize("name, most", [("high_order_128", 500), ("two_maps_64", None)])
+    def test_config_fields_equal_the_full_period_build(self, name, most, monkeypatch):
+        # two maps stay uncertified and read all 408 outer rows
+        spec = _config_spec(name, MARTINGALE_ERGODIC)
+        box = ineq._period_box(spec, default_box(spec))
+        field, rows = _conditioned_rows(spec, box)
+        assert rows <= most if most else rows == box.n_max[0] == 408
+        assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
+
+    @pytest.mark.parametrize("rows_per_chunk, want", [
+        (None, (64, 128, 256, 512, 840)), (48, (48, 96, 192, 384, 768, 840)),
+        (200, (64, 128, 256, 456, 840)), (1000, (64, 128, 256, 512, 840))])
+    def test_a_certified_pass_reads_rounds_after_the_certificate_classes(
+            self, rows_per_chunk, want, monkeypatch):
+        # the first pass is the rounds over the conditioned rows; it meets
+        # the certificate at the end of its first round, whose classes of
+        # points that share H_y stream f to H_y; past one chunk, each round
+        # ends on a whole chunk
+        spec = _order_840_spec(3)
+        box = ineq._period_box(spec, default_box(spec))
+        row_floats = 3 * spec.space.size  # dim 2 and the gather index
+        budget = 2**62 if rows_per_chunk is None else rows_per_chunk * row_floats
+        field, passes, point_floats = _build_in_chunks(monkeypatch, spec, box, budget)
+        assert point_floats == 3
+        (end, points, chunks), *certificate = passes
+        rows = max(1, budget // (point_floats * 64))
+        rounds = ineq._rounds(spec, box, rows)
+        assert end == 840 and rounds == want
+        assert points == set(range(64))
+        starts = [start for start, _ in chunks]
+        assert starts == [0] + [a + b for a, b in chunks[:-1]]
+        stop = sum(rows for _, rows in chunks)
+        assert stop in rounds[:-1]
+        for start, count in chunks:
+            # no chunk crosses a round end, and each fills the budget unless
+            # it ends at one
+            next_end = min(r for r in rounds if r > start)
+            assert start + count == min(next_end, start + rows)
+        horizons = ineq._horizons(spec)
+        _assert_classes(certificate, horizons, budget, point_floats)
+        spec._certificate.clear()
+        assert np.array_equal(field, ineq._build_sup_field(spec, box).values)
+
+    @pytest.mark.parametrize("case", ("irrational", "two filtrations", "two maps",
+                                      "inside the first round"))
+    def test_uncertified_passes_read_every_row(self, case, monkeypatch):
+        rng = np.random.default_rng(7)
+        space, t = _cycle_space(rng, (8, 7, 5, 3) * 2 + (8, 7, 3))
+        filt = random_filtration(rng, space, 3)
+        f = VectorObservable(space, rng.normal(size=(64, 2)))
+        maps, filts, weights, end = (t,), (filt,), (None,), 840
+        if case == "irrational":
+            weights, end = (BesicovitchWeights(((0.7, 1 / math.pi, 0.3),)),), 200
+        elif case == "two filtrations":
+            filts = (filt, random_filtration(rng, space, 2))
+        elif case == "two maps":
+            maps, weights = (t, power(t, 3)), (None, None)
+        else:
+            end = 64
+        spec = ProcessSpec(MARTINGALE_ERGODIC, f, maps, filts, weights)
+        box = SupBox((end,) + (4,) * (len(maps) - 1),
+                     tuple(tuple(range(len(fl.stages))) for fl in filts))
+        assert ineq._period_box(spec, box) == box and ineq._rounds(spec, box, 1) == (end,)
+        for budget in (2**62, 100 * 64 * 3):
+            _, passes, point_floats = _build_in_chunks(monkeypatch, spec, box, budget)
+            _assert_classes(passes, [end] * 64, budget, point_floats)
+        assert not spec._certificate
+
+    def test_weights_are_read_up_to_the_last_row_read(self, monkeypatch):
+        # weight period 4 on cycles of 7, 8, 9 and 5: H_y is 28, 8, 36 or 20,
+        # while P = 2,520; the checks read one weight period
+        rng = np.random.default_rng(11)
+        space, t = _cycle_space(rng, (7, 8, 9, 5) * 4)
+        filt = Filtration(space, DECREASING, (Partition.singletons(space),
+                                               Partition(space, rng.permutation(116) // 4)))
+        w = BesicovitchWeights(((0.6, Fraction(1, 4), 0.3),))
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, VectorObservable(
+            space, rng.normal(size=(116, 2))), t, filt, weights=w)
+        assert spec.periods() == (2520,)
+        reads, real = [], BesicovitchWeights.values
+        monkeypatch.setattr(BesicovitchWeights, "values",
+                            lambda self, n: reads.append(n) or real(self, n))
+        rows, real_means = [], ineq.composite_block_means
+        monkeypatch.setattr(ineq, "composite_block_means",
+                            lambda chunk, *args: rows.append(len(chunk))
+                            or real_means(chunk, *args))
+        dominant_check(spec, 2.0)
+        epsilon_sweep(spec, 2.0, [0.5, 1.0])
+        stop = sum(rows)
+        assert stop < 2520
+        assert max(reads) <= max(stop, ineq._horizons(spec).max()) == max(stop, 36)
+
+    def test_condition_first_reads_the_weights_once(self, monkeypatch):
+        # the classes of an ergodic-martingale pass share one read of the
+        # weights, up to the last row of the longest class
+        me = _order_840_spec(4)
+        spec = ProcessSpec.single(ERGODIC_MARTINGALE, me.f, me.maps[0], me.filtrations[0],
+                                  weights=me.weights[0])
+        box = ineq._period_box(spec, default_box(spec))
+        ends = np.minimum(ineq._horizons(spec), box.n_max[0])
+        assert len(set(ends.tolist())) > 1
+        reads, real = [], BesicovitchWeights.values
+        monkeypatch.setattr(BesicovitchWeights, "values",
+                            lambda self, n: reads.append(n) or real(self, n))
+        sup_field(spec, box)
+        assert reads == [ends.max()]
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_the_block_bound_holds_at_every_row(self, weighted):
+        # |E[A_n f | B] - E[l | B]|_q <= R_B / n for every n up to the period,
+        # the rows read as the pass reads them; on single points the bound is
+        # reached at the row where R_y is, and a block of whole cycles reaches
+        # D_w |a_B|_q weighted; rounding stays inside the margin of _row_error
+        for seed in range(6):
+            spec = _order_840_spec(seed, weighted)
+            w = spec.weights[0] if weighted else None
+            cert = spec._certificate
+            ineq._point_bounds(spec, cert, 840)
+            slope, offset = ineq._row_error(spec)
+            rows = running_weighted_averages(spec.f.values, spec.maps[0],
+                                             None if w is None else w.values(840), 840)
+            n = np.arange(1, 841)[:, None]
+            for s in range(4):
+                part = spec.filtrations[0].stages[s]
+                _, limit, spread = ineq._stage_bound(spec, cert, s)
+                (_, means), = composite_block_means(rows, spec.filtrations, ((s,),))
+                limit_means = block_means(cert["points"][2], part)
+                deviation = point_norms(means - limit_means, spec.norm.q)
+                assert np.all(deviation <= spread / n + 2 * (slope * 840 + offset))
+                if s == 0 or (weighted and s == 3):
+                    assert np.allclose((n * deviation).max(axis=0), spread, rtol=1e-9)
+
+    def test_cycles_inside_a_block_add_nothing_unweighted(self):
+        # R_B only averages R_y over the cycles that B cuts: unweighted, the
+        # whole space and any block of whole cycles have R_B = 0
+        spec = _order_840_spec(2, weighted=False)
+        cert = spec._certificate
+        ineq._point_bounds(spec, cert, 840)
+        _, _, spread = ineq._stage_bound(spec, cert, 3)
+        assert np.array_equal(spread, [0.0])
+        lay = spec.maps[0].cycle_layout
+        cycles = Partition(spec.space, lay.slot - lay.position)
+        filt = Filtration(spec.space, DECREASING, (Partition.singletons(spec.space), cycles))
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, spec.f, spec.maps[0], filt)
+        cert = spec._certificate
+        ineq._point_bounds(spec, cert, 840)
+        assert not ineq._stage_bound(spec, cert, 1)[2].any()
+        assert ineq._stage_bound(spec, cert, 0)[2].min() > 0
+
+    def test_a_field_within_the_margin_is_not_certified(self):
+        """The margin of _row_error is what stands between a bound on the
+        exact rows and a stop that no computed row past it can undo.
+
+        Error model, first order in the unit roundoff u and doubled: with
+        K = max |a_i|, F = max |f|, N points and d components, a running
+        average A_m of m terms is off by (m + 1) u K F per component (the
+        products, the running sum and the division), a block mean adds
+        (2N + 3) u K F, and the l^q norm of the d components moves by d times
+        a componentwise error and is itself off by (d + 4) u d K F; so each
+        row norm up to row n is off by at most 2 u K F d (n + 2N + d + 8).
+        The margin adds that bound at the pass's last row and at the rows
+        the certificate read, so a field that clears the exact-row bound by
+        less is not certified, and one that clears it by more is."""
+        spec = _order_840_spec(5)
+        box = SupBox((840,), ((0, 1, 2, 3),))
+        cert = spec._certificate
+        ineq._point_bounds(spec, cert, 840)
+        slope, offset = ineq._row_error(spec)
+        margin = slope * (840 + 840) + 2 * offset
+        assert margin == pytest.approx(2 * (2 * ineq._U * 2 * np.abs(spec.f.values).max()
+                                            * spec.weights[0].sup_abs(840)
+                                            * (840 + 2 * 64 + 2 + 8)), rel=1e-12)
+        row = 64
+        bound = np.zeros(64)
+        for s in range(4):
+            block_of, limit, spread = ineq._stage_bound(spec, cert, s)
+            bound = np.maximum(bound, ((limit + spread / row) * (1 + 4 * ineq._U))[block_of])
+        assert not ineq._certified(spec, [box], [bound + margin / 2], row, 840)
+        assert ineq._certified(spec, [box], [bound + 2 * margin], row, 840)
+        # a box that ends by the row is done whatever its field
+        assert ineq._certified(spec, [SupBox((64,), box.stage_sets)], [bound], row, 840)
 
 
 class TestDominantCheck:
