@@ -151,61 +151,63 @@ class BesicovitchWeights:
         return f"BesicovitchWeights(terms={len(self.terms)}, bound={self.amplitude_bound:g})"
 
 
-def running_weighted_averages(arr: np.ndarray, t: Endomorphism,
-                              alphas: np.ndarray | None, n: int, start: int = 0,
-                              carry: list | None = None,
-                              points: np.ndarray | None = None) -> np.ndarray:
-    """Rows start..n-1 of the stack of weighted Cesaro averages along a new
-    leading axis.
+def running_rows(arr: np.ndarray, t: Endomorphism, alphas: np.ndarray | None,
+                 rounds: Sequence[int], rows: int,
+                 points: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, chunk) of the stack of weighted Cesaro averages along a new
+    leading axis, rows 0..rounds[-1]-1, in consecutive chunks of at most
+    `rows` rows, none of which crosses a round end (`rounds` ascend).
 
-    `arr` has shape (..., N, dim); row k is (1/(k+1)) sum_{i<=k} a_i T^i arr.
-    With alphas None the weights are identically one. The rows come from one
-    gather of every T^i arr, the point T^i x read off the doubled cycles
-    (slot slot_x + (i mod L_x), see operators.CycleLayout), one multiply by the
-    weights and one running sum that adds the terms in row order, so every
-    float is the one of the step recurrence acc + a_i T^i arr. A stack built
-    in pieces passes the same list `carry` to every call: it holds the
-    running sum at the last row built, which the next call adds into its
-    first row. An index array `points` builds the rows at those points only,
+    `arr` has shape (..., N, dim); row k is (1/(k+1)) sum_{i<=k} a_i T^i arr,
+    with a_i = alphas[i % len(alphas)], so one period of a periodic sequence
+    gives all of it, and a_i = 1 for alphas None. Each chunk is one gather of
+    its T^i arr, the point T^i x read off the doubled cycles (slot slot_x +
+    (i mod L_x), see operators.CycleLayout), one multiply by the weights and
+    one running sum that adds the terms in row order and is carried into the
+    next chunk, so every float is the one of the step recurrence acc + a_i
+    T^i arr. An index array `points` builds the rows at those points only,
     in that order, on the point axis; each point's floats are those of the
     whole stack.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= start < n:
-        raise ValueError("need 0 <= start < n")
+    if rows < 1 or not all(a < b for a, b in zip((0, *rounds), rounds)):
+        raise ValueError("rows must be positive and rounds must ascend from 1")
     arr = np.asarray(arr, dtype=float)
     lay = t.cycle_layout
-    rows, size, dim = n - start, arr.shape[-2], arr.shape[-1]
+    size, dim = arr.shape[-2], arr.shape[-1]
     klass, slot = ((lay.length_class, lay.slot) if points is None
                    else (lay.length_class[points], lay.slot[points]))
-    # i mod L once per distinct length, spread to the points by a gather:
-    # an integer division per point costs more than the whole gather
-    steps = np.arange(start, n)[:, None] % lay.distinct_lengths
-    # the point T^i x, read off the doubled cycles, once for the whole stack
-    image = lay.flat[np.take(steps, klass, axis=1) + slot]
     values = arr.reshape(-1, dim)
     copies = len(values) // size
-    index = np.empty((rows, copies, len(slot)), dtype=np.int64)
-    np.add(image[:, None, :], size * np.arange(copies)[:, None], out=index)
-    del image
-    out = np.empty((rows,) + arr.shape[:-2] + (len(slot), dim))
-    # the indices are in range; any mode but "raise" writes out unbuffered
-    np.take(values, index, axis=0, out=out.reshape(rows, copies, len(slot), dim), mode="clip")
-    del index
-    if alphas is not None:
-        out *= alphas[start:n].reshape((rows,) + (1,) * arr.ndim)
-    if start > 0:
-        out[0] += carry[0]
-    if out[0].size < _ROW_ADD_FLOATS:
-        np.cumsum(out, axis=0, out=out)
-    else:
-        for prev, row in zip(out, out[1:]):
-            row += prev
-    if carry is not None:
-        carry[:] = [out[-1].copy()]
-    out /= np.arange(start + 1, n + 1, dtype=float).reshape((rows,) + (1,) * arr.ndim)
-    return out
+    carry = None
+    for start, stop in zip((0, *rounds), rounds):
+        for first in range(start, stop, rows):
+            steps = np.arange(first, min(stop, first + rows))
+            count, shape = len(steps), (len(steps),) + (1,) * arr.ndim
+            # i mod L once per distinct length, spread to the points by a
+            # gather: an integer division per point costs more than the gather;
+            # then the point T^i x, read off the doubled cycles
+            image = lay.flat[np.take(steps[:, None] % lay.distinct_lengths, klass, axis=1) + slot]
+            index = np.empty((count, copies, len(slot)), dtype=np.int64)
+            np.add(image[:, None, :], size * np.arange(copies)[:, None], out=index)
+            del image
+            out = np.empty((count,) + arr.shape[:-2] + (len(slot), dim))
+            # the indices are in range; any mode but "raise" writes out unbuffered
+            np.take(values, index, axis=0, out=out.reshape(count, copies, len(slot), dim),
+                    mode="clip")
+            del index
+            if alphas is not None:
+                out *= alphas[steps % len(alphas)].reshape(shape)
+            if carry is not None:
+                out[0] += carry
+            if out[0].size < _ROW_ADD_FLOATS:
+                np.cumsum(out, axis=0, out=out)
+            else:
+                for prev, row in zip(out, out[1:]):
+                    row += prev
+            if steps[-1] + 1 < rounds[-1]:
+                carry = out[-1].copy()
+            out /= (steps + 1.0).reshape(shape)
+            yield first, out
 
 
 def _prefix_sum(x: np.ndarray) -> np.ndarray:

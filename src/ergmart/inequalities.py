@@ -62,18 +62,17 @@ Constant catalog (see the README table):
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .averages import (_CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages,
-                       composite_block_means, conditioned, running_weighted_averages)
+                       composite_block_means, conditioned, running_rows)
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, point_norms
-from .operators import Endomorphism, block_means
+from .operators import block_means
 from .processes import MARTINGALE_ERGODIC, ProcessSpec
 
 __all__ = [
@@ -223,35 +222,24 @@ def _horizon_classes(ends: np.ndarray) -> list[tuple[int, np.ndarray]]:
     ascending, the points of each class ascending. Condition-then-average
     builds each point x to min(n_max_1, H_x), n_max_1 when H_x is None (see
     the module docstring); the certificate of average-then-condition
-    (_point_bounds) streams each point to H_x itself."""
+    (_point_bounds) streams each point to H_x itself. Each class is one
+    running_rows stream."""
     order = np.argsort(ends, kind="stable")
     return [(int(ends[points[0]]), points)
             for points in np.split(order, np.flatnonzero(np.diff(ends[order])) + 1)]
 
 
-def _outer_chunks(inner: np.ndarray, t: Endomorphism, alphas: Iterable[np.ndarray | None],
-                  rounds: Sequence[int], points: np.ndarray,
-                  copies: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, chunk) of the running averages of `inner` under the
-    outermost map t at `points`, rows 0..rounds[-1]-1, in consecutive chunks
-    along the averaging axis, each with `points` on its point axis. No chunk
-    crosses a round end (`rounds` ascend). `alphas` gives each round's
-    weights, read at least to its end (None unweighted), and is advanced as
-    the round starts, so a caller that stops after a round reads no weight
-    past it from a lazy one. A chunk holds about _CHUNK_FLOATS floats,
-    counting each float `copies` times for the stacks built from it, and
-    each row's int64 gather index (one entry per point of every stack entry)
-    as floats too."""
-    rows, carry, start = _chunk_rows(inner, len(points), copies), [], 0
-    for stop, alpha in zip(rounds, alphas):
-        for first in range(start, stop, rows):
-            yield first, running_weighted_averages(inner, t, alpha, min(stop, first + rows),
-                                                   first, carry, points)
-        start = stop
+def _weights(w: BesicovitchWeights | None, n: int) -> np.ndarray | None:
+    """The weights of a running_rows stream of n rows: at most one period,
+    which the stream repeats; None unweighted."""
+    return None if w is None else w.values(n if w.period is None else min(n, w.period))
 
 
 def _chunk_rows(inner: np.ndarray, points: int, copies: int) -> int:
-    """Rows of an _outer_chunks chunk over `points` points."""
+    """Rows of a chunk of an outermost running_rows pass over `points`
+    points: about _CHUNK_FLOATS floats, counting each float `copies` times
+    for the stacks built from it, and each row's int64 gather index (one
+    entry per point of every stack entry) as floats too."""
     per_point = (inner.size * copies + inner.size // inner.shape[-1]) // inner.shape[-2]
     return max(1, _CHUNK_FLOATS // (per_point * points))
 
@@ -287,9 +275,9 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
     every point, in the rounds of _rounds. It stops at the end of the first
     round n_0 after which the certificate (_certified) shows that no later
     row raises any box's field; else it runs to n_max_1. Either way each
-    field is a max over a prefix of the full pass's floats. The outermost
-    map's weights are read once, up to the last row of any class, or per
-    round as it starts."""
+    field is a max over a prefix of the full pass's floats. Every pass,
+    the inner axes' too, is a running_rows stream that reads one weight
+    period at most (_weights), once for all of its classes or rounds."""
     me = spec.kind == MARTINGALE_ERGODIC
     end = box.n_max[0]
     ends = None if me else _horizons(spec)
@@ -307,17 +295,15 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
         # condition first, then average the whole stack
         inner, copies = conditioned(spec.f.values, spec.filtrations, box.stage_sets), 1
     for j in reversed(range(1, spec.d_maps)):
-        alpha = None if weights[j] is None else weights[j].values(box.n_max[j])
-        inner = running_weighted_averages(inner, spec.maps[j], alpha, box.n_max[j])
+        n = box.n_max[j]
+        _, inner = next(running_rows(inner, spec.maps[j], _weights(weights[j], n), (n,), n))
     rounds = _rounds(spec, box, _chunk_rows(inner, spec.space.size, copies))
-    if me:
-        # one class of every point
-        alphas = (None if w is None else w.values(stop) for stop in rounds)
-    else:
-        alphas = itertools.repeat(None if w is None else w.values(classes[-1][0]))
+    # the longest class holds the last row of any pass (martingale-ergodic
+    # has one class of every point)
+    alphas = _weights(w, classes[-1][0])
     for last, points in classes:
-        for start, chunk in _outer_chunks(inner, spec.maps[0], alphas,
-                                          rounds if me else (last,), points, copies):
+        for start, chunk in running_rows(inner, spec.maps[0], alphas, rounds if me else (last,),
+                                         _chunk_rows(inner, len(points), copies), points):
             if me:
                 # the outermost conditioning is constant on its blocks, so its
                 # max is taken per block and only then spread to the points
@@ -418,24 +404,24 @@ def _point_bounds(spec: ProcessSpec, cert: dict, cap: int) -> tuple:
     for, under ("limit", s), ("bound", s) and ("period", s).
 
     Each class of points that share H_y <= cap streams f through
-    _outer_chunks to row H_y and folds r |A_r - g|_q into R_y, g the
-    kernel's limit. Any g serves: |S_r - r l|_q <= r |A_r - g|_q
-    + r |g - l|_q, and |g - l|_q is read at the class's last row. Each A_r is a row of the kind _row_error
-    bounds, and the 2 (d + 8) u of the final factor covers the differences,
-    norms and products after them."""
+    running_rows to row H_y, all of them reading one weight period, and
+    folds r |A_r - g|_q into R_y, g the kernel's limit. Any g serves: |S_r - r l|_q
+    <= r |A_r - g|_q + r |g - l|_q, and |g - l|_q is read at the class's last
+    row. Each A_r is a row of the kind _row_error bounds, and the 2 (d + 8) u
+    of the final factor covers the differences, norms and products after
+    them."""
     if "points" not in cert:
         w = None if spec.weights is None else spec.weights[0]
         guess, values, q = _kernel_limit(spec), spec.f.values, spec.norm.q
         limit, bound = np.zeros_like(values), np.full(spec.space.size, math.inf)
         slope, offset = _row_error(spec)
-        classes = [(end, points) for end, points in _horizon_classes(_horizons(spec))
-                   if end <= cap]
-        # the weights once, up to the last class's row
-        alphas = itertools.repeat(
-            None if w is None else w.values(max([end for end, _ in classes], default=0)))
-        for end, points in classes:
+        alphas = _weights(w, cap)
+        for end, points in _horizon_classes(_horizons(spec)):
+            if end > cap:
+                break
             top = np.zeros(len(points))
-            for start, chunk in _outer_chunks(values, spec.maps[0], alphas, (end,), points, 1):
+            for start, chunk in running_rows(values, spec.maps[0], alphas, (end,),
+                                             _chunk_rows(values, len(points), 1), points):
                 rows = np.arange(start + 1, start + len(chunk) + 1, dtype=float)[:, None]
                 deviation = point_norms(chunk - guess[points], q) * rows
                 np.maximum(top, deviation.max(axis=0), out=top)
@@ -647,7 +633,7 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
     per eps of the ascending grid; the sup field is computed once."""
     box, alpha = _check_setup(spec, "maximal", p, box)
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
+    if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValueError("epsilon grid must be nonempty and positive")
     if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("epsilon grid must be ascending")

@@ -189,26 +189,20 @@ def oracle_llog(weights, values, m, q):
     return total
 
 
-def oracle_running_averages_steps(arr, perm, alphas, n, start=0, carry=None):
-    """Rows start..n-1 of the running weighted averages by the step
-    recurrence, one gather per averaging length: T^i arr = (T^(i-1) arr)
-    gathered through `perm` on axis -2, acc = acc + a_i T^i arr, row k
-    divided by k + 1. `carry` holds [T^k arr, acc] at the last row built."""
-    out = np.empty((n - start,) + np.shape(arr))
-    if start == 0:
-        cur = np.asarray(arr, dtype=float)
-        acc = cur * alphas[0] if alphas is not None else cur.copy()
-        out[0] = acc
-    else:
-        cur, acc = carry
-    for i in range(max(start, 1), n):
+def oracle_running_averages_steps(arr, perm, alphas, n):
+    """Rows 0..n-1 of the running weighted averages by the step recurrence,
+    one gather per averaging length: T^i arr = (T^(i-1) arr) gathered
+    through `perm` on axis -2, acc = acc + a_i T^i arr, row k divided by
+    k + 1."""
+    out = np.empty((n,) + np.shape(arr))
+    cur = np.asarray(arr, dtype=float)
+    acc = cur * alphas[0] if alphas is not None else cur.copy()
+    out[0] = acc
+    for i in range(1, n):
         cur = np.take(cur, perm, axis=-2)
         acc = acc + (cur * alphas[i] if alphas is not None else cur)
-        out[i - start] = acc
-    if carry is not None:
-        carry[:] = [cur, acc]
-    counts = np.arange(start + 1, n + 1, dtype=float).reshape((n - start,) + (1,) * cur.ndim)
-    out /= counts
+        out[i] = acc
+    out /= np.arange(1, n + 1, dtype=float).reshape((n,) + (1,) * cur.ndim)
     return out
 
 
@@ -267,7 +261,7 @@ def oracle_sup_field_full_period(spec, box, chunk_floats=2**17):
     period. Inner axes whole, the outermost one streamed in chunks of about
     `chunk_floats` floats; martingale-ergodic chunks are conditioned after
     the averaging and maxed per block."""
-    from ergmart.averages import composite_block_means, running_weighted_averages
+    from ergmart.averages import composite_block_means, running_rows
     from ergmart.observables import point_norms
     from ergmart.processes import MARTINGALE_ERGODIC
 
@@ -281,13 +275,11 @@ def oracle_sup_field_full_period(spec, box, chunk_floats=2**17):
                           composite_block_means(spec.f.values, spec.filtrations,
                                                 box.stage_sets)])
     for j in reversed(range(1, spec.d_maps)):
-        inner = running_weighted_averages(inner, spec.maps[j], alphas[j], box.n_max[j])
+        n = box.n_max[j]
+        _, inner = next(running_rows(inner, spec.maps[j], alphas[j], (n,), n))
     rows = max(1, chunk_floats // inner.size)
     field = np.zeros(spec.space.size)
-    carry = []
-    for start in range(0, box.n_max[0], rows):
-        chunk = running_weighted_averages(inner, spec.maps[0], alphas[0],
-                                          min(box.n_max[0], start + rows), start, carry)
+    for _, chunk in running_rows(inner, spec.maps[0], alphas[0], (box.n_max[0],), rows):
         if me:
             for part, means in composite_block_means(chunk, spec.filtrations, box.stage_sets):
                 norms = point_norms(means, spec.norm.q)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,9 @@ from ergmart.averages import (
     composite_block_means,
     composite_cond_expect,
     conditioned,
-    running_weighted_averages,
+    running_rows,
 )
-from ergmart.generators import random_cycle_system, random_filtration
+from ergmart.generators import random_cycle_system, random_filtration, random_weights
 from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, point_norm_field
 from ergmart.operators import (
@@ -149,6 +150,18 @@ class TestWeights:
         assert w.period == 15
         vals = w.values(60)
         assert vals[:15] == pytest.approx(vals[15:30], abs=0.0)  # bitwise periodic
+        # the sup pass reads one period and repeats it: values(n) must be
+        # values(P) at i mod P, bit for bit, for any rational terms
+        rng = np.random.default_rng(17)
+        cases = [random_weights(rng, float(rng.uniform(0.1, 2.0))) for _ in range(300)]
+        cases += [BesicovitchWeights.single_cosine(0.9, num, den, 0.3)
+                  for num, den in ((1, 2), (3, 7), (5, 64), (1000, 4093), (4095, 4096))]
+        cases += [BesicovitchWeights(((0.5, Fraction(1, 4096), 1.0), (-0.4, 2 / 63, 0.2),
+                                      (0.1, Fraction(7, 4095), 0.0)))]
+        for w in cases:
+            period = w.period
+            n = int(rng.integers(1, 3 * period + 2))
+            assert np.array_equal(w.values(n), w.values(period)[np.arange(n) % period])
 
     def test_sup_abs_below_envelope(self):
         w = BesicovitchWeights(((0.6, 1 / 4, 0.1), (0.4, 1 / 3, 1.0)))
@@ -438,7 +451,7 @@ class TestCycleKernel:
             reads = []
             real_values, real_angles = BesicovitchWeights.values, BesicovitchWeights._angles
             for module in (avg, ineq):
-                monkeypatch.setattr(module, "running_weighted_averages",
+                monkeypatch.setattr(module, "running_rows",
                                     lambda *args: pytest.fail("a running sum was built"))
             monkeypatch.setattr(BesicovitchWeights, "values",
                                 lambda self, k: reads.append(k) or real_values(self, k))
@@ -531,12 +544,27 @@ class TestCycleKernel:
 
 
 class TestRunningAverages:
+    @staticmethod
+    def _chunks(stream, rounds, rows):
+        """The stream's chunks, checked to run consecutively from row 0 to
+        the last round end, each `rows` rows unless it ends at a round end."""
+        chunks = list(stream)
+        assert [first for first, _ in chunks] == [0] + list(
+            itertools.accumulate(len(chunk) for _, chunk in chunks[:-1]))
+        for first, chunk in chunks:
+            stop = min(r for r in rounds if r > first)
+            assert len(chunk) == min(rows, stop - first)
+        assert sum(len(chunk) for _, chunk in chunks) == rounds[-1]
+        return np.concatenate([chunk for _, chunk in chunks])
+
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_equal_to_the_step_recurrence_bit_for_bit(self, lead, weighted):
         # one gather, one multiply and one running sum in row order must give
-        # every float of the step recurrence, built whole and in chunks that
-        # pass one carry along; N = 64 at dim 2 puts every lead shape but ()
+        # every float of the step recurrence, in one chunk and in chunks of
+        # any rows, one row included, whose running sum is carried across
+        # chunk and round ends (past n rows, each round end cuts a chunk
+        # short); N = 64 at dim 2 puts every lead shape but ()
         # on the one-add-per-row path, the rest on numpy's accumulate
         rng = np.random.default_rng(len(lead) + 3 * weighted)
         for n_points in (5, 9, 64):
@@ -547,23 +575,40 @@ class TestRunningAverages:
                 arr = rng.normal(size=lead + (n_points, dim)) * 10.0 ** rng.integers(-8, 9, dim)
                 n = int(rng.integers(1, min(3 * orbit_lcm(t) + 3, 300)))
                 alphas = rng.normal(size=n) if weighted else None
-                whole = running_weighted_averages(arr, t, alphas, n)
-                assert whole.shape == (n,) + arr.shape
-                assert np.array_equal(whole, oracle_running_averages_steps(arr, perm, alphas, n))
-                cuts = sorted(set(rng.integers(1, n, size=3).tolist())) if n > 1 else []
-                carry, oracle_carry, pieces = [], [], []
-                for start, stop in zip([0] + cuts, cuts + [n]):
-                    piece = running_weighted_averages(arr, t, alphas, stop, start, carry)
-                    assert np.array_equal(piece, oracle_running_averages_steps(
-                        arr, perm, alphas, stop, start, oracle_carry))
-                    pieces.append(piece)
-                assert np.array_equal(np.concatenate(pieces), whole)
+                want = oracle_running_averages_steps(arr, perm, alphas, n)
+                (first, whole), = running_rows(arr, t, alphas, (n,), n)
+                assert first == 0 and whole.shape == (n,) + arr.shape
+                assert np.array_equal(whole, want)
+                for rows in (1, int(rng.integers(1, n + 1)), n + 5):
+                    cuts = sorted(set(rng.integers(1, n, size=3).tolist())) if n > 1 else []
+                    rounds = (*cuts, n)
+                    got = self._chunks(running_rows(arr, t, alphas, rounds, rows), rounds, rows)
+                    assert np.array_equal(got, want)
+
+    def test_one_weight_period_gives_the_rows_of_every_weight(self):
+        # weight i is alphas[i % len(alphas)], so the table of one period
+        # gives the rows of the table of every weight read, bit for bit
+        rng = np.random.default_rng(23)
+        for trial in range(20):
+            n_points = int(rng.integers(3, 40))
+            perm = rng.permutation(n_points)
+            t = Endomorphism(uniform_space(n_points), perm)
+            arr = rng.normal(size=(n_points, 2))
+            w = random_weights(rng)
+            n = int(rng.integers(1, 4 * w.period + 2))
+            rounds = (*sorted(set(rng.integers(1, n, size=2).tolist())), n) if n > 1 else (n,)
+            rows = int(rng.integers(1, n + 1))
+            full = self._chunks(running_rows(arr, t, w.values(n), rounds, rows), rounds, rows)
+            one = self._chunks(running_rows(arr, t, w.values(w.period), rounds, rows),
+                               rounds, rows)
+            assert np.array_equal(one, full)
+            assert np.array_equal(full, oracle_running_averages_steps(arr, perm, w.values(n), n))
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_a_point_subset_reads_the_floats_of_the_whole_stack(self, lead, weighted):
-        # a subset in any order, narrowed between pieces with the carry cut
-        # to the same prefix, gives each of its points the whole stack's floats
+        # a subset in any order gives each of its points the whole stack's
+        # floats, in one chunk and across chunks
         rng = np.random.default_rng(7 + len(lead) + 2 * weighted)
         for n_points in (5, 9, 64):
             for trial in range(4):
@@ -572,21 +617,14 @@ class TestRunningAverages:
                 arr = rng.normal(size=lead + (n_points, 2))
                 n = int(rng.integers(2, min(3 * orbit_lcm(t) + 3, 300)))
                 alphas = rng.normal(size=n) if weighted else None
-                whole = running_weighted_averages(arr, t, alphas, n)
+                (_, whole), = running_rows(arr, t, alphas, (n,), n)
                 points = rng.permutation(n_points)[:int(rng.integers(1, n_points + 1))]
-                assert np.array_equal(running_weighted_averages(arr, t, alphas, n, points=points),
-                                      whole[..., points, :])
-                cut = int(rng.integers(1, n))
-                keep = int(rng.integers(1, len(points) + 1))
-                carry = []
-                head = running_weighted_averages(arr, t, alphas, cut, 0, carry, points)
-                carry[:] = [carry[0][..., :keep, :]]
-                tail = running_weighted_averages(arr, t, alphas, n, cut, carry, points[:keep])
-                assert np.array_equal(head, whole[:cut][..., points, :])
-                assert np.array_equal(tail, whole[cut:][..., points[:keep], :])
+                for rows in (n, int(rng.integers(1, n))):
+                    got = self._chunks(running_rows(arr, t, alphas, (n,), rows, points),
+                                       (n,), rows)
+                    assert np.array_equal(got, whole[..., points, :])
 
     def test_rejects_bad_lengths(self):
-        with pytest.raises(ValueError, match="n must be positive"):
-            running_weighted_averages(F1357.values, CYC, None, 0)
-        with pytest.raises(ValueError, match="need 0 <= start < n"):
-            running_weighted_averages(F1357.values, CYC, None, 3, 3, [])
+        for rounds, rows in (((0,), 1), ((3,), 0), ((3, 3), 1), ((4, 2), 1)):
+            with pytest.raises(ValueError, match="rows must be positive"):
+                next(running_rows(F1357.values, CYC, None, rounds, rows))

@@ -367,13 +367,14 @@ def test_huge_box_factor_costs_one_period(tmp_path, make_config, monkeypatch):
     assert [r.get("lhs", r.get("sup_functional")) for r in huge] == \
            [r.get("lhs", r.get("sup_functional")) for r in default]
     # in process: every stack the sup pass builds ends at or before the period
-    stops, real = [], ineq.running_weighted_averages
+    stops, real = [], ineq.running_rows
 
-    def spy(arr, t, alphas, n, *rest):
-        stops.append(n)
-        return real(arr, t, alphas, n, *rest)
+    def spy(*args):
+        for start, chunk in real(*args):
+            stops.append(start + len(chunk))
+            yield start, chunk
 
-    monkeypatch.setattr(ineq, "running_weighted_averages", spy)
+    monkeypatch.setattr(ineq, "running_rows", spy)
     assert main(["run", "--config", str(write(10**7)), "--out", str(tmp_path / "in")]) == 0
     (period,) = stabilization_periods(spec)
     assert stops and max(stops) <= period

@@ -10,8 +10,7 @@ import pytest
 
 import ergmart.fuzz as fuzz
 import ergmart.inequalities as ineq
-from ergmart.averages import (BesicovitchWeights, composite_block_means,
-                              running_weighted_averages)
+from ergmart.averages import BesicovitchWeights, composite_block_means, running_rows
 from ergmart.config import build_experiment
 from ergmart.fuzz import run_inequality_fuzz
 from ergmart.generators import (FAMILIES, random_filtration, random_observable,
@@ -106,21 +105,27 @@ def _build_in_chunks(monkeypatch, spec, box, chunk_floats):
     its passes along the outermost averaging axis as (last row, points,
     chunks), each chunk as (first row, rows), and the floats each point of
     a row counts for: its stacked copies and its int64 gather index, one
-    entry per stack entry."""
-    real_chunks = ineq._outer_chunks
+    entry per stack entry. The outermost passes are the streams given a
+    point subset; the inner axes are read whole over every point."""
+    real_rows = ineq.running_rows
     passes, point_floats = [], []
+    me = spec.kind == MARTINGALE_ERGODIC
+    copies = math.prod(len(ss) for ss in box.stage_sets[1:]) if me else 1
 
-    def spy(inner, t, alphas, rounds, points, copies):
+    def spy(inner, t, alphas, rounds, rows, points=None):
+        if points is None:
+            yield from real_rows(inner, t, alphas, rounds, rows)
+            return
         point_floats.append((inner.size * copies + inner.size // inner.shape[-1])
                             // inner.shape[-2])
         chunks = []
         passes.append((rounds[-1], {int(x) for x in points}, chunks))
-        for start, chunk in real_chunks(inner, t, alphas, rounds, points, copies):
+        for start, chunk in real_rows(inner, t, alphas, rounds, rows, points):
             assert chunk.shape[-2] == len(points)
             chunks.append((start, len(chunk)))
             yield start, chunk
 
-    monkeypatch.setattr(ineq, "_outer_chunks", spy)
+    monkeypatch.setattr(ineq, "running_rows", spy)
     monkeypatch.setattr(ineq, "_CHUNK_FLOATS", chunk_floats)
     field = ineq._build_sup_field(spec, box).values
     monkeypatch.undo()
@@ -464,14 +469,14 @@ class TestPerPointHorizon:
     @staticmethod
     def _point_rows(monkeypatch, spec, box, prefixes=()):
         """Rows times points of every stack the sup pass builds."""
-        built, real = [], ineq.running_weighted_averages
+        built, real = [], ineq.running_rows
 
         def spy(*args):
-            out = real(*args)
-            built.append(len(out) * out.shape[-2])
-            return out
+            for start, out in real(*args):
+                built.append(len(out) * out.shape[-2])
+                yield start, out
 
-        monkeypatch.setattr(ineq, "running_weighted_averages", spy)
+        monkeypatch.setattr(ineq, "running_rows", spy)
         sup_field(spec, box, prefixes)
         monkeypatch.undo()
         return sum(built)
@@ -735,9 +740,10 @@ class TestCertifiedStop:
             _assert_classes(passes, [end] * 64, budget, point_floats)
         assert not spec._certificate
 
-    def test_weights_are_read_up_to_the_last_row_read(self, monkeypatch):
+    def test_weights_are_read_up_to_one_period(self, monkeypatch):
         # weight period 4 on cycles of 7, 8, 9 and 5: H_y is 28, 8, 36 or 20,
-        # while P = 2,520; the checks read one weight period
+        # while P = 2,520; the checks, their passes and the certificate's
+        # classes read one weight period
         rng = np.random.default_rng(11)
         space, t = _cycle_space(rng, (7, 8, 9, 5) * 4)
         filt = Filtration(space, DECREASING, (Partition.singletons(space),
@@ -757,11 +763,12 @@ class TestCertifiedStop:
         epsilon_sweep(spec, 2.0, [0.5, 1.0])
         stop = sum(rows)
         assert stop < 2520
-        assert max(reads) <= max(stop, ineq._horizons(spec).max()) == max(stop, 36)
+        assert ineq._horizons(spec).max() == 36
+        assert max(reads) == w.period == 4
 
     def test_condition_first_reads_the_weights_once(self, monkeypatch):
-        # the classes of an ergodic-martingale pass share one read of the
-        # weights, up to the last row of the longest class
+        # the classes of an ergodic-martingale pass share one read of one
+        # weight period, shorter than the longest class
         me = _order_840_spec(4)
         spec = ProcessSpec.single(ERGODIC_MARTINGALE, me.f, me.maps[0], me.filtrations[0],
                                   weights=me.weights[0])
@@ -772,7 +779,8 @@ class TestCertifiedStop:
         monkeypatch.setattr(BesicovitchWeights, "values",
                             lambda self, n: reads.append(n) or real(self, n))
         sup_field(spec, box)
-        assert reads == [ends.max()]
+        assert ends.max() > spec.weights[0].period
+        assert reads == [spec.weights[0].period]
 
     @pytest.mark.parametrize("weighted", (False, True))
     def test_the_block_bound_holds_at_every_row(self, weighted):
@@ -786,8 +794,8 @@ class TestCertifiedStop:
             cert = spec._certificate
             ineq._point_bounds(spec, cert, 840)
             slope, offset = ineq._row_error(spec)
-            rows = running_weighted_averages(spec.f.values, spec.maps[0],
-                                             None if w is None else w.values(840), 840)
+            (_, rows), = running_rows(spec.f.values, spec.maps[0],
+                                      None if w is None else w.values(840), (840,), 840)
             n = np.arange(1, 841)[:, None]
             for s in range(4):
                 part = spec.filtrations[0].stages[s]
@@ -942,6 +950,11 @@ class TestMaximalCheck:
             epsilon_sweep(me_spec(), 2.0, [2.0, 1.0])
         with pytest.raises(ValueError):
             epsilon_sweep(me_spec(), 2.0, [-1.0, 1.0])
+        # no comparison with NaN holds, so a NaN level must not slip through
+        for grid in ([float("nan")], [0.1, float("nan"), 0.05], [0.1, float("nan")],
+                     [float("nan"), 1.0]):
+            with pytest.raises(ValueError, match="positive"):
+                epsilon_sweep(me_spec(), 2.0, grid)
 
 
 class TestOrlicz:
