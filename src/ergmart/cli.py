@@ -1,6 +1,8 @@
 """Command line interface: run experiments, selfcheck, generate fragments.
 
 Exit codes: 0 success, 1 validation error, 2 invariant or inequality failure.
+Each command imports what only it uses: `run` loads `config` and `runner`,
+`selfcheck` the selfcheck with its fuzz and invariants, `gen` the generators.
 """
 from __future__ import annotations
 
@@ -12,11 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import _MAX_ENTRIES, ConfigError, _check, build_experiment
-from .fuzz import broken_run_arg
-from .generators import random_filtration, random_observable, random_permutation
 from .measure import DECREASING, MeasureSpace
 from .runner import execute_plan
-from .selfcheck import run_selfcheck
 
 
 def _cmd_run(args) -> int:
@@ -44,6 +43,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .fuzz import broken_run_arg
+    from .selfcheck import run_selfcheck
+
     broken = broken_run_arg(args.budget, args.seed)
     if broken is not None:
         print(f"error: --{broken[0]}: {broken[1]}", file=sys.stderr)
@@ -56,6 +58,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _fragment(kind: str, seed: int, size: int, dim: int) -> dict:
+    from .generators import random_filtration, random_observable, random_permutation
+
     rng = np.random.default_rng(seed)
     if kind == "space":
         w = rng.uniform(0.2, 2.0, size)

@@ -8,10 +8,13 @@ reported at the path of the value it was given.
 
 Every random fragment draws from one seeded generator in a fixed order
 (space, maps, filtrations, observable, weight sequences), so a config plus a
-seed pins the whole experiment.
+seed pins the whole experiment. The generator is made at the first random
+fragment, and the random builders of `generators` are imported there too: an
+explicit config loads neither them nor numpy.random.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,12 +24,6 @@ from typing import Any
 import numpy as np
 
 from .averages import BesicovitchWeights
-from .generators import (
-    random_filtration,
-    random_observable,
-    random_permutation,
-    random_weights,
-)
 from .inequalities import broken_rule
 from .measure import DECREASING, INCREASING, Filtration, MeasureSpace, Partition
 from .observables import NormSpec, VectorObservable
@@ -281,9 +278,13 @@ def _make(path: str, build, *args):
         raise ConfigError(path, str(exc)) from None
 
 
+# each builder below takes `rng`, a call that returns the config's one seeded
+# generator, made on its first call
+
+
 def _build_space(cfg: dict, rng) -> MeasureSpace:
     if _field(cfg, "space", "space.kind") == "random":
-        weights = rng.uniform(0.2, 2.0, _field(cfg, "space", "space.max_size"))
+        weights = rng().uniform(0.2, 2.0, _field(cfg, "space", "space.max_size"))
         return MeasureSpace(weights / weights.sum())
     weights = _field(cfg, "space", "space.weights")
     if weights == "uniform":
@@ -303,7 +304,8 @@ def _build_map(cfg, path: str, space: MeasureSpace, built: list[Endomorphism],
         return _make(path, lambda: Endomorphism(space, np.fromiter(perm, np.int64)))
     # a cycle or a random permutation preserves only orbit-constant masses
     if kind == "random":
-        return _make(path, random_permutation, rng, space)
+        from .generators import random_permutation
+        return _make(path, random_permutation, rng(), space)
     return _make(path, cycle_map if kind == "cycle" else identity_map, space)
 
 
@@ -311,7 +313,8 @@ def _build_filtration(cfg, path: str, space: MeasureSpace, rng) -> Filtration:
     direction = _field(_check(cfg, path, "filtrations[k]"), path, "filtrations[k].direction")
     if _field(cfg, path, "filtrations[k].kind") == "random":
         n_stages = _field(cfg, path, "filtrations[k].stages (random)")
-        return random_filtration(rng, space, n_stages, direction)
+        from .generators import random_filtration
+        return random_filtration(rng(), space, n_stages, direction)
     stages = []
     for j, labels in enumerate(_field(cfg, path, "filtrations[k].stages")):
         stages.append(_make(f"{path}.stages[{j}]",
@@ -325,7 +328,8 @@ def _build_observable(cfg: dict, space: MeasureSpace, rng) -> VectorObservable:
         dim = _field(cfg, path, "observable.dim", high=_MAX_ENTRIES // space.size)
         style = _field(cfg, path, "observable.style")
         scale = float(_field(cfg, path, "observable.scale"))
-        return random_observable(rng, space, dim, style=style, scale=scale)
+        from .generators import random_observable
+        return random_observable(rng(), space, dim, style=style, scale=scale)
     # one value or one row per point, converted by the observable itself
     return _make("observable.values", VectorObservable, space,
                  _field(cfg, path, "observable.values"))
@@ -350,7 +354,8 @@ def _build_weights(cfg, path: str, rng) -> BesicovitchWeights | None:
     if _check(cfg, path, "weight_seqs[k]") is None:
         return None
     if _field(cfg, path, "weight_seqs[k].kind") == "random":
-        return random_weights(rng, float(_field(cfg, path, "weight_seqs[k].envelope")))
+        from .generators import random_weights
+        return random_weights(rng(), float(_field(cfg, path, "weight_seqs[k].envelope")))
     terms = tuple(_term(term, f"{path}.terms[{j}]")
                   for j, term in enumerate(_field(cfg, path, "weight_seqs[k].terms")))
     return _make(f"{path}.terms", BesicovitchWeights, terms)
@@ -378,7 +383,7 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
     _known_keys(config, "", "")
     seed = (_field(config, "", "seed") if seed_override is None
             else _check(seed_override, "seed", "seed"))
-    rng = np.random.default_rng(seed)
+    rng = functools.cache(lambda: np.random.default_rng(seed))
 
     space = _build_space(_field(config, "", "space"), rng)
     maps: list[Endomorphism] = []

@@ -333,14 +333,21 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
                       ) -> ConvergenceTrace:
     """Errors of evaluate(spec, n1, n2) against the limit (or a supplied
     reference) over the rectangular grid; n1-major row order. Both grids
-    are checked before any evaluation."""
+    are checked before any evaluation. An ergodic-martingale limit not yet
+    kept by the spec is read in the grid's own pass, with the grid's kernel,
+    as a first row that the trace drops, when the grid holds the last
+    stages."""
     n1_grid = tuple(int(v) for v in n1_grid)
     n2_grid = tuple(int(v) for v in n2_grid)
     _check_increasing(n1_grid, n2_grid)
-    cells = _cells(spec, [(n1,) * spec.d_maps for n1 in n1_grid],
-                   [(n2,) * spec.m_filtrations for n2 in n2_grid])
+    s_vecs = [(n2,) * spec.m_filtrations for n2 in n2_grid]
+    # martingale-ergodic conditions after the kernel read, so a limit row in
+    # the grid's pass would be conditioned at every stage, not at the last only
+    lead = [None] if (reference is None and spec.kind == ERGODIC_MARTINGALE
+                      and "limit" not in vars(spec) and spec.last_stages in s_vecs) else []
+    cells = _cells(spec, lead + [(n1,) * spec.d_maps for n1 in n1_grid], s_vecs)
     if reference is None:
-        target = limit_target(spec)
+        target = None if lead else limit_target(spec)
         desc = "closed-form limit (conditioned orbit average)"
     else:
         target = reference
@@ -348,6 +355,8 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
     rows = []
     cell = itertools.product(n1_grid, n2_grid)
     for values in cells:
+        if target is None:  # the limit's row, which _cells keeps as spec.limit
+            values, target = values[1:], limit_target(spec)
         errors = values - target.values
         if not np.isfinite(errors).all():
             raise ValueError("values must be finite")

@@ -5,7 +5,8 @@ a deletion leaves behind, the third what a deletion should take, and so
 does the fourth: every top-level function and class is named elsewhere.
 `ergmart/__init__.py` imports names only to export them, so the first test
 skips it. The last test keeps a process pool's modules out of the CLI's
-start-up and out of a selfcheck on forked workers."""
+start-up and out of a selfcheck on forked workers; the test after it keeps
+numpy.random, the generators and the selfcheck out of an explicit run."""
 import ast
 import importlib
 import os
@@ -138,3 +139,41 @@ def test_cli_start_up_leaves_the_pool_modules_unloaded():
                          text=True, timeout=60, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", "2 []"]
+
+
+def test_an_explicit_run_loads_neither_the_generators_nor_the_selfcheck(tmp_path):
+    """`build_experiment` of every explicit config in configs/ and an
+    `ergmart run` of demo.json import none of the modules that only random
+    fragments, `gen` or `selfcheck` use; one random fragment loads
+    numpy.random and the generators, and nothing more of them."""
+    configs = PACKAGE.parent.parent / "configs"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import contextlib, io, json, pathlib, sys\n"
+             "from ergmart import cli\n"
+             "from ergmart.config import build_experiment\n"
+             "unused = {'numpy.random', 'ergmart.generators', 'ergmart.fuzz',\n"
+             "          'ergmart.invariants', 'ergmart.selfcheck'}\n"
+             "def loaded():\n"
+             "    print(sorted(unused & set(sys.modules)))\n"
+             f"paths = sorted(pathlib.Path({str(configs)!r}).glob('*.json'))\n"
+             "explicit = [json.loads(p.read_text()) for p in paths\n"
+             "            if '\"random\"' not in p.read_text()]\n"
+             "print(len(explicit))\n"
+             "for cfg in explicit:\n"
+             "    build_experiment(cfg)\n"
+             "loaded()\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main(['run', '--config', {str(configs / 'demo.json')!r},\n"
+             f"                     '--out', {str(tmp_path)!r}])\n"
+             "print(code)\n"
+             "loaded()\n"
+             "build_experiment(dict(explicit[0], observable={'kind': 'random'}))\n"
+             "loaded()")
+    res = subprocess.run([sys.executable, "-W", "error", "-c", probe], capture_output=True,
+                         text=True, timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    count, *rest = res.stdout.splitlines()
+    assert int(count) >= 1
+    assert rest == ["[]", "0", "[]", "['ergmart.generators', 'numpy.random']"]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,11 +79,22 @@ class TestEndomorphism:
             loop = t.map[loop]
 
     def test_power_large_exponent_is_fast(self):
-        import time
+        # repeated squaring: one composition per bit and one per set bit,
+        # counted as index arrays read through the map's own array type; a
+        # step past the bound fails at once instead of running on
+        k = 10**8
+        bound, compositions = 2 * math.ceil(math.log2(k)), []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, np.ndarray):
+                    compositions.append(index)
+                    assert len(compositions) <= bound
+                return super().__getitem__(index)
+
         t = Endomorphism(uniform_space(7), [1, 2, 0, 4, 3, 6, 5])
-        start = time.perf_counter()
-        got = power(t, 10**8)
-        assert time.perf_counter() - start < 1.0
+        got = power(SimpleNamespace(space=t.space, map=t.map.view(Counted)), k)
+        assert compositions
         # orders 3 and 2: 10**8 = 1 mod 3 and 0 mod 2
         assert list(got.map) == [1, 2, 0, 3, 4, 5, 6]
 

@@ -393,9 +393,11 @@ class TestGridEvaluation:
             assert calls == [terms + stack + (2 * SP4.size, 1)]
             calls.clear()
             convergence_trace(spec, n1_grid, n2_grid)
-            # the limit target: martingale-ergodic reads the kept kernel of f,
-            # ergodic-martingale builds the one of its last stage
-            limit = [] if kind == MARTINGALE_ERGODIC else [terms + (1, 2 * SP4.size, 1)]
+            # the limit target: martingale-ergodic reads the kept kernel of f;
+            # ergodic-martingale reads the trace's kept kernel when the grid
+            # holds the last stage, else builds the one of its last stage
+            limit = ([] if kind == MARTINGALE_ERGODIC or 2 in n2_grid
+                     else [terms + (1, 2 * SP4.size, 1)])
             assert calls == limit
             calls.clear()
             convergence_trace(spec, n1_grid, n2_grid)
@@ -404,6 +406,35 @@ class TestGridEvaluation:
             fresh = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
             convergence_trace(fresh, n1_grid, n2_grid)
             assert len(calls) == 1 + len(limit)  # trace plus limit
+
+    @pytest.mark.parametrize("family", ("single_me", "single_em", "weighted_me", "weighted_em"))
+    def test_a_trace_reads_its_limit_with_one_kernel(self, monkeypatch, family):
+        # the limit is the first row of the trace's own pass: one kernel per
+        # trace, where ergodic-martingale built a second one of its last stage
+        builds = []
+        real = processes_module.CesaroKernel
+
+        class Counted(real):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        for seed in range(6):
+            inst = random_process_instance(seed, family)
+            period = max(inst.spec.periods())
+            n1_grid = sorted({1, 2, period, period + 1})
+            n2_grid = range(min(len(fl.stages) for fl in inst.spec.filtrations))
+            limit_first = random_process_instance(seed, family).spec
+            limit_target(limit_first)
+            want = convergence_trace(limit_first, n1_grid, n2_grid, inst.p).rows
+            monkeypatch.setattr(processes_module, "CesaroKernel", Counted)
+            builds.clear()
+            assert convergence_trace(inst.spec, n1_grid, n2_grid, inst.p).rows == want
+            assert len(builds) == 1
+            assert limit_target(inst.spec).values.tobytes() == (
+                limit_target(limit_first).values.tobytes())
+            assert len(builds) == 1
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("n1_grid, n2_grid, message", [
         ((4, 2), (0, 1), "n1_grid must be strictly increasing"),
@@ -497,8 +528,10 @@ class TestBatchedGrid:
     def test_trace_memory_does_not_grow_with_the_grid(self, kind):
         import tracemalloc
 
-        def peak(n1_grid):
+        def peak(n1_grid, limit_first=True):
             spec = _wide_spec(kind)
+            if limit_first:  # the trace then reads no limit row
+                limit_target(spec)
             tracemalloc.start()
             try:
                 convergence_trace(spec, n1_grid, (0, 1, 2, 3))
@@ -509,7 +542,11 @@ class TestBatchedGrid:
         # one chunk at a time: 64 n values (16 chunks) peak within 10 % of 4
         # (one chunk); with the previous chunk alive while the next is built,
         # the martingale-ergodic peak was 1.4 times as high
-        assert peak(range(1, 65)) <= 1.1 * peak(range(1, 5))
+        one_chunk = peak(range(1, 5))
+        assert peak(range(1, 65)) <= 1.1 * one_chunk
+        if kind == ERGODIC_MARTINGALE:
+            # a limit read as the first chunk's lead row leaves each chunk as large
+            assert peak(range(1, 65), limit_first=False) <= 1.1 * one_chunk
 
 
 def _spec_arrays(spec):
@@ -561,7 +598,8 @@ class TestKeptTables:
         evaluate(spec, 3, 1)
         sup_field(spec)
         arrays = list(_spec_arrays(spec))
-        assert len(spec.kernels) == (1 if kind == MARTINGALE_ERGODIC else 3)
+        # ergodic-martingale: the trace's stages, which gave the limit too, and stage 1
+        assert len(spec.kernels) == (1 if kind == MARTINGALE_ERGODIC else 2)
         assert len(arrays) > 10
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -614,5 +652,7 @@ class TestConditioningPasses:
                             lambda *args: calls.append(args[2]) or real_call(*args))
         spec = ProcessSpec.single(kind, F1357, CYC, FILT3)
         convergence_trace(spec, (1, 2, 5), (0, 1, 2))
-        assert len(passes) == len(calls) == 2  # the limit's, and the trace's
+        # martingale-ergodic: the limit's pass and the trace's; ergodic-martingale
+        # reads its limit in the trace's pass
+        assert len(passes) == len(calls) == (2 if kind == MARTINGALE_ERGODIC else 1)
         assert calls[-1] == [[0, 1, 2]]

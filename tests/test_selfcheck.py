@@ -205,7 +205,7 @@ def test_a_platform_without_fork_runs_in_process(monkeypatch, forks):
 
 def test_times_are_printed_only_with_the_flag(monkeypatch, capsys):
     result = run_selfcheck(budget=2)
-    monkeypatch.setattr(cli, "run_selfcheck", lambda budget, seed: result)
+    monkeypatch.setattr(selfcheck, "run_selfcheck", lambda budget, seed: result)
     assert cli.main(["selfcheck", "--budget", "2"]) == 0
     assert capsys.readouterr().out == result.render() + "\n"
     assert cli.main(["selfcheck", "--budget", "2", "--times"]) == 0
