@@ -274,7 +274,7 @@ class CesaroKernel:
         rows = csum.shape[-2]
         self.csum = csum.reshape(-1, csum.shape[-1])
         self.index = np.add.outer(np.arange(0, len(self.csum), rows), lay.slot)
-        # a kernel may be kept and shared (ProcessSpec.kernels), so its tables
+        # a kernel may be kept and shared (ProcessSpec.keep), so its tables
         # are read-only; C-contiguous, so every read runs numpy's fast loops
         for name, table in list(vars(self).items()):
             if isinstance(table, np.ndarray):

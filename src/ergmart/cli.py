@@ -24,7 +24,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:

@@ -427,6 +427,11 @@ def build_experiment(config: dict, seed_override: int | None = None) -> Experime
                 raise ConfigError(f"weight_seqs[{k}]",
                                   "the stabilization period (lcm of the map order "
                                   "and the frequency denominators) must be below 2**62")
+    # a point mass times a value, summed over a block, stays below the total mass times scale
+    if not space.total_mass * scale < sys.float_info.max:
+        raise ConfigError("space.weights", "the total mass times the largest absolute "
+                          "observable entry and the weights' amplitude sums must be below "
+                          "sys.float_info.max")
 
     trace_p = float(_field(config, "", "trace_p"))
     grids = _field(config, "", "grids")

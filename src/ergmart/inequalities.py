@@ -68,12 +68,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .averages import (_CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages,
-                       composite_block_means, conditioned, running_rows)
+from .averages import (_CHUNK_FLOATS, BesicovitchWeights, check_stages, composite_block_means,
+                       conditioned, running_rows)
 from .measure import DECREASING
 from .observables import VectorObservable, llog_norm, lp_norm, point_norms
 from .operators import block_means
-from .processes import MARTINGALE_ERGODIC, ProcessSpec
+from .processes import MARTINGALE_ERGODIC, ProcessSpec, _kernel
 
 __all__ = [
     "SupBox",
@@ -164,20 +164,8 @@ def _period_box(spec: ProcessSpec, box: SupBox) -> SupBox:
 
 
 def _cut(spec: ProcessSpec, box: SupBox) -> SupBox:
-    """_period_box of the box, checked and cut once per spec and box, and
-    kept by the spec for every later check."""
-    cut = spec._cut_boxes.get(box)
-    if cut is None:
-        cut = spec._cut_boxes[box] = _period_box(spec, box)
-    return cut
-
-
-def _f_norm(spec: ProcessSpec, p: float) -> float:
-    """|f|_p of the spec, computed once per p and kept by the spec."""
-    norm = spec._f_norms.get(p)
-    if norm is None:
-        norm = spec._f_norms[p] = lp_norm(spec.f, p, spec.norm)
-    return norm
+    """_period_box of the box, kept by the spec for every later check."""
+    return spec.keep(("cut", box), lambda: _period_box(spec, box))
 
 
 def sup_field(spec: ProcessSpec, box: SupBox | None = None,
@@ -198,10 +186,10 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None,
         if (any(a > b for a, b in zip(small.n_max, box.n_max))
                 or any(ss != big[:len(ss)] for ss, big in zip(small.stage_sets, box.stage_sets))):
             raise ValueError("every box must be a prefix of the full box")
-    missing = [small for small in cut - {box} if small not in spec.sup_fields]
-    if box not in spec.sup_fields or missing:
-        spec.sup_fields[box] = _build_sup_field(spec, box, *missing)
-    return spec.sup_fields[box]
+    missing = [small for small in cut - {box} if ("sup", small) not in spec.kept]
+    if missing:  # only the box's pass builds them, so a kept box is built again
+        spec.kept.pop(("sup", box), None)
+    return spec.keep(("sup", box), lambda: _build_sup_field(spec, box, *missing))
 
 
 def _horizons(spec: ProcessSpec) -> np.ndarray | None:
@@ -316,7 +304,7 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
             if row in rounds[:-1] and _certified(spec, boxes, fields, row, end):
                 break
     for small, field in zip(prefixes, fields[1:]):
-        spec.sup_fields[small] = VectorObservable(spec.space, field)
+        spec.kept["sup", small] = VectorObservable(spec.space, field)
     return VectorObservable(spec.space, fields[0])
 
 
@@ -346,20 +334,22 @@ def _certified(spec: ProcessSpec, boxes, fields, row: int, end: int) -> bool:
     is its limit, as on a fixed point, costs no certificate pass."""
     asked = [(field, s) for box, field in zip(boxes, fields) if box.n_max[0] > row
              for s in box.stage_sets[0]]
-    cert, (slope, offset) = spec._certificate, _row_error(spec)
-    margin = slope * (end + cert["points"][0] if "points" in cert else 2 * end) + 2 * offset
+    slope, offset = _row_error(spec)
+    # the rows of this pass and of the certificate's, whose cap is this end
+    # until it is built
+    margin = slope * (end + spec.kept.get("points", (end,))[0]) + 2 * offset
     late = end * spec.space.size > _EXACT_ROWS
     if not late:
         for field, s in asked:
-            block_of, limit = _limit_bound(spec, cert, s)
+            block_of, limit = _limit_bound(spec, s)
             if not np.all(limit[block_of] + margin < field):
                 return False
-    _point_bounds(spec, cert, end)
+    _point_bounds(spec, end)
     for field, s in asked:
-        block_of, limit, spread = _stage_bound(spec, cert, s)
+        block_of, limit, spread = _stage_bound(spec, s)
         closed = (limit + spread / row)[block_of] * (1 + 4 * _U) + margin < field
         if late:
-            period = _stage_period(spec, cert, s)
+            period = _stage_period(spec, s)
             closed |= ((period > 0) & (period <= row))[block_of]
         if not closed.all():
             return False
@@ -385,34 +375,24 @@ def _row_error(spec: ProcessSpec) -> tuple[float, float]:
     return slope, slope * (2 * size + dim + 8)
 
 
-def _kernel_limit(spec: ProcessSpec) -> np.ndarray:
-    """g, the limit of the averages at every point from the spec's Cesaro
-    kernel of f (the trace's, or built and kept here)."""
-    kernel = spec.kernels.get(None)
-    if kernel is None:
-        kernel = spec.kernels[None] = CesaroKernel(
-            spec.f.values, spec.maps[0], None if spec.weights is None else spec.weights[0])
-    return kernel.average(None)
-
-
-def _point_bounds(spec: ProcessSpec, cert: dict, cap: int) -> tuple:
+def _point_bounds(spec: ProcessSpec, cap: int) -> tuple:
     """(cap, D_w, l, R) of the spec: l(y) the pass's own row at H_y and R_y
     for H_y <= cap (inf past it), per point, and D_w with its rounding;
-    built by the first call and kept in its certificate `cert`
-    (ProcessSpec._certificate) under "points", beside the block bounds of
-    each stage s that _limit_bound, _stage_bound or _stage_period was asked
-    for, under ("limit", s), ("bound", s) and ("period", s).
+    built by the first call and kept by the spec under "points", beside the
+    block bounds of each stage s that _limit_bound, _stage_bound or
+    _stage_period was asked for.
 
     Each class of points that share H_y <= cap streams f through
     running_rows to row H_y, all of them reading one weight period, and
-    folds r |A_r - g|_q into R_y, g the kernel's limit. Any g serves: |S_r - r l|_q
+    folds r |A_r - g|_q into R_y, g the limit of the spec's Cesaro kernel
+    of f (one map, so its innermost). Any g serves: |S_r - r l|_q
     <= r |A_r - g|_q + r |g - l|_q, and |g - l|_q is read at the class's last
     row. Each A_r is a row of the kind _row_error bounds, and the 2 (d + 8) u
     of the final factor covers the differences, norms and products after
     them."""
-    if "points" not in cert:
+    def build():
         w = None if spec.weights is None else spec.weights[0]
-        guess, values, q = _kernel_limit(spec), spec.f.values, spec.norm.q
+        guess, values, q = _kernel(spec).average(None), spec.f.values, spec.norm.q
         limit, bound = np.zeros_like(values), np.full(spec.space.size, math.inf)
         slope, offset = _row_error(spec)
         alphas = _weights(w, cap)
@@ -428,8 +408,8 @@ def _point_bounds(spec: ProcessSpec, cert: dict, cap: int) -> tuple:
             limit[points] = chunk[-1]
             miss = point_norms(chunk[-1] - guess[points], q) + 2 * (slope * end + offset)
             bound[points] = (top + end * miss) * (1 + 2 * (spec.f.dim + 8) * _U)
-        cert["points"] = cap, _weight_drift(w), limit, bound
-    return cert["points"]
+        return cap, _weight_drift(w), limit, bound
+    return spec.keep("points", build)
 
 
 def _weight_drift(w: BesicovitchWeights | None) -> float:
@@ -446,14 +426,12 @@ def _weight_drift(w: BesicovitchWeights | None) -> float:
     return float(drift * (1 + 2 * _U) + 2 * period * (period + 2) * _U * np.abs(a).max())
 
 
-def _limit_bound(spec: ProcessSpec, cert: dict, s: int):
+def _limit_bound(spec: ProcessSpec, s: int):
     """(block_of, |E[g | B]|_q) of stage s of the first filtration, g the
-    kernel's limit, kept in the certificate."""
-    if ("limit", s) not in cert:
-        part = spec.filtrations[0].stages[s]
-        cert["limit", s] = part.block_of, point_norms(block_means(_kernel_limit(spec), part),
-                                                      spec.norm.q)
-    return cert["limit", s]
+    kernel's limit, kept by the spec."""
+    part = spec.filtrations[0].stages[s]
+    return spec.keep(("limit_bound", s), lambda: (part.block_of, point_norms(
+        block_means(_kernel(spec).average(None), part), spec.norm.q)))
 
 
 def _cut_points(spec: ProcessSpec, block_of: np.ndarray) -> np.ndarray:
@@ -464,13 +442,13 @@ def _cut_points(spec: ProcessSpec, block_of: np.ndarray) -> np.ndarray:
     return np.bincount(cycle, block_of != block_of[spec.maps[0].map], 2 * size)[cycle] > 0
 
 
-def _stage_bound(spec: ProcessSpec, cert: dict, s: int):
+def _stage_bound(spec: ProcessSpec, s: int):
     """(block_of, |E[l | B]|_q, R_B) of stage s of the first filtration,
-    per block, built once and kept in the certificate (see _certified). The
-    (2N + 8) u of R_B covers the block means; |a_B|_q gets the error of a
-    block mean of f and of its norm."""
-    if ("bound", s) not in cert:
-        _, drift, points_limit, points_bound = cert["points"]
+    per block, from the kept point bounds; built once and kept by the spec
+    (see _certified). The (2N + 8) u of R_B covers the block means; |a_B|_q
+    gets the error of a block mean of f and of its norm."""
+    def build():
+        _, drift, points_limit, points_bound = spec.kept["points"]
         part, size, dim = spec.filtrations[0].stages[s], spec.space.size, spec.f.dim
         values = spec.f.values
         cut = _cut_points(spec, part.block_of)
@@ -479,25 +457,24 @@ def _stage_bound(spec: ProcessSpec, cert: dict, s: int):
         limit = point_norms(means[:, :dim], spec.norm.q)
         inside = (point_norms(means[:, dim:-1], spec.norm.q) * (1 + (dim + 4) * _U)
                   + (2 * size + 3) * dim * _U * np.abs(values).max())
-        cert["bound", s] = (part.block_of, limit,
-                            (means[:, -1] + drift * inside) * (1 + (2 * size + 8) * _U))
-    return cert["bound", s]
+        return part.block_of, limit, (means[:, -1] + drift * inside) * (1 + (2 * size + 8) * _U)
+    return spec.keep(("bound", s), build)
 
 
-def _stage_period(spec: ProcessSpec, cert: dict, s: int) -> np.ndarray:
-    """H_B per block of stage s, kept in the certificate: the lcm of the
-    weight period and of H_y on the cycles that B cuts, 0 past the cap, read
-    class by class so that no product overflows."""
-    if ("period", s) not in cert:
-        part, cap = spec.filtrations[0].stages[s], cert["points"][0]
+def _stage_period(spec: ProcessSpec, s: int) -> np.ndarray:
+    """H_B per block of stage s, kept by the spec: the lcm of the weight
+    period and of H_y on the cycles that B cuts, 0 past the cap of the kept
+    point bounds, read class by class so that no product overflows."""
+    def build():
+        part, cap = spec.filtrations[0].stages[s], spec.kept["points"][0]
         cut, ends = _cut_points(spec, part.block_of), _horizons(spec)
         period = np.full(part.block_count, 1 if spec.weights is None else spec.weights[0].period)
         for end in set(ends[cut].tolist()):
             has = np.bincount(part.block_of[cut & (ends == end)], minlength=part.block_count) > 0
             step = period // np.gcd(period, end)
             period = np.where(has, np.where(step > cap // end, 0, step * end), period)
-        cert["period", s] = period
-    return cert["period", s]
+        return period
+    return spec.keep(("period", s), build)
 
 
 def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:
@@ -598,9 +575,10 @@ def _theorem_tag(spec: ProcessSpec, flavor: str) -> str:
 
 
 def _check_setup(spec: ProcessSpec, check: str, p: float,
-                 box: SupBox | None) -> tuple[SupBox, float]:
+                 box: SupBox | None) -> tuple[SupBox, float, float]:
     """Validates a dominant or maximal check (sup_field validates the box);
-    returns the box and the weight bound alpha that goes into the constants."""
+    returns the box, the weight bound alpha that goes into the constants and
+    |f|_p, kept by the spec."""
     if not p > 1.0:
         raise ValueError("p must be > 1")
     broken = broken_rule(spec, check, p)
@@ -608,17 +586,18 @@ def _check_setup(spec: ProcessSpec, check: str, p: float,
         raise ValueError(broken[1])
     if box is None:
         box = default_box(spec)
-    return box, max(effective_weight_bound(spec, box))
+    norm = spec.keep(("norm", p), lambda: lp_norm(spec.f, p, spec.norm))
+    return box, max(effective_weight_bound(spec, box)), norm
 
 
 def dominant_check(spec: ProcessSpec, p: float, box: SupBox | None = None) -> InequalityReport:
     """|  sup-of-process-norms  |_p <= C(p, variant) |f|_p over the box."""
-    box, alpha = _check_setup(spec, "dominant", p, box)
+    box, alpha, f_norm = _check_setup(spec, "dominant", p, box)
     const = dominant_constant(p, weighted=spec.is_weighted, multi=spec.is_multi,
                               alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box)
     lhs = lp_norm(field, p, spec.norm)
-    rhs = const * _f_norm(spec, p)
+    rhs = const * f_norm
     return InequalityReport(
         theorem_tag=_theorem_tag(spec, "dominant"),
         lhs=lhs, rhs=rhs, constant=const, p=p, epsilon=None,
@@ -631,7 +610,7 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
                   box: SupBox | None = None) -> list[InequalityReport]:
     """mu{ sup >= eps } <= C(p, variant) |f|_p^p / eps^p over the box, one report
     per eps of the ascending grid; the sup field is computed once."""
-    box, alpha = _check_setup(spec, "maximal", p, box)
+    box, alpha, f_norm = _check_setup(spec, "maximal", p, box)
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValueError("epsilon grid must be nonempty and positive")
@@ -641,7 +620,7 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
                              alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box).values[:, 0]
     mu = spec.space.weights
-    fnorm_p = _f_norm(spec, p) ** p
+    fnorm_p = f_norm**p
     tag = _theorem_tag(spec, "maximal")
     out = []
     for eps in eps_grid:

@@ -47,9 +47,13 @@ class MeasureSpace:
             raise ValueError("weights must be finite")
         if np.any(arr <= 0.0):
             raise ValueError("weights must be strictly positive")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(arr))
+        if not np.isfinite(total):
+            raise ValueError("weights must have a finite sum")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "total_mass", float(np.sum(arr)))
+        object.__setattr__(self, "total_mass", total)
 
     @property
     def size(self) -> int:

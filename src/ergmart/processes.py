@@ -124,57 +124,38 @@ class ProcessSpec:
     def periods(self) -> tuple[int | None, ...]:
         """Per-map period P_j after which the weighted Cesaro sum repeats
         exactly: lcm of the orbit order and the weight period; None for a map
-        whose weights have an irrational frequency. Computed once per spec."""
-        return self._periods
+        whose weights have an irrational frequency. Kept under "periods"."""
+        return self.keep("periods", lambda: self.orbit_lcms() if self.weights is None else tuple(
+            None if w.period is None else math.lcm(base, w.period)
+            for base, w in zip(self.orbit_lcms(), self.weights)))
 
     @functools.cached_property
-    def _periods(self) -> tuple[int | None, ...]:
-        if self.weights is None:
-            return self.orbit_lcms()
-        periods = []
-        for base, w in zip(self.orbit_lcms(), self.weights):
-            wp = w.period
-            periods.append(None if wp is None else math.lcm(base, wp))
-        return tuple(periods)
-
-    @functools.cached_property
-    def sup_fields(self) -> dict:
-        """Sup fields of this spec by box, filled by inequalities.sup_field;
-        they live as long as the spec."""
+    def kept(self) -> dict:
+        """Everything this spec builds once, by key (see keep)."""
         return {}
 
-    @functools.cached_property
-    def _cut_boxes(self) -> dict:
-        """Each sup box given for this spec, checked and cut to the periods
-        once by inequalities._period_box, under the box as given."""
-        return {}
+    def keep(self, key, build):
+        """The value kept under `key`, built by build() on first use and kept
+        for the life of the spec. The keys: "periods"; "limit", the limit
+        of the process; ("kernel", None) the innermost map's Cesaro kernel of
+        f, ("kernel", stage vectors) that of f conditioned at each of them;
+        ("cut", box) a sup box checked and cut to the periods, ("sup", box)
+        the sup field of a cut box and ("norm", p) |f|_p, for the inequality
+        checks; and the early-stop certificate of a martingale-ergodic sup
+        pass: "points", ("limit_bound", s), ("bound", s) and ("period", s)."""
+        kept = self.kept
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
 
-    @functools.cached_property
-    def _f_norms(self) -> dict:
-        """|f|_p of this spec by p, computed once by the inequality checks."""
-        return {}
-
-    @functools.cached_property
-    def _certificate(self) -> dict:
-        """The early-stop certificate of this spec's martingale-ergodic sup
-        pass, built once by inequalities._certified."""
-        return {}
-
-    @functools.cached_property
-    def kernels(self) -> dict:
-        """Innermost-map Cesaro kernels of this spec, filled by the grid
-        evaluation and kept as long as the spec: under None the kernel of f
-        (martingale-ergodic), under a tuple of stage vectors the kernel of f
-        conditioned at each of them (ergodic-martingale)."""
-        return {}
-
-    @functools.cached_property
+    @property
     def limit(self) -> VectorObservable:
-        """limit_target of this spec, computed on first use, or kept by the
-        first grid read that reached it (_cells)."""
-        for _ in _cells(self, [None], [self.last_stages]):
-            pass
-        return vars(self)["limit"]
+        """limit_target of this spec: kept under "limit" by the first grid
+        read that reaches it (_cells), which this runs if none has."""
+        if "limit" not in self.kept:
+            for _ in _cells(self, [None], [self.last_stages]):
+                pass
+        return self.kept["limit"]
 
     def __repr__(self):
         return (f"ProcessSpec({self.kind}, maps={self.d_maps}, "
@@ -203,8 +184,8 @@ def _cells(spec: ProcessSpec, n_vecs: Sequence[tuple[int, ...] | None],
     T_1^{k_1} ... T_d^{k_d} applies T_d first, and by linearity the box sum
     factors into nested one-parameter averages. The innermost map's kernel
     does not depend on n, so it is built once and kept by the spec
-    (ProcessSpec.kernels): martingale-ergodic over f, read once per chunk at
-    all its n_vecs and conditioned once per s_vec over the whole stack;
+    (_kernel): martingale-ergodic over f, read once per chunk at all its
+    n_vecs and conditioned once per s_vec over the whole stack;
     ergodic-martingale over the stack of f conditioned at every s_vec, once
     per list of s_vecs, and read once per chunk. The outer maps' inputs
     depend on n, so their kernels are built per n_vec.
@@ -222,11 +203,7 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
     included, under _CHUNK_FLOATS floats."""
     weights = spec.weights or (None,) * spec.d_maps
     me = spec.kind == MARTINGALE_ERGODIC
-    key = None if me else tuple(s_vecs)
-    kernel = spec.kernels.get(key)
-    if kernel is None:
-        values = spec.f.values if me else _conditioned(spec, spec.f.values, s_vecs)
-        kernel = spec.kernels[key] = CesaroKernel(values, spec.maps[-1], weights[-1])
+    kernel = _kernel(spec, None if me else tuple(s_vecs))
     # floats per n_vec: the values at every s_vec, and the innermost read of
     # each kernel entry (f, or f at every s_vec), complex per term if weighted
     read = 1 if weights[-1] is None else 2 * len(weights[-1].terms)
@@ -249,11 +226,20 @@ def _grid_values(spec: ProcessSpec, n_vecs, s_vecs) -> Iterator[np.ndarray]:
             stack = np.stack(outer)
         if me:
             stack = _conditioned(spec, stack, s_vecs)
-        if None in chunk and spec.last_stages in s_vecs and "limit" not in vars(spec):
-            vars(spec)["limit"] = VectorObservable(
-                spec.space, stack[chunk.index(None), s_vecs.index(spec.last_stages)])
+        if None in chunk and spec.last_stages in s_vecs:
+            spec.keep("limit", lambda: VectorObservable(
+                spec.space, stack[chunk.index(None), s_vecs.index(spec.last_stages)]))
         yield stack
         stack = outer = values = None  # the next chunk is built without this one
+
+
+def _kernel(spec: ProcessSpec, s_vecs: tuple | None = None) -> CesaroKernel:
+    """The innermost map's Cesaro kernel of f (s_vecs None), or of the stack
+    of f conditioned at each stage vector of s_vecs, kept by the spec."""
+    w = None if spec.weights is None else spec.weights[-1]
+    return spec.keep(("kernel", s_vecs), lambda: CesaroKernel(
+        spec.f.values if s_vecs is None else _conditioned(spec, spec.f.values, s_vecs),
+        spec.maps[-1], w))
 
 
 def _conditioned(spec: ProcessSpec, values: np.ndarray, s_vecs) -> np.ndarray:
@@ -344,7 +330,7 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
     # martingale-ergodic conditions after the kernel read, so a limit row in
     # the grid's pass would be conditioned at every stage, not at the last only
     lead = [None] if (reference is None and spec.kind == ERGODIC_MARTINGALE
-                      and "limit" not in vars(spec) and spec.last_stages in s_vecs) else []
+                      and "limit" not in spec.kept and spec.last_stages in s_vecs) else []
     cells = _cells(spec, lead + [(n1,) * spec.d_maps for n1 in n1_grid], s_vecs)
     if reference is None:
         target = None if lead else limit_target(spec)

@@ -318,6 +318,45 @@ def test_large_p_dominant_runs(tmp_path, p):
     assert dominant["satisfied"] and 6.9 < dominant["lhs"] <= dominant["rhs"]
 
 
+def _masses_config(weights, values):
+    return {"space": {"weights": weights}, "maps": [{"kind": "identity"}],
+            "filtrations": [{"stages": [list(range(len(weights))), [0] * len(weights)]}],
+            "observable": {"values": values}, "checks": [{"type": "dominant", "p": 2}]}
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the case
+@pytest.mark.parametrize("weights, values, code", [
+    # the masses sum to inf
+    ([1e308, 1e308, 1e308], [1.0, 2.0, 3.0], 1),
+    # a finite total mass, but mass times value overflows in the block means
+    ([1e300, 1e300], [1e10, 2e10], 1),
+    # the total mass times the largest value, 1.796e308, is just below the bound
+    ([1e300, 1e300], [1e7, 8.98e7], 0),
+], ids=["masses_sum_inf", "mass_times_value_inf", "just_under_the_bound"])
+def test_large_point_masses_exit_at_the_weights(tmp_path, capsys, weights, values, code):
+    path = tmp_path / "masses.json"
+    path.write_text(json.dumps(_masses_config(weights, values)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: space.weights: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+    else:
+        assert not err
+        reports = json.loads((tmp_path / "o" / "reports.json").read_text())
+        assert reports[0]["satisfied"] and math.isfinite(reports[0]["rhs"])
+
+
+def test_a_deeply_nested_config_is_not_valid_json(tmp_path, capsys):
+    # valid JSON, but the decoder recurses once per level
+    path = tmp_path / "deep.json"
+    path.write_text('{"space": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 def _long_orbit_config():
     """N = 64 with a map of order 840 and weights of period 72, so the period is
     lcm(840, 72) = 2520: below the 3360 of box_factor 4."""

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -38,6 +39,7 @@ from ergmart.processes import (
     evaluate,
     stabilization_periods,
 )
+from ergmart.runner import execute_plan
 from oracles import oracle_cycles, oracle_sup_field_full_period
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -85,6 +87,25 @@ class TestConstants:
             dominant_constant(1.0)
         with pytest.raises(ValueError):
             maximal_constant(0.5)
+
+
+def _kept(spec, family):
+    """What the spec keeps under the tuple keys of one family, by their
+    second entry: ("sup", box) gives box -> field."""
+    return {key[1]: value for key, value in spec.kept.items()
+            if isinstance(key, tuple) and key[0] == family}
+
+
+def _family(key):
+    """The family of a key that a spec keeps: a string key itself, or the
+    first entry of a tuple key."""
+    return key if isinstance(key, str) else key[0]
+
+
+def _certificate(spec):
+    """The keys of the spec's early-stop certificate."""
+    return [key for key in spec.kept
+            if _family(key) in ("points", "limit_bound", "bound", "period")]
 
 
 def _horizons(spec, n):
@@ -315,7 +336,7 @@ class TestOneSupPass:
         spec = me_spec()
         with pytest.raises(ValueError, match="prefix"):
             sup_field(spec, SupBox((4,), ((0, 1),)), [SupBox((4,), ((1,),))])
-        assert not spec.sup_fields
+        assert not _kept(spec, "sup")
 
     @pytest.mark.parametrize("bad, message", [
         (SupBox((2, 2), ((0,),)), "one n_max per map"),
@@ -328,7 +349,7 @@ class TestOneSupPass:
         spec = me_spec()
         with pytest.raises(ValueError, match=message):
             sup_field(spec, SupBox((4,), ((0, 1, 2),)), [bad])
-        assert not spec.sup_fields
+        assert not _kept(spec, "sup")
 
     def test_a_prefix_equal_to_the_cut_box_or_given_twice_costs_no_build(self, monkeypatch):
         builds = []
@@ -342,6 +363,48 @@ class TestOneSupPass:
         sup_field(spec, small)
         sup_field(spec, box, [small])
         assert len(builds) == 1
+
+
+class TestKeptOnce:
+    """Each value a spec keeps is built once for the life of the spec: a spy
+    on ProcessSpec.keep counts the builds of every (spec, key)."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> collections.Counter:
+        builds, real = collections.Counter(), ProcessSpec.keep
+
+        def keep(spec, key, build):
+            # the spec itself in the key keeps it alive, so no two share one
+            return real(spec, key, lambda: builds.update([(spec, key)]) or build())
+
+        monkeypatch.setattr(ProcessSpec, "keep", keep)
+        return builds
+
+    @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
+    @pytest.mark.parametrize("name", ("demo", "high_order_128", "two_maps_64",
+                                      "high_order_2048"))
+    def test_a_run_builds_each_kept_value_once(self, name, kind, tmp_path, monkeypatch):
+        builds = self._spy(monkeypatch)
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        config["process"] = kind
+        execute_plan(build_experiment(config), tmp_path)
+        assert set(builds.values()) == {1}, [key for key, n in builds.items() if n > 1]
+        # the certificate stops the one-map martingale-ergodic passes; past
+        # _EXACT_ROWS point rows (high_order_2048) by the block periods, with
+        # no limit bounds first
+        certificate = {("high_order_128", MARTINGALE_ERGODIC): {"points", "limit_bound", "bound"},
+                       ("high_order_2048", MARTINGALE_ERGODIC): {"points", "bound", "period"}}
+        assert {_family(key) for _, key in builds} == {
+            "periods", "kernel", "limit", "cut", "sup", "norm",
+            *certificate.get((name, kind), ())}
+
+    def test_the_fuzz_builds_each_kept_value_once(self, monkeypatch):
+        builds = self._spy(monkeypatch)
+        assert run_inequality_fuzz(budget=30).ok
+        assert set(builds.values()) == {1}, [key for key, n in builds.items() if n > 1]
+        # three boxes per instance, cut once each
+        assert collections.Counter(_family(key) for _, key in builds) == {
+            "periods": 30, "cut": 90, "sup": 30, "norm": 30}
 
 
 class TestConditioningCost:
@@ -412,7 +475,7 @@ class TestPeriodClamp:
             with pytest.raises(ValueError, match="irrational"):
                 stabilization_periods(spec)
             field = sup_field(spec, box).values[:, 0]
-            assert list(spec.sup_fields) == [SupBox((12, 2), ((0, 1, 2),))]
+            assert list(_kept(spec, "sup")) == [SupBox((12, 2), ((0, 1, 2),))]
             want = np.zeros(4)
             for n_vec in itertools.product(range(1, 13), range(1, 7)):
                 for s in (0, 1, 2):
@@ -712,7 +775,8 @@ class TestCertifiedStop:
             assert start + count == min(next_end, start + rows)
         horizons = ineq._horizons(spec)
         _assert_classes(certificate, horizons, budget, point_floats)
-        spec._certificate.clear()
+        for key in _certificate(spec):
+            del spec.kept[key]
         assert np.array_equal(field, ineq._build_sup_field(spec, box).values)
 
     @pytest.mark.parametrize("case", ("irrational", "two filtrations", "two maps",
@@ -738,7 +802,7 @@ class TestCertifiedStop:
         for budget in (2**62, 100 * 64 * 3):
             _, passes, point_floats = _build_in_chunks(monkeypatch, spec, box, budget)
             _assert_classes(passes, [end] * 64, budget, point_floats)
-        assert not spec._certificate
+        assert not _certificate(spec)
 
     def test_weights_are_read_up_to_one_period(self, monkeypatch):
         # weight period 4 on cycles of 7, 8, 9 and 5: H_y is 28, 8, 36 or 20,
@@ -791,17 +855,16 @@ class TestCertifiedStop:
         for seed in range(6):
             spec = _order_840_spec(seed, weighted)
             w = spec.weights[0] if weighted else None
-            cert = spec._certificate
-            ineq._point_bounds(spec, cert, 840)
+            ineq._point_bounds(spec, 840)
             slope, offset = ineq._row_error(spec)
             (_, rows), = running_rows(spec.f.values, spec.maps[0],
                                       None if w is None else w.values(840), (840,), 840)
             n = np.arange(1, 841)[:, None]
             for s in range(4):
                 part = spec.filtrations[0].stages[s]
-                _, limit, spread = ineq._stage_bound(spec, cert, s)
+                _, limit, spread = ineq._stage_bound(spec, s)
                 (_, means), = composite_block_means(rows, spec.filtrations, ((s,),))
-                limit_means = block_means(cert["points"][2], part)
+                limit_means = block_means(spec.kept["points"][2], part)
                 deviation = point_norms(means - limit_means, spec.norm.q)
                 assert np.all(deviation <= spread / n + 2 * (slope * 840 + offset))
                 if s == 0 or (weighted and s == 3):
@@ -811,18 +874,16 @@ class TestCertifiedStop:
         # R_B only averages R_y over the cycles that B cuts: unweighted, the
         # whole space and any block of whole cycles have R_B = 0
         spec = _order_840_spec(2, weighted=False)
-        cert = spec._certificate
-        ineq._point_bounds(spec, cert, 840)
-        _, _, spread = ineq._stage_bound(spec, cert, 3)
+        ineq._point_bounds(spec, 840)
+        _, _, spread = ineq._stage_bound(spec, 3)
         assert np.array_equal(spread, [0.0])
         lay = spec.maps[0].cycle_layout
         cycles = Partition(spec.space, lay.slot - lay.position)
         filt = Filtration(spec.space, DECREASING, (Partition.singletons(spec.space), cycles))
         spec = ProcessSpec.single(MARTINGALE_ERGODIC, spec.f, spec.maps[0], filt)
-        cert = spec._certificate
-        ineq._point_bounds(spec, cert, 840)
-        assert not ineq._stage_bound(spec, cert, 1)[2].any()
-        assert ineq._stage_bound(spec, cert, 0)[2].min() > 0
+        ineq._point_bounds(spec, 840)
+        assert not ineq._stage_bound(spec, 1)[2].any()
+        assert ineq._stage_bound(spec, 0)[2].min() > 0
 
     def test_a_field_within_the_margin_is_not_certified(self):
         """The margin of _row_error is what stands between a bound on the
@@ -840,8 +901,7 @@ class TestCertifiedStop:
         less is not certified, and one that clears it by more is."""
         spec = _order_840_spec(5)
         box = SupBox((840,), ((0, 1, 2, 3),))
-        cert = spec._certificate
-        ineq._point_bounds(spec, cert, 840)
+        ineq._point_bounds(spec, 840)
         slope, offset = ineq._row_error(spec)
         margin = slope * (840 + 840) + 2 * offset
         assert margin == pytest.approx(2 * (2 * ineq._U * 2 * np.abs(spec.f.values).max()
@@ -850,7 +910,7 @@ class TestCertifiedStop:
         row = 64
         bound = np.zeros(64)
         for s in range(4):
-            block_of, limit, spread = ineq._stage_bound(spec, cert, s)
+            block_of, limit, spread = ineq._stage_bound(spec, s)
             bound = np.maximum(bound, ((limit + spread / row) * (1 + 4 * ineq._U))[block_of])
         assert not ineq._certified(spec, [box], [bound + margin / 2], row, 840)
         assert ineq._certified(spec, [box], [bound + 2 * margin], row, 840)

@@ -3,6 +3,8 @@ uses, every exported name resolves, and every name the package exports is
 read by another module or documented in README.md. The first two catch what
 a deletion leaves behind, the third what a deletion should take, and so
 does the fourth: every top-level function and class is named elsewhere.
+README.md's table of what a spec keeps names every key family it is kept
+under.
 `ergmart/__init__.py` imports names only to export them, so the first test
 skips it. The last test keeps a process pool's modules out of the CLI's
 start-up and out of a selfcheck on forked workers; the test after it keeps
@@ -115,6 +117,42 @@ def test_every_top_level_definition_is_named_elsewhere():
                            if (where, k) != (name, node.lineno)):
                     unnamed.append(f"{name}.{node.name}")
     assert not unnamed, f"top-level definitions named nowhere else: {unnamed}"
+
+
+def _kept_families() -> set[str]:
+    """The family of every key the package passes to `keep` or writes to
+    `kept`: a string key, or the string first entry of a tuple key. A key
+    that is neither fails, so no family escapes the check."""
+    families = set()
+    for name in MODULES:
+        for node in ast.walk(_tree(name)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "keep"):
+                key = node.args[0]
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "kept"):
+                key = node.slice
+            else:
+                continue
+            key = key.elts[0] if isinstance(key, ast.Tuple) else key
+            assert isinstance(key, ast.Constant) and isinstance(key.value, str), (
+                f"ergmart/{name}.py:{node.lineno} keeps a value under no named family")
+            families.add(key.value)
+    return families
+
+
+def test_readme_table_names_every_kept_family():
+    """README's "What each object keeps" table has one `ProcessSpec` row per
+    key family that the package keeps on a spec, named as the row's first
+    code span ("family" or ("family", ...)), and no other."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    table = readme[readme.index("## What each object keeps"):]
+    rows = [line for line in table.splitlines() if line.startswith("| `ProcessSpec` | `")]
+    named = [re.match(r'\| `ProcessSpec` \| `\(?"(\w+)"', row) for row in rows]
+    assert all(named), [row for row, match in zip(rows, named) if not match]
+    families = _kept_families()
+    assert {"sup", "cut", "norm", "kernel", "limit", "periods", "points"} <= families
+    assert sorted(match[1] for match in named) == sorted(families)
 
 
 def test_cli_start_up_leaves_the_pool_modules_unloaded():

@@ -45,6 +45,13 @@ def test_make_space_rejects(bad):
         make_space(bad)
 
 
+@pytest.mark.filterwarnings("error")  # the overflowing sum warns nothing
+def test_make_space_rejects_masses_whose_sum_is_not_finite():
+    with pytest.raises(ValueError, match="finite sum"):
+        make_space([1e308, 1e308, 1e308])
+    assert make_space([1e308, 7e307]).total_mass == 1e308 + 7e307
+
+
 def test_space_equality(monkeypatch):
     sp = make_space([0.5, 0.25, 0.25])
     assert sp == make_space([0.5, 0.25, 0.25])

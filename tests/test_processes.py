@@ -549,13 +549,20 @@ class TestBatchedGrid:
             assert peak(range(1, 65), limit_first=False) <= 1.1 * one_chunk
 
 
+def _kept(spec, family):
+    """What the spec keeps under the tuple keys of one family, by their
+    second entry: ("kernel", stages) gives stages -> kernel."""
+    return {key[1]: value for key, value in spec.kept.items()
+            if isinstance(key, tuple) and key[0] == family}
+
+
 def _spec_arrays(spec):
     """Every array a spec keeps: its kernels' tables, its limit, its sup
     fields, and the tables of its maps and partitions."""
-    for kernel in spec.kernels.values():
+    for kernel in _kept(spec, "kernel").values():
         yield from (v for v in vars(kernel).values() if isinstance(v, np.ndarray))
     yield spec.limit.values
-    for field in spec.sup_fields.values():
+    for field in _kept(spec, "sup").values():
         yield field.values
     for t in spec.maps:
         yield from (v for v in vars(t.cycle_layout).values() if isinstance(v, np.ndarray))
@@ -599,13 +606,13 @@ class TestKeptTables:
         sup_field(spec)
         arrays = list(_spec_arrays(spec))
         # ergodic-martingale: the trace's stages, which gave the limit too, and stage 1
-        assert len(spec.kernels) == (1 if kind == MARTINGALE_ERGODIC else 2)
+        assert len(_kept(spec, "kernel")) == (1 if kind == MARTINGALE_ERGODIC else 2)
         assert len(arrays) > 10
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
         # every kernel read runs on C-contiguous tables
-        for kernel in spec.kernels.values():
+        for kernel in _kept(spec, "kernel").values():
             for name, table in vars(kernel).items():
                 if isinstance(table, np.ndarray):
                     assert table.flags.c_contiguous, name
