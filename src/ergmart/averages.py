@@ -86,7 +86,6 @@ class BesicovitchWeights:
             raise ValueError("frequency denominators must be at most 2**31")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "amplitude_bound", float(sum(abs(a) for a, _, _ in terms)))
-        object.__setattr__(self, "_reduced", reduced)
         # the kernel's view: a_i = Re sum_k coef_k * exp(i * angle_k(i))
         object.__setattr__(self, "_coef", np.array([a * complex(math.cos(ph), math.sin(ph))
                                                     for a, _, ph in terms]))
@@ -94,6 +93,8 @@ class BesicovitchWeights:
         object.__setattr__(self, "_num", np.array([[red[0] if red else 0] for red in reduced]))
         object.__setattr__(self, "_den", np.array([[red[1] if red else 1] for red in reduced]))
         object.__setattr__(self, "_freq", np.array([[fq] for _, fq, _ in terms]))
+        object.__setattr__(self, "_amp", np.array([[a] for a, _, _ in terms]))
+        object.__setattr__(self, "_phase", np.array([[ph] for _, _, ph in terms]))
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "BesicovitchWeights":
@@ -117,19 +118,13 @@ class BesicovitchWeights:
         return 2.0 * math.pi * np.where(self._exact, exact, x - np.rint(x))
 
     def values(self, n: int) -> np.ndarray:
-        """First n weights."""
+        """First n weights, amp_k cos(angle_k(i) + phase_k) summed over the
+        terms in their order, at the angles of `_angles` that the Cesaro
+        kernel reads."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        i = np.arange(n, dtype=np.int64)
-        out = np.zeros(n)
-        for (amp, freq, phase), reduced in zip(self.terms, self._reduced):
-            if reduced is not None:
-                num, den = reduced
-                angle = 2.0 * math.pi * num * (i % den) / den + phase
-            else:
-                angle = 2.0 * math.pi * freq * i + phase
-            out += amp * np.cos(angle)
-        return out
+        angles = self._angles(np.arange(n, dtype=np.int64)) + self._phase
+        return (self._amp * np.cos(angles)).sum(axis=0)
 
     def sup_abs(self, horizon: int) -> float:
         """Observed sup of |a_i| over i < horizon."""
@@ -140,12 +135,7 @@ class BesicovitchWeights:
     @property
     def period(self) -> int | None:
         """Common period when every frequency is rational, else None."""
-        dens = []
-        for red in self._reduced:
-            if red is None:
-                return None
-            dens.append(red[1])
-        return math.lcm(*dens)
+        return math.lcm(*self._den.ravel().tolist()) if self._exact.all() else None
 
     def __repr__(self):
         return f"BesicovitchWeights(terms={len(self.terms)}, bound={self.amplitude_bound:g})"

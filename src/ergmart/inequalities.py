@@ -620,12 +620,13 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
                              alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box).values[:, 0]
     mu = spec.space.weights
-    fnorm_p = f_norm**p
     tag = _theorem_tag(spec, "maximal")
     out = []
     for eps in eps_grid:
         lhs = float(mu[field >= eps].sum())
-        rhs = const * fnorm_p / eps**p
+        # the ratio first: C |f|_p^p / eps^p does not change when f and eps
+        # are scaled together, while |f|_p^p alone may leave the float range
+        rhs = const * (f_norm / eps) ** p
         out.append(InequalityReport(
             theorem_tag=tag, lhs=lhs, rhs=rhs, constant=const, p=p, epsilon=eps,
             satisfied=lhs <= rhs + _TOL, margin=rhs - lhs,

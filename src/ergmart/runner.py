@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import CheckSpec, ConfigError, ExperimentPlan
 from .inequalities import (
@@ -28,7 +26,7 @@ from .inequalities import (
     orlicz_class_report,
     sup_field,
 )
-from .observables import linf_norm, lp_norm
+from .observables import linf_norm
 from .processes import convergence_trace
 
 __all__ = ["RunResult", "execute_plan", "render_trace_csv"]
@@ -153,35 +151,18 @@ def _check_reports(plan: ExperimentPlan, chk: CheckSpec) -> list[dict]:
     }]
 
 
-def _values_too_large(plan: ExperimentPlan, chk: CheckSpec) -> bool:
-    """True for a maximal check whose input term |f|_p^p leaves the float
-    range while every (|f|_p / eps)^p stays in it: the bound C |f|_p^p /
-    eps^p does not change when f and eps are scaled together, so the size of
-    the values alone is at fault, not p or the epsilons."""
-    if chk.type != "maximal":
-        return False
-    norm = lp_norm(plan.spec.f, chk.p, plan.spec.norm)
-    with np.errstate(over="ignore"):
-        term = np.float64(norm) ** chk.p
-        ratios = (norm / np.array(_epsilons(plan, chk))) ** chk.p
-    return not np.isfinite(term) and np.isfinite(ratios).all()
-
-
 def _run_checks(plan: ExperimentPlan) -> list[dict]:
     """Every check's reports; a bound that leaves the float range is a
-    ConfigError naming the observable when its values are too large, an
-    Orlicz check's m, else the check (a huge p, a tiny epsilon)."""
+    ConfigError naming an Orlicz check's m, else the check (a huge p, a tiny
+    epsilon)."""
     out: list[dict] = []
     for k, chk in enumerate(plan.checks):
         try:
             reports = _check_reports(plan, chk)
             finite = all(math.isfinite(v) for rep in reports
                          for v in rep.values() if isinstance(v, float))
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             finite = False
-        if not finite and _values_too_large(plan, chk):
-            raise ConfigError("observable", "the values are too large for the maximal "
-                              f"bound at p = {chk.p:g} (checks[{k}]); scale them down")
         if not finite and chk.type == "orlicz":
             raise ConfigError(f"checks[{k}].m", "the Orlicz functionals are not finite "
                               "floats at this m; use a smaller m")

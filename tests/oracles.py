@@ -8,8 +8,19 @@ library's fast paths must keep, so the tests can compare them bit for bit.
 `oracle_sup_field_full_period` is the other exception: the sup pass before
 the per-point cut of the outermost axis, over the library's own kernels, so
 it judges that cut alone.
+
+The `ld_*` oracles at the end judge the library's floats: each evaluates a
+quantity from its plain definition (step sums along the orbit, block sums
+for each conditioning, one stage at a time) in `np.longdouble`, which has a
+64-bit significand on x86 (its unit roundoff is 2**-11 of a float's), so
+their own rounding is far below the error models the tests state. They read
+a spec's raw data only: the values, the masses, the permutations, the block
+labels, the weights' terms and the exact rationals their frequencies stand
+for. `fraction_process` checks them in exact
+arithmetic on small unweighted instances.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -289,3 +300,224 @@ def oracle_sup_field_full_period(spec, box, chunk_floats=2**17):
             norms = point_norms(chunk, spec.norm.q)
             np.maximum(field, norms.reshape(-1, norms.shape[-1]).max(axis=0), out=field)
     return field
+
+
+LD = np.longdouble
+_TWO_PI = 8 * np.arctan(LD(1))
+U = np.finfo(float).eps / 2  # a float's unit roundoff
+
+
+def error_scale(spec):
+    """u T K F d: the unit roundoff u of a float, the most terms T of a
+    weight sequence, K the product over the maps of their sums of |amp|
+    (T = K = 1 unweighted), F = max |f| and d the dimension. An error model
+    of the tests is c times this times the count of terms summed."""
+    weights = spec.weights or ()
+    terms = max((len(w.terms) for w in weights), default=1)
+    bound = math.prod(w.amplitude_bound for w in weights)
+    return U * terms * bound * float(np.abs(spec.f.values).max()) * spec.f.dim
+
+
+def summed_terms(spec, steps):
+    """steps + 2 N d_maps + d + 8: the averaging steps, the doubled cycles
+    that a Cesaro kernel's prefix sums run over (N points per map) or the
+    point sums of the conditioning, the components of a norm, and a few
+    roundings of the products and divisions after them."""
+    return steps + 2 * spec.space.size * spec.d_maps + spec.f.dim + 8
+
+
+def ld_weights(w, n):
+    """a_i = sum_k amp_k cos(2 pi freq_k i + phase_k) for i < n, in long
+    double, the terms added in their order. A rational frequency num/den (as
+    the weights hold it) turns through (num i mod den) / den of a circle,
+    reduced in integers; any other frequency through the float times i."""
+    i = np.arange(n, dtype=np.int64)
+    out = np.zeros(n, dtype=LD)
+    for (amp, freq, phase), exact, num, den in zip(w.terms, w._exact[:, 0], w._num[:, 0],
+                                                   w._den[:, 0]):
+        turns = ((num * (i % den) % den).astype(LD) / LD(den) if exact
+                 else LD(freq) * i.astype(LD))
+        out += LD(amp) * np.cos(_TWO_PI * turns + LD(phase))
+    return out
+
+
+def ld_periods(spec):
+    """Per map, the lcm of its cycle lengths and of its weights' frequency
+    denominators: past it both the orbit and the weights repeat, so the
+    weighted Cesaro average there is the limit. Raises for an irrational
+    frequency."""
+    out = []
+    for j, t in enumerate(spec.maps):
+        period = math.lcm(*(len(cyc) for cyc in oracle_cycles([int(y) for y in t.map])))
+        if spec.weights is not None:
+            w = spec.weights[j]
+            if not w._exact.all():
+                raise ValueError("an irrational frequency has no period")
+            period = math.lcm(period, *(int(den) for den in w._den[:, 0]))
+        out.append(period)
+    return tuple(out)
+
+
+def _ld_alphas(spec, j, n):
+    return None if spec.weights is None else ld_weights(spec.weights[j], n)
+
+
+def _ld_rows(values, perm, alphas, n):
+    """Rows m = 1..n of (1/m) sum_{i<m} a_i v(T^i x) of point values (N,
+    dim), shape (n, N, dim): the orbit T^i x stepped one application of the
+    permutation at a time, the step sums accumulated in order."""
+    index = np.empty((n, len(perm)), dtype=np.int64)
+    index[0] = np.arange(len(perm))
+    for i in range(1, n):
+        index[i] = perm[index[i - 1]]
+    terms = values[index]
+    if alphas is not None:
+        terms = terms * alphas[:n, None, None]
+    return np.cumsum(terms, axis=0) / np.arange(1, n + 1).astype(LD)[:, None, None]
+
+
+def _ld_condition(values, masses, labels):
+    """E[v | block] over the point axis (-2): each block's mass-weighted sum
+    over its points divided by its mass, spread back to its points."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sums = np.add.reduceat(values[..., order, :] * masses[order, None], starts, axis=-2)
+    means = sums / np.add.reduceat(masses[order], starts)[:, None]
+    block = np.cumsum(np.diff(labels[order], prepend=-1) != 0) - 1
+    out = np.empty_like(values)
+    out[..., order, :] = means[..., block, :]
+    return out
+
+
+def _ld_composites(spec, values, stage_sets):
+    """{s_vec: E_1[... E_m[v | s_m] ... | s_1]} over the product of the
+    stage sets, the last filtration conditioning first; each partial
+    composition is taken once for all the s_vecs that share it."""
+    masses = spec.space.weights.astype(LD)
+    out = {(): values}
+    for fl, stages in reversed(list(zip(spec.filtrations, stage_sets))):
+        out = {(s,) + rest: _ld_condition(v, masses, fl.stages[s].block_of)
+               for rest, v in out.items() for s in stages}
+    return out
+
+
+def ld_process(spec, n_vec, s_vec):
+    """The process at (n_vec, s_vec) in long double, shape (N, dim):
+    martingale-ergodic E_1 ... E_m A^1 ... A^d f, ergodic-martingale
+    A^1 ... A^d E_1 ... E_m f, with A^j the weighted average of length n_j
+    along map j and E_k the conditioning on stage s_k of filtration k; the
+    last operator of each product acts first."""
+    me = spec.kind == "martingale_ergodic"
+    values = spec.f.values.astype(LD)
+    if not me:
+        values = _ld_composites(spec, values, [(s,) for s in s_vec])[tuple(s_vec)]
+    for j in reversed(range(spec.d_maps)):
+        n = n_vec[j]
+        values = _ld_rows(values, spec.maps[j].map, _ld_alphas(spec, j, n), n)[-1]
+    if me:
+        values = _ld_composites(spec, values, [(s,) for s in s_vec])[tuple(s_vec)]
+    return values
+
+
+def ld_limit(spec):
+    """The limit of the process in long double: the process at the periods
+    (ld_periods) and the last stages, where every average equals its limit."""
+    return ld_process(spec, ld_periods(spec), spec.last_stages)
+
+
+def ld_point_norms(values, q):
+    """l^q norms over the last axis in long double."""
+    a = np.abs(values)
+    if math.isinf(q):
+        return a.max(axis=-1)
+    if q == 1.0:
+        return a.sum(axis=-1)
+    if q == 2.0:
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a ** LD(q)).sum(axis=-1) ** (1 / LD(q))
+
+
+def ld_powered_norm(masses, norms, p):
+    """sum_x mu(x) norms(x)^p in long double, the p-th power of the L_p norm."""
+    return (masses.astype(LD) * norms.astype(LD) ** LD(p)).sum()
+
+
+def ld_lp_norm(masses, norms, p):
+    """(sum_x mu(x) norms(x)^p)^(1/p) in long double."""
+    return ld_powered_norm(masses, norms, p) ** (1 / LD(p))
+
+
+def ld_period_box(spec, n_max):
+    """Each averaging length of the box cut to its map's period."""
+    return tuple(min(n, period) for n, period in zip(n_max, ld_periods(spec)))
+
+
+def ld_sup_field(spec, box):
+    """max over the box cut to the periods (n_j <= min(n_max_j, P_j), s_k
+    in the box's stage sets) of the point norms of ld_process, per point:
+    by the segment argument of the inequalities module, the sup over every
+    averaging length. Every cell is a row of its own step sums."""
+    me = spec.kind == "martingale_ergodic"
+    n_max = ld_period_box(spec, box.n_max)
+    stacks = [spec.f.values.astype(LD)]
+    if not me:
+        stacks = list(_ld_composites(spec, stacks[0], box.stage_sets).values())
+    for j in reversed(range(1, spec.d_maps)):
+        stacks = [row for v in stacks
+                  for row in _ld_rows(v, spec.maps[j].map, _ld_alphas(spec, j, n_max[j]), n_max[j])]
+    alphas = _ld_alphas(spec, 0, n_max[0])
+    field = np.zeros(spec.space.size, dtype=LD)
+    for v in stacks:
+        rows = _ld_rows(v, spec.maps[0].map, alphas, n_max[0])
+        for cell in (_ld_composites(spec, rows, box.stage_sets).values() if me else [rows]):
+            field = np.maximum(field, ld_point_norms(cell, spec.norm.q).max(axis=0))
+    return field
+
+
+def ld_alpha(spec, n_max):
+    """The weight bound of the constants: per map the larger of sup |a_i|
+    over its box axis cut to the period and sum_k |amp_k|, the largest over
+    the maps; 1 unweighted."""
+    if spec.weights is None:
+        return LD(1)
+    n_max = ld_period_box(spec, n_max)
+    return max(max(np.abs(ld_weights(w, n)).max(), sum(abs(LD(a)) for a, _, _ in w.terms))
+               for w, n in zip(spec.weights, n_max))
+
+
+def ld_maximal_rhs(spec, p, eps, n_max):
+    """C |f|_p^p / eps^p in long double, C the catalog's maximal constant
+    (the README table): (p/(p-1))^p, alpha (p/(p-1))^p weighted, alpha^p
+    (p/(p-1))^(p d) multiparameter."""
+    p, base, alpha = LD(p), LD(p) / (LD(p) - 1), ld_alpha(spec, n_max)
+    if spec.d_maps > 1 or len(spec.filtrations) > 1:
+        const = alpha ** p * base ** (p * spec.d_maps)
+    else:
+        const = (alpha if spec.weights is not None else 1) * base ** p
+    norms = ld_point_norms(spec.f.values.astype(LD), spec.norm.q)
+    return const * ld_powered_norm(spec.space.weights, norms, p) / LD(eps) ** p
+
+
+def fraction_process(spec, n_vec, s_vec):
+    """The unweighted process at (n_vec, s_vec) in exact rational
+    arithmetic on the float inputs, as lists of Fraction rows."""
+    if spec.weights is not None:
+        raise ValueError("exact arithmetic needs unweighted averages")
+    masses = [Fraction(float(m)) for m in spec.space.weights]
+    values = [[Fraction(float(v)) for v in row] for row in spec.f.values]
+    labels = [fl.stages[s].block_of for fl, s in zip(spec.filtrations, s_vec)]
+
+    def condition(rows):
+        return oracle_composite(masses, labels, rows)
+
+    me = spec.kind == "martingale_ergodic"
+    if not me:
+        values = condition(values)
+    for j in reversed(range(spec.d_maps)):
+        perm, n = [int(y) for y in spec.maps[j].map], n_vec[j]
+        total, cur = [[Fraction(0)] * len(row) for row in values], values
+        for _ in range(n):
+            total = [[a + b for a, b in zip(t, c)] for t, c in zip(total, cur)]
+            cur = oracle_koopman(cur, perm)
+        values = [[v / n for v in row] for row in total]
+    return condition(values) if me else values

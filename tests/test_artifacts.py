@@ -121,41 +121,44 @@ CONFIGS = {
 # (multi_chunk reports); the weighted traces and manifests were refrozen when
 # every trace moved to the closed-form limit (test_weighted_trace_matches_the_oracle);
 # many_terms before the single mass product per conditioning pass and the
-# contiguous kernel tables
+# contiguous kernel tables. Every reports.json was refrozen when the maximal
+# rhs became C (|f|_p / eps)^p, and multi_chunk_me's also moved when the
+# weights came to read the kernel's angles; each is judged against the
+# long-double oracle by test_float_oracle.test_pinned_reports_within_their_models
 FROZEN = {
     "many_terms_em": {
         "trace.csv": "da7923a30d87e747ace8bee6c717f73ff81b4a667772d175483401b738be4306",
-        "reports.json": "e6219d5bb65d5bad4aff75d9170a4cf9efb72e78dee18af47bf82024578e9f00",
+        "reports.json": "eff7e294f9fbdff4a74cda435c885e0e62c3a1d704534c0c97080fb0618a3a5b",
         "manifest.json": "bbdadfa84612d168f942df1b449399e907321b5399d5ee6298ffcf0061666fb5",
     },
     "many_terms_me": {
         "trace.csv": "56667ef36ae5a477c5b931a477d6ffa5b03d0ef2ac3e542eca47d3cb7b9f3328",
-        "reports.json": "a1ae06c328a38cff6d5de6e6d0454b577547d75a88e3ea2be4b3b8605441ebbb",
+        "reports.json": "49226f192cf11c8907b5fc561adb8e9d8a9eaec6cc842191a461d39e1a26fcc5",
         "manifest.json": "54c0c9b7be0c05cbb9a866e1654b4041a9ffaf7082cf8bc77e001f71660feda6",
     },
     "multi_chunk_em": {
         "trace.csv": "417dff42ac1999ba8038ecef698e36f1e438d73ad6bcbf1262107dd576f3495f",
-        "reports.json": "0f2eb5e547cb6e3e3f9e21095212b256ded150cb84627d239fa2dae98c87ce12",
+        "reports.json": "00555b4533f508d292105002af4c10aa2d45343a03cde5d8f5da98fc35545ed5",
         "manifest.json": "26e2c88fff0a835368c8fef12405f52f4361fbc0a932eb73492914f961c987ae",
     },
     "multi_chunk_me": {
         "trace.csv": "16a2c471555aff26b4f152e6e94a25ac14190ca15ec8d3ecffa2c2acc40af65a",
-        "reports.json": "25ba740026f43062c7011b8095ea037b531b379ae8d3451ea85b93e438e858ae",
+        "reports.json": "a6ceef9101df54c6942bf30ddcd6142cce85ed5f80fa90b04cbb82890d3a3a0d",
         "manifest.json": "6f3fcae1e4c9dcc5c94d88645d95f0be79ec8f957c02c142f0526080b09335ce",
     },
     "demo": {
         "trace.csv": "26b579c92378fb82a2581d6f22e965aae8cab85f0da4df41ee44765c3704ab9f",
-        "reports.json": "9e7ec0e19cf5788e3610c3e4ee5f5acb8ddcde448dfe9383db127e8a82ce5079",
+        "reports.json": "ccdcd8daa8ef3726be7b12512556394d8657ca868a182883112628f5959a4880",
         "manifest.json": "7c9d84c3f188a9f8113da9a3ce21ef9c3757acf52d437568dc9583c7716f7a90",
     },
     "weighted_em": {
         "trace.csv": "31f83a06fc47e68938b4f5c1c455dfc0668887c49e5a745930dec0f62f56e7f7",
-        "reports.json": "782526f30787920f709677698034f7332e313e5c793904daf1a79cfcfd4c47ad",
+        "reports.json": "89e108e2d179294533802ddf8c9930c51b467dec66459a4c545483b1cc11d0d4",
         "manifest.json": "2b012f0e37a80c14c344c0e57d1d8507a6de87225f654211c0bce57f4653cadf",
     },
     "weighted_me": {
         "trace.csv": "065378c2a6dba3b954d8d5592b0200c8e78bc37f50f32d97e527eb9913c27819",
-        "reports.json": "551d0993ac9e406c4657f4360b238e7be5b4157d7a504d6fa5f9d82664a5271d",
+        "reports.json": "3fedf25f473a42cf8d9cada9d0a93149e74128f9a302e2ab07306ddec74263eb",
         "manifest.json": "e1405e9d261bdee9316eaee5e8dfb4b4d2ce3dcfe51d57b43795853745b1af89",
     },
 }

@@ -249,27 +249,39 @@ def test_bad_values_exit_1_with_path(tmp_path, capsys, mutate, path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("norm_q,values,code,path", [
-    # point norms near 1.4e200: the sup field is finite, the maximal bound's
-    # |f|_2^2 is not, though its (|f|_2 / eps)^2 is
-    (2, [[1, 1e200], [3, 2], [5, 1], [1e200, 3]], 1, "observable"),
+@pytest.mark.parametrize("norm_q,values,small", [
+    # point norms near 1.4e200: the sup field is finite, and so is each
+    # maximal bound C (|f|_2 / eps)^2, though |f|_2^2 is not
+    (2, [[1, 1e200], [3, 2], [5, 1], [1e200, 3]], False),
     # 5^1000 leaves the float range, the l^1000 norm of (5, 1) is 5
-    (1000, [[1, 3], [3, 2], [5, 1], [2, 3]], 0, None),
+    (1000, [[1, 3], [3, 2], [5, 1], [2, 3]], True),
 ], ids=["values_1e200", "norm_q_1000"])
-def test_overflowing_point_norms_run(tmp_path, capsys, norm_q, values, code, path):
+def test_overflowing_point_norms_run(tmp_path, norm_q, values, small):
     cfg = demo_config()
     cfg["norm_q"] = norm_q
     cfg["observable"]["values"] = values
     cfg_path = tmp_path / "norms.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
-    if path is not None:
-        assert (f"error: {path}: the values are too large for the maximal bound at p = 2 "
-                in capsys.readouterr().err)
-        return
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     reports = json.loads((tmp_path / "o" / "reports.json").read_text())
     assert all(rep["satisfied"] for rep in reports)
-    assert reports[0]["lhs"] <= 5.0 < reports[0]["rhs"]
+    assert all(math.isfinite(rep[key]) for rep in reports for key in ("lhs", "rhs") if key in rep)
+    if small:
+        assert reports[0]["lhs"] <= 5.0 < reports[0]["rhs"]
+
+
+def test_masses_that_overflow_the_input_term_run(tmp_path):
+    # |f|_2^2 = sum mu f^2 leaves the float range through the masses, not the
+    # values; every C (|f|_2 / eps)^2 is a float
+    cfg = {"space": {"weights": [1e300, 1e300]}, "maps": [{"kind": "identity"}],
+           "filtrations": [{"stages": [[0, 1], [0, 0]]}], "observable": {"values": [1e7, 8e7]},
+           "checks": [{"type": "maximal", "p": 2}]}
+    cfg_path = tmp_path / "masses.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    reports = json.loads((tmp_path / "o" / "reports.json").read_text())
+    assert all(rep["satisfied"] and math.isfinite(rep["rhs"]) for rep in reports)
+    assert reports[0]["lhs"] == 2e300 <= reports[0]["rhs"]
 
 
 @pytest.mark.parametrize("values,maximal", [

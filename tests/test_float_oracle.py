@@ -1,0 +1,200 @@
+"""The library's floats against the long-double oracles of `oracles.py`.
+
+Each quantity has one error model: |x - oracle| <= c u T K F d terms (see
+oracles.error_scale and oracles.summed_terms), or a relative one for the
+norms and the maximal rhs, with its c fixed here. The largest distances
+seen, as a fraction of each bound, are in the comment beside its c. A float
+change to the library is judged by these bounds instead of byte identity;
+a scaling of one kernel output by 1 + 1e-12 breaks them.
+
+The oracles need a long double more precise than a float (a 64-bit
+significand on x86); where it is not, these tests skip and say so.
+"""
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import ergmart.runner as runner
+from ergmart.averages import BesicovitchWeights
+from ergmart.config import build_experiment
+from ergmart.generators import (FAMILIES, random_filtration, random_observable,
+                                random_process_instance, random_weights)
+from ergmart.inequalities import auto_epsilons, default_box, epsilon_sweep, sup_field
+from ergmart.observables import NormSpec, lp_norm
+from ergmart.operators import power
+from ergmart.processes import (ERGODIC_MARTINGALE, MARTINGALE_ERGODIC, ProcessSpec, evaluate,
+                               limit_target)
+from oracles import (LD, U, error_scale, fraction_process, ld_lp_norm, ld_limit,
+                     ld_maximal_rhs, ld_period_box, ld_periods, ld_point_norms, ld_process,
+                     ld_sup_field, ld_weights, summed_terms)
+from test_artifacts import CONFIGS
+from test_inequalities import _cycle_space
+
+MANTISSA = np.finfo(LD).nmant
+pytestmark = pytest.mark.skipif(
+    MANTISSA < 60, reason=f"np.longdouble has a {MANTISSA}-bit significand here, no more "
+    "precise than a float, so the long-double oracles cannot judge float changes")
+
+# the c of each error model. Beside it, the largest distance seen on the
+# fuzz families x 40 seeds as a fraction of the bound with c = 1: for weights
+# summed term by term with their own angle formula and a maximal rhs of
+# C |f|_p^p / eps^p, then for the weights read off _angles and C (|f|_p / eps)^p
+C_WEIGHTS = 16  # 8.4 before, 2.1 after
+C_PROCESS = 1  # 0.11 both
+C_SUP = 1  # 0.082 before, 0.066 after
+C_LP = 1  # 0.30 both
+C_RHS = 2  # 0.74 before, 0.75 after
+# the long double against exact arithmetic, the process model with its own
+# roundoff in place of a float's
+C_EXACT = 1  # 0.042
+U_LD = float(np.finfo(LD).eps) / 2
+SEEDS = range(40)
+
+
+def weights_bound(w: BesicovitchWeights, n: int) -> float:
+    """c u T K (1 + max |phase| + 2 pi n phi) over the first n weights: each
+    term's angle is reduced to [-pi, pi], its phase added and its cosine
+    taken, each rounded; phi is the largest irrational frequency (0 when
+    every one is rational), whose product with i < n is rounded before it
+    is reduced."""
+    phi = max((fq for (_, fq, _), exact in zip(w.terms, w._exact[:, 0]) if not exact), default=0)
+    return (C_WEIGHTS * U * len(w.terms) * w.amplitude_bound
+            * (1 + max(abs(ph) for _, _, ph in w.terms) + 2 * math.pi * n * phi))
+
+
+def test_longdouble_is_the_x87_extended_format():
+    # 80-bit on x86 Linux; elsewhere the oracles still run when the long
+    # double is more precise than a float, and this says what it is
+    if MANTISSA != 63:
+        pytest.skip(f"np.longdouble has a {MANTISSA}-bit significand here, not the x87 "
+                    "80-bit format the stated margins were measured with")
+    assert float(np.finfo(LD).eps) == 2.0**-63
+
+
+def _tiny_spec(rng, kind, d_maps, m_filtrations):
+    """At most 8 points in cycles of 1 to 4 with a random mass per cycle,
+    one map or it and a power of it, one or two random filtrations, a
+    random observable of dim 1 to 3 and a random q."""
+    lengths = []
+    while sum(lengths) < 5:
+        lengths.append(int(rng.integers(1, 5)))
+    space, t = _cycle_space(rng, lengths)
+    maps = (t, power(t, 3))[:d_maps]
+    filts = tuple(random_filtration(rng, space, int(rng.integers(2, 4)))
+                  for _ in range(m_filtrations))
+    f = random_observable(rng, space, int(rng.integers(1, 4)))
+    q = float(rng.choice((1.0, 2.0, math.inf)))
+    return ProcessSpec(kind, f, maps, filts, norm=NormSpec(q))
+
+
+@pytest.mark.parametrize("kind", [MARTINGALE_ERGODIC, ERGODIC_MARTINGALE])
+def test_exact_arithmetic_checks_the_long_double_oracle(kind):
+    rng = np.random.default_rng(5)
+    for d_maps, m_filtrations in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for _ in range(3):
+            spec = _tiny_spec(rng, kind, d_maps, m_filtrations)
+            periods = ld_periods(spec)
+            scale = C_EXACT * U_LD * float(np.abs(spec.f.values).max()) * spec.f.dim
+            stages = [range(len(fl.stages)) for fl in spec.filtrations]
+            cells = [((n,) * d_maps, s_vec) for n in (1, 2, 5)
+                     for s_vec in zip(*(np.resize(list(st), 3) for st in stages))]
+            cells.append((periods, spec.last_stages))
+            for n_vec, s_vec in cells:
+                want = fraction_process(spec, n_vec, s_vec)
+                got = ld_process(spec, n_vec, s_vec)
+                bound = Fraction(scale * summed_terms(spec, sum(n_vec)))
+                for got_row, want_row in zip(got, want):
+                    for x, exact in zip(got_row, want_row):
+                        assert abs(Fraction(*x.as_integer_ratio()) - exact) <= bound
+            # ld_limit reads the process at the periods, where in exact
+            # arithmetic the averages have stopped moving
+            twice = tuple(2 * p for p in periods)
+            assert (fraction_process(spec, periods, spec.last_stages)
+                    == fraction_process(spec, twice, spec.last_stages))
+
+
+def test_weights_within_their_model():
+    rng = np.random.default_rng(17)
+    cases = [random_weights(rng, float(rng.uniform(0.1, 2.0))) for _ in range(300)]
+    cases += [BesicovitchWeights(((0.5, Fraction(1, 4096), 1.0), (-0.4, 2 / 63, 0.2),
+                                  (0.1, Fraction(7, 4095), 0.0))),
+              BesicovitchWeights(((0.2, Fraction(1, 12), 0.4), (0.15, Fraction(7, 20), 2.1),
+                                  (0.1, Fraction(4, 15), 5.5), (0.03, Fraction(3, 7), 2.6))),
+              BesicovitchWeights(((0.7, 1 / math.pi, 0.3),))]
+    for w in cases:
+        n = 3 * w.period if w.period is not None and w.period <= 1000 else 5000
+        assert np.abs(w.values(n) - ld_weights(w, n)).max() <= weights_bound(w, n)
+    # a quarter turn per step, to the long double's own rounding
+    quarter = ld_weights(BesicovitchWeights.single_cosine(1.0, 1, 4), 8)
+    assert np.abs(quarter - np.array([1, 0, -1, 0] * 2)).max() <= 4 * U_LD
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_processes_limits_and_sup_fields_within_their_models(family):
+    for seed in SEEDS:
+        spec = random_process_instance(seed, family).spec
+        scale, periods = error_scale(spec), ld_periods(spec)
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, periods[0], int(rng.integers(1, 3 * periods[0] + 1))):
+            n_vec = tuple(min(n, 3 * p) for p in periods)
+            s_vec = tuple(int(rng.integers(0, len(fl.stages))) for fl in spec.filtrations)
+            err = np.abs(evaluate(spec, n_vec, s_vec).values - ld_process(spec, n_vec, s_vec))
+            assert err.max() <= C_PROCESS * scale * summed_terms(spec, sum(n_vec)), (n_vec, s_vec)
+        err = np.abs(limit_target(spec).values - ld_limit(spec))
+        assert err.max() <= C_PROCESS * scale * summed_terms(spec, 0)
+        box = default_box(spec)
+        err = np.abs(sup_field(spec, box).values[:, 0] - ld_sup_field(spec, box))
+        assert err.max() <= C_SUP * scale * summed_terms(spec, sum(ld_period_box(spec, box.n_max)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_norms_and_maximal_bounds_within_their_models(family):
+    for seed in SEEDS:
+        inst = random_process_instance(seed, family)
+        spec, size, dim = inst.spec, inst.spec.space.size, inst.spec.f.dim
+        norms = ld_point_norms(spec.f.values.astype(LD), spec.norm.q)
+        for p in (1.25, 2.0, 3.0, inst.p):
+            want = float(ld_lp_norm(spec.space.weights, norms, p))
+            got = lp_norm(spec.f, p, spec.norm)
+            assert abs(got - want) <= C_LP * U * (size + dim + p) * want
+        if spec.is_multi and spec.kind == ERGODIC_MARTINGALE:
+            continue  # no maximal bound
+        box = default_box(spec)
+        top = float(sup_field(spec, box).values.max())
+        for rep in epsilon_sweep(spec, inst.p, auto_epsilons(top, 4), box):
+            want = float(ld_maximal_rhs(spec, inst.p, rep.epsilon, box.n_max))
+            assert abs(rep.rhs - want) <= _rhs_bound(spec, inst.p, want)
+
+
+def _rhs_bound(spec, p, want):
+    """c u (p (N + d) + T) |rhs|: |f|_p is off by about (N/p + d) u
+    relative, and its ratio to eps, the constant (T terms summed into alpha)
+    and the powers add a few u each, times p for the power."""
+    terms = max((len(w.terms) for w in spec.weights or ()), default=1)
+    return C_RHS * U * (p * (spec.space.size + spec.f.dim) + terms) * want
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_pinned_reports_within_their_models(name):
+    # the reports whose sha256 test_artifacts pins, judged by the oracle:
+    # each maximal rhs, and each dominant lhs (the L_p norm of the sup
+    # field, off by the field's error and the norm's own rounding)
+    plan = build_experiment(CONFIGS[name]())
+    spec, reports = plan.spec, iter(runner._run_checks(plan))
+    mu, size, dim = spec.space.weights, spec.space.size, spec.f.dim
+    for chk in plan.checks:
+        box = default_box(spec, n_factor=chk.box_factor)
+        if chk.type == "maximal":
+            for eps in runner._epsilons(plan, chk):
+                want = float(ld_maximal_rhs(spec, chk.p, eps, box.n_max))
+                assert abs(next(reports)["rhs"] - want) <= _rhs_bound(spec, chk.p, want)
+        elif chk.type == "dominant":
+            steps = sum(ld_period_box(spec, box.n_max))
+            want = float(ld_lp_norm(mu, ld_sup_field(spec, box), chk.p))
+            bound = (C_SUP * error_scale(spec) * summed_terms(spec, steps) * mu.sum() ** (1 / chk.p)
+                     + C_LP * U * (size + dim + chk.p) * want)
+            assert abs(next(reports)["lhs"] - want) <= bound
+        else:
+            next(reports)
