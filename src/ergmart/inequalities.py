@@ -39,18 +39,16 @@ R_B the mu-mean over B of R_y on the cycles that B cuts plus D_w |a_B|_q,
 a_B the share of E[f | B] of the cycles inside B (unweighted D_w = 0). A
 block is closed once |E[l | B]|_q + R_B / n_0, plus the float margin of
 _row_error, lies below the field at each of its points, so no computed row
-past n_0 raises the field, which is the full pass's bit for bit. R_y comes
+past n_0 raises the field, which is the full pass's bit for bit. A block
+is also closed once n_0 reaches H_B, the lcm of the weight period and of
+H_y on the cycles that B cuts: E[A_n f | B] - E[l | B] is then V(n) / n
+with V of period H_B and V(H_B) = 0, so each later row lies on a segment
+from E[l | B] to a row at n <= H_B, as above, and the field falls short of
+the full pass's by at most the rounding of the rows it skips. R_y comes
 from one unconditioned pass of each point to H_y, once per spec.
-
-A pass of more than _EXACT_ROWS point rows, one that would run for longer
-than the 30 s the configs are run under, also closes a block once n_0
-reaches H_B, the lcm of the weight period and of H_y on the cycles that B
-cuts: E[A_n f | B] - E[l | B] is then V(n) / n with V of period H_B and
-V(H_B) = 0, so each later row lies on a segment from E[l | B] to a row at
-n <= H_B, as above. That stop is exact up to the rounding of the rows it
-skips. Irrational frequencies, weights whose period passes n_max_1,
-several maps or filtrations, and a box that ends inside the first round
-run every point to n_max_1.
+Irrational frequencies, weights whose period passes n_max_1, several maps
+or filtrations, and a box that ends inside the first round run every point
+to n_max_1.
 
 Constant catalog (see the README table):
   Thm2.4 / Thm3.4   dominant, single parameter       (p/(p-1))^2
@@ -97,11 +95,6 @@ _TOL = 1e-12
 # rows of the first round of a martingale-ergodic pass that may stop early;
 # each later round ends where the rows read so far double
 _FIRST_ROUND = 64
-# point rows (rows times points) of a martingale-ergodic pass past which a
-# block may also close at its own period: a full pass reads 66-80 ns per
-# point row (4 stages, dim 2, one thread, high_order_128 and cuts of
-# high_order_2048), so one this long runs for 36-43 s
-_EXACT_ROWS = 2**29
 _U = np.finfo(float).eps / 2  # the unit roundoff
 
 
@@ -177,7 +170,7 @@ def sup_field(spec: ProcessSpec, box: SupBox | None = None,
     from another only past the periods, reads the same field. The same pass
     keeps the field of each of `prefixes` (no larger n_max, each stage set a
     prefix of the box's, as shrink_box gives): the max over the same floats
-    as its own build, so bit for bit that field."""
+    as its own build, up to the rows that a certified stop skips."""
     if box is None:
         box = default_box(spec)
     box = _cut(spec, box)
@@ -329,28 +322,18 @@ def _fold(boxes, fields, norms: np.ndarray, start: int, points: np.ndarray, oute
 def _certified(spec: ProcessSpec, boxes, fields, row: int, end: int) -> bool:
     """Whether no row past `row` of a martingale-ergodic pass up to `end`
     raises any box's field: every block of every stage of each box that runs
-    past `row` is closed (see the module docstring). The field must first
-    clear the limits alone, read off the Cesaro kernel, so a block whose sup
-    is its limit, as on a fixed point, costs no certificate pass."""
+    past `row` is closed, by its bound or by its period (see the module
+    docstring)."""
     asked = [(field, s) for box, field in zip(boxes, fields) if box.n_max[0] > row
              for s in box.stage_sets[0]]
     slope, offset = _row_error(spec)
-    # the rows of this pass and of the certificate's, whose cap is this end
-    # until it is built
-    margin = slope * (end + spec.kept.get("points", (end,))[0]) + 2 * offset
-    late = end * spec.space.size > _EXACT_ROWS
-    if not late:
-        for field, s in asked:
-            block_of, limit = _limit_bound(spec, s)
-            if not np.all(limit[block_of] + margin < field):
-                return False
-    _point_bounds(spec, end)
+    # the rows of this pass and of the certificate's
+    margin = slope * (end + _point_bounds(spec, end)[0]) + 2 * offset
     for field, s in asked:
         block_of, limit, spread = _stage_bound(spec, s)
+        period = _stage_period(spec, s)
         closed = (limit + spread / row)[block_of] * (1 + 4 * _U) + margin < field
-        if late:
-            period = _stage_period(spec, s)
-            closed |= ((period > 0) & (period <= row))[block_of]
+        closed |= ((period > 0) & (period <= row))[block_of]
         if not closed.all():
             return False
     return True
@@ -379,8 +362,8 @@ def _point_bounds(spec: ProcessSpec, cap: int) -> tuple:
     """(cap, D_w, l, R) of the spec: l(y) the pass's own row at H_y and R_y
     for H_y <= cap (inf past it), per point, and D_w with its rounding;
     built by the first call and kept by the spec under "points", beside the
-    block bounds of each stage s that _limit_bound, _stage_bound or
-    _stage_period was asked for.
+    block bounds of each stage s that _stage_bound and _stage_period were
+    asked for.
 
     Each class of points that share H_y <= cap streams f through
     running_rows to row H_y, all of them reading one weight period, and
@@ -424,14 +407,6 @@ def _weight_drift(w: BesicovitchWeights | None) -> float:
     sums = np.concatenate(([0.0], np.cumsum(a)))
     drift = np.abs(sums - np.arange(period + 1) * (sums[-1] / period)).max()
     return float(drift * (1 + 2 * _U) + 2 * period * (period + 2) * _U * np.abs(a).max())
-
-
-def _limit_bound(spec: ProcessSpec, s: int):
-    """(block_of, |E[g | B]|_q) of stage s of the first filtration, g the
-    kernel's limit, kept by the spec."""
-    part = spec.filtrations[0].stages[s]
-    return spec.keep(("limit_bound", s), lambda: (part.block_of, point_norms(
-        block_means(_kernel(spec).average(None), part), spec.norm.q)))
 
 
 def _cut_points(spec: ProcessSpec, block_of: np.ndarray) -> np.ndarray:

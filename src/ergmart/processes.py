@@ -142,7 +142,7 @@ class ProcessSpec:
         ("cut", box) a sup box checked and cut to the periods, ("sup", box)
         the sup field of a cut box and ("norm", p) |f|_p, for the inequality
         checks; and the early-stop certificate of a martingale-ergodic sup
-        pass: "points", ("limit_bound", s), ("bound", s) and ("period", s)."""
+        pass: "points", ("bound", s) and ("period", s)."""
         kept = self.kept
         if key not in kept:
             kept[key] = build()

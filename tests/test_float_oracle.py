@@ -21,7 +21,7 @@ from ergmart.averages import BesicovitchWeights
 from ergmart.config import build_experiment
 from ergmart.generators import (FAMILIES, random_filtration, random_observable,
                                 random_process_instance, random_weights)
-from ergmart.inequalities import auto_epsilons, default_box, epsilon_sweep, sup_field
+from ergmart.inequalities import auto_epsilons, default_box, epsilon_sweep, shrink_box, sup_field
 from ergmart.observables import NormSpec, lp_norm
 from ergmart.operators import power
 from ergmart.processes import (ERGODIC_MARTINGALE, MARTINGALE_ERGODIC, ProcessSpec, evaluate,
@@ -30,7 +30,8 @@ from oracles import (LD, U, error_scale, fraction_process, ld_lp_norm, ld_limit,
                      ld_maximal_rhs, ld_period_box, ld_periods, ld_point_norms, ld_process,
                      ld_sup_field, ld_weights, summed_terms)
 from test_artifacts import CONFIGS
-from test_inequalities import _cycle_space
+from test_inequalities import (_cycle_space, _long_me_spec, _order_840_spec,
+                               _random_certificate_spec)
 
 MANTISSA = np.finfo(LD).nmant
 pytestmark = pytest.mark.skipif(
@@ -147,6 +148,34 @@ def test_processes_limits_and_sup_fields_within_their_models(family):
         box = default_box(spec)
         err = np.abs(sup_field(spec, box).values[:, 0] - ld_sup_field(spec, box))
         assert err.max() <= C_SUP * scale * summed_terms(spec, sum(ld_period_box(spec, box.n_max)))
+
+
+def _certified_cases():
+    """Martingale-ergodic specs of one map and one filtration whose sup pass
+    stops at a certified row, each with the boxes its one pass builds."""
+    for seed in range(40):
+        spec = _long_me_spec(seed)
+        box = default_box(spec)
+        yield spec, [box, shrink_box(box, 0.5), shrink_box(box, 0.25)]
+    for seed in range(12):
+        for weighted in (False, True):
+            spec = _order_840_spec(seed, weighted)
+            yield spec, [default_box(spec)]
+    for seed in range(30):
+        spec = _random_certificate_spec(seed)
+        yield spec, [default_box(spec)]
+
+
+def test_certified_sup_fields_within_their_model():
+    # a block closed at its period skips rows past it, whose rounding only
+    # the pass to the period would have read; the field stays within the
+    # sup-field model all the same
+    for spec, (box, *prefixes) in _certified_cases():
+        sup_field(spec, box, prefixes)
+        for small in (box, *prefixes):
+            err = np.abs(sup_field(spec, small).values[:, 0] - ld_sup_field(spec, small))
+            steps = sum(ld_period_box(spec, small.n_max))
+            assert err.max() <= C_SUP * error_scale(spec) * summed_terms(spec, steps)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
