@@ -20,11 +20,13 @@ from .runner import execute_plan
 
 def _cmd_run(args) -> int:
     try:
-        config = json.loads(Path(args.config).read_text())
+        # json detects UTF-8, -16 or -32 from the bytes, not the locale
+        config = json.loads(Path(args.config).read_bytes())
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+    # too deep a nesting recurses
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:
@@ -34,6 +36,9 @@ def _cmd_run(args) -> int:
         result = execute_plan(plan, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {', '.join(result.files)} to {args.out}")
     if result.any_check_failed:

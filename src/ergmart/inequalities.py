@@ -29,18 +29,15 @@ rows and stops after the first round n_0 at which an exact certificate
 shows that no later row raises the field. With S_n(y) = sum_{i<n} a_i
 f(T^i y) and l(y) = S_{H_y}(y) / H_y the limit, S_n - n l has period H_y,
 so |A_n f(y) - l(y)|_q <= R_y / n with R_y = max_{r <= H_y} |S_r - r l|_q.
-A cycle C inside a block B, where mu is constant, adds (W_n / n) mu(C)
-mean_C f to mu(B) E[A_n f | B], W_n = sum_{i<n} a_i, and w mu(C) mean_C f
-to its limit, w the weights' mean, with |W_n - n w| <= D_w. Hence
+A conditional expectation is a mean, so |E h|_q <= E|h|_q, and
 
     |E[A_n f | B] - E[l | B]|_q <= R_B / n   for every n,
 
-R_B the mu-mean over B of R_y on the cycles that B cuts plus D_w |a_B|_q,
-a_B the share of E[f | B] of the cycles inside B (unweighted D_w = 0). A
-block is closed once |E[l | B]|_q + R_B / n_0, plus the float margin of
-_row_error, lies below the field at each of its points, so no computed row
-past n_0 raises the field, which is the full pass's bit for bit. A block
-is also closed once n_0 reaches H_B, the lcm of the weight period and of
+R_B the mu-mean of R_y over B. A block is closed once |E[l | B]|_q
++ R_B / n_0, plus the float margin of _row_error, lies below the field at
+each of its points, so no computed row past n_0 raises the field, which is
+the full pass's bit for bit. Where the bound leaves a block open, it is
+also closed once n_0 reaches H_B, the lcm of the weight period and of
 H_y on the cycles that B cuts: E[A_n f | B] - E[l | B] is then V(n) / n
 with V of period H_B and V(H_B) = 0, so each later row lies on a segment
 from E[l | B] to a row at n <= H_B, as above, and the field falls short of
@@ -331,8 +328,10 @@ def _certified(spec: ProcessSpec, boxes, fields, row: int, end: int) -> bool:
     margin = slope * (end + _point_bounds(spec, end)[0]) + 2 * offset
     for field, s in asked:
         block_of, limit, spread = _stage_bound(spec, s)
-        period = _stage_period(spec, s)
         closed = (limit + spread / row)[block_of] * (1 + 4 * _U) + margin < field
+        if closed.all():
+            continue
+        period = _stage_period(spec, s)
         closed |= ((period > 0) & (period <= row))[block_of]
         if not closed.all():
             return False
@@ -359,11 +358,10 @@ def _row_error(spec: ProcessSpec) -> tuple[float, float]:
 
 
 def _point_bounds(spec: ProcessSpec, cap: int) -> tuple:
-    """(cap, D_w, l, R) of the spec: l(y) the pass's own row at H_y and R_y
-    for H_y <= cap (inf past it), per point, and D_w with its rounding;
-    built by the first call and kept by the spec under "points", beside the
-    block bounds of each stage s that _stage_bound and _stage_period were
-    asked for.
+    """(cap, l, R) of the spec: l(y) the pass's own row at H_y and R_y for
+    H_y <= cap (inf past it), per point; built by the first call and kept
+    by the spec under "points", beside the block bounds of each stage s
+    that _stage_bound and _stage_period were asked for.
 
     Each class of points that share H_y <= cap streams f through
     running_rows to row H_y, all of them reading one weight period, and
@@ -391,48 +389,20 @@ def _point_bounds(spec: ProcessSpec, cap: int) -> tuple:
             limit[points] = chunk[-1]
             miss = point_norms(chunk[-1] - guess[points], q) + 2 * (slope * end + offset)
             bound[points] = (top + end * miss) * (1 + 2 * (spec.f.dim + 8) * _U)
-        return cap, _weight_drift(w), limit, bound
+        return cap, limit, bound
     return spec.keep("points", build)
-
-
-def _weight_drift(w: BesicovitchWeights | None) -> float:
-    """D_w = max_r |W_r - r w| over one weight period P, W_r the sum of the
-    first r weights and w their mean, plus the rounding of that float: a
-    running sum of r <= P weights is off by r^2 u K, r w by r (P + 2) u K.
-    0 unweighted, where W_r = r."""
-    if w is None:
-        return 0.0
-    period = w.period
-    a = w.values(period)
-    sums = np.concatenate(([0.0], np.cumsum(a)))
-    drift = np.abs(sums - np.arange(period + 1) * (sums[-1] / period)).max()
-    return float(drift * (1 + 2 * _U) + 2 * period * (period + 2) * _U * np.abs(a).max())
-
-
-def _cut_points(spec: ProcessSpec, block_of: np.ndarray) -> np.ndarray:
-    """Whether each point's cycle is cut by the blocks: whether one of its
-    steps y -> T y leaves y's block."""
-    lay, size = spec.maps[0].cycle_layout, spec.space.size
-    cycle = lay.slot - lay.position  # the first slot of each point's cycle
-    return np.bincount(cycle, block_of != block_of[spec.maps[0].map], 2 * size)[cycle] > 0
 
 
 def _stage_bound(spec: ProcessSpec, s: int):
     """(block_of, |E[l | B]|_q, R_B) of stage s of the first filtration,
     per block, from the kept point bounds; built once and kept by the spec
-    (see _certified). The (2N + 8) u of R_B covers the block means; |a_B|_q
-    gets the error of a block mean of f and of its norm."""
+    (see _certified). The (2N + 8) u of R_B covers the block means."""
     def build():
-        _, drift, points_limit, points_bound = spec.kept["points"]
-        part, size, dim = spec.filtrations[0].stages[s], spec.space.size, spec.f.dim
-        values = spec.f.values
-        cut = _cut_points(spec, part.block_of)
-        means = block_means(np.hstack([points_limit, np.where(cut[:, None], 0.0, values),
-                                       np.where(cut, points_bound, 0.0)[:, None]]), part)
-        limit = point_norms(means[:, :dim], spec.norm.q)
-        inside = (point_norms(means[:, dim:-1], spec.norm.q) * (1 + (dim + 4) * _U)
-                  + (2 * size + 3) * dim * _U * np.abs(values).max())
-        return part.block_of, limit, (means[:, -1] + drift * inside) * (1 + (2 * size + 8) * _U)
+        _, points_limit, points_bound = spec.kept["points"]
+        part = spec.filtrations[0].stages[s]
+        means = block_means(np.hstack([points_limit, points_bound[:, None]]), part)
+        return (part.block_of, point_norms(means[:, :-1], spec.norm.q),
+                means[:, -1] * (1 + (2 * spec.space.size + 8) * _U))
     return spec.keep(("bound", s), build)
 
 
@@ -442,10 +412,14 @@ def _stage_period(spec: ProcessSpec, s: int) -> np.ndarray:
     point bounds, read class by class so that no product overflows."""
     def build():
         part, cap = spec.filtrations[0].stages[s], spec.kept["points"][0]
-        cut, ends = _cut_points(spec, part.block_of), _horizons(spec)
+        lay, block_of = spec.maps[0].cycle_layout, part.block_of
+        # a cycle is cut when one of its steps y -> T y leaves y's block
+        cycle, leaves = lay.slot - lay.position, block_of != block_of[spec.maps[0].map]
+        cut = np.bincount(cycle, leaves, 2 * spec.space.size)[cycle] > 0
+        ends = _horizons(spec)
         period = np.full(part.block_count, 1 if spec.weights is None else spec.weights[0].period)
         for end in set(ends[cut].tolist()):
-            has = np.bincount(part.block_of[cut & (ends == end)], minlength=part.block_count) > 0
+            has = np.bincount(block_of[cut & (ends == end)], minlength=part.block_count) > 0
             step = period // np.gcd(period, end)
             period = np.where(has, np.where(step > cap // end, 0, step * end), period)
         return period

@@ -360,13 +360,15 @@ def test_large_point_masses_exit_at_the_weights(tmp_path, capsys, weights, value
 
 
 def test_a_deeply_nested_config_is_not_valid_json(tmp_path, capsys):
-    # valid JSON, but the decoder recurses once per level
-    path = tmp_path / "deep.json"
-    path.write_text('{"space": ' + "[" * 200_000 + "]" * 200_000 + "}")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "o").exists()
+    # valid JSON, but the decoder recurses once per level; and bytes that
+    # no JSON encoding decodes
+    path = tmp_path / "bad.json"
+    for text in (b'{"space": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", b"\xff{}"):
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
 
 
 def _long_orbit_config():
@@ -596,6 +598,23 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr() == ("", "error: --seed: must be a nonnegative integer\n")
         assert not (tmp_path / "o").exists()
+
+    def test_an_out_that_cannot_be_written_exit_1(self, tmp_path, capsys):
+        # an existing regular file, and a directory below one
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        for target in (out, out / "sub"):
+            assert self.run_cli("run", "--config", str(DEMO), "--out", str(target)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+        assert out.read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        # a directory in the place of an artifact fails its write the same way
+        (tmp_path / "o" / "reports.json").mkdir(parents=True)
+        assert self.run_cli("run", "--config", str(DEMO), "--out", str(tmp_path / "o")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
 
     def test_byte_identical_reruns_subprocess(self, tmp_path):
         for sub in ("o1", "o2"):

@@ -814,6 +814,25 @@ class TestCertifiedStop:
         assert np.array_equal(ineq._stage_period(spec, 0), np.zeros(12))
         assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
 
+    def test_a_whole_block_past_the_cap_has_no_bound(self):
+        # the same cycles under the whole space, weights of period 132 with
+        # a nonzero mean: H_y is 660 or 924, past the cap of 140, so no limit
+        # is read and R_B is inf; the block's sup comes late (the slow term
+        # starts below its mean), so a bound that took the unread limits for
+        # 0 would close it at row 64 about a quarter short
+        rng = np.random.default_rng(0)
+        space, t = _cycle_space(rng, (5, 7))
+        w = BesicovitchWeights(((0.6, 0.0, 0.0), (0.4, Fraction(1, 132), 2.0)))
+        filt = Filtration(space, DECREASING, (Partition(space, np.zeros(12, dtype=int)),))
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, VectorObservable(
+            space, rng.normal(size=(12, 2))), t, filt, weights=w)
+        box = ineq._period_box(spec, default_box(spec))
+        assert box.n_max == (140,)
+        field, rows = _conditioned_rows(spec, box)
+        assert np.isinf(ineq._stage_bound(spec, 0)[2]).all()
+        assert rows == 140
+        assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
+
     @pytest.mark.parametrize("name, most", [("high_order_128", 500), ("two_maps_64", None)])
     def test_config_fields_equal_the_full_period_build(self, name, most, monkeypatch):
         # two maps stay uncertified and read all 408 outer rows
@@ -929,8 +948,8 @@ class TestCertifiedStop:
     def test_the_block_bound_holds_at_every_row(self, weighted):
         # |E[A_n f | B] - E[l | B]|_q <= R_B / n for every n up to the period,
         # the rows read as the pass reads them; on single points the bound is
-        # reached at the row where R_y is, and a block of whole cycles reaches
-        # D_w |a_B|_q weighted; rounding stays inside the margin of _row_error
+        # reached at the row where R_y is; rounding stays inside the margin of
+        # _row_error
         for seed in range(6):
             spec = _order_840_spec(seed, weighted)
             w = spec.weights[0] if weighted else None
@@ -943,26 +962,32 @@ class TestCertifiedStop:
                 part = spec.filtrations[0].stages[s]
                 _, limit, spread = ineq._stage_bound(spec, s)
                 (_, means), = composite_block_means(rows, spec.filtrations, ((s,),))
-                limit_means = block_means(spec.kept["points"][2], part)
+                limit_means = block_means(spec.kept["points"][1], part)
                 deviation = point_norms(means - limit_means, spec.norm.q)
                 assert np.all(deviation <= spread / n + 2 * (slope * 840 + offset))
-                if s == 0 or (weighted and s == 3):
+                if s == 0:
                     assert np.allclose((n * deviation).max(axis=0), spread, rtol=1e-9)
 
-    def test_cycles_inside_a_block_add_nothing_unweighted(self):
-        # R_B only averages R_y over the cycles that B cuts: unweighted, the
-        # whole space and any block of whole cycles have R_B = 0
-        spec = _order_840_spec(2, weighted=False)
-        ineq._point_bounds(spec, 840)
-        _, _, spread = ineq._stage_bound(spec, 3)
-        assert np.array_equal(spread, [0.0])
-        lay = spec.maps[0].cycle_layout
-        cycles = Partition(spec.space, lay.slot - lay.position)
-        filt = Filtration(spec.space, DECREASING, (Partition.singletons(spec.space), cycles))
-        spec = ProcessSpec.single(MARTINGALE_ERGODIC, spec.f, spec.maps[0], filt)
-        ineq._point_bounds(spec, 840)
-        assert not ineq._stage_bound(spec, 1)[2].any()
-        assert ineq._stage_bound(spec, 0)[2].min() > 0
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_a_block_of_whole_cycles_closes_at_the_weight_period(self, weighted):
+        # cycles of 100, 90 and 3, each one block: E[A_n f | C] is
+        # (W_n / n) mean_C f, whose sup is reached at a weight period, so no
+        # bound clears the field, and H_B is the weight period (1, or 12),
+        # not the cycle's H_y; the period closes every block at the first
+        # round, within the rounding of the rows it skips
+        rng = np.random.default_rng(4)
+        space, t = _cycle_space(rng, (100, 90, 3))
+        lay = t.cycle_layout
+        filt = Filtration(space, DECREASING, (
+            Partition.singletons(space), Partition(space, lay.slot - lay.position)))
+        w = BesicovitchWeights(((0.6, 0.0, 0.0), (0.4, Fraction(1, 12), 0.3))) if weighted else None
+        spec = ProcessSpec.single(MARTINGALE_ERGODIC, VectorObservable(
+            space, rng.normal(size=(193, 2))), t, filt, weights=w)
+        box = SupBox((900,), ((1,),))
+        assert ineq._period_box(spec, box) == box
+        field, rows = _conditioned_rows(spec, box)
+        assert rows == 64
+        _within_the_rounding(spec, box, field)
 
     def test_a_field_within_the_margin_is_not_certified(self):
         """The margin of _row_error is what stands between a bound on the
