@@ -16,6 +16,7 @@ limit, at a cost that does not grow with n.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,7 +86,10 @@ class BesicovitchWeights:
         if any(red is not None and red[1] > _MAX_EXACT_DENOM for red in reduced):
             raise ValueError("frequency denominators must be at most 2**31")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "amplitude_bound", float(sum(abs(a) for a, _, _ in terms)))
+        # added as `values` adds the terms, uncompensated (sum() compensates
+        # from Python 3.12 on): by monotone rounding no computed |a_i| passes it
+        object.__setattr__(self, "amplitude_bound",
+                           functools.reduce(lambda s, t: s + abs(t[0]), terms, 0.0))
         # the kernel's view: a_i = Re sum_k coef_k * exp(i * angle_k(i))
         object.__setattr__(self, "_coef", np.array([a * complex(math.cos(ph), math.sin(ph))
                                                     for a, _, ph in terms]))
@@ -118,13 +122,13 @@ class BesicovitchWeights:
         return 2.0 * math.pi * np.where(self._exact, exact, x - np.rint(x))
 
     def values(self, n: int) -> np.ndarray:
-        """First n weights, amp_k cos(angle_k(i) + phase_k) summed over the
-        terms in their order, at the angles of `_angles` that the Cesaro
-        kernel reads."""
+        """First n weights, amp_k cos(angle_k(i) + phase_k) at the angles of
+        `_angles` that the Cesaro kernel reads, added one term at a time in
+        term order at every n (numpy's sum adds a single column pairwise)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         angles = self._angles(np.arange(n, dtype=np.int64)) + self._phase
-        return (self._amp * np.cos(angles)).sum(axis=0)
+        return functools.reduce(np.add, self._amp * np.cos(angles))
 
     def sup_abs(self, horizon: int) -> float:
         """Observed sup of |a_i| over i < horizon."""

@@ -1,8 +1,9 @@
 """Command line interface: run experiments, selfcheck, generate fragments.
 
-Exit codes: 0 success, 1 validation error, 2 invariant or inequality failure.
-Each command imports what only it uses: `run` loads `config` and `runner`,
-`selfcheck` the selfcheck with its fuzz and invariants, `gen` the generators.
+Exit codes: 0 success, 1 validation or usage error, 2 invariant or
+inequality failure. Each command imports what only it uses: `run` loads
+`config` and `runner`, `selfcheck` the selfcheck with its fuzz and
+invariants, `gen` the generators.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _MAX_ENTRIES, ConfigError, _check, build_experiment
-from .measure import DECREASING, MeasureSpace
+from .config import (_MAX_ENTRIES, ConfigError, _build_filtration, _build_map, _build_observable,
+                     _build_space, _check, build_experiment)
+from .measure import uniform_space
 from .runner import execute_plan
 
 
@@ -63,25 +65,25 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _fragment(kind: str, seed: int, size: int, dim: int) -> dict:
-    from .generators import random_filtration, random_observable, random_permutation
-
-    rng = np.random.default_rng(seed)
+    """Config's own build of a random fragment of this kind, made explicit."""
+    generator = np.random.default_rng(seed)
+    rng, drawn = (lambda: generator), {"kind": "random"}
     if kind == "space":
-        w = rng.uniform(0.2, 2.0, size)
-        return {"weights": [float(x) for x in w / w.sum()]}
-    space = MeasureSpace(np.full(size, 1.0 / size))
+        space = _build_space(dict(drawn, max_size=size), rng)
+        return {"weights": [float(x) for x in space.weights]}
+    space = uniform_space(size)
     if kind == "map":
-        perm = random_permutation(rng, space)
+        perm = _build_map(drawn, "maps[0]", space, [], rng)
         return {"kind": "explicit", "perm": [int(i) for i in perm.map]}
     if kind == "filtration":
-        filt = random_filtration(rng, space, n_stages=3, direction=DECREASING)
+        filt = _build_filtration(drawn, "filtrations[0]", space, rng)
         return {
             "kind": "explicit",
             "direction": filt.direction,
             "stages": [[int(b) for b in st.block_of] for st in filt.stages],
         }
     if kind == "observable":
-        f = random_observable(rng, space, dim)
+        f = _build_observable(dict(drawn, dim=dim), space, rng)
         return {"kind": "explicit", "values": [[float(v) for v in row] for row in f.values]}
     raise ValueError(f"unknown fragment kind {kind!r}")
 
@@ -130,7 +132,10 @@ def main(argv=None) -> int:
     p_gen.add_argument("--dim", type=int, default=1, help="observable dimension")
     p_gen.set_defaults(func=_cmd_gen)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a failed check here
+        return 1 if exc.code == 2 else exc.code
     return args.func(args)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .averages import BesicovitchWeights
 from .inequalities import broken_rule
-from .measure import DECREASING, INCREASING, Filtration, MeasureSpace, Partition
+from .measure import DECREASING, INCREASING, Filtration, MeasureSpace, Partition, uniform_space
 from .observables import NormSpec, VectorObservable
 from .operators import Endomorphism, cycle_map, identity_map, power
 from .processes import (
@@ -288,8 +288,7 @@ def _build_space(cfg: dict, rng) -> MeasureSpace:
         return MeasureSpace(weights / weights.sum())
     weights = _field(cfg, "space", "space.weights")
     if weights == "uniform":
-        size = _field(cfg, "space", "space.size")
-        return MeasureSpace(np.full(size, 1.0 / size))
+        return uniform_space(_field(cfg, "space", "space.size"))
     return _make("space.weights", lambda: MeasureSpace(np.fromiter(weights, float)))
 
 

@@ -84,7 +84,6 @@ __all__ = [
     "auto_epsilons",
     "dominant_constant",
     "maximal_constant",
-    "effective_weight_bound",
     "orlicz_class_report",
 ]
 
@@ -426,19 +425,6 @@ def _stage_period(spec: ProcessSpec, s: int) -> np.ndarray:
     return spec.keep(("period", s), build)
 
 
-def effective_weight_bound(spec: ProcessSpec, box: SupBox) -> tuple[float, float]:
-    """(observed, envelope) weight bound: observed sup |a_i| over the box
-    horizon (read within one period, where the weights already repeat) and
-    the analytic envelope sum |amp|; the larger goes into the constants so a
-    bound is never understated."""
-    if spec.weights is None:
-        return 1.0, 1.0
-    observed = max(w.sup_abs(k if w.period is None else min(k, w.period))
-                   for w, k in zip(spec.weights, _cut(spec, box).n_max))
-    envelope = max(w.amplitude_bound for w in spec.weights)
-    return observed, envelope
-
-
 # when a dominant or maximal bound applies, as (config field blamed below
 # checks[k], message, test of (spec, check type, p) that breaks the rule);
 # config validation, the checks and the fuzz all read this table
@@ -498,16 +484,20 @@ class InequalityReport:
     constant: float
     p: float
     epsilon: float | None
-    satisfied: bool
-    margin: float
     truncation: SupBox
     alpha: float
 
     def __post_init__(self):
         if self.constant <= 0:
             raise ValueError("constant must be positive")
-        if self.satisfied != (self.lhs <= self.rhs + _TOL):
-            raise ValueError("satisfied flag inconsistent with lhs/rhs")
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs + _TOL
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
 
 def _theorem_tag(spec: ProcessSpec, flavor: str) -> str:
@@ -524,10 +514,10 @@ def _theorem_tag(spec: ProcessSpec, flavor: str) -> str:
 
 
 def _check_setup(spec: ProcessSpec, check: str, p: float,
-                 box: SupBox | None) -> tuple[SupBox, float, float]:
+                 box: SupBox | None) -> tuple[SupBox, float, float, float]:
     """Validates a dominant or maximal check (sup_field validates the box);
-    returns the box, the weight bound alpha that goes into the constants and
-    |f|_p, kept by the spec."""
+    returns the box, the weight bound alpha (the largest envelope sum |amp_k|,
+    which bounds every computed a_i; 1 unweighted), the constant and |f|_p."""
     if not p > 1.0:
         raise ValueError("p must be > 1")
     broken = broken_rule(spec, check, p)
@@ -535,23 +525,23 @@ def _check_setup(spec: ProcessSpec, check: str, p: float,
         raise ValueError(broken[1])
     if box is None:
         box = default_box(spec)
+    alpha = 1.0 if spec.weights is None else max(w.amplitude_bound for w in spec.weights)
+    constant = dominant_constant if check == "dominant" else maximal_constant
+    const = constant(p, weighted=spec.is_weighted, multi=spec.is_multi, alpha=alpha,
+                     d_maps=spec.d_maps)
     norm = spec.keep(("norm", p), lambda: lp_norm(spec.f, p, spec.norm))
-    return box, max(effective_weight_bound(spec, box)), norm
+    return box, alpha, const, norm
 
 
 def dominant_check(spec: ProcessSpec, p: float, box: SupBox | None = None) -> InequalityReport:
     """|  sup-of-process-norms  |_p <= C(p, variant) |f|_p over the box."""
-    box, alpha, f_norm = _check_setup(spec, "dominant", p, box)
-    const = dominant_constant(p, weighted=spec.is_weighted, multi=spec.is_multi,
-                              alpha=alpha, d_maps=spec.d_maps)
+    box, alpha, const, f_norm = _check_setup(spec, "dominant", p, box)
     field = sup_field(spec, box)
     lhs = lp_norm(field, p, spec.norm)
     rhs = const * f_norm
     return InequalityReport(
         theorem_tag=_theorem_tag(spec, "dominant"),
-        lhs=lhs, rhs=rhs, constant=const, p=p, epsilon=None,
-        satisfied=lhs <= rhs + _TOL, margin=rhs - lhs,
-        truncation=box, alpha=alpha,
+        lhs=lhs, rhs=rhs, constant=const, p=p, epsilon=None, truncation=box, alpha=alpha,
     )
 
 
@@ -559,14 +549,12 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
                   box: SupBox | None = None) -> list[InequalityReport]:
     """mu{ sup >= eps } <= C(p, variant) |f|_p^p / eps^p over the box, one report
     per eps of the ascending grid; the sup field is computed once."""
-    box, alpha, f_norm = _check_setup(spec, "maximal", p, box)
+    box, alpha, const, f_norm = _check_setup(spec, "maximal", p, box)
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValueError("epsilon grid must be nonempty and positive")
     if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("epsilon grid must be ascending")
-    const = maximal_constant(p, weighted=spec.is_weighted, multi=spec.is_multi,
-                             alpha=alpha, d_maps=spec.d_maps)
     field = sup_field(spec, box).values[:, 0]
     mu = spec.space.weights
     tag = _theorem_tag(spec, "maximal")
@@ -578,7 +566,6 @@ def epsilon_sweep(spec: ProcessSpec, p: float, eps_grid: Sequence[float],
         rhs = const * (f_norm / eps) ** p
         out.append(InequalityReport(
             theorem_tag=tag, lhs=lhs, rhs=rhs, constant=const, p=p, epsilon=eps,
-            satisfied=lhs <= rhs + _TOL, margin=rhs - lhs,
             truncation=box, alpha=alpha,
         ))
     return out

@@ -128,6 +128,26 @@ class TestErgodicLimit:
         assert linf_norm(koopman(star, t) - star) <= 1e-12
 
 
+def _weight_cases() -> list[BesicovitchWeights]:
+    """Weights of 1 to 20 terms, each term's frequency rational, irrational
+    or 0, and the same-sign frequency-0 sums of 14 terms whose pairwise sum
+    of one column passes the envelope (seeds 1 and 17)."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for count in range(1, 21):
+        for _ in range(8):
+            terms = []
+            for kind in rng.integers(3, size=count):
+                den = int(rng.integers(2, 50))
+                freq = (Fraction(int(rng.integers(den)), den), float(rng.uniform(0, 1)), 0.0)[kind]
+                terms.append((float(rng.uniform(-1, 1)), freq, float(rng.uniform(-3, 3))))
+            cases.append(BesicovitchWeights(tuple(terms)))
+    for seed in (1, 17):
+        amps = np.random.default_rng(seed).uniform(0.01, 1.0, 14)
+        cases.append(BesicovitchWeights(tuple((float(a), 0.0, 0.0) for a in amps)))
+    return cases
+
+
 class TestWeights:
     def test_alternating_sequence(self):
         w = BesicovitchWeights.single_cosine(1.0, 1, 2)
@@ -163,9 +183,22 @@ class TestWeights:
             n = int(rng.integers(1, 3 * period + 2))
             assert np.array_equal(w.values(n), w.values(period)[np.arange(n) % period])
 
+    def test_one_value_per_weight(self):
+        # a_i is one float whatever the length read: numpy's sum over the
+        # terms adds one column pairwise and a wider block row by row, which
+        # from 8 terms on gives a_0 two values
+        for w in _weight_cases():
+            whole = w.values(12)
+            for m in range(13):
+                assert np.array_equal(whole[:m], w.values(m))
+
     def test_sup_abs_below_envelope(self):
-        w = BesicovitchWeights(((0.6, 1 / 4, 0.1), (0.4, 1 / 3, 1.0)))
-        assert w.sup_abs(100) <= w.amplitude_bound + 1e-15
+        # exact: the terms and the envelope are added in one order
+        cases = [BesicovitchWeights(((0.6, 1 / 4, 0.1), (0.4, 1 / 3, 1.0))), *_weight_cases()]
+        for w in cases:
+            for n in (1, 2, 12):
+                assert np.abs(w.values(n)).max() <= w.amplitude_bound
+            assert w.sup_abs(100) <= w.amplitude_bound
 
 
 class TestWeightedAverage:

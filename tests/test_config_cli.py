@@ -616,6 +616,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, usage", [
+        (("selfcheck", "--budget", "abc"), "usage: ergmart selfcheck "),
+        (("run",), "usage: ergmart run "),
+    ])
+    def test_a_usage_error_exit_1(self, argv, usage):
+        # exit 2 is a failed invariant or inequality, not argparse's usage error
+        res = subprocess.run([sys.executable, "-m", "ergmart.cli", *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 1
+        assert res.stdout == "" and res.stderr.startswith(usage)
+        assert "Traceback" not in res.stderr
+        assert subprocess.run([sys.executable, "-m", "ergmart.cli", *argv[:1], "--help"],
+                              capture_output=True).returncode == 0
+
     def test_byte_identical_reruns_subprocess(self, tmp_path):
         for sub in ("o1", "o2"):
             res = subprocess.run(

@@ -1143,6 +1143,30 @@ def test_mini_fuzz_all_families_clean():
             assert st.max_maximal_ratio <= 1.0
 
 
+def test_weighted_fuzz_reports_read_the_envelope(monkeypatch):
+    # alpha is the envelope sum |amp_k|, which bounds every computed a_i, and
+    # a report's verdict and margin are those of its two sides
+    seen = []
+
+    def spy(check):
+        def run(spec, *args):
+            out = check(spec, *args)
+            seen.extend((spec, rep) for rep in (out if isinstance(out, list) else [out]))
+            return out
+        return run
+
+    monkeypatch.setattr(fuzz, "dominant_check", spy(dominant_check))
+    monkeypatch.setattr(fuzz, "epsilon_sweep", spy(epsilon_sweep))
+    assert run_inequality_fuzz(budget=100, seed=7).ok
+    weighted = [(spec, rep) for spec, rep in seen if spec.is_weighted]
+    assert {"Thm4.1", "Thm4.2", "Thm4.3", "Thm4.4", "Thm4.1-maximal",
+            "Thm4.2-maximal", "Thm4.3-maximal"} <= {rep.theorem_tag for _, rep in weighted}
+    for spec, rep in weighted:
+        assert rep.alpha == max(w.amplitude_bound for w in spec.weights)
+        assert rep.satisfied == (rep.lhs <= rep.rhs + 1e-12)
+        assert rep.margin == rep.rhs - rep.lhs
+
+
 def test_fuzz_detects_violations_when_constant_shrunk(monkeypatch):
     # sanity check that the corpus is not vacuous: a 20x smaller constant
     # must produce violations
