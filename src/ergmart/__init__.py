@@ -17,7 +17,6 @@ from .measure import (
     Filtration,
     MeasureSpace,
     Partition,
-    make_space,
     partition_join,
     partition_meet,
     refines,
@@ -39,7 +38,6 @@ from .operators import (
     cycle_map,
     identity_map,
     koopman,
-    orbit_lcm,
     power,
 )
 from .averages import (
@@ -54,9 +52,7 @@ from .processes import (
     convergence_trace,
     default_n1_grid,
     evaluate,
-    limit_target,
     mean_identity_check,
-    stabilization_periods,
     tail_variation,
 )
 from .inequalities import (

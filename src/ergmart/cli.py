@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,7 +141,14 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:  # a pipe's buffer is otherwise first written at interpreter shutdown
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "Filtration",
     "INCREASING",
     "DECREASING",
-    "make_space",
     "uniform_space",
     "refines",
     "partition_join",
@@ -70,16 +69,11 @@ class MeasureSpace:
         return f"MeasureSpace(size={self.size}, total_mass={self.total_mass:g})"
 
 
-def make_space(weights: Sequence[float]) -> MeasureSpace:
-    """Build a space from point masses; rejects empty or nonpositive input."""
-    return MeasureSpace(np.asarray(weights, dtype=float))
-
-
-def uniform_space(n: int, total: float = 1.0) -> MeasureSpace:
-    """N points of equal mass summing to `total`."""
+def uniform_space(n: int) -> MeasureSpace:
+    """N points of equal mass summing to 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    return MeasureSpace(np.full(n, total / n))
+    return MeasureSpace(np.full(n, 1.0 / n))
 
 
 def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -146,9 +140,6 @@ class Partition:
         if np.any(labels < 0):
             raise ValueError("blocks must cover every point")
         return cls(space, labels)
-
-    def blocks(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.block_of == b) for b in range(self.block_count)]
 
     @functools.cached_property
     def block_masses(self) -> np.ndarray:
@@ -229,7 +220,7 @@ def partition_meet(a: Partition, b: Partition) -> Partition:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Filtration:
-    """Monotone chain of partitions with its stabilized limit stage.
+    """Monotone chain of partitions; the last stage is the stabilized limit.
 
     `increasing` means later stages refine earlier ones (subalgebras grow);
     `decreasing` is the reverse. The constructor rejects chains that break
@@ -260,14 +251,6 @@ class Filtration:
                     f"(first offending index {k + 1})"
                 )
         object.__setattr__(self, "stages", stages)
-
-    @property
-    def limit(self) -> Partition:
-        """Stabilized endpoint of the finite chain."""
-        return self.stages[-1]
-
-    def __len__(self) -> int:
-        return len(self.stages)
 
     def __repr__(self):
         return f"Filtration({self.direction}, stages={len(self.stages)})"

@@ -27,7 +27,6 @@ __all__ = [
     "identity_map",
     "cycle_map",
     "power",
-    "orbit_lcm",
     "koopman",
     "block_means",
     "cond_expect",
@@ -144,11 +143,6 @@ def power(t: Endomorphism, k: int) -> Endomorphism:
         base = base[base]
         k >>= 1
     return Endomorphism(t.space, out)
-
-
-def orbit_lcm(t: Endomorphism) -> int:
-    """Least common multiple of the cycle lengths (the order of tau)."""
-    return t.cycle_layout.order
 
 
 def koopman(f: VectorObservable, t: Endomorphism) -> VectorObservable:

@@ -2,8 +2,8 @@
 
 A martingale-ergodic evaluation conditions an ergodic (possibly weighted,
 possibly multiparameter) average on a filtration stage; an ergodic-martingale
-evaluation averages a conditioned observable. Both share one limit object in
-the unweighted case: the orbit average conditioned on the stabilized stage.
+evaluation averages a conditioned observable. Their limits agree where orbit
+averaging and conditioning on the last stage commute (see ProcessSpec.limit).
 On a finite space pointwise-everywhere convergence coincides with a.e.
 convergence, so the sup-norm error column of a trace witnesses the pointwise
 claims and the L_p column the norm claims.
@@ -21,7 +21,7 @@ import numpy as np
 from .averages import _CHUNK_FLOATS, BesicovitchWeights, CesaroKernel, check_stages, conditioned
 from .measure import Filtration
 from .observables import NormSpec, VectorObservable, lp_norm, lp_of_norms, mean, point_norms
-from .operators import Endomorphism, orbit_lcm
+from .operators import Endomorphism
 
 __all__ = [
     "MARTINGALE_ERGODIC",
@@ -31,10 +31,8 @@ __all__ = [
     "ConvergenceTrace",
     "MeanIdentityReport",
     "evaluate",
-    "limit_target",
     "convergence_trace",
     "mean_identity_check",
-    "stabilization_periods",
     "tail_variation",
     "default_n1_grid",
 ]
@@ -119,7 +117,7 @@ class ProcessSpec:
         return tuple(len(fl.stages) - 1 for fl in self.filtrations)
 
     def orbit_lcms(self) -> tuple[int, ...]:
-        return tuple(orbit_lcm(t) for t in self.maps)
+        return tuple(t.cycle_layout.order for t in self.maps)
 
     def periods(self) -> tuple[int | None, ...]:
         """Per-map period P_j after which the weighted Cesaro sum repeats
@@ -150,8 +148,17 @@ class ProcessSpec:
 
     @property
     def limit(self) -> VectorObservable:
-        """limit_target of this spec: kept under "limit" by the first grid
-        read that reaches it (_cells), which this runs if none has."""
+        """Closed-form limit of the process, weighted or not.
+
+        The two kinds genuinely have different limits whenever orbit
+        averaging and conditioning fail to commute: averaging first and
+        conditioning last converges to the conditioned orbit average, while
+        conditioning first converges to the orbit average of the conditioned
+        observable. The limit composes the exact limit of each map's average
+        (averages.CesaroKernel at n None) with the last stage of every
+        filtration, in the same order as the process. It is kept under
+        "limit" by the first grid read that reaches it (_cells), which this
+        runs if none has."""
         if "limit" not in self.kept:
             for _ in _cells(self, [None], [self.last_stages]):
                 pass
@@ -266,20 +273,6 @@ def evaluate(spec: ProcessSpec, n1, n2) -> VectorObservable:
     return VectorObservable(spec.space, values[0, 0])
 
 
-def limit_target(spec: ProcessSpec) -> VectorObservable:
-    """Closed-form limit of the process, weighted or not.
-
-    The two kinds genuinely have different limits whenever orbit averaging and
-    conditioning fail to commute: averaging first and conditioning last
-    converges to the conditioned orbit average, while conditioning first
-    converges to the orbit average of the conditioned observable. The target
-    composes the exact limit of each map's average (averages.CesaroKernel at
-    n None) with the last stage of every filtration, in the same order as the
-    process. It is computed once per spec and kept by it (ProcessSpec.limit).
-    """
-    return spec.limit
-
-
 @dataclass(frozen=True)
 class TraceRow:
     n1: int
@@ -333,7 +326,7 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
                       and "limit" not in spec.kept and spec.last_stages in s_vecs) else []
     cells = _cells(spec, lead + [(n1,) * spec.d_maps for n1 in n1_grid], s_vecs)
     if reference is None:
-        target = None if lead else limit_target(spec)
+        target = None if lead else spec.limit
         desc = "closed-form limit (conditioned orbit average)"
     else:
         target = reference
@@ -342,7 +335,7 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
     cell = itertools.product(n1_grid, n2_grid)
     for values in cells:
         if target is None:  # the limit's row, which _cells keeps as spec.limit
-            values, target = values[1:], limit_target(spec)
+            values, target = values[1:], spec.limit
         errors = values - target.values
         if not np.isfinite(errors).all():
             raise ValueError("values must be finite")
@@ -368,7 +361,7 @@ class MeanIdentityReport:
 def mean_identity_check(spec: ProcessSpec) -> MeanIdentityReport:
     """Checks that the limit keeps the expectation of f and contracts |.|_p
     for p in {1, 2, 3}."""
-    target = limit_target(spec)
+    target = spec.limit
     m_in = mean(spec.f)
     m_out = mean(target)
     gap = float(np.max(np.abs(m_in - m_out)))
@@ -389,26 +382,17 @@ def mean_identity_check(spec: ProcessSpec) -> MeanIdentityReport:
     )
 
 
-def stabilization_periods(spec: ProcessSpec) -> tuple[int, ...]:
-    """Per-map period P_j after which the weighted Cesaro average repeats
-    exactly: lcm of the orbit order and the weight period.
-
-    Raises when some weight frequency is not recognizably rational.
-    """
+def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
+                   n2=None) -> float:
+    """Max pairwise L_p distance between evaluations at period multiples in the
+    final quarter of the grid k*P, k = 1..n_periods, P the spec's periods;
+    raises when some weight frequency is not recognizably rational."""
+    if n_periods < 4:
+        raise ValueError("need at least 4 periods to form a tail")
     periods = spec.periods()
     if None in periods:
         raise ValueError("weight sequence has an irrational frequency; "
                          "no exact period is available")
-    return periods
-
-
-def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
-                   n2=None) -> float:
-    """Max pairwise L_p distance between evaluations at period multiples in the
-    final quarter of the grid k*P, k = 1..n_periods."""
-    if n_periods < 4:
-        raise ValueError("need at least 4 periods to form a tail")
-    periods = stabilization_periods(spec)
     if n2 is None:
         n2 = spec.last_stages
     s_vec = _per_axis(n2, spec.m_filtrations, "n2 must give one stage index per filtration")

@@ -34,7 +34,6 @@ __all__ = ["RunResult", "execute_plan", "render_trace_csv"]
 
 @dataclass(frozen=True)
 class RunResult:
-    ok: bool
     any_check_failed: bool
     files: tuple[str, ...]
 
@@ -193,6 +192,5 @@ def execute_plan(plan: ExperimentPlan, out_dir: str | Path) -> RunResult:
     (out / "trace.csv").write_text(trace_text)
     (out / "reports.json").write_text(reports_text)
     (out / "manifest.json").write_text(manifest_text)
-    any_failed = any(not r.get("satisfied", True) for r in reports)
-    return RunResult(ok=not any_failed, any_check_failed=any_failed,
+    return RunResult(any_check_failed=any(not r.get("satisfied", True) for r in reports),
                      files=("trace.csv", "reports.json", "manifest.json"))

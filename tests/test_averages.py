@@ -13,14 +13,13 @@ from ergmart.averages import (
     running_rows,
 )
 from ergmart.generators import random_cycle_system, random_filtration, random_weights
-from ergmart.measure import DECREASING, Filtration, Partition, make_space, uniform_space
+from ergmart.measure import DECREASING, Filtration, MeasureSpace, Partition, uniform_space
 from ergmart.observables import VectorObservable, linf_norm, point_norm_field
 from ergmart.operators import (
     Endomorphism,
     cycle_map,
     identity_map,
     koopman,
-    orbit_lcm,
     power,
 )
 from ergmart.processes import (
@@ -28,8 +27,6 @@ from ergmart.processes import (
     MARTINGALE_ERGODIC,
     ProcessSpec,
     evaluate,
-    limit_target,
-    stabilization_periods,
 )
 from oracles import (
     oracle_composite,
@@ -87,7 +84,7 @@ class TestErgodicLimit:
             [[1], [3], [5], [7]], SP4.weights, [1, 0, 3, 2])
 
     def test_weighted_orbit_mean(self):
-        sp = make_space([0.3, 0.3, 0.2, 0.2])
+        sp = MeasureSpace([0.3, 0.3, 0.2, 0.2])
         f = VectorObservable(sp, [2.0, 6.0, 1.0, 5.0])
         t = Endomorphism(sp, [1, 0, 3, 2])
         got = _average(f, t, None)
@@ -100,7 +97,7 @@ class TestErgodicLimit:
             sp = uniform_space(n)
             t = Endomorphism(sp, rng.permutation(n))
             f = VectorObservable(sp, rng.normal(0, 2, (n, 2)))
-            L = orbit_lcm(t)
+            L = t.cycle_layout.order
             star = _average(f, t, None)
             for k in (1, 2, 3):
                 assert linf_norm(_average(f, t, k * L) - star) <= 1e-12
@@ -112,7 +109,7 @@ class TestErgodicLimit:
             sp = uniform_space(n)
             t = Endomorphism(sp, rng.permutation(n))
             f = VectorObservable(sp, rng.normal(0, 2, (n, 1)))
-            L = orbit_lcm(t)
+            L = t.cycle_layout.order
             star = _average(f, t, None)
             for m in (L, L + 1, 2 * L + 3, 5 * L):
                 gap = linf_norm(_average(f, t, m) - star)
@@ -333,7 +330,7 @@ class TestCompositeCondExpect:
         rng = np.random.default_rng(41)
         for _ in range(10):
             n_pts = int(rng.integers(3, 12))
-            sp = make_space(rng.uniform(0.1, 1.0, n_pts))
+            sp = MeasureSpace(rng.uniform(0.1, 1.0, n_pts))
             f = VectorObservable(sp, rng.normal(0, 1, (n_pts, 2)))
             m = int(rng.integers(2, 4))
             filts, labels = [], []
@@ -356,7 +353,7 @@ class TestCompositeCondExpect:
         # give the floats of a bincount per stage
         rng = np.random.default_rng(50 + m)
         for n in (3, 7, 48):
-            for sp in (uniform_space(n), make_space(rng.uniform(0.1, 2.0, n))):
+            for sp in (uniform_space(n), MeasureSpace(rng.uniform(0.1, 2.0, n))):
                 mixed = Partition(sp, rng.integers(0, max(2, n // 4), n))
                 coarse = Partition(sp, mixed.block_of % 2)
                 chain = (Partition.singletons(sp), mixed, coarse, Partition.whole(sp))
@@ -417,7 +414,7 @@ def _orbit_constant_system(rng, n_max=16):
     masses = np.empty(n)
     for cyc in oracle_cycles(perm.tolist()):
         masses[cyc] = rng.uniform(0.2, 2.0)
-    space = make_space(masses / masses.sum())
+    space = MeasureSpace(masses / masses.sum())
     return space, Endomorphism(space, perm)
 
 
@@ -471,7 +468,7 @@ class TestCycleKernel:
             begin += L
         sp = uniform_space(64)
         t = Endomorphism(sp, perm)
-        assert orbit_lcm(t) == 840
+        assert t.cycle_layout.order == 840
         f = VectorObservable(sp, rng.normal(0, 1, (64, 2)))
         w = BesicovitchWeights(((0.6, Fraction(3, 8), 0.4), (0.4, Fraction(2, 35), 2.0)))
         filt = Filtration(sp, DECREASING, (Partition.singletons(sp),
@@ -479,7 +476,7 @@ class TestCycleKernel:
         n = 10**7 + 13
         for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
             spec = ProcessSpec.single(kind, f, t, filt, weights=w)
-            (period,) = stabilization_periods(spec)
+            (period,) = spec.periods()
             q, r = divmod(n, period)
             reads = []
             real_values, real_angles = BesicovitchWeights.values, BesicovitchWeights._angles
@@ -510,9 +507,9 @@ class TestCycleKernel:
         evaluate(spec, 5, 0)
         assert len(builds) == 1
         evaluate(spec, 7, 1)
-        limit_target(spec)
+        spec.limit
         evaluate(spec, spec.periods(), spec.last_stages)
-        orbit_lcm(t)
+        t.cycle_layout.order
         assert len(builds) == 1
 
     def test_stack_kernel_matches_each_entry_bit_for_bit(self):
@@ -606,7 +603,7 @@ class TestRunningAverages:
                 t = Endomorphism(uniform_space(n_points), perm)
                 dim = int(rng.integers(1, 3))
                 arr = rng.normal(size=lead + (n_points, dim)) * 10.0 ** rng.integers(-8, 9, dim)
-                n = int(rng.integers(1, min(3 * orbit_lcm(t) + 3, 300)))
+                n = int(rng.integers(1, min(3 * t.cycle_layout.order + 3, 300)))
                 alphas = rng.normal(size=n) if weighted else None
                 want = oracle_running_averages_steps(arr, perm, alphas, n)
                 (first, whole), = running_rows(arr, t, alphas, (n,), n)
@@ -648,7 +645,7 @@ class TestRunningAverages:
                 perm = rng.permutation(n_points)
                 t = Endomorphism(uniform_space(n_points), perm)
                 arr = rng.normal(size=lead + (n_points, 2))
-                n = int(rng.integers(2, min(3 * orbit_lcm(t) + 3, 300)))
+                n = int(rng.integers(2, min(3 * t.cycle_layout.order + 3, 300)))
                 alphas = rng.normal(size=n) if weighted else None
                 (_, whole), = running_rows(arr, t, alphas, (n,), n)
                 points = rng.permutation(n_points)[:int(rng.integers(1, n_points + 1))]

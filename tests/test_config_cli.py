@@ -11,7 +11,7 @@ from ergmart.cli import main
 from ergmart.config import ConfigError, build_experiment
 from ergmart.inequalities import APPLICABILITY_RULES, dominant_check, epsilon_sweep
 from ergmart.observables import linf_norm, lp_norm
-from ergmart.processes import evaluate, stabilization_periods
+from ergmart.processes import evaluate
 from ergmart.runner import execute_plan
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -429,7 +429,7 @@ def test_huge_box_factor_costs_one_period(tmp_path, make_config, monkeypatch):
 
     monkeypatch.setattr(ineq, "running_rows", spy)
     assert main(["run", "--config", str(write(10**7)), "--out", str(tmp_path / "in")]) == 0
-    (period,) = stabilization_periods(spec)
+    (period,) = spec.periods()
     assert stops and max(stops) <= period
 
 
@@ -456,7 +456,7 @@ class TestRunner:
     def test_demo_outputs(self, tmp_path):
         plan = build_experiment(demo_config())
         result = execute_plan(plan, tmp_path)
-        assert result.ok
+        assert not result.any_check_failed
         reports = json.loads((tmp_path / "reports.json").read_text())
         assert reports and all(r["satisfied"] for r in reports)
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
@@ -504,7 +504,7 @@ class TestRunner:
         cfg["checks"] = [{"type": "dominant", "p": 2.0}]
         plan = build_experiment(cfg)
         result = execute_plan(plan, tmp_path)
-        assert result.ok
+        assert not result.any_check_failed
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         last = lines[-1].split(",")
         assert float(last[2]) <= 1e-12  # period multiples hit the reference exactly
@@ -516,7 +516,7 @@ class TestRunner:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         spec = build_experiment(cfg).spec
-        (period,) = stabilization_periods(spec)
+        (period,) = spec.periods()
         assert period == math.lcm(4, 5000)
         gap = (evaluate(spec, 2 * period, spec.last_stages)
                - evaluate(spec, period, spec.last_stages))
@@ -629,6 +629,17 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert subprocess.run([sys.executable, "-m", "ergmart.cli", *argv[:1], "--help"],
                               capture_output=True).returncode == 0
+
+    def test_a_closed_output_pipe_exit_1(self):
+        # the fragment is larger than a pipe buffer, so a write meets the closed pipe
+        proc = subprocess.Popen([sys.executable, "-m", "ergmart.cli", "gen", "--kind",
+                                 "observable", "--seed", "3", "--size", "4000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        with proc:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == "error: output pipe closed\n"
 
     def test_byte_identical_reruns_subprocess(self, tmp_path):
         for sub in ("o1", "o2"):

@@ -24,8 +24,7 @@ from ergmart.generators import (FAMILIES, random_filtration, random_observable,
 from ergmart.inequalities import auto_epsilons, default_box, epsilon_sweep, shrink_box, sup_field
 from ergmart.observables import NormSpec, lp_norm
 from ergmart.operators import power
-from ergmart.processes import (ERGODIC_MARTINGALE, MARTINGALE_ERGODIC, ProcessSpec, evaluate,
-                               limit_target)
+from ergmart.processes import ERGODIC_MARTINGALE, MARTINGALE_ERGODIC, ProcessSpec, evaluate
 from oracles import (LD, U, error_scale, fraction_process, ld_lp_norm, ld_limit,
                      ld_maximal_rhs, ld_period_box, ld_periods, ld_point_norms, ld_process,
                      ld_sup_field, ld_weights, summed_terms)
@@ -143,7 +142,7 @@ def test_processes_limits_and_sup_fields_within_their_models(family):
             s_vec = tuple(int(rng.integers(0, len(fl.stages))) for fl in spec.filtrations)
             err = np.abs(evaluate(spec, n_vec, s_vec).values - ld_process(spec, n_vec, s_vec))
             assert err.max() <= C_PROCESS * scale * summed_terms(spec, sum(n_vec)), (n_vec, s_vec)
-        err = np.abs(limit_target(spec).values - ld_limit(spec))
+        err = np.abs(spec.limit.values - ld_limit(spec))
         assert err.max() <= C_PROCESS * scale * summed_terms(spec, 0)
         box = default_box(spec)
         err = np.abs(sup_field(spec, box).values[:, 0] - ld_sup_field(spec, box))

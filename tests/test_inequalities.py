@@ -37,7 +37,7 @@ from ergmart.processes import (
     MARTINGALE_ERGODIC,
     ProcessSpec,
     evaluate,
-    stabilization_periods,
+    tail_variation,
 )
 from ergmart.runner import execute_plan
 from oracles import error_scale, oracle_cycles, oracle_sup_field_full_period, summed_terms
@@ -220,7 +220,7 @@ class TestSupField:
                 for s_vec in itertools.product(*box.stage_sets):
                     field = point_norm_field(evaluate(spec, n_vec, s_vec), spec.norm)
                     want = np.maximum(want, field.values[:, 0])
-            built = SupBox(tuple(map(min, box.n_max, stabilization_periods(spec))),
+            built = SupBox(tuple(map(min, box.n_max, spec.periods())),
                            box.stage_sets)
             horizons = _horizons(spec, built.n_max[0])
             whole, passes, point_floats = _build_in_chunks(monkeypatch, spec, built, 2**62)
@@ -446,7 +446,7 @@ class TestPeriodClamp:
         past_the_order = 0
         for seed in range(20):
             spec = random_process_instance(seed, family).spec
-            periods = stabilization_periods(spec)
+            periods = spec.periods()
             past_the_order += any(p > o for p, o in zip(periods, spec.orbit_lcms()))
             stage_sets = default_box(spec).stage_sets
             field = sup_field(spec, SupBox(periods, stage_sets)).values[:, 0]
@@ -475,7 +475,7 @@ class TestPeriodClamp:
             spec = ProcessSpec(kind, F1357, (CYC, power(CYC, 2)), (FILT3,), (w, None))
             assert spec.periods() == (None, 2)
             with pytest.raises(ValueError, match="irrational"):
-                stabilization_periods(spec)
+                tail_variation(spec)
             field = sup_field(spec, box).values[:, 0]
             assert list(_kept(spec, "sup")) == [SupBox((12, 2), ((0, 1, 2),))]
             want = np.zeros(4)

@@ -1,8 +1,9 @@
 """Layout checks on the package source: no module imports a name it never
 uses, every exported name resolves, and every name the package exports is
-read by another module or documented in README.md. The first two catch what
-a deletion leaves behind, the third what a deletion should take, and so
-does the fourth: every top-level function and class is named elsewhere.
+read by another top-level definition of the package or named in
+tests/test_acceptance.py. The first two catch what a deletion leaves behind,
+the third what a deletion should take, and so does the fourth: every
+top-level function and class is named elsewhere.
 README.md's table of what a spec keeps names every key family it is kept
 under.
 `ergmart/__init__.py` imports names only to export them, so the first test
@@ -75,30 +76,36 @@ def test_every_package_import_resolves():
     assert not missing, f"ergmart/__init__.py imports missing names: {missing}"
 
 
+def _loads(tree: ast.AST) -> set[str]:
+    """Names and attributes the code loads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def _read_names(tree: ast.Module) -> set[str]:
     """Names the module reads: loaded names and attributes, and its imports."""
-    read = set(_imported(tree))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+    return set(_imported(tree)) | _loads(tree)
+
+
+def _defined(node: ast.stmt) -> set[str]:
+    """Names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
 def test_every_package_export_is_read():
-    """A name that ergmart/__init__.py imports from a module is read by
-    another module of the package, or named in README.md's inline code;
-    anything else is public surface that nothing uses."""
-    reads = {name: _read_names(_tree(name)) for name in MODULES}
-    readme = (PACKAGE.parent.parent / "README.md").read_text()
-    documented = {word for span in re.findall(r"`([^`\n]+)`", readme)
-                  for word in re.findall(r"\w+", span)}
+    """A name that ergmart/__init__.py imports from a module is read by a
+    top-level definition of the package other than its own (an import is
+    not a read), or named in tests/test_acceptance.py; anything else is
+    public surface that nothing uses. A mention in README.md does not keep
+    a name alive."""
+    reads = [_loads(node) - _defined(node) for name in MODULES for node in _tree(name).body]
+    acceptance = _read_names(ast.parse(Path(__file__).with_name("test_acceptance.py").read_text()))
     unread = [f"{node.module}.{alias.name}" for node in _tree("__init__").body
               if isinstance(node, ast.ImportFrom) for alias in node.names
-              if alias.name not in documented
-              and not any(alias.name in read for name, read in reads.items()
-                          if name != node.module)]
+              if alias.name not in acceptance and not any(alias.name in read for read in reads)]
     assert not unread, f"ergmart/__init__.py exports names nothing else reads: {unread}"
 
 

@@ -6,8 +6,8 @@ from ergmart.measure import (
     DECREASING,
     INCREASING,
     Filtration,
+    MeasureSpace,
     Partition,
-    make_space,
     partition_join,
     partition_meet,
     refines,
@@ -17,56 +17,57 @@ from oracles import oracle_join_blocks, oracle_meet_blocks, oracle_refines
 
 
 def blocks_of(part):
-    return sorted(sorted(int(i) for i in b) for b in part.blocks())
+    """The blocks of a partition as sorted point lists, in sorted order."""
+    return sorted(np.flatnonzero(part.block_of == b).tolist() for b in range(part.block_count))
 
 
-def test_make_space_uniform():
-    sp = make_space([0.25, 0.25, 0.25, 0.25])
+def test_space_uniform():
+    sp = MeasureSpace([0.25, 0.25, 0.25, 0.25])
     assert sp.total_mass == pytest.approx(1.0)
     assert sp.size == 4
 
 
-def test_make_space_single_point():
-    sp = make_space([1.0])
+def test_space_single_point():
+    sp = MeasureSpace([1.0])
     assert sp.total_mass == 1.0
     assert sp.size == 1
 
 
-def test_make_space_total_is_sum_as_stored():
+def test_space_total_is_sum_as_stored():
     weights = [0.1, 0.2, 0.3, 0.4]
-    sp = make_space(weights)
+    sp = MeasureSpace(weights)
     assert sp.total_mass == float(np.sum(sp.weights))
     assert sp.total_mass == pytest.approx(sum(weights))
 
 
 @pytest.mark.parametrize("bad", [[], [0.0, 1.0], [-1.0, 2.0], [1.0, float("nan")]])
-def test_make_space_rejects(bad):
+def test_space_rejects(bad):
     with pytest.raises(ValueError):
-        make_space(bad)
+        MeasureSpace(bad)
 
 
 @pytest.mark.filterwarnings("error")  # the overflowing sum warns nothing
-def test_make_space_rejects_masses_whose_sum_is_not_finite():
+def test_space_rejects_masses_whose_sum_is_not_finite():
     with pytest.raises(ValueError, match="finite sum"):
-        make_space([1e308, 1e308, 1e308])
-    assert make_space([1e308, 7e307]).total_mass == 1e308 + 7e307
+        MeasureSpace([1e308, 1e308, 1e308])
+    assert MeasureSpace([1e308, 7e307]).total_mass == 1e308 + 7e307
 
 
 def test_space_equality(monkeypatch):
-    sp = make_space([0.5, 0.25, 0.25])
-    assert sp == make_space([0.5, 0.25, 0.25])
-    assert sp != make_space([0.25, 0.5, 0.25]) and sp != uniform_space(4)
+    sp = MeasureSpace([0.5, 0.25, 0.25])
+    assert sp == MeasureSpace([0.5, 0.25, 0.25])
+    assert sp != MeasureSpace([0.25, 0.5, 0.25]) and sp != uniform_space(4)
     assert sp != "space"
     compared = []
     real = np.array_equal
     monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or real(a, b))
     assert sp == sp and not sp != sp
     assert compared == []  # an object equals itself without an array comparison
-    assert sp == make_space([0.5, 0.25, 0.25]) and compared == [1]
+    assert sp == MeasureSpace([0.5, 0.25, 0.25]) and compared == [1]
 
 
 def test_space_weights_immutable():
-    sp = make_space([1.0, 2.0])
+    sp = MeasureSpace([1.0, 2.0])
     with pytest.raises(ValueError):
         sp.weights[0] = 5.0
 
@@ -97,7 +98,7 @@ class TestPartition:
             Partition(sp, [0, 1])
 
     def test_kept_tables_are_built_once_and_read_only(self):
-        sp = make_space([1.0, 2.0, 3.0, 4.0])
+        sp = MeasureSpace([1.0, 2.0, 3.0, 4.0])
         p = Partition(sp, [5, 5, 1, 5])
         assert p.block_masses is p.block_masses
         assert p.block_masses.tolist() == [7.0, 3.0]
@@ -194,15 +195,15 @@ class TestFiltration:
 
     def test_increasing_limit(self):
         f = Filtration(self.sp, INCREASING, (self.whole, self.pairs, self.fine))
-        assert f.limit == self.fine
+        assert f.stages[-1] == self.fine
 
     def test_decreasing_limit(self):
         f = Filtration(self.sp, DECREASING, (self.fine, self.pairs, self.whole))
-        assert f.limit == self.whole
+        assert f.stages[-1] == self.whole
 
     def test_single_stage(self):
         f = Filtration(self.sp, INCREASING, (self.pairs,))
-        assert f.limit == self.pairs
+        assert f.stages[-1] == self.pairs
 
     def test_monotonicity_violation_names_index(self):
         with pytest.raises(ValueError, match="index 2"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergmart.measure import make_space, uniform_space
+from ergmart.measure import MeasureSpace, uniform_space
 from ergmart.observables import (
     NormSpec,
     VectorObservable,
@@ -54,7 +54,7 @@ def test_lp_norm_values():
 
 
 def test_lp_norm_of_constant_is_abs_constant():
-    sp = make_space([0.5, 0.3, 0.2])
+    sp = MeasureSpace([0.5, 0.3, 0.2])
     f = VectorObservable(sp, [-2.5, -2.5, -2.5])
     for p in (1.0, 1.7, 2.0, 3.0):
         assert lp_norm(f, p) == pytest.approx(2.5, abs=1e-12)
@@ -93,14 +93,14 @@ def test_llog_m1_value():
 def test_mean_and_integral():
     assert mean(F1357)[0] == pytest.approx(4.0, abs=1e-12)
     assert integral(F1357)[0] == pytest.approx(4.0, abs=1e-12)
-    sp = make_space([2.0, 2.0])  # total mass 4: integral and mean differ
+    sp = MeasureSpace([2.0, 2.0])  # total mass 4: integral and mean differ
     f = VectorObservable(sp, [3.0, 5.0])
     assert integral(f)[0] == pytest.approx(16.0)
     assert mean(f)[0] == pytest.approx(4.0)
 
 
 def test_mean_constant_and_linearity():
-    sp = make_space([0.2, 0.5, 0.3])
+    sp = MeasureSpace([0.2, 0.5, 0.3])
     c = VectorObservable(sp, [[1.5, -2.0]] * 3)
     assert mean(c) == pytest.approx([1.5, -2.0])
     f = VectorObservable(sp, [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
@@ -198,7 +198,7 @@ def test_lp_of_norms_rows_match_one_row_calls_bit_for_bit(p):
     # call, including the rows rescaled because their sum of powers leaves the
     # float range and the all-zero rows
     rng = np.random.default_rng(int(p))
-    mu = make_space(rng.uniform(0.1, 1.0, 9)).weights
+    mu = MeasureSpace(rng.uniform(0.1, 1.0, 9)).weights
     for lead in ((1,), (12,), (3, 5)):
         for name, norms in _layouts(rng, lead, 9).items():
             norms = np.abs(norms)

@@ -32,9 +32,7 @@ from ergmart.processes import (
     convergence_trace,
     default_n1_grid,
     evaluate,
-    limit_target,
     mean_identity_check,
-    stabilization_periods,
     tail_variation,
 )
 from oracles import oracle_composite, oracle_ergodic_average
@@ -92,29 +90,38 @@ class TestEvaluate:
 
 class TestLimitTarget:
     def test_cycle_collapses_to_global_mean(self):
-        assert limit_target(me_spec()).values[:, 0] == pytest.approx([4, 4, 4, 4])
-        assert limit_target(em_spec()).values[:, 0] == pytest.approx([4, 4, 4, 4])
+        assert me_spec().limit.values[:, 0] == pytest.approx([4, 4, 4, 4])
+        assert em_spec().limit.values[:, 0] == pytest.approx([4, 4, 4, 4])
 
     def test_identity_with_singleton_limit_returns_f(self):
         sing = Filtration(SP4, INCREASING, (Partition.whole(SP4),
                                             Partition.singletons(SP4)))
         spec = me_spec(t=identity_map(SP4), filt=sing)
-        assert limit_target(spec).values == pytest.approx(F1357.values)
+        assert spec.limit.values == pytest.approx(F1357.values)
 
     def test_transpositions_conditioned_average(self):
         t = Endomorphism(SP4, [1, 0, 3, 2])
         filt = Filtration(SP4, DECREASING, (Partition.singletons(SP4), PAIRS))
         spec = me_spec(t=t, filt=filt)
-        assert limit_target(spec).values[:, 0] == pytest.approx([2, 2, 6, 6])
+        assert spec.limit.values[:, 0] == pytest.approx([2, 2, 6, 6])
 
     def test_kind_changes_composition_order(self):
         t = Endomorphism(SP4, [1, 0, 2, 3])
         cross = Partition.from_blocks(SP4, [[0, 2], [1, 3]])
         filt = Filtration(SP4, DECREASING, (Partition.singletons(SP4), cross))
-        me_target = limit_target(me_spec(t=t, filt=filt))
-        em_target = limit_target(em_spec(t=t, filt=filt))
+        me_target = me_spec(t=t, filt=filt).limit
+        em_target = em_spec(t=t, filt=filt).limit
         assert me_target.values[:, 0] == pytest.approx([3.5, 4.5, 3.5, 4.5])
         assert em_target.values[:, 0] == pytest.approx([4, 4, 3, 5])
+
+    def test_limits_differ_exactly_where_averaging_and_conditioning_do_not_commute(self):
+        t = Endomorphism(SP4, [1, 0, 3, 2])
+        for stage, me_limit, em_limit in (
+                ([0, 1, 1, 2], [2, 4, 4, 6], [2.5, 2.5, 5.5, 5.5]),  # cuts both cycles
+                ([0, 0, 1, 1], [2, 2, 6, 6], [2, 2, 6, 6])):  # whole cycles
+            filt = Filtration(SP4, DECREASING, (Partition(SP4, stage),))
+            assert np.array_equal(me_spec(t=t, filt=filt).limit.values[:, 0], me_limit)
+            assert np.array_equal(em_spec(t=t, filt=filt).limit.values[:, 0], em_limit)
 
     def test_weighted_closed_form_equals_stabilized_reference(self):
         rng = np.random.default_rng(79)
@@ -128,12 +135,12 @@ class TestLimitTarget:
             for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
                 spec = ProcessSpec(kind, f, maps, filts, weights)
                 ref = evaluate(spec, spec.periods(), spec.last_stages)
-                gap = linf_norm(limit_target(spec) - ref)
+                gap = linf_norm(spec.limit - ref)
                 assert gap <= 1e-12
 
     def test_constant_weights_scale_target(self):
         w = BesicovitchWeights.constant(0.5)
-        assert limit_target(me_spec(weights=w)).values[:, 0] == pytest.approx(
+        assert me_spec(weights=w).limit.values[:, 0] == pytest.approx(
             [2, 2, 2, 2])
 
 
@@ -195,7 +202,7 @@ class TestRandomizedConvergence:
                 filt = random_filtration(rng, space, 3, direction)
                 for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
                     spec = ProcessSpec.single(kind, f, tau, filt)
-                    target = limit_target(spec)
+                    target = spec.limit
                     gap = linf_norm(evaluate(spec, order, len(filt.stages) - 1) - target)
                     assert gap <= 1e-10
                     assert mean_identity_check(spec).passed
@@ -207,7 +214,7 @@ class TestRandomizedConvergence:
             f = random_observable(rng, space, 2)
             filt = random_filtration(rng, space, 3, DECREASING)
             spec = ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt)
-            target = limit_target(spec)
+            target = spec.limit
             grid = default_n1_grid(order)
             n_stages = len(filt.stages)
             for _ in range(5):
@@ -227,8 +234,8 @@ class TestRandomizedConvergence:
             f = random_observable(rng, space, 2)
             fine = Partition(space, rng.integers(0, 4, space.size))
             filt = Filtration(space, DECREASING, (fine, Partition.whole(space)))
-            t_me = limit_target(ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt))
-            t_em = limit_target(ProcessSpec.single(ERGODIC_MARTINGALE, f, tau, filt))
+            t_me = ProcessSpec.single(MARTINGALE_ERGODIC, f, tau, filt).limit
+            t_em = ProcessSpec.single(ERGODIC_MARTINGALE, f, tau, filt).limit
             assert linf_norm(t_me - t_em) <= 1e-12
 
 
@@ -236,12 +243,12 @@ class TestWeightedStabilization:
     def test_periods(self):
         w = BesicovitchWeights.single_cosine(0.8, 1, 3)
         spec = me_spec(weights=w)
-        assert stabilization_periods(spec) == (12,)  # lcm(4, 3)
+        assert spec.periods() == (12,)  # lcm(4, 3)
 
     def test_exact_periodicity_of_trace(self):
         w = BesicovitchWeights.single_cosine(0.8, 1, 3)
         spec = me_spec(weights=w)
-        (period,) = stabilization_periods(spec)
+        (period,) = spec.periods()
         ref = evaluate(spec, period, spec.last_stages)
         for k in (2, 3, 5):
             assert linf_norm(evaluate(spec, k * period, 2) - ref) <= 1e-12
@@ -262,7 +269,7 @@ class TestWeightedStabilization:
         w = BesicovitchWeights(((1.0, 1 / math.pi, 0.0),))
         spec = me_spec(weights=w)
         with pytest.raises(ValueError, match="period"):
-            stabilization_periods(spec)
+            tail_variation(spec)
 
 
 class TestWeightNormalization:
@@ -294,7 +301,7 @@ class TestMultiparameterProcess:
     def test_exact_limit_both_kinds(self):
         for kind in (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE):
             spec = self.build(kind)
-            target = limit_target(spec)
+            target = spec.limit
             got = evaluate(spec, (4, 2), (1, 1))
             assert linf_norm(got - target) <= 1e-12
 
@@ -354,7 +361,7 @@ class TestGridEvaluation:
             if seed % 2:
                 reference = VectorObservable(spec.space,
                                              rng.normal(size=spec.f.values.shape))
-            target = limit_target(spec) if reference is None else reference
+            target = spec.limit if reference is None else reference
             trace = convergence_trace(spec, n1_grid, n2_grid, inst.p, reference)
             assert [(r.n1, r.n2) for r in trace.rows] == [
                 (n1, n2) for n1 in n1_grid for n2 in n2_grid]
@@ -425,14 +432,14 @@ class TestGridEvaluation:
             n1_grid = sorted({1, 2, period, period + 1})
             n2_grid = range(min(len(fl.stages) for fl in inst.spec.filtrations))
             limit_first = random_process_instance(seed, family).spec
-            limit_target(limit_first)
+            limit_first.limit
             want = convergence_trace(limit_first, n1_grid, n2_grid, inst.p).rows
             monkeypatch.setattr(processes_module, "CesaroKernel", Counted)
             builds.clear()
             assert convergence_trace(inst.spec, n1_grid, n2_grid, inst.p).rows == want
             assert len(builds) == 1
-            assert limit_target(inst.spec).values.tobytes() == (
-                limit_target(limit_first).values.tobytes())
+            assert inst.spec.limit.values.tobytes() == (
+                limit_first.limit.values.tobytes())
             assert len(builds) == 1
             monkeypatch.undo()
 
@@ -457,7 +464,7 @@ class TestGridEvaluation:
     def test_tail_variation_builds_one_kernel(self, monkeypatch, kind):
         w = BesicovitchWeights.single_cosine(0.8, 1, 3)
         spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=w)
-        (period,) = stabilization_periods(spec)
+        (period,) = spec.periods()
         evals = [evaluate(spec, k * period, 1) for k in (7, 8)]  # the final quarter
         want = lp_norm(evals[0] - evals[1], 2.0, spec.norm)
         calls = _count_prefix_sums(monkeypatch)
@@ -531,7 +538,7 @@ class TestBatchedGrid:
         def peak(n1_grid, limit_first=True):
             spec = _wide_spec(kind)
             if limit_first:  # the trace then reads no limit row
-                limit_target(spec)
+                spec.limit
             tracemalloc.start()
             try:
                 convergence_trace(spec, n1_grid, (0, 1, 2, 3))
@@ -583,7 +590,7 @@ class TestKeptTables:
 
             def results(spec):
                 trace = convergence_trace(spec, n1_grid, n2_grid, 3.0)
-                return ([limit_target(spec).values]
+                return ([spec.limit.values]
                         + [evaluate(spec, n1, n2).values for n1 in n1_grid for n2 in n2_grid]
                         + [np.array([(r.lp_error, r.sup_error) for r in trace.rows])])
 
@@ -617,9 +624,9 @@ class TestKeptTables:
                 if isinstance(table, np.ndarray):
                     assert table.flags.c_contiguous, name
 
-    def test_limit_target_is_kept(self):
+    def test_limit_is_kept(self):
         spec = em_spec()
-        assert limit_target(spec) is limit_target(spec)
+        assert spec.limit is spec.limit
 
 
 class TestConditioningPasses:
@@ -632,7 +639,7 @@ class TestConditioningPasses:
             s_vecs = [(0,) * spec.m_filtrations, spec.last_stages]
             values = np.concatenate(list(processes_module._cells(spec, n_vecs, s_vecs)))
             kept = spec.limit.values  # kept by the read, not computed again
-            fresh = limit_target(random_process_instance(seed, family).spec).values
+            fresh = random_process_instance(seed, family).spec.limit.values
             assert kept.tobytes() == fresh.tobytes() == values[1, 1].tobytes()
             for k in (0, 2):
                 for j, s_vec in enumerate(s_vecs):

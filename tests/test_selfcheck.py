@@ -21,7 +21,6 @@ import ergmart.invariants as invariants
 import ergmart.selfcheck as selfcheck
 from ergmart.fuzz import run_inequality_fuzz
 from ergmart.invariants import SECTIONS
-from ergmart.operators import orbit_lcm
 from ergmart.processes import default_n1_grid
 from ergmart.selfcheck import run_selfcheck
 
@@ -229,7 +228,7 @@ def test_a_wrong_value_mid_path_fails_the_monotone_path_line(monkeypatch):
 
     def grid_with_a_wrong_middle(spec, n1s, n2s):
         grid = real_grid(spec, n1s, n2s)
-        order = orbit_lcm(spec.maps[0])
+        order = spec.maps[0].cycle_layout.order
         # the path's read ends in the limit, an n1 of None
         if tuple(n for n in n1s if n is not None) == default_n1_grid(order):
             grid[list(n1s).index(2 * order)] += 1e-6
