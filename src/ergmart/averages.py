@@ -93,12 +93,15 @@ class BesicovitchWeights:
         # the kernel's view: a_i = Re sum_k coef_k * exp(i * angle_k(i))
         object.__setattr__(self, "_coef", np.array([a * complex(math.cos(ph), math.sin(ph))
                                                     for a, _, ph in terms]))
+        # one column per term of two tables, shape (terms, 1)
+        ratios = np.array([red or (0, 1) for red in reduced])
+        columns = np.array(terms)
         object.__setattr__(self, "_exact", np.array([[red is not None] for red in reduced]))
-        object.__setattr__(self, "_num", np.array([[red[0] if red else 0] for red in reduced]))
-        object.__setattr__(self, "_den", np.array([[red[1] if red else 1] for red in reduced]))
-        object.__setattr__(self, "_freq", np.array([[fq] for _, fq, _ in terms]))
-        object.__setattr__(self, "_amp", np.array([[a] for a, _, _ in terms]))
-        object.__setattr__(self, "_phase", np.array([[ph] for _, _, ph in terms]))
+        object.__setattr__(self, "_num", ratios[:, :1])
+        object.__setattr__(self, "_den", ratios[:, 1:])
+        object.__setattr__(self, "_amp", columns[:, :1])
+        object.__setattr__(self, "_freq", columns[:, 1:2])
+        object.__setattr__(self, "_phase", columns[:, 2:])
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "BesicovitchWeights":
@@ -172,7 +175,9 @@ def running_rows(arr: np.ndarray, t: Endomorphism, alphas: np.ndarray | None,
                    else (lay.length_class[points], lay.slot[points]))
     values = arr.reshape(-1, dim)
     copies = len(values) // size
-    carry = None
+    # the running sum's last row, carried into the next chunk; one buffer
+    # per stream, read only by a chunk that does not start at row 0
+    carry = np.empty(arr.shape[:-2] + (len(slot), dim))
     for start, stop in zip((0, *rounds), rounds):
         for first in range(start, stop, rows):
             steps = np.arange(first, min(stop, first + rows))
@@ -191,7 +196,7 @@ def running_rows(arr: np.ndarray, t: Endomorphism, alphas: np.ndarray | None,
             del index
             if alphas is not None:
                 out *= alphas[steps % len(alphas)].reshape(shape)
-            if carry is not None:
+            if first:
                 out[0] += carry
             if out[0].size < _ROW_ADD_FLOATS:
                 np.cumsum(out, axis=0, out=out)
@@ -199,7 +204,7 @@ def running_rows(arr: np.ndarray, t: Endomorphism, alphas: np.ndarray | None,
                 for prev, row in zip(out, out[1:]):
                     row += prev
             if steps[-1] + 1 < rounds[-1]:
-                carry = out[-1].copy()
+                np.copyto(carry, out[-1])
             out /= (steps + 1.0).reshape(shape)
             yield first, out
 
@@ -207,7 +212,7 @@ def running_rows(arr: np.ndarray, t: Endomorphism, alphas: np.ndarray | None,
 def _prefix_sum(x: np.ndarray) -> np.ndarray:
     """Prefix sums along the point axis (-2), with a leading zero row."""
     out = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]), dtype=x.dtype)
-    np.cumsum(x, axis=-2, out=out[..., 1:, :])
+    x.cumsum(axis=-2, out=out[..., 1:, :])
     return out
 
 
@@ -247,18 +252,25 @@ class CesaroKernel:
         doubled = np.take(values, lay.flat, axis=-2)
         self.lead = doubled.ndim - 2
         if w is not None:
-            doubled = _per_term(np.exp(1j * w._angles(lay.step)), self.lead) * doubled
+            # one angle table: _angles is elementwise, and a point's position
+            # and its cycle length are the steps of two of its slots
+            angles = w._angles(lay.step)
+            doubled = _per_term(np.exp(1j * angles), self.lead) * doubled
         csum = _prefix_sum(doubled)
-        self.base = csum[..., lay.slot, :]
+        # np.take, unlike indexing, gathers into a C-contiguous array, and the
+        # elementwise results of C-contiguous tables are C-contiguous too, so
+        # every read runs numpy's fast loops and sums in one order
+        self.base = np.take(csum, lay.slot, axis=-2)
         if w is None:
             # one sum per cycle: the limit is exactly orbit-constant
             start = lay.slot - lay.position
-            self.cycle = csum[..., start + lay.length, :] - csum[..., start, :]
+            self.cycle = (np.take(csum, start + lay.length, axis=-2)
+                          - np.take(csum, start, axis=-2))
         else:
-            self.back = w._coef[:, None] * np.exp(-1j * w._angles(lay.position))
+            self.back = w._coef[:, None] * np.exp(-1j * np.take(angles, lay.slot, axis=1))
             self.cycle = _per_term(self.back, self.lead) * (
-                csum[..., lay.slot + lay.length, :] - self.base)
-            self.theta = w._angles(lay.length)
+                np.take(csum, lay.slot + lay.length, axis=-2) - self.base)
+            self.theta = np.take(angles, lay.slot - lay.position + lay.length, axis=1)
             self.whole = self.theta == 0.0
             # the n-independent half angle and Dirichlet denominator
             self.half = self.theta / 2
@@ -269,12 +281,10 @@ class CesaroKernel:
         self.csum = csum.reshape(-1, csum.shape[-1])
         self.index = np.add.outer(np.arange(0, len(self.csum), rows), lay.slot)
         # a kernel may be kept and shared (ProcessSpec.keep), so its tables
-        # are read-only; C-contiguous, so every read runs numpy's fast loops
-        for name, table in list(vars(self).items()):
+        # are read-only
+        for table in vars(self).values():
             if isinstance(table, np.ndarray):
-                table = np.ascontiguousarray(table)
                 table.setflags(write=False)
-                setattr(self, name, table)
 
     def average(self, n) -> np.ndarray:
         """The average at length n, shape of the stack; the limit for n None.

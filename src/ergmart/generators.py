@@ -15,6 +15,7 @@ sequences with sup |a_i| <= 1; the corpus stays inside that regime.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,15 +84,16 @@ def random_cycle_system(rng: np.random.Generator, n_max: int = 64,
     perm_points = rng.permutation(n)
     # the cycles are consecutive runs of perm_points; each point maps to the
     # next one of its run, the last one back to the first
-    sizes = np.array(lengths)
-    ends = np.cumsum(sizes)
-    nxt = np.arange(1, n + 1)
-    nxt[ends - 1] = ends - sizes
+    nxt = list(range(1, n + 1))
+    end = 0
+    for ln in lengths:
+        end += ln
+        nxt[end - 1] = end - ln
     mapping = np.empty(n, dtype=np.int64)
     mapping[perm_points] = perm_points[nxt]
     masses = np.full(len(lengths), 1.0) if uniform else rng.uniform(0.2, 2.0, len(lengths))
     weights = np.empty(n)
-    weights[perm_points] = np.repeat(masses / n, sizes)
+    weights[perm_points] = np.repeat(masses / n, lengths)
     space = MeasureSpace(weights)
     return space, Endomorphism(space, mapping), order
 
@@ -127,27 +129,27 @@ def random_filtration(rng: np.random.Generator, space: MeasureSpace,
         counts.add(int(rng.integers(1, n + 1)))
     targets = sorted(counts, reverse=True)  # fine -> coarse
     # each of the n - 1 merge steps draws a pair of live blocks, whether or
-    # not a snapshot is left to take, so one call makes all the draws
-    highs = [h for blocks in range(n, 1, -1) for h in (blocks, blocks - 1)]
-    draws = rng.integers(0, highs).tolist()
+    # not a snapshot is left to take, so one call makes all the draws, below
+    # blocks and blocks - 1 for blocks = n, ..., 2
+    draws = iter(rng.integers(0, np.arange(2 * n, 2, -1) // 2).tolist())
+    pairs = zip(draws, draws)
     labels = list(range(n))
     members = [[x] for x in range(n)]
     live = list(range(n))
     stages: list[Partition] = []
-    for k, blocks in enumerate(range(n, 0, -1)):
-        if blocks == targets[len(stages)]:
-            stages.append(Partition(space, labels))
-            if len(stages) == len(targets):
-                break
-        i, j = draws[2 * k], draws[2 * k + 1]
-        if j >= i:
-            j += 1
-        a, b = live[i], live[j]
-        for x in members[b]:
-            labels[x] = a
-        members[a] += members[b]
-        live[j] = live[-1]
-        live.pop()
+    blocks = n
+    for target in targets:
+        for i, j in itertools.islice(pairs, blocks - target):
+            if j >= i:
+                j += 1
+            a, b = live[i], live[j]
+            for x in members[b]:
+                labels[x] = a
+            members[a] += members[b]
+            live[j] = live[-1]
+            live.pop()
+        blocks = target
+        stages.append(Partition(space, labels))
     if direction == DECREASING:
         return Filtration(space, DECREASING, tuple(stages))
     return Filtration(space, INCREASING, tuple(reversed(stages)))

@@ -8,6 +8,7 @@ steps, which makes the limit stage an exact, computable object.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -17,6 +18,8 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 # labels below this many times the point count are renumbered by a table
 _DENSE_LABELS = 4
+# up to this many points, labels are renumbered in Python
+_SMALL_N = 64
 
 __all__ = [
     "MeasureSpace",
@@ -42,13 +45,15 @@ class MeasureSpace:
         arr = np.array(self.weights, dtype=float, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("a measure space needs at least one point")
-        if not np.isfinite(arr).all():
-            raise ValueError("weights must be finite")
-        if np.any(arr <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        with np.errstate(over="ignore"):
-            total = float(np.sum(arr))
-        if not np.isfinite(total):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(arr.sum())
+        # a finite sum of positive masses passes every check below, so they
+        # run, in order, only to name the fault (np.min is nan on a nan)
+        if not (math.isfinite(total) and arr.min() > 0.0):
+            if not np.isfinite(arr).all():
+                raise ValueError("weights must be finite")
+            if np.any(arr <= 0.0):
+                raise ValueError("weights must be strictly positive")
             raise ValueError("weights must have a finite sum")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
@@ -78,10 +83,17 @@ def uniform_space(n: int) -> MeasureSpace:
 
 def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Nonnegative labels renumbered by first occurrence, so equal partitions
-    share one representation, and the number of blocks. Labels below
-    _DENSE_LABELS times the point count are renumbered through a table of
-    first positions in O(N); sparser ones through np.unique."""
-    n, top = labels.size, int(labels.max())
+    share one representation, and the number of blocks. Up to _SMALL_N
+    points a dict numbers them, which costs less than the numpy calls;
+    above, labels below _DENSE_LABELS times the point count are renumbered
+    through a table of first positions in O(N), sparser ones through
+    np.unique."""
+    n = labels.size
+    if n <= _SMALL_N:
+        first: dict[int, int] = {}
+        canon = [first.setdefault(x, len(first)) for x in labels.tolist()]
+        return np.array(canon, dtype=np.int64), len(first)
+    top = int(labels.max())
     if top >= _DENSE_LABELS * n:
         uniq, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
         rank = np.empty(uniq.size, dtype=np.int64)
@@ -109,10 +121,14 @@ class Partition:
     block_count: int = field(init=False)
 
     def __post_init__(self):
-        labels = np.array(self.block_of, dtype=np.int64, copy=True).reshape(-1)
+        labels = np.asarray(self.block_of).reshape(-1)
         if labels.size != self.space.size:
             raise ValueError("block labeling must cover every point exactly once")
-        if labels.size and labels.min() < 0:
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"block labels must be integers, not {labels.dtype}")
+        # the canonical labels are a new array, so the input is never kept
+        labels = labels.astype(np.int64, copy=False)
+        if labels.min() < 0:
             raise ValueError("block labels must be nonnegative")
         canon, count = _canonical_labels(labels)
         canon.setflags(write=False)
@@ -182,7 +198,8 @@ def refines(fine: Partition, coarse: Partition) -> bool:
     # representative coarse label per fine block: reversed write keeps the first
     rep = np.empty(fine.block_count, dtype=np.int64)
     rep[fine.block_of[::-1]] = coarse.block_of[::-1]
-    return bool(np.array_equal(rep[fine.block_of], coarse.block_of))
+    # one space, so both labelings have its N points
+    return not np.count_nonzero(rep[fine.block_of] != coarse.block_of)
 
 
 def partition_join(a: Partition, b: Partition) -> Partition:

@@ -53,7 +53,7 @@ class VectorObservable:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] != self.space.size:
             raise ValueError("values must be an N x d array matching the space")
-        if not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -94,21 +94,27 @@ class Endomorphism:
     map: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.map, dtype=np.int64, copy=True).reshape(-1)
+        arr = np.asarray(self.map).reshape(-1)
         n = self.space.size
         if arr.size != n:
             raise ValueError("map must assign an image to every point")
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"map images must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64)  # a copy: the map keeps its own
+        if arr.min() < 0 or arr.max() >= n:
             raise ValueError("map images must be points of the space")
-        if not np.array_equal(np.sort(arr), np.arange(n)):
+        # n images are a permutation when they hit every point
+        if np.count_nonzero(np.bincount(arr, minlength=n)) < n:
             raise ValueError("map is not a permutation; a measure-preserving "
                              "map on a fully supported finite space must be one")
         mu = self.space.weights
-        preimage_mass = np.bincount(arr, weights=mu, minlength=n)
-        # relative to each mass, so that masses far below 1 are compared too
-        gap = np.max(np.abs(preimage_mass - mu) / mu)
-        if gap > _TOL:
-            raise ValueError(f"map does not preserve the measure (mass gap {gap:.3e})")
+        # the preimage of tau(x) is x alone: no gap when mu(tau(x)) = mu(x)
+        if np.count_nonzero(mu[arr] != mu):
+            preimage_mass = np.bincount(arr, weights=mu, minlength=n)
+            # relative to each mass, so that masses far below 1 are compared too
+            gap = np.max(np.abs(preimage_mass - mu) / mu)
+            if gap > _TOL:
+                raise ValueError(f"map does not preserve the measure (mass gap {gap:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "map", arr)
 
