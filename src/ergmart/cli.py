@@ -37,9 +37,6 @@ def _cmd_run(args) -> int:
             _check(args.seed, "--seed", "seed")
         plan = build_experiment(config, seed_override=args.seed)
         result = execute_plan(plan, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 1
@@ -90,13 +87,10 @@ def _fragment(kind: str, seed: int, size: int, dim: int) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    try:  # each flag through its config field's rule
-        _check(args.seed, "--seed", "seed")
-        _check(args.size, "--size", "space.size")
-        _check(args.dim, "--dim", "observable.dim", high=_MAX_ENTRIES // args.size)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # each flag through its config field's rule
+    _check(args.seed, "--seed", "seed")
+    _check(args.size, "--size", "space.size")
+    _check(args.dim, "--dim", "observable.dim", high=_MAX_ENTRIES // args.size)
     fragment = _fragment(args.kind, args.seed, args.size, args.dim)
     print(json.dumps(fragment, sort_keys=True, indent=2))
     return 0
@@ -137,7 +131,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a failed check here
         return 1 if exc.code == 2 else exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # a config field or a flag, named by its path
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -56,10 +56,6 @@ class FuzzReport:
     elapsed: float
     stats: dict[str, FamilyStats]
 
-    @property
-    def ok(self) -> bool:
-        return not any(st.failures for st in self.stats.values())
-
     def failure_lines(self) -> list[str]:
         out = []
         for fam, st in self.stats.items():

@@ -56,13 +56,11 @@ def _pick(rng: np.random.Generator, options: tuple):
     return options[rng.integers(0, len(options))]
 
 
-def random_cycle_system(rng: np.random.Generator, n_max: int = 64,
-                        uniform: bool = False, lcm_cap: int = 12,
+def random_cycle_system(rng: np.random.Generator, n_max: int = 64, lcm_cap: int = 12,
                         ) -> tuple[MeasureSpace, Endomorphism, int]:
     """Space plus a measure-preserving permutation with bounded order.
 
-    Returns (space, map, order). Orbit masses are constant by construction;
-    `uniform` forces equal masses everywhere.
+    Returns (space, map, order). Orbit masses are constant by construction.
     """
     lengths: list[int] = []
     total = 0
@@ -91,7 +89,7 @@ def random_cycle_system(rng: np.random.Generator, n_max: int = 64,
         nxt[end - 1] = end - ln
     mapping = np.empty(n, dtype=np.int64)
     mapping[perm_points] = perm_points[nxt]
-    masses = np.full(len(lengths), 1.0) if uniform else rng.uniform(0.2, 2.0, len(lengths))
+    masses = rng.uniform(0.2, 2.0, len(lengths))
     weights = np.empty(n)
     weights[perm_points] = np.repeat(masses / n, lengths)
     space = MeasureSpace(weights)

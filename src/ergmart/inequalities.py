@@ -42,7 +42,7 @@ H_y on the cycles that B cuts: E[A_n f | B] - E[l | B] is then V(n) / n
 with V of period H_B and V(H_B) = 0, so each later row lies on a segment
 from E[l | B] to a row at n <= H_B, as above, and the field falls short of
 the full pass's by at most the rounding of the rows it skips. R_y comes
-from one unconditioned pass of each point to H_y, once per spec.
+from one unconditioned pass of each point to H_y <= n_max_1, once per pass.
 Irrational frequencies, weights whose period passes n_max_1, several maps
 or filtrations, and a box that ends inside the first round run every point
 to n_max_1.
@@ -278,6 +278,7 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
     # the longest class holds the last row of any pass (martingale-ergodic
     # has one class of every point)
     alphas = _weights(w, classes[-1][0])
+    cert: dict = {}  # this pass's certificate, built at its first round end
     for last, points in classes:
         for start, chunk in running_rows(inner, spec.maps[0], alphas, rounds if me else (last,),
                                          _chunk_rows(inner, len(points), copies), points):
@@ -290,7 +291,7 @@ def _build_sup_field(spec: ProcessSpec, box: SupBox, *prefixes: SupBox) -> Vecto
             else:
                 _fold(boxes, fields, point_norms(chunk, q), start, points, None)
             row = start + len(chunk)
-            if row in rounds[:-1] and _certified(spec, boxes, fields, row, end):
+            if row in rounds[:-1] and _certified(spec, cert, boxes, fields, row, end):
                 break
     for small, field in zip(prefixes, fields[1:]):
         spec.kept["sup", small] = VectorObservable(spec.space, field)
@@ -315,22 +316,30 @@ def _fold(boxes, fields, norms: np.ndarray, start: int, points: np.ndarray, oute
         field[points] = np.maximum(field[points], top)
 
 
-def _certified(spec: ProcessSpec, boxes, fields, row: int, end: int) -> bool:
+def _certified(spec: ProcessSpec, cert: dict, boxes, fields, row: int, end: int) -> bool:
     """Whether no row past `row` of a martingale-ergodic pass up to `end`
     raises any box's field: every block of every stage of each box that runs
     past `row` is closed, by its bound or by its period (see the module
-    docstring)."""
+    docstring). `cert` is the pass's own certificate, filled on first use:
+    the margin, the point bounds up to `end`, and per stage s its block
+    bounds and, once they leave a block open, its block periods."""
     asked = [(field, s) for box, field in zip(boxes, fields) if box.n_max[0] > row
              for s in box.stage_sets[0]]
-    slope, offset = _row_error(spec)
-    # the rows of this pass and of the certificate's
-    margin = slope * (end + _point_bounds(spec, end)[0]) + 2 * offset
+    if not cert:
+        slope, offset = _row_error(spec)
+        # the rows of this pass and of the certificate's, both up to `end`
+        cert["margin"] = 2 * (slope * end + offset)
+        cert["points"] = _point_bounds(spec, end, slope, offset)
     for field, s in asked:
-        block_of, limit, spread = _stage_bound(spec, s)
-        closed = (limit + spread / row)[block_of] * (1 + 4 * _U) + margin < field
+        if ("bound", s) not in cert:
+            cert["bound", s] = _stage_bound(spec, cert["points"], s)
+        block_of, limit, spread = cert["bound", s]
+        closed = (limit + spread / row)[block_of] * (1 + 4 * _U) + cert["margin"] < field
         if closed.all():
             continue
-        period = _stage_period(spec, s)
+        if ("period", s) not in cert:
+            cert["period", s] = _stage_period(spec, s, end)
+        period = cert["period", s]
         closed |= ((period > 0) & (period <= row))[block_of]
         if not closed.all():
             return False
@@ -356,11 +365,9 @@ def _row_error(spec: ProcessSpec) -> tuple[float, float]:
     return slope, slope * (2 * size + dim + 8)
 
 
-def _point_bounds(spec: ProcessSpec, cap: int) -> tuple:
-    """(cap, l, R) of the spec: l(y) the pass's own row at H_y and R_y for
-    H_y <= cap (inf past it), per point; built by the first call and kept
-    by the spec under "points", beside the block bounds of each stage s
-    that _stage_bound and _stage_period were asked for.
+def _point_bounds(spec: ProcessSpec, cap: int, slope: float, offset: float) -> tuple:
+    """(l, R) per point: l(y) the pass's own row at H_y and R_y, for
+    H_y <= cap (inf past it), with (slope, offset) of _row_error.
 
     Each class of points that share H_y <= cap streams f through
     running_rows to row H_y, all of them reading one weight period, and
@@ -370,59 +377,52 @@ def _point_bounds(spec: ProcessSpec, cap: int) -> tuple:
     row. Each A_r is a row of the kind _row_error bounds, and the 2 (d + 8) u
     of the final factor covers the differences, norms and products after
     them."""
-    def build():
-        w = None if spec.weights is None else spec.weights[0]
-        guess, values, q = _kernel(spec).average(None), spec.f.values, spec.norm.q
-        limit, bound = np.zeros_like(values), np.full(spec.space.size, math.inf)
-        slope, offset = _row_error(spec)
-        alphas = _weights(w, cap)
-        for end, points in _horizon_classes(_horizons(spec)):
-            if end > cap:
-                break
-            top = np.zeros(len(points))
-            for start, chunk in running_rows(values, spec.maps[0], alphas, (end,),
-                                             _chunk_rows(values, len(points), 1), points):
-                rows = np.arange(start + 1, start + len(chunk) + 1, dtype=float)[:, None]
-                deviation = point_norms(chunk - guess[points], q) * rows
-                np.maximum(top, deviation.max(axis=0), out=top)
-            limit[points] = chunk[-1]
-            miss = point_norms(chunk[-1] - guess[points], q) + 2 * (slope * end + offset)
-            bound[points] = (top + end * miss) * (1 + 2 * (spec.f.dim + 8) * _U)
-        return cap, limit, bound
-    return spec.keep("points", build)
+    w = None if spec.weights is None else spec.weights[0]
+    guess, values, q = _kernel(spec).average(None), spec.f.values, spec.norm.q
+    limit, bound = np.zeros_like(values), np.full(spec.space.size, math.inf)
+    alphas = _weights(w, cap)
+    for end, points in _horizon_classes(_horizons(spec)):
+        if end > cap:
+            break
+        top = np.zeros(len(points))
+        for start, chunk in running_rows(values, spec.maps[0], alphas, (end,),
+                                         _chunk_rows(values, len(points), 1), points):
+            rows = np.arange(start + 1, start + len(chunk) + 1, dtype=float)[:, None]
+            deviation = point_norms(chunk - guess[points], q) * rows
+            np.maximum(top, deviation.max(axis=0), out=top)
+        limit[points] = chunk[-1]
+        miss = point_norms(chunk[-1] - guess[points], q) + 2 * (slope * end + offset)
+        bound[points] = (top + end * miss) * (1 + 2 * (spec.f.dim + 8) * _U)
+    return limit, bound
 
 
-def _stage_bound(spec: ProcessSpec, s: int):
+def _stage_bound(spec: ProcessSpec, points: tuple, s: int):
     """(block_of, |E[l | B]|_q, R_B) of stage s of the first filtration,
-    per block, from the kept point bounds; built once and kept by the spec
-    (see _certified). The (2N + 8) u of R_B covers the block means."""
-    def build():
-        _, points_limit, points_bound = spec.kept["points"]
-        part = spec.filtrations[0].stages[s]
-        means = block_means(np.hstack([points_limit, points_bound[:, None]]), part)
-        return (part.block_of, point_norms(means[:, :-1], spec.norm.q),
-                means[:, -1] * (1 + (2 * spec.space.size + 8) * _U))
-    return spec.keep(("bound", s), build)
+    per block, from the point bounds (l, R) of _point_bounds. The
+    (2N + 8) u of R_B covers the block means."""
+    limit, bound = points
+    part = spec.filtrations[0].stages[s]
+    means = block_means(np.hstack([limit, bound[:, None]]), part)
+    return (part.block_of, point_norms(means[:, :-1], spec.norm.q),
+            means[:, -1] * (1 + (2 * spec.space.size + 8) * _U))
 
 
-def _stage_period(spec: ProcessSpec, s: int) -> np.ndarray:
-    """H_B per block of stage s, kept by the spec: the lcm of the weight
-    period and of H_y on the cycles that B cuts, 0 past the cap of the kept
-    point bounds, read class by class so that no product overflows."""
-    def build():
-        part, cap = spec.filtrations[0].stages[s], spec.kept["points"][0]
-        lay, block_of = spec.maps[0].cycle_layout, part.block_of
-        # a cycle is cut when one of its steps y -> T y leaves y's block
-        cycle, leaves = lay.slot - lay.position, block_of != block_of[spec.maps[0].map]
-        cut = np.bincount(cycle, leaves, 2 * spec.space.size)[cycle] > 0
-        ends = _horizons(spec)
-        period = np.full(part.block_count, 1 if spec.weights is None else spec.weights[0].period)
-        for end in set(ends[cut].tolist()):
-            has = np.bincount(block_of[cut & (ends == end)], minlength=part.block_count) > 0
-            step = period // np.gcd(period, end)
-            period = np.where(has, np.where(step > cap // end, 0, step * end), period)
-        return period
-    return spec.keep(("period", s), build)
+def _stage_period(spec: ProcessSpec, s: int, cap: int) -> np.ndarray:
+    """H_B per block of stage s: the lcm of the weight period and of H_y on
+    the cycles that B cuts, 0 past the cap, read class by class so that no
+    product overflows."""
+    part = spec.filtrations[0].stages[s]
+    lay, block_of = spec.maps[0].cycle_layout, part.block_of
+    # a cycle is cut when one of its steps y -> T y leaves y's block
+    cycle, leaves = lay.slot - lay.position, block_of != block_of[spec.maps[0].map]
+    cut = np.bincount(cycle, leaves, 2 * spec.space.size)[cycle] > 0
+    ends = _horizons(spec)
+    period = np.full(part.block_count, 1 if spec.weights is None else spec.weights[0].period)
+    for end in set(ends[cut].tolist()):
+        has = np.bincount(block_of[cut & (ends == end)], minlength=part.block_count) > 0
+        step = period // np.gcd(period, end)
+        period = np.where(has, np.where(step > cap // end, 0, step * end), period)
+    return period
 
 
 # when a dominant or maximal bound applies, as (config field blamed below
@@ -487,10 +487,6 @@ class InequalityReport:
     truncation: SupBox
     alpha: float
 
-    def __post_init__(self):
-        if self.constant <= 0:
-            raise ValueError("constant must be positive")
-
     @property
     def satisfied(self) -> bool:
         return self.lhs <= self.rhs + _TOL
@@ -517,7 +513,9 @@ def _check_setup(spec: ProcessSpec, check: str, p: float,
                  box: SupBox | None) -> tuple[SupBox, float, float, float]:
     """Validates a dominant or maximal check (sup_field validates the box);
     returns the box, the weight bound alpha (the largest envelope sum |amp_k|,
-    which bounds every computed a_i; 1 unweighted), the constant and |f|_p."""
+    which bounds every computed a_i; 1 unweighted), the constant and |f|_p.
+    Raises OverflowError for a constant outside the positive floats, as
+    alpha^p of a tiny alpha underflows to 0."""
     if not p > 1.0:
         raise ValueError("p must be > 1")
     broken = broken_rule(spec, check, p)
@@ -529,6 +527,8 @@ def _check_setup(spec: ProcessSpec, check: str, p: float,
     constant = dominant_constant if check == "dominant" else maximal_constant
     const = constant(p, weighted=spec.is_weighted, multi=spec.is_multi, alpha=alpha,
                      d_maps=spec.d_maps)
+    if not 0 < const < math.inf:
+        raise OverflowError("the catalog constant is not a positive float")
     norm = spec.keep(("norm", p), lambda: lp_norm(spec.f, p, spec.norm))
     return box, alpha, const, norm
 

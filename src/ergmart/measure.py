@@ -148,6 +148,8 @@ class Partition:
         labels = np.full(space.size, -1, dtype=np.int64)
         for k, block in enumerate(blocks):
             for i in block:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"point {i!r} is not an integer")
                 if not 0 <= i < space.size:
                     raise ValueError(f"point {i} outside the space")
                 if labels[i] != -1:

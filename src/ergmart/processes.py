@@ -139,8 +139,7 @@ class ProcessSpec:
         f, ("kernel", stage vectors) that of f conditioned at each of them;
         ("cut", box) a sup box checked and cut to the periods, ("sup", box)
         the sup field of a cut box and ("norm", p) |f|_p, for the inequality
-        checks; and the early-stop certificate of a martingale-ergodic sup
-        pass: "points", ("bound", s) and ("period", s)."""
+        checks."""
         kept = self.kept
         if key not in kept:
             kept[key] = build()
@@ -283,13 +282,13 @@ class TraceRow:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ConvergenceTrace:
-    """Double-index error grid against a fixed target observable."""
+    """Double-index error grid against the limit of the process."""
 
     rows: tuple[TraceRow, ...]
     n1_grid: tuple[int, ...]
     n2_grid: tuple[int, ...]
     p: float
-    target_description: str
+    target_description = "closed-form limit (conditioned orbit average)"
 
     def __post_init__(self):
         _check_increasing(self.n1_grid, self.n2_grid)
@@ -308,29 +307,22 @@ def _check_increasing(n1_grid: Sequence[int], n2_grid: Sequence[int]):
 
 
 def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequence[int],
-                      p: float = 2.0, reference: VectorObservable | None = None,
-                      ) -> ConvergenceTrace:
-    """Errors of evaluate(spec, n1, n2) against the limit (or a supplied
-    reference) over the rectangular grid; n1-major row order. Both grids
-    are checked before any evaluation. An ergodic-martingale limit not yet
-    kept by the spec is read in the grid's own pass, with the grid's kernel,
-    as a first row that the trace drops, when the grid holds the last
-    stages."""
+                      p: float = 2.0) -> ConvergenceTrace:
+    """Errors of evaluate(spec, n1, n2) against the limit over the
+    rectangular grid; n1-major row order. Both grids are checked before any
+    evaluation. An ergodic-martingale limit not yet kept by the spec is read
+    in the grid's own pass, with the grid's kernel, as a first row that the
+    trace drops, when the grid holds the last stages."""
     n1_grid = tuple(int(v) for v in n1_grid)
     n2_grid = tuple(int(v) for v in n2_grid)
     _check_increasing(n1_grid, n2_grid)
     s_vecs = [(n2,) * spec.m_filtrations for n2 in n2_grid]
     # martingale-ergodic conditions after the kernel read, so a limit row in
     # the grid's pass would be conditioned at every stage, not at the last only
-    lead = [None] if (reference is None and spec.kind == ERGODIC_MARTINGALE
-                      and "limit" not in spec.kept and spec.last_stages in s_vecs) else []
+    lead = [None] if (spec.kind == ERGODIC_MARTINGALE and "limit" not in spec.kept
+                      and spec.last_stages in s_vecs) else []
     cells = _cells(spec, lead + [(n1,) * spec.d_maps for n1 in n1_grid], s_vecs)
-    if reference is None:
-        target = None if lead else spec.limit
-        desc = "closed-form limit (conditioned orbit average)"
-    else:
-        target = reference
-        desc = "caller-supplied reference"
+    target = None if lead else spec.limit
     rows = []
     cell = itertools.product(n1_grid, n2_grid)
     for values in cells:
@@ -346,7 +338,7 @@ def convergence_trace(spec: ProcessSpec, n1_grid: Sequence[int], n2_grid: Sequen
                 lp_of_norms(norms, spec.space.weights, p), norms.max(axis=-1), cell):
             rows.append(TraceRow(n1, n2, float(lp_error), float(sup_error)))
         values = errors = norms = None  # free this chunk before the next is built
-    return ConvergenceTrace(tuple(rows), n1_grid, n2_grid, p, desc)
+    return ConvergenceTrace(tuple(rows), n1_grid, n2_grid, p)
 
 
 @dataclass(frozen=True)
@@ -382,24 +374,21 @@ def mean_identity_check(spec: ProcessSpec) -> MeanIdentityReport:
     )
 
 
-def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8,
-                   n2=None) -> float:
+def tail_variation(spec: ProcessSpec, p: float = 2.0, n_periods: int = 8) -> float:
     """Max pairwise L_p distance between evaluations at period multiples in the
-    final quarter of the grid k*P, k = 1..n_periods, P the spec's periods;
-    raises when some weight frequency is not recognizably rational."""
+    final quarter of the grid k*P, k = 1..n_periods, P the spec's periods, at
+    the last stages; raises when some weight frequency is not recognizably
+    rational."""
     if n_periods < 4:
         raise ValueError("need at least 4 periods to form a tail")
     periods = spec.periods()
     if None in periods:
         raise ValueError("weight sequence has an irrational frequency; "
                          "no exact period is available")
-    if n2 is None:
-        n2 = spec.last_stages
-    s_vec = _per_axis(n2, spec.m_filtrations, "n2 must give one stage index per filtration")
     tail_start = n_periods - max(1, n_periods // 4) + 1
     n_vecs = [tuple(k * pj for pj in periods) for k in range(tail_start, n_periods + 1)]
     evals = [VectorObservable(spec.space, values[0])
-             for chunk in _cells(spec, n_vecs, [s_vec]) for values in chunk]
+             for chunk in _cells(spec, n_vecs, [spec.last_stages]) for values in chunk]
     worst = 0.0
     for a in range(len(evals)):
         for b in range(a + 1, len(evals)):

@@ -7,6 +7,7 @@ refreeze them on purpose.
 """
 import csv
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import ergmart.runner as runner
 from ergmart.cli import main
 from ergmart.config import build_experiment
-from ergmart.processes import convergence_trace, evaluate
+from ergmart.observables import linf_norm, lp_norm
+from ergmart.processes import evaluate
 from ergmart.runner import _json_text
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
@@ -183,16 +185,16 @@ def test_weighted_trace_matches_the_oracle(tmp_path, name):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     plan = build_experiment(cfg)
-    oracle = convergence_trace(plan.spec, plan.n1_grid, plan.n2_grid, plan.trace_p,
-                               reference=evaluate(plan.spec, plan.spec.periods(),
-                                                  plan.spec.last_stages))
+    spec = plan.spec
+    ref = evaluate(spec, spec.periods(), spec.last_stages)
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(oracle.rows)
-    for row, want in zip(rows, oracle.rows):
-        assert (int(row["n1"]), int(row["n2"])) == (want.n1, want.n2)
-        assert abs(float(row["lp_error"]) - want.lp_error) <= 1e-15
-        assert abs(float(row["sup_error"]) - want.sup_error) <= 1e-15
+    assert [(int(row["n1"]), int(row["n2"])) for row in rows] == list(
+        itertools.product(plan.n1_grid, plan.n2_grid))
+    for row in rows:
+        errors = evaluate(spec, int(row["n1"]), int(row["n2"])) - ref
+        assert abs(float(row["lp_error"]) - lp_norm(errors, plan.trace_p, spec.norm)) <= 1e-15
+        assert abs(float(row["sup_error"]) - linf_norm(errors, spec.norm)) <= 1e-15
     assert json.loads((out / "manifest.json").read_text())["target"] == \
         "closed-form limit (conditioned orbit average)"
 

@@ -302,6 +302,25 @@ def test_other_maximal_overflows_name_the_check(tmp_path, capsys, values, maxima
     assert not (tmp_path / "o").exists()
 
 
+def test_an_underflowing_constant_names_the_check(tmp_path, capsys):
+    # alpha = 1e-200 on both maps: the multiparameter maximal constant
+    # alpha^2 (p/(p-1))^(2 d) underflows to 0
+    cfg = {"space": {"size": 4, "weights": "uniform"},
+           "maps": [{"kind": "cycle"}, {"kind": "power", "of": 0, "exponent": 2}],
+           "filtrations": [{"kind": "explicit", "direction": "decreasing",
+                            "stages": [[0, 1, 2, 3], [0, 0, 1, 1], [0, 0, 0, 0]]}],
+           "observable": {"kind": "explicit", "values": [1, 3, 7, -5]},
+           "weight_seqs": [{"terms": [[1e-200, 0.0, 0.0]]}] * 2,
+           "process": "martingale_ergodic",
+           "checks": [{"type": "maximal", "p": 2, "epsilons": [1.0]}]}
+    cfg_path = tmp_path / "underflow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: checks[0]: the bound is not a finite float; "
+                                       "use a smaller p or larger epsilons\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("m", [10**400, 10**6], ids=["m_1e400", "m_1e6"])
 def test_orlicz_overflow_names_m(tmp_path, capsys, m):
     # log(7)**m leaves the float range: 10**400 is past a float, 10**6 overflows to inf

@@ -71,6 +71,21 @@ def test_partition_refusals(labels, message):
     refused(message, Partition, SP3, labels)
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([[0.5, 1], [2]], "point 0.5 is not an integer"),
+    ([[True, 1], [2]], "point True is not an integer"),
+    ([[0, 1], [2.0]], "point 2.0 is not an integer"),  # an integral float too
+    ([[0, 1], [3]], "point 3 outside the space"),
+])
+def test_partition_from_blocks_refusals(blocks, message):
+    refused(message, Partition.from_blocks, SP3, blocks)
+
+
+def test_partition_from_blocks_accepts_numpy_integers():
+    part = Partition.from_blocks(SP3, [np.array([2, 0], dtype=np.uint8), [np.int64(1)]])
+    assert part.block_of.tolist() == [0, 1, 0]
+
+
 def test_partition_accepts_every_integer_dtype():
     for dtype in (np.int8, np.int32, np.uint8, np.uint64, np.int64):
         part = Partition(SP3, np.array([4, 4, 2], dtype=dtype))

@@ -103,7 +103,8 @@ def _family(key):
 
 
 def _certificate(spec):
-    """The keys of the spec's early-stop certificate."""
+    """The keys of an early-stop certificate that the spec keeps: none, as
+    each sup pass holds its own."""
     return [key for key in spec.kept
             if _family(key) in ("points", "bound", "period")]
 
@@ -304,8 +305,7 @@ class TestOneSupPass:
         real_build = ineq._build_sup_field
         monkeypatch.setattr(ineq, "_build_sup_field",
                             lambda *args: builds.append(args[0]) or real_build(*args))
-        report = run_inequality_fuzz(budget=60)
-        assert report.ok
+        assert run_inequality_fuzz(budget=60).failure_lines() == []
         assert len(builds) == len(set(builds)) == 60
 
     def test_each_box_is_cut_once_per_fuzz_instance(self, monkeypatch):
@@ -315,7 +315,7 @@ class TestOneSupPass:
         real_cut = ineq._period_box
         monkeypatch.setattr(ineq, "_period_box",
                             lambda *args: cuts.append(args) or real_cut(*args))
-        assert run_inequality_fuzz(budget=200, seed=1).ok
+        assert run_inequality_fuzz(budget=200, seed=1).failure_lines() == []
         assert len(cuts) == len(set(cuts)) == 600
 
     def test_the_norm_of_f_once_per_fuzz_instance(self, monkeypatch):
@@ -328,7 +328,7 @@ class TestOneSupPass:
                                 real_instance(*args)))
         monkeypatch.setattr(ineq, "lp_norm",
                             lambda f, *args: norms.append(f) or real_norm(f, *args))
-        assert run_inequality_fuzz(budget=50).ok
+        assert run_inequality_fuzz(budget=50).failure_lines() == []
         own = [f for f in norms if any(f is g for g in made)]
         assert len(made) == len(own) == 50 and len(norms) == 200
 
@@ -385,21 +385,24 @@ class TestKeptOnce:
                                       "high_order_2048"))
     def test_a_run_builds_each_kept_value_once(self, name, kind, tmp_path, monkeypatch):
         builds = self._spy(monkeypatch)
+        points, real = [], ineq._point_bounds
+        monkeypatch.setattr(ineq, "_point_bounds",
+                            lambda *args: points.append(args[0]) or real(*args))
         config = json.loads((CONFIGS / f"{name}.json").read_text())
         config["process"] = kind
         execute_plan(build_experiment(config), tmp_path)
         assert set(builds.values()) == {1}, [key for key, n in builds.items() if n > 1]
-        # the certificate, its block bounds and periods, stops the one-map
-        # martingale-ergodic passes
-        certificate = {("high_order_128", MARTINGALE_ERGODIC): {"points", "bound", "period"},
-                       ("high_order_2048", MARTINGALE_ERGODIC): {"points", "bound", "period"}}
         assert {_family(key) for _, key in builds} == {
-            "periods", "kernel", "limit", "cut", "sup", "norm",
-            *certificate.get((name, kind), ())}
+            "periods", "kernel", "limit", "cut", "sup", "norm"}
+        # the certificate stops the one-map martingale-ergodic passes; each
+        # pass holds its own, and the spec keeps none
+        certified = name.startswith("high_order") and kind == MARTINGALE_ERGODIC
+        assert bool(points) == certified
+        assert all(not _certificate(spec) for spec in points)
 
     def test_the_fuzz_builds_each_kept_value_once(self, monkeypatch):
         builds = self._spy(monkeypatch)
-        assert run_inequality_fuzz(budget=30).ok
+        assert run_inequality_fuzz(budget=30).failure_lines() == []
         assert set(builds.values()) == {1}, [key for key, n in builds.items() if n > 1]
         # three boxes per instance, cut once each
         assert collections.Counter(_family(key) for _, key in builds) == {
@@ -638,6 +641,17 @@ def _random_certificate_spec(seed):
     return ProcessSpec.single(MARTINGALE_ERGODIC, f, t, filt, weights=w, norm=NormSpec(q))
 
 
+def _single_points_of_5_and_7():
+    """Cycles of 5 and 7, weights of period 36 and a filtration of single
+    points: H_y is 180 or 252, past 4 times the order, 140. Martingale-ergodic."""
+    rng = np.random.default_rng(2)
+    space, t = _cycle_space(rng, (5, 7))
+    w = BesicovitchWeights(((0.6, 0.0, 0.0), (0.4, Fraction(1, 36), 0.3)))
+    filt = Filtration(space, DECREASING, (Partition.singletons(space),))
+    return ProcessSpec.single(MARTINGALE_ERGODIC, VectorObservable(
+        space, rng.normal(size=(12, 2))), t, filt, weights=w)
+
+
 def _within_the_rounding(spec, box, field):
     """0 <= full - field <= 2 (slope P + offset), full the field of the pass
     to the period P of the cut box: a certified field is a max over a prefix
@@ -692,8 +706,8 @@ class TestCertifiedStop:
         # _certified; these random specs do
         real, verdicts = ineq._certified, {}
 
-        def spy(spec, boxes, fields, row, end):
-            verdicts.setdefault(spec, []).append(done := real(spec, boxes, fields, row, end))
+        def spy(spec, *args):
+            verdicts.setdefault(spec, []).append(done := real(spec, *args))
             return done
 
         monkeypatch.setattr(ineq, "_certified", spy)
@@ -801,18 +815,49 @@ class TestCertifiedStop:
         # min(4 * 35, lcm(35, 36)) = 140, the cap of the point bounds, while
         # H_y is 180 or 252, so _stage_period gives 0 for every single point
         # and R_y is inf: no block closes, and the pass reads all 140 rows
-        rng = np.random.default_rng(2)
-        space, t = _cycle_space(rng, (5, 7))
-        w = BesicovitchWeights(((0.6, 0.0, 0.0), (0.4, Fraction(1, 36), 0.3)))
-        filt = Filtration(space, DECREASING, (Partition.singletons(space),))
-        spec = ProcessSpec.single(MARTINGALE_ERGODIC, VectorObservable(
-            space, rng.normal(size=(12, 2))), t, filt, weights=w)
+        spec = _single_points_of_5_and_7()
         box = ineq._period_box(spec, default_box(spec))
-        assert w.period == 36 and box.n_max == (140,)
+        assert spec.weights[0].period == 36 and box.n_max == (140,)
         field, rows = _conditioned_rows(spec, box)
         assert rows == 140
-        assert np.array_equal(ineq._stage_period(spec, 0), np.zeros(12))
+        assert np.array_equal(ineq._stage_period(spec, 0, 140), np.zeros(12))
         assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
+
+    def test_each_pass_caps_its_certificate_at_its_own_end(self):
+        # the spec above: a pass over 1,000 rows reaches every H_y (180 or
+        # 252), so its single points close at row 64, whether or not a pass
+        # over 140 rows, which reaches none, ran on the spec before it
+        short, long = SupBox((140,), ((0,),)), SupBox((1000,), ((0,),))
+        fresh, used = _single_points_of_5_and_7(), _single_points_of_5_and_7()
+        assert _conditioned_rows(used, short)[1] == 140
+        for each in (fresh, used):
+            assert ineq._period_box(each, long) == long
+            field, rows = _conditioned_rows(each, long)
+            assert rows == 64
+            _within_the_rounding(each, long, field)
+        assert np.array_equal(sup_field(fresh, long).values, sup_field(used, long).values)
+        assert not _certificate(fresh) and not _certificate(used)
+
+    def test_a_pass_builds_its_certificate_once(self, monkeypatch):
+        # the round ends of one pass share one margin and one set of point
+        # bounds; a second pass on the spec builds its own
+        calls = collections.Counter()
+        for name in ("_row_error", "_point_bounds", "_certified"):
+            monkeypatch.setattr(ineq, name, lambda *args, real=getattr(ineq, name), name=name:
+                                calls.update([name]) or real(*args))
+        rounds = []
+        for seed in range(12):
+            spec = _order_840_spec(seed)
+            box = ineq._period_box(spec, default_box(spec))
+            for small in (box, SupBox((600,), box.stage_sets)):
+                calls.clear()
+                sup_field(spec, small)
+                certified = calls["_certified"] > 0
+                assert calls["_row_error"] == calls["_point_bounds"] == certified
+                assert not _certificate(spec)
+                rounds.append(calls["_certified"])
+        # most passes are certified, and some read several rounds
+        assert sum(map(bool, rounds)) >= 18 and max(rounds) > 1
 
     def test_a_whole_block_past_the_cap_has_no_bound(self):
         # the same cycles under the whole space, weights of period 132 with
@@ -829,7 +874,8 @@ class TestCertifiedStop:
         box = ineq._period_box(spec, default_box(spec))
         assert box.n_max == (140,)
         field, rows = _conditioned_rows(spec, box)
-        assert np.isinf(ineq._stage_bound(spec, 0)[2]).all()
+        points = ineq._point_bounds(spec, 140, *ineq._row_error(spec))
+        assert np.isinf(ineq._stage_bound(spec, points, 0)[2]).all()
         assert rows == 140
         assert np.array_equal(field, oracle_sup_field_full_period(spec, box))
 
@@ -873,8 +919,8 @@ class TestCertifiedStop:
             assert start + count == min(next_end, start + rows)
         horizons = ineq._horizons(spec)
         _assert_classes(certificate, horizons, budget, point_floats)
-        for key in _certificate(spec):
-            del spec.kept[key]
+        # the spec keeps no certificate, so a second pass builds its own
+        assert not _certificate(spec)
         assert np.array_equal(field, ineq._build_sup_field(spec, box).values)
 
     @pytest.mark.parametrize("case", ("irrational", "two filtrations", "two maps",
@@ -897,10 +943,12 @@ class TestCertifiedStop:
         box = SupBox((end,) + (4,) * (len(maps) - 1),
                      tuple(tuple(range(len(fl.stages))) for fl in filts))
         assert ineq._period_box(spec, box) == box and ineq._rounds(spec, box, 1) == (end,)
+        certificates = []
         for budget in (2**62, 100 * 64 * 3):
+            monkeypatch.setattr(ineq, "_point_bounds", lambda *args: certificates.append(args))
             _, passes, point_floats = _build_in_chunks(monkeypatch, spec, box, budget)
             _assert_classes(passes, [end] * 64, budget, point_floats)
-        assert not _certificate(spec)
+        assert not certificates
 
     def test_weights_are_read_up_to_one_period(self, monkeypatch):
         # weight period 4 on cycles of 7, 8, 9 and 5: H_y is 28, 8, 36 or 20,
@@ -953,16 +1001,16 @@ class TestCertifiedStop:
         for seed in range(6):
             spec = _order_840_spec(seed, weighted)
             w = spec.weights[0] if weighted else None
-            ineq._point_bounds(spec, 840)
             slope, offset = ineq._row_error(spec)
+            points = ineq._point_bounds(spec, 840, slope, offset)
             (_, rows), = running_rows(spec.f.values, spec.maps[0],
                                       None if w is None else w.values(840), (840,), 840)
             n = np.arange(1, 841)[:, None]
             for s in range(4):
                 part = spec.filtrations[0].stages[s]
-                _, limit, spread = ineq._stage_bound(spec, s)
+                _, limit, spread = ineq._stage_bound(spec, points, s)
                 (_, means), = composite_block_means(rows, spec.filtrations, ((s,),))
-                limit_means = block_means(spec.kept["points"][1], part)
+                limit_means = block_means(points[0], part)
                 deviation = point_norms(means - limit_means, spec.norm.q)
                 assert np.all(deviation <= spread / n + 2 * (slope * 840 + offset))
                 if s == 0:
@@ -1005,8 +1053,8 @@ class TestCertifiedStop:
         less is not certified, and one that clears it by more is."""
         spec = _order_840_spec(5)
         box = SupBox((840,), ((0, 1, 2, 3),))
-        ineq._point_bounds(spec, 840)
         slope, offset = ineq._row_error(spec)
+        points = ineq._point_bounds(spec, 840, slope, offset)
         margin = slope * (840 + 840) + 2 * offset
         assert margin == pytest.approx(2 * (2 * ineq._U * 2 * np.abs(spec.f.values).max()
                                             * spec.weights[0].sup_abs(840)
@@ -1014,12 +1062,12 @@ class TestCertifiedStop:
         row = 64
         bound = np.zeros(64)
         for s in range(4):
-            block_of, limit, spread = ineq._stage_bound(spec, s)
+            block_of, limit, spread = ineq._stage_bound(spec, points, s)
             bound = np.maximum(bound, ((limit + spread / row) * (1 + 4 * ineq._U))[block_of])
-        assert not ineq._certified(spec, [box], [bound + margin / 2], row, 840)
-        assert ineq._certified(spec, [box], [bound + 2 * margin], row, 840)
+        assert not ineq._certified(spec, {}, [box], [bound + margin / 2], row, 840)
+        assert ineq._certified(spec, {}, [box], [bound + 2 * margin], row, 840)
         # a box that ends by the row is done whatever its field
-        assert ineq._certified(spec, [SupBox((64,), box.stage_sets)], [bound], row, 840)
+        assert ineq._certified(spec, {}, [SupBox((64,), box.stage_sets)], [bound], row, 840)
 
 
 class TestDominantCheck:
@@ -1136,7 +1184,7 @@ class TestOrlicz:
 
 def test_mini_fuzz_all_families_clean():
     rep = run_inequality_fuzz(budget=120, seed=12345)
-    assert rep.ok, rep.failure_lines()
+    assert rep.failure_lines() == []
     for fam, st in rep.stats.items():
         if st.instances:
             assert st.max_dominant_ratio <= 1.0
@@ -1157,7 +1205,7 @@ def test_weighted_fuzz_reports_read_the_envelope(monkeypatch):
 
     monkeypatch.setattr(fuzz, "dominant_check", spy(dominant_check))
     monkeypatch.setattr(fuzz, "epsilon_sweep", spy(epsilon_sweep))
-    assert run_inequality_fuzz(budget=100, seed=7).ok
+    assert run_inequality_fuzz(budget=100, seed=7).failure_lines() == []
     weighted = [(spec, rep) for spec, rep in seen if spec.is_weighted]
     assert {"Thm4.1", "Thm4.2", "Thm4.3", "Thm4.4", "Thm4.1-maximal",
             "Thm4.2-maximal", "Thm4.3-maximal"} <= {rep.theorem_tag for _, rep in weighted}
@@ -1175,4 +1223,4 @@ def test_fuzz_detects_violations_when_constant_shrunk(monkeypatch):
     monkeypatch.setattr(ineq, "dominant_constant",
                         lambda *a, **k: orig(*a, **k) / 20.0)
     rep = run_inequality_fuzz(budget=60, seed=3)
-    assert not rep.ok
+    assert rep.failure_lines()

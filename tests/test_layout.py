@@ -158,7 +158,7 @@ def test_readme_table_names_every_kept_family():
     named = [re.match(r'\| `ProcessSpec` \| `\(?"(\w+)"', row) for row in rows]
     assert all(named), [row for row, match in zip(rows, named) if not match]
     families = _kept_families()
-    assert {"sup", "cut", "norm", "kernel", "limit", "periods", "points"} <= families
+    assert {"sup", "cut", "norm", "kernel", "limit", "periods"} <= families
     assert sorted(match[1] for match in named) == sorted(families)
 
 

@@ -126,7 +126,10 @@ class TestLimitTarget:
     def test_weighted_closed_form_equals_stabilized_reference(self):
         rng = np.random.default_rng(79)
         for k in range(100):
-            space, tau, _ = random_cycle_system(rng, n_max=16, uniform=True)
+            _, cycles, _ = random_cycle_system(rng, n_max=16)
+            # equal masses, so that a random permutation preserves them too
+            space = uniform_space(cycles.space.size)
+            tau = Endomorphism(space, cycles.map)
             f = random_observable(rng, space, int(rng.integers(1, 4)))
             maps = (tau,) if k % 2 else (tau, random_permutation(rng, space))
             filts = tuple(random_filtration(rng, space, 2, DECREASING)
@@ -166,10 +169,12 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="increasing"):
             convergence_trace(me_spec(), (4, 2), (0, 1), p=2.0)
 
-    def test_reference_override(self):
-        ref = VectorObservable(SP4, [0, 0, 0, 0])
-        trace = convergence_trace(me_spec(), (4,), (2,), p=1.0, reference=ref)
-        assert trace.rows[0].lp_error == pytest.approx(4.0)
+    def test_errors_are_taken_against_the_limit(self):
+        spec = me_spec()
+        trace = convergence_trace(spec, (3,), (1,), p=1.0)
+        errors = evaluate(spec, 3, 1) - spec.limit
+        assert trace.rows[0].lp_error == lp_norm(errors, 1.0, spec.norm)
+        assert trace.rows[0].sup_error == linf_norm(errors, spec.norm)
 
 
 class TestMeanIdentity:
@@ -357,12 +362,8 @@ class TestGridEvaluation:
             stages = min(len(fl.stages) for fl in spec.filtrations)
             n2_grid = sorted(rng.choice(stages, int(rng.integers(1, stages + 1)),
                                         replace=False).tolist())
-            reference = None
-            if seed % 2:
-                reference = VectorObservable(spec.space,
-                                             rng.normal(size=spec.f.values.shape))
-            target = spec.limit if reference is None else reference
-            trace = convergence_trace(spec, n1_grid, n2_grid, inst.p, reference)
+            target = spec.limit
+            trace = convergence_trace(spec, n1_grid, n2_grid, inst.p)
             assert [(r.n1, r.n2) for r in trace.rows] == [
                 (n1, n2) for n1 in n1_grid for n2 in n2_grid]
             for row in trace.rows:
@@ -386,33 +387,25 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
     @pytest.mark.parametrize("weights", (None, BesicovitchWeights.single_cosine(0.8, 1, 3)))
     def test_single_map_trace_builds_one_prefix_sum(self, monkeypatch, kind, weights):
-        ref = VectorObservable(SP4, [0, 1, 2, 3])
         calls = _count_prefix_sums(monkeypatch)
         # weighted, every sum has a leading axis of the one cosine term
         terms = () if weights is None else (1,)
         for n1_grid, n2_grid in (((5,), (1,)), ((1, 2, 3, 7, 12, 40), (0, 1, 2))):
             spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
             calls.clear()
-            convergence_trace(spec, n1_grid, n2_grid, reference=ref)
+            convergence_trace(spec, n1_grid, n2_grid)
             # martingale-ergodic: one sum over f; ergodic-martingale: one over the
             # stage stack
             stack = () if kind == MARTINGALE_ERGODIC else (len(n2_grid),)
-            assert calls == [terms + stack + (2 * SP4.size, 1)]
-            calls.clear()
-            convergence_trace(spec, n1_grid, n2_grid)
             # the limit target: martingale-ergodic reads the kept kernel of f;
             # ergodic-martingale reads the trace's kept kernel when the grid
-            # holds the last stage, else builds the one of its last stage
+            # holds the last stage, else first builds the one of its last stage
             limit = ([] if kind == MARTINGALE_ERGODIC or 2 in n2_grid
                      else [terms + (1, 2 * SP4.size, 1)])
-            assert calls == limit
+            assert calls == limit + [terms + stack + (2 * SP4.size, 1)]
             calls.clear()
             convergence_trace(spec, n1_grid, n2_grid)
-            convergence_trace(spec, n1_grid, n2_grid, reference=ref)
             assert calls == []  # a repeat call builds none
-            fresh = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
-            convergence_trace(fresh, n1_grid, n2_grid)
-            assert len(calls) == 1 + len(limit)  # trace plus limit
 
     @pytest.mark.parametrize("family", ("single_me", "single_em", "weighted_me", "weighted_em"))
     def test_a_trace_reads_its_limit_with_one_kernel(self, monkeypatch, family):
@@ -455,9 +448,8 @@ class TestGridEvaluation:
                                                    message, kind):
         spec = ProcessSpec.single(kind, F1357, CYC, FILT3)
         calls = _count_prefix_sums(monkeypatch)
-        for reference in (None, F1357):
-            with pytest.raises(ValueError, match=message):
-                convergence_trace(spec, n1_grid, n2_grid, reference=reference)
+        with pytest.raises(ValueError, match=message):
+            convergence_trace(spec, n1_grid, n2_grid)
         assert calls == []
 
     @pytest.mark.parametrize("kind", (MARTINGALE_ERGODIC, ERGODIC_MARTINGALE))
@@ -465,15 +457,16 @@ class TestGridEvaluation:
         w = BesicovitchWeights.single_cosine(0.8, 1, 3)
         spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=w)
         (period,) = spec.periods()
-        evals = [evaluate(spec, k * period, 1) for k in (7, 8)]  # the final quarter
+        evals = [evaluate(spec, k * period, 2) for k in (7, 8)]  # the final quarter
         want = lp_norm(evals[0] - evals[1], 2.0, spec.norm)
         calls = _count_prefix_sums(monkeypatch)
         fresh = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=w)
-        assert tail_variation(fresh, p=2.0, n_periods=8, n2=1) == want
+        assert tail_variation(fresh, p=2.0, n_periods=8) == want
         assert len(calls) == 1
-        # a repeat call, like the evaluations at stage 1 above, reads the kept kernel
-        assert tail_variation(fresh, p=2.0, n_periods=8, n2=1) == want
-        assert tail_variation(spec, p=2.0, n_periods=8, n2=1) == want
+        # a repeat call, like the evaluations at the last stage above, reads
+        # the kept kernel
+        assert tail_variation(fresh, p=2.0, n_periods=8) == want
+        assert tail_variation(spec, p=2.0, n_periods=8) == want
         assert len(calls) == 1
 
 
@@ -504,9 +497,10 @@ class TestBatchedGrid:
                                                              weights):
         n1_grid = (1, 2, 3, 5, 7, 12, 40, 41)
         spec = ProcessSpec.single(kind, F1357, CYC, FILT3, weights=weights)
-        want = convergence_trace(spec, n1_grid, (0, 1, 2), reference=F1357).rows
+        # the first trace keeps the limit, so the later ones read only their grid
+        want = convergence_trace(spec, n1_grid, (0, 1, 2)).rows
         reads = _spy_kernel_reads(monkeypatch)
-        assert convergence_trace(spec, n1_grid, (0, 1, 2), reference=F1357).rows == want
+        assert convergence_trace(spec, n1_grid, (0, 1, 2)).rows == want
         assert [list(n) for n in reads] == [list(n1_grid)]
         # a budget of three n per chunk (three stages, and a read of one real
         # float or one complex term per kernel entry): three reads
@@ -515,7 +509,7 @@ class TestBatchedGrid:
         monkeypatch.setattr(processes_module, "_CHUNK_FLOATS",
                             3 * SP4.size * (3 + entries * read))
         reads.clear()
-        assert convergence_trace(spec, n1_grid, (0, 1, 2), reference=F1357).rows == want
+        assert convergence_trace(spec, n1_grid, (0, 1, 2)).rows == want
         assert [list(n) for n in reads] == [[1, 2, 3], [5, 7, 12], [40, 41]]
 
     @pytest.mark.parametrize("family", FAMILIES)
